@@ -11,6 +11,7 @@ JSON is the source of truth and columnar dumps serve external plotters.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -30,9 +31,20 @@ MIN_GATED_SAMPLES = 10_000
 # Oracle cross-checks are skipped when the discrete grid would exceed this.
 MAX_ORACLE_GRID = 20_001
 
+# The float parameters carry 53 bits; the mpmath checks get at least that.
+# (Below 7 bits the admissible-constant grid step 1.01 rounds to 1.)
+MIN_PRECISION_BITS = 53
+
+LOG_BASES = {"e": math.e, "10": 10.0}
+
 
 def _write_output(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # json.dumps with an indent first gathers every token of the report in a
+    # list; for a large analyze report that list sets the peak memory.
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    text = buf.getvalue()
     if out is None:
         sys.stdout.write(text)
     else:
@@ -45,18 +57,23 @@ def _parse_big_int(text: str) -> int:
     text = text.strip().replace("_", "")
     if "^" in text:
         base, _, exponent = text.partition("^")
-        return int(base) ** int(exponent)
+        power = int(exponent)
+        if power < 0:
+            raise argparse.ArgumentTypeError(f"{text!r} has a negative exponent")
+        return int(base) ** power
     if "e" in text.lower():
         mantissa, _, exponent = text.lower().partition("e")
         value = Fraction(mantissa) * Fraction(10) ** int(exponent)
         if value.denominator != 1:
-            raise ValueError(f"{text!r} is not an exact integer")
+            raise argparse.ArgumentTypeError(f"{text!r} is not an exact integer")
         return value.numerator
     return int(text)
 
 
 def _log_base(arg: str) -> float:
-    return math.e if arg == "e" else 10.0
+    if arg not in LOG_BASES:
+        raise ValueError(f'log_base must be "e" or "10", got {arg!r}')
+    return LOG_BASES[arg]
 
 
 def _read_spectrum_file(path: str, snap_denominator: int | None = None):
@@ -64,12 +81,24 @@ def _read_spectrum_file(path: str, snap_denominator: int | None = None):
         return spectrum.parse_spectrum(fh.read(), snap_denominator)
 
 
+def _amplitudes(pairs) -> np.ndarray:
+    """Complex amplitudes from the schema's [[re, im], ...] list."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p)
+        for p in pairs
+    ):
+        raise ValueError('"amplitudes" must be a list of [re, im] number pairs')
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def _read_state_file(path: str) -> np.ndarray:
     """State schema: {"amplitudes": [[re, im], ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    pairs = doc["amplitudes"]
-    return np.array([complex(re, im) for re, im in pairs])
+    if not isinstance(doc, dict) or "amplitudes" not in doc:
+        raise ValueError('state document must contain an "amplitudes" list')
+    return _amplitudes(doc["amplitudes"])
 
 
 def cmd_analyze(args) -> int:
@@ -251,6 +280,15 @@ def cmd_compute_l(args) -> int:
 
 
 def cmd_check_theorem(args) -> int:
+    if args.dim < 2:
+        raise ValueError(f"--dim must be at least 2 so that log D > 0, got {args.dim}")
+    if args.rank < 1:
+        raise ValueError(f"--rank must be at least 1, got {args.rank}")
+    if args.precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(
+            f"--precision-bits must be at least {MIN_PRECISION_BITS}, "
+            f"got {args.precision_bits}"
+        )
     params = typicality.TheoremParams(
         epsilon=args.epsilon,
         delta=args.delta,
@@ -311,7 +349,7 @@ def _config_from_document(doc: dict, args) -> tuple[montecarlo.ExperimentConfig,
     state = doc.get("state", "uniform")
     amplitudes = None
     if isinstance(state, dict):
-        amplitudes = np.array([complex(re, im) for re, im in state["amplitudes"]])
+        amplitudes = _amplitudes(state.get("amplitudes"))
         policy = "explicit"
     else:
         policy = str(state)
@@ -421,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=float, default=2.0)
     p.add_argument("--margin", type=float, default=10.0)
     p.add_argument("--precision-bits", type=int, default=typicality.DEFAULT_PRECISION_BITS)
-    p.add_argument("--log-base", choices=["e", "10"], default="e")
+    p.add_argument("--log-base", choices=list(LOG_BASES), default="e")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_theorem)
 

@@ -87,10 +87,7 @@ def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
         raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
     vector = vector / norm
     offsets = np.concatenate([[0], np.cumsum(spec.degeneracies)])
-    weights = np.array([
-        float(np.sum(np.abs(vector[offsets[a]:offsets[a + 1]]) ** 2))
-        for a in range(spec.num_levels)
-    ])
+    weights = np.add.reduceat(np.abs(vector) ** 2, offsets[:-1])
     return ShellState(spec=spec, vector=vector, offsets=offsets, weights=weights)
 
 
@@ -104,6 +101,13 @@ def cell_weight(vector, cell: Projection) -> float:
     return float(np.sum(np.abs(cell.basis.conj().T @ np.asarray(vector)) ** 2))
 
 
+def _shell_coordinates(state: ShellState, cell: Projection) -> np.ndarray:
+    """Row a: the coordinates of shell component a in the cell's basis."""
+    return np.add.reduceat(
+        cell.basis.conj() * state.vector[:, None], state.offsets[:-1], axis=0
+    )
+
+
 def shell_overlap_matrix(state: ShellState, cell: Projection) -> np.ndarray:
     """Hermitian matrix of shell-component overlaps through the cell.
 
@@ -111,12 +115,8 @@ def shell_overlap_matrix(state: ShellState, cell: Projection) -> np.ndarray:
     by the cell projector.  Built from the d basis columns restricted to
     each shell block, so the full projector is never formed.
     """
-    d_e = state.spec.num_levels
-    t = np.empty((cell.rank, d_e), dtype=complex)
-    for a in range(d_e):
-        sl = state.shell_slice(a)
-        t[:, a] = cell.basis[sl].conj().T @ state.vector[sl]
-    return t.conj().T @ t
+    t = _shell_coordinates(state, cell)
+    return t.conj() @ t.T
 
 
 def exact_time_avg_weight(state: ShellState, cell: Projection) -> float:
@@ -126,13 +126,7 @@ def exact_time_avg_weight(state: ShellState, cell: Projection) -> float:
     averaging, so the result is the sum over shells of each component's
     weight in the cell.
     """
-    total = 0.0
-    for a in range(state.spec.num_levels):
-        sl = state.shell_slice(a)
-        total += float(
-            np.sum(np.abs(cell.basis[sl].conj().T @ state.vector[sl]) ** 2)
-        )
-    return total
+    return float(np.sum(np.abs(_shell_coordinates(state, cell)) ** 2))
 
 
 def discrete_time_average(

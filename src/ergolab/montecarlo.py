@@ -91,6 +91,8 @@ class ExperimentConfig:
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.retain_trials is None:
             self.retain_trials = self.trials <= RETAIN_LIMIT
+        if int(self.grid_points) < 1:
+            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
 
     @property
     def dim_total(self) -> int:

@@ -4,21 +4,33 @@ A spectrum is a sorted list of distinct rational energies, each carrying a
 positive degeneracy.  From it we build two value-indexed families over
 ordered pairs of level indices: the gap structure (pairs grouped by energy
 difference) and the sum structure (pairs grouped by energy sum).  Grouping
-is exact rational arithmetic throughout; equality of gap or sum values is
-never decided by a floating-point tolerance, because the downstream
-time-averaging identities require exact value collisions.
+is exact throughout; equality of gap or sum values is never decided by a
+floating-point tolerance, because the downstream time-averaging identities
+require exact value collisions.
+
+Every collision is decided once per spectrum, by :class:`PairIndex`: the
+energies are rescaled to integers by the least common multiple of their
+denominators, and ``np.unique`` over the integer gap and sum tables gives
+each ordered pair the rank of its value.  The degeneracy maxima, the
+classification, the deviation kernel's gap buckets and the
+Fraction-keyed tables all derive from that one index.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SpectrumError",
     "Spectrum",
+    "PairIndex",
     "GapStructure",
     "SumStructure",
     "Classification",
@@ -91,6 +103,80 @@ class Spectrum:
         """Largest minus smallest energy."""
         return self.levels[-1][0] - self.levels[0][0]
 
+    @cached_property
+    def pair_index(self) -> PairIndex:
+        """Integer gap and sum classes of the level pairs, built on first use."""
+        return PairIndex(self.energies)
+
+
+# Rescaled energies at or beyond this magnitude could overflow int64 in a
+# gap or a sum, so the index then holds them as Python integers.
+_INT64_SAFE = 2**62
+
+
+def _classes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct values, the rank of each entry's value, and counts."""
+    return np.unique(table.ravel(), return_inverse=True, return_counts=True)
+
+
+class PairIndex:
+    """Ordered level pairs ``(a, b)`` classed by exact gap and exact sum.
+
+    Energies are multiplied by ``scale``, the least common multiple of their
+    denominators, which maps equal gaps (sums) to equal integers and keeps
+    their order.  Pair ``(a, b)`` sits at flat position ``a * D_E + b``;
+    ``gap_ids[p]`` is the rank of its gap ``E_b - E_a`` among the sorted
+    distinct scaled gaps ``gap_values``, each carried by ``gap_counts``
+    pairs.  ``sum_ids``/``sum_values``/``sum_counts`` do the same for the
+    sum ``E_a + E_b``.
+    """
+
+    def __init__(self, energies):
+        self.num_levels = len(energies)
+        self.scale = math.lcm(*(e.denominator for e in energies))
+        scaled = [e.numerator * (self.scale // e.denominator) for e in energies]
+        dtype = np.int64 if max(map(abs, scaled)) < _INT64_SAFE else object
+        k = np.array(scaled, dtype=dtype)
+        self.gap_values, self.gap_ids, self.gap_counts = _classes(
+            np.subtract.outer(k, k).T
+        )
+        self.sum_values, self.sum_ids, self.sum_counts = _classes(np.add.outer(k, k))
+
+    @property
+    def max_gap_degeneracy(self) -> int:
+        """Largest pair count among nonzero gaps; 0 for a single level."""
+        return int(self.gap_counts[self.gap_values != 0].max(initial=0))
+
+    @property
+    def max_sum_degeneracy(self) -> int:
+        return int(self.sum_counts.max())
+
+    @cached_property
+    def shared_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs whose nonzero gap recurs, grouped by gap: flat positions
+        and the offset of each group.  Empty for a non-resonant spectrum."""
+        shared = (self.gap_counts >= 2) & (self.gap_values != 0)
+        order = np.argsort(self.gap_ids, kind="stable")
+        positions = order[shared[self.gap_ids[order]]]
+        sizes = self.gap_counts[shared]
+        return positions, np.cumsum(sizes) - sizes
+
+    def _entries(self, values, ids, counts) -> dict[Fraction, tuple[tuple[int, int], ...]]:
+        # A stable sort keeps each class's pairs in ascending (a, b) order.
+        first, second = np.divmod(np.argsort(ids, kind="stable"), self.num_levels)
+        pairs = list(zip(first.tolist(), second.tolist()))
+        ends = np.cumsum(counts).tolist()
+        return {
+            Fraction(value, self.scale): tuple(pairs[end - count:end])
+            for value, count, end in zip(values.tolist(), counts.tolist(), ends)
+        }
+
+    def gap_entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
+        return self._entries(self.gap_values, self.gap_ids, self.gap_counts)
+
+    def sum_entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
+        return self._entries(self.sum_values, self.sum_ids, self.sum_counts)
+
 
 @dataclass
 class GapStructure:
@@ -98,11 +184,15 @@ class GapStructure:
 
     Indices are 0-based.  The zero gap collects the diagonal pairs, one per
     level; negative gaps are kept as their own entries (the pair ``(a, b)``
-    sits in the gap opposite to ``(b, a)``).
+    sits in the gap opposite to ``(b, a)``).  ``entries`` maps each gap, in
+    ascending order, to its sorted pairs; it is built when first read.
     """
 
     spec: Spectrum
-    entries: dict[Fraction, tuple[tuple[int, int], ...]]
+
+    @cached_property
+    def entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
+        return self.spec.pair_index.gap_entries()
 
     def degeneracy(self, value) -> int:
         return len(self.entries.get(Fraction(value), ()))
@@ -110,9 +200,7 @@ class GapStructure:
     @property
     def max_gap_degeneracy(self) -> int:
         """Largest pair count among nonzero gaps; 0 for a single level."""
-        return max(
-            (len(p) for v, p in self.entries.items() if v != 0), default=0
-        )
+        return self.spec.pair_index.max_gap_degeneracy
 
 
 @dataclass
@@ -120,18 +208,22 @@ class SumStructure:
     """Ordered level pairs ``(a, c)`` grouped by the exact sum ``E_a + E_c``.
 
     Diagonal pairs ``(a, a)`` are included; every ordered pair appears in
-    exactly one entry, and entries are closed under pair swap.
+    exactly one entry, and entries are closed under pair swap.  ``entries``
+    is built when first read, like :attr:`GapStructure.entries`.
     """
 
     spec: Spectrum
-    entries: dict[Fraction, tuple[tuple[int, int], ...]]
+
+    @cached_property
+    def entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
+        return self.spec.pair_index.sum_entries()
 
     def degeneracy(self, value) -> int:
         return len(self.entries.get(Fraction(value), ()))
 
     @property
     def max_sum_degeneracy(self) -> int:
-        return max(len(p) for p in self.entries.values())
+        return self.spec.pair_index.max_sum_degeneracy
 
 
 class Classification(NamedTuple):
@@ -203,46 +295,23 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
                 f"level {i}: degeneracy must be a positive integer, got {deg!r}"
             )
         levels.append((energy, deg))
-
-    values = [e for e, _ in levels]
-    dupes = sorted({v for v in values if values.count(v) > 1})
-    if dupes:
-        raise SpectrumError(
-            "duplicate energy values: " + ", ".join(str(v) for v in dupes)
-        )
     return Spectrum(tuple(levels), approximate=snapped_any)
 
 
 def gap_structure(spec: Spectrum) -> GapStructure:
     """Group all ordered level pairs by their exact energy difference."""
-    energies = spec.energies
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for a in range(spec.num_levels):
-        for b in range(spec.num_levels):
-            groups.setdefault(energies[b] - energies[a], []).append((a, b))
-    entries = {
-        value: tuple(sorted(groups[value])) for value in sorted(groups)
-    }
-    return GapStructure(spec=spec, entries=entries)
+    return GapStructure(spec=spec)
 
 
 def sum_structure(spec: Spectrum) -> SumStructure:
     """Group all ordered level pairs by their exact energy sum."""
-    energies = spec.energies
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for a in range(spec.num_levels):
-        for c in range(spec.num_levels):
-            groups.setdefault(energies[a] + energies[c], []).append((a, c))
-    entries = {
-        value: tuple(sorted(groups[value])) for value in sorted(groups)
-    }
-    return SumStructure(spec=spec, entries=entries)
+    return SumStructure(spec=spec)
 
 
 def classify(spec: Spectrum) -> Classification:
     """Non-degenerate: every level simple.  Non-resonant: every nonzero gap unique."""
     non_degenerate = all(d == 1 for d in spec.degeneracies)
-    non_resonant = gap_structure(spec).max_gap_degeneracy <= 1
+    non_resonant = spec.pair_index.max_gap_degeneracy <= 1
     return Classification(non_degenerate, non_resonant)
 
 
@@ -260,7 +329,7 @@ def nonresonance_sum_check(spec: Spectrum) -> str:
         return "inapplicable"
     if not classify(spec).non_resonant:
         return "vacuous"
-    return "holds" if sum_structure(spec).max_sum_degeneracy == 2 else "violated"
+    return "holds" if spec.pair_index.max_sum_degeneracy == 2 else "violated"
 
 
 def structure_report(spec: Spectrum) -> dict:

@@ -16,11 +16,40 @@ share an energy-sum value, beyond the always-present pair and its swap.
 The same quantity also splits as (d/D)^2 plus a degeneracy term linear in
 trace(S) plus a quartic term; both groupings are computed and must agree.
 
-R vanishes identically when every sum value is carried by at most a pair
-and its swap, i.e. when no nonzero gap value repeats.  Everything here is
-a plain float computation except the asymptotic-regime condition checks,
-which run in arbitrary precision because they must survive dimensions like
-2**100.
+R is computed over gap buckets.  Let g range over the distinct gaps
+E_b - E_a of ordered level pairs (a, b) and put
+
+    G_g = sum_{E_b - E_a = g} S[a, b].
+
+Shell a evolves with phase exp(-i E_a tau), so the weight is
+w(tau) = sum_g G_g exp(-i g tau).  Its time average keeps g = 0, which
+only the diagonal pairs carry (levels are distinct): G_0 = trace(S).  The
+time average of w^2 keeps the products with g + h = 0, and S is Hermitian,
+so G_{-g} = conj(G_g) and
+
+    time-average of w^2 = sum_g G_g G_{-g} = sum_g |G_g|^2,
+    L = sum_g |G_g|^2 - 2 (d/D) trace(S) + (d/D)^2
+      = (trace(S) - d/D)^2 + sum_{g != 0} |G_g|^2.
+
+Splitting each |G_g|^2 into its squared moduli and its cross terms gives
+
+    R = sum_{g != 0} ( |G_g|^2 - sum_{E_b - E_a = g} |S[a, b]|^2 ),
+
+the sum of S[a, b] conj(S[c, d]) over distinct pairs with
+E_b - E_a = E_d - E_c.  That condition is E_a + E_d = E_b + E_c, and
+conj(S[c, d]) = S[d, c]: these are exactly the sum-class cross terms
+above.  A bucket holding one pair contributes |S[a, b]|^2 - |S[a, b]|^2 = 0,
+so only gaps carried by two or more pairs are summed.  Skipping the
+singletons saves work, and it makes R exactly 0.0, not a rounding residue,
+when no nonzero gap repeats: the non-resonant case, where every sum value
+is carried by at most a pair and its swap.  Each |G_g|^2 is real, so R is
+real by construction.  The buckets come from the spectrum's integer
+:class:`~ergolab.spectrum.PairIndex`, so each cell costs one gather and one
+segmented sum over D_E^2 entries instead of a loop over sum classes.
+
+Everything here is a plain float computation except the asymptotic-regime
+condition checks, which run in arbitrary precision because they must
+survive dimensions like 2**100.
 """
 
 from __future__ import annotations
@@ -33,7 +62,7 @@ from mpmath import mp, mpf
 
 from .dynamics import ShellState, exact_time_avg_weight, shell_overlap_matrix
 from .randomness import Projection
-from .spectrum import GapStructure, SumStructure
+from .spectrum import GapStructure, PairIndex, SumStructure
 
 __all__ = [
     "DeviationBreakdown",
@@ -124,29 +153,23 @@ def _check_same_spec(state: ShellState, *structures):
             raise ValueError("structure was built from a different spectrum")
 
 
-def _resonant_sum(s: np.ndarray, sums: SumStructure) -> float:
-    """Cross terms of ordered pairs sharing a sum value, excluding the pair
-    itself and its swap.  Conjugate pairs cancel, so the total is real."""
-    acc = 0.0 + 0.0j
-    for pairs in sums.entries.values():
-        if len(pairs) < 3:
-            continue  # only the pair and its swap: nothing survives the exclusion
-        for (a, sig) in pairs:
-            for (b, g) in pairs:
-                if (b, g) == (a, sig) or (b, g) == (sig, a):
-                    continue
-                acc += s[a, b] * s[sig, g]
-    if abs(acc.imag) > 1e-8 * (1.0 + abs(acc.real)):
-        raise ArithmeticError(
-            f"resonant cross terms should be real, got imaginary part {acc.imag}"
-        )
-    return float(acc.real)
+def _resonant_sum(s: np.ndarray, index: PairIndex) -> float:
+    """R = sum over shared nonzero gaps of |G_g|^2 minus the bucket's own
+    |S[a, b]|^2 (see the module docstring)."""
+    positions, starts = index.shared_gaps
+    if positions.size == 0:
+        return 0.0  # no gap recurs: every bucket is a singleton
+    z = s.ravel()[positions]
+    buckets = np.add.reduceat(z, starts)
+    return float(
+        np.sum(buckets.real**2 + buckets.imag**2) - np.sum(z.real**2 + z.imag**2)
+    )
 
 
 def resonant_term(state: ShellState, cell: Projection, sums: SumStructure) -> float:
     """The resonance-only part of the deviation functional."""
     _check_same_spec(state, sums)
-    return _resonant_sum(shell_overlap_matrix(state, cell), sums)
+    return _resonant_sum(shell_overlap_matrix(state, cell), state.spec.pair_index)
 
 
 def deviation_exact(
@@ -169,7 +192,7 @@ def deviation_exact(
     trace = float(s.diagonal().real.sum())
     offdiag_sum = float(np.sum(np.abs(s) ** 2) - np.sum(s.diagonal().real ** 2))
     diag_dev_sq = (trace - frac) ** 2
-    res = _resonant_sum(s, sums)
+    res = _resonant_sum(s, state.spec.pair_index)
 
     breakdown = DeviationBreakdown(
         total=offdiag_sum + diag_dev_sq + res,

@@ -53,6 +53,16 @@ def brute_max_sum_degeneracy(energies) -> int:
     return best
 
 
+def brute_pair_classes(energies, combine) -> dict:
+    """Ordered level pairs grouped by ``combine(E_a, E_b)`` in exact
+    Fraction arithmetic: values ascending, pairs ascending within a value."""
+    groups = {}
+    for a, e_a in enumerate(energies):
+        for b, e_b in enumerate(energies):
+            groups.setdefault(combine(e_a, e_b), []).append((a, b))
+    return {value: tuple(groups[value]) for value in sorted(groups)}
+
+
 def brute_resonant_cross_terms(s: np.ndarray, energies) -> float:
     """Quadruple-loop evaluation of the resonance cross terms.
 

@@ -21,6 +21,13 @@ def load(path):
         return json.load(fh)
 
 
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 class TestAnalyze:
     def test_resonant_spectrum(self, tmp_path):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1), (2, 1)])
@@ -137,6 +144,14 @@ class TestComputeL:
                      "--state", str(state_path), "--out", str(out)]) == 0
         assert load(out)["state_source"] == "file"
 
+    def test_malformed_state_file_rejected(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"amplitudes": [1, 2]}))
+        assert main(["compute-l", spec, "--dims", "1,1",
+                     "--state", str(state_path)]) == 1
+        assert_one_line_error(capsys, "amplitudes")
+
     def test_trajectory_dump(self, tmp_path):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1), (2, 1)])
         traj = tmp_path / "traj.tsv"
@@ -185,6 +200,23 @@ class TestCheckTheorem:
         )
 
 
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--dim", "1"], "--dim"),
+        (["--dim", "16", "--precision-bits", "0"], "--precision-bits"),
+    ])
+    def test_degenerate_arguments_rejected(self, capsys, flags, fragment):
+        assert main(["check-theorem", "--rank", "1", "--cells", "2"] + flags) == 1
+        assert_one_line_error(capsys, fragment)
+
+    def test_negative_exponent_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-theorem", "--dim", "2^-1", "--rank", "1", "--cells", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --dim: '2^-1' has a negative exponent" in err
+        assert "Traceback" not in err
+
+
 class TestRun:
     @staticmethod
     def write_config(tmp_path, **overrides):
@@ -227,6 +259,17 @@ class TestRun:
         out = tmp_path / "report.json"
         assert main(["run", cfg, "--out", str(out)]) != 0
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"log_base": "2"}, "log_base"),
+        ({"grid_points": 0, "normality": True}, "grid_points"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, overrides, fragment):
+        cfg = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, fragment)
 
     def test_trial_dump_and_overrides(self, tmp_path):
         cfg = self.write_config(tmp_path)

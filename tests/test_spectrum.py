@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from ergolab.randomness import substream
 from support import (
     brute_max_gap_degeneracy,
     brute_max_sum_degeneracy,
+    brute_pair_classes,
     random_nonresonant_levels,
 )
 
@@ -195,6 +197,40 @@ def test_brute_force_degeneracies(spec):
     expected_gap = brute_max_gap_degeneracy(energies) if spec.num_levels > 1 else 0
     assert gap_structure(spec).max_gap_degeneracy == expected_gap
     assert sum_structure(spec).max_sum_degeneracy == brute_max_sum_degeneracy(energies)
+
+
+# Rationals, plus integers whose gaps and sums overflow int64.
+exact_energies = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.integers(2**62, 2**66).map(F),
+)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(st.tuples(exact_energies, st.integers(1, 3)), min_size=1,
+                max_size=7, unique_by=lambda t: t[0]))
+def test_tables_match_fraction_grouping(levels):
+    spec = Spectrum(tuple(levels))
+    energies = spec.energies
+    gaps = brute_pair_classes(energies, lambda e_a, e_b: e_b - e_a)
+    sums = brute_pair_classes(energies, lambda e_a, e_b: e_a + e_b)
+    # Same values, in the same order, with the same pairs: reports built
+    # from the tables are byte-identical to ones built by Fraction grouping.
+    assert list(gap_structure(spec).entries.items()) == list(gaps.items())
+    assert list(sum_structure(spec).entries.items()) == list(sums.items())
+    assert gap_structure(spec).max_gap_degeneracy == max(
+        (len(p) for v, p in gaps.items() if v != 0), default=0)
+    assert sum_structure(spec).max_sum_degeneracy == max(map(len, sums.values()))
+
+
+def test_int64_overflow_falls_back_to_python_ints():
+    big = 2**62
+    spec = simple(0, big, 2 * big, F(1, 3))
+    assert spec.pair_index.gap_values.dtype == object
+    assert simple(0, big - 1).pair_index.gap_values.dtype == np.int64
+    assert gap_structure(spec).entries[F(big)] == ((0, 2), (2, 3))
+    assert classify(spec) == (True, False)
+    assert sum_structure(spec).entries[F(4 * big)] == ((3, 3),)
 
 
 @settings(max_examples=100, derandomize=True)

@@ -18,6 +18,7 @@ from ergolab import (
     evolve,
     find_admissible_constant,
     gap_structure,
+    integer_rescaled,
     mean_deviation_bound,
     prepare_state,
     resonance_impact,
@@ -32,7 +33,15 @@ from ergolab import (
     theorem_condition,
 )
 
-from support import brute_resonant_cross_terms, random_instance
+from support import (
+    brute_max_gap_degeneracy,
+    brute_max_sum_degeneracy,
+    brute_resonant_cross_terms,
+    random_composition,
+    random_instance,
+    random_integer_spectrum,
+    random_nonresonant_levels,
+)
 
 SPIN_CHAIN_SCALE = dict(dim=2**100, rank=10**8, cells=10**22)
 
@@ -167,6 +176,65 @@ class TestResonantTerm:
                         rhs = 0.5 * (s[a, a].real * s[sig, sig].real
                                      + s[b, b].real * s[g, g].real)
                         assert lhs <= rhs + 1e-12
+
+
+class TestGapBucketKernel:
+    """The gap-bucket kernel against the quadruple-loop resonance sum and
+    the trajectory oracle, on random spectra of every kind."""
+
+    @staticmethod
+    def check(spec, rng, with_oracle=True):
+        gaps, sums = structures(spec)
+        energies = spec.energies
+        assert gaps.max_gap_degeneracy == (
+            brute_max_gap_degeneracy(energies) if spec.num_levels > 1 else 0)
+        assert sums.max_sum_degeneracy == brute_max_sum_degeneracy(energies)
+        ispec, _ = integer_rescaled(spec)
+        state, dec = random_instance(spec, rng)
+        for cell in dec:
+            expected = brute_resonant_cross_terms(
+                shell_overlap_matrix(state, cell), energies)
+            b = deviation_exact(state, cell, gaps, sums)
+            assert b.resonant_term == pytest.approx(expected, abs=1e-12)
+            assert resonant_term(state, cell, sums) == b.resonant_term
+            if with_oracle:
+                istate = prepare_state(state.vector, ispec)
+                assert abs(b.total - oracle_deviation(istate, cell, ispec)) < 1e-10
+
+    def test_integer_and_degenerate_spectra(self):
+        rng = substream(6, 0)
+        for _ in range(25):
+            self.check(random_integer_spectrum(rng, dim_range=(3, 10)), rng)
+
+    def test_rational_spectra(self):
+        rng = substream(6, 1)
+        for _ in range(15):
+            spec = random_integer_spectrum(rng, dim_range=(3, 9), spread=10)
+            q = int(rng.choice([2, 3, 6]))
+            shift = F(int(rng.integers(-3, 4)), 5)
+            self.check(spec_of([(e / q + shift, d) for e, d in spec.levels]), rng)
+
+    def test_python_int_fallback(self):
+        # Rescaled by 3, these energies exceed int64; 2**70 recurs as a gap.
+        big = 2**70
+        spec = spec_of([(0, 2), (F(1, 3), 1), (big, 1), (2 * big, 2), (2 * big + 1, 1)])
+        assert spec.pair_index.gap_values.dtype == object
+        rng = substream(6, 2)
+        for _ in range(3):
+            self.check(spec, rng, with_oracle=False)
+
+    def test_nonresonant_exactly_zero(self):
+        rng = substream(6, 3)
+        for _ in range(20):
+            levels = random_nonresonant_levels(rng, int(rng.integers(2, 7)))
+            degens = random_composition(rng, len(levels) + 3, len(levels))
+            q = int(rng.integers(1, 5))
+            spec = spec_of([(F(e, q), d) for e, d in zip(levels, degens)])
+            gaps, sums = structures(spec)
+            state, dec = random_instance(spec, rng)
+            for cell in dec:
+                assert deviation_exact(state, cell, gaps, sums).resonant_term == 0.0
+                assert resonant_term(state, cell, sums) == 0.0
 
 
 class TestSufficientAndErgodicity:
