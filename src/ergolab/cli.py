@@ -42,7 +42,7 @@ def _write_output(doc: dict, out: str | None) -> None:
     # json.dumps with an indent first gathers every token of the report in a
     # list; for a large analyze report that list sets the peak memory.
     buf = io.StringIO()
-    json.dump(doc, buf, indent=2, sort_keys=True)
+    json.dump(doc, buf, indent=2, sort_keys=True, allow_nan=False)
     buf.write("\n")
     text = buf.getvalue()
     if out is None:
@@ -71,7 +71,7 @@ def _parse_big_int(text: str) -> int:
 
 
 def _log_base(arg: str) -> float:
-    if arg not in LOG_BASES:
+    if not isinstance(arg, str) or arg not in LOG_BASES:
         raise ValueError(f'log_base must be "e" or "10", got {arg!r}')
     return LOG_BASES[arg]
 
@@ -111,6 +111,8 @@ def cmd_verify_lemmas(args) -> int:
     dim, rank, samples = args.dim, args.rank, args.samples
     if not 1 <= rank <= dim:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
+    if samples < 2:
+        raise ValueError(f"--samples must be at least 2 for a standard error, got {samples}")
     warnings = []
     gated = samples >= MIN_GATED_SAMPLES
     if not gated:
@@ -219,16 +221,15 @@ def cmd_compute_l(args) -> int:
         b = typicality.deviation_exact(state, cell, gaps, sums)
         frac = cell.rank / spec.dim_total
         r1, r2 = b.identity_residuals()
-        gap_val = typicality.ergodicity_gap(state, cell)
-        bound = typicality.resonant_term_bound(state, cell, d_f)
+        bound = typicality.resonant_term_bound(b.time_avg_weight, d_f)
         record = b.as_dict()
         record.update({
             "cell": k + 1,
             "rank": cell.rank,
             "identity_residuals": [r1, r2],
-            "ergodicity_gap": gap_val,
+            "ergodicity_gap": b.diag_dev_sq,
             "resonant_bound": bound,
-            "chain_ok": (gap_val <= b.total + montecarlo.CHAIN_SLACK
+            "chain_ok": (b.diag_dev_sq <= b.total + montecarlo.CHAIN_SLACK
                          and b.resonant_term <= bound + montecarlo.CHAIN_SLACK),
         })
         ok = record["chain_ok"] and max(r1, r2) <= typicality.IDENTITY_TOL
@@ -335,68 +336,108 @@ def cmd_check_theorem(args) -> int:
     return 0
 
 
-def _config_from_document(doc: dict, args) -> tuple[montecarlo.ExperimentConfig, dict]:
+# Every key a run config may carry; anything else is rejected.
+RUN_CONFIG_KEYS = frozenset({
+    "spectrum", "dims", "params", "state", "trials", "seed", "log_base",
+    "grid_points", "normality", "markov_threshold",
+})
+PARAM_KEYS = frozenset({"epsilon", "delta", "delta_prime", "constant"})
+STATE_KEYS = frozenset({"amplitudes"})
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f'"{name}" must be an integer, got {value!r}')
+    return value
+
+
+def _finite(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f'"{name}" must be a finite number, got {value!r}')
+
+
+def _object(value, name: str, keys: frozenset) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(value) - keys)
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {unknown}; allowed: {sorted(keys)}")
+    return value
+
+
+def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float | None]:
+    """Validate a run config document; returns the config and the Markov threshold."""
+    doc = _object(doc, "run config", RUN_CONFIG_KEYS)
+    for key in ("spectrum", "dims"):
+        if key not in doc:
+            raise ValueError(f'run config needs "{key}"')
     spec = spectrum.parse_spectrum(doc["spectrum"])
-    dims = tuple(int(d) for d in doc["dims"])
-    raw_params = doc.get("params", {})
+    dims = doc["dims"]
+    if not isinstance(dims, list) or any(
+        isinstance(d, bool) or not isinstance(d, int) for d in dims
+    ):
+        raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
+    dims = tuple(dims)
+    raw_params = _object(doc.get("params", {}), '"params"', PARAM_KEYS)
     params = typicality.TheoremParams(
-        epsilon=float(raw_params.get("epsilon", 1.0)),
-        delta=float(raw_params.get("delta", 0.1)),
-        delta_prime=float(raw_params.get("delta_prime", 0.1)),
+        epsilon=_finite(raw_params.get("epsilon", 1.0), "epsilon"),
+        delta=_finite(raw_params.get("delta", 0.1), "delta"),
+        delta_prime=_finite(raw_params.get("delta_prime", 0.1), "delta_prime"),
         num_cells=len(dims),
-        constant=float(raw_params.get("constant", 2.0)),
+        constant=_finite(raw_params.get("constant", 2.0), "constant"),
     )
     state = doc.get("state", "uniform")
     amplitudes = None
     if isinstance(state, dict):
-        amplitudes = _amplitudes(state.get("amplitudes"))
+        amplitudes = _amplitudes(_object(state, '"state"', STATE_KEYS).get("amplitudes"))
         policy = "explicit"
     else:
         policy = str(state)
+    normality = doc.get("normality", False)
+    if not isinstance(normality, bool):
+        raise ValueError(f'"normality" must be true or false, got {normality!r}')
+    markov_threshold = doc.get("markov_threshold")
+    if markov_threshold is not None:
+        markov_threshold = _finite(markov_threshold, "markov_threshold")
+    trials = args.trials if args.trials is not None else doc.get("trials", 100)
+    seed = args.seed if args.seed is not None else doc.get("seed", DEFAULT_SEED)
     config = montecarlo.ExperimentConfig(
         spectrum=spec,
         dims=dims,
         params=params,
-        trials=args.trials if args.trials is not None else int(doc.get("trials", 100)),
-        seed=args.seed if args.seed is not None else int(doc.get("seed", DEFAULT_SEED)),
+        trials=_integer(trials, "trials"),
+        seed=_integer(seed, "seed"),
         state_policy=policy,
         amplitudes=amplitudes,
-        retain_trials=doc.get("retain_trials"),
-        log_base=_log_base(str(doc.get("log_base", "e"))),
-        grid_points=int(doc.get("grid_points", 1000)),
+        log_base=_log_base(doc.get("log_base", "e")),
+        grid_points=_integer(doc.get("grid_points", 1000), "grid_points"),
+        normality=normality,
     )
-    options = {
-        "normality": bool(doc.get("normality", False)),
-        "markov_threshold": doc.get("markov_threshold"),
-    }
-    return config, options
+    return config, markov_threshold
 
 
 def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    config, options = _config_from_document(doc, args)
+    config, markov_threshold = _config_from_document(doc, args)
 
     report = montecarlo.run_experiment(config)
-    gates = {"mean_bound_and_chain": report.passed}
-
-    markov = None
-    if report.samples is not None:
-        threshold = options["markov_threshold"]
-        if threshold is None:
-            threshold = config.threshold(min(config.dims))
-        markov = montecarlo.markov_check(report, float(threshold))
-        gates["markov"] = markov["pass"]
-
-    normality = None
-    if options["normality"]:
-        normality = montecarlo.normality_fraction(config)
-        gates["normality_implication"] = normality.implication_violations == 0
+    if markov_threshold is None:
+        markov_threshold = config.threshold(min(config.dims))
+    markov = montecarlo.markov_check(report, markov_threshold)
+    gates = {"mean_bound_and_chain": report.passed, "markov": markov["pass"]}
+    if report.normality is not None:
+        gates["normality_implication"] = report.normality.implication_violations == 0
 
     out_doc = {
-        "experiment": report.to_dict(include_trials=config.retain_trials),
+        "experiment": report.to_dict(),
         "markov": markov,
-        "normality": None if normality is None else normality.to_dict(),
+        "normality": None if report.normality is None else report.normality.to_dict(),
         "gates": gates,
         "pass": all(gates.values()),
     }

@@ -82,8 +82,9 @@ def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
         raise ValueError(
             f"state must have length {spec.dim_total}, got shape {vector.shape}"
         )
-    norm = np.linalg.norm(vector)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = np.linalg.norm(vector)
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects NaN
         raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
     vector = vector / norm
     offsets = np.concatenate([[0], np.cumsum(spec.degeneracies)])

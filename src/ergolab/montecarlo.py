@@ -2,14 +2,16 @@
 
 Each trial draws its own generator substream from (master seed, trial
 index), so results are reproducible under any execution order and a report
-is a pure function of its configuration.  Per-trial deviation values are
-retained up to a size cap; aggregates are streamed regardless.
+is a pure function of its configuration.  A trial is drawn and evaluated
+once: the same decomposition and state feed the per-cell deviations, the
+inequality-chain audit and, when ``normality`` is on, both normality
+routes.  Every per-trial deviation is kept in a (trials, cells) array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,26 +25,22 @@ from .spectrum import Spectrum, gap_structure, sum_structure
 from .typicality import (
     TheoremParams,
     deviation_exact,
-    ergodicity_gap,
     mean_deviation_bound,
     resonant_term_bound,
     sufficient_condition,
 )
 
 __all__ = [
-    "RETAIN_LIMIT",
     "CHAIN_SLACK",
     "ExperimentConfig",
     "ExperimentReport",
+    "NormalityReport",
     "run_experiment",
     "markov_check",
     "normality_fraction",
     "wilson_interval",
     "dump_trials",
 ]
-
-# Per-trial retention is disabled beyond this many trials to bound memory.
-RETAIN_LIMIT = 10_000
 
 # Numerical slack for the per-trial inequality chain.
 CHAIN_SLACK = 1e-12
@@ -61,9 +59,9 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     state_policy: str = "uniform"
     amplitudes: np.ndarray | None = None
-    retain_trials: bool | None = None
     log_base: float = math.e
     grid_points: int = 1000
+    normality: bool = False
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -89,8 +87,6 @@ class ExperimentConfig:
             if self.amplitudes is None:
                 raise ValueError("explicit state policy needs amplitudes")
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.retain_trials is None:
-            self.retain_trials = self.trials <= RETAIN_LIMIT
         if int(self.grid_points) < 1:
             raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
 
@@ -125,150 +121,6 @@ def _trial_inputs(config: ExperimentConfig, trial: int, fixed_vector):
     return decomposition, prepare_state(vector, config.spectrum)
 
 
-@dataclass(eq=False)
-class ExperimentReport:
-    """Aggregated deviation statistics of an ensemble run."""
-
-    config: ExperimentConfig
-    max_gap_degeneracy: int
-    max_sum_degeneracy: int
-    cells: list[dict]
-    overall: dict
-    chain_violations: int
-    samples: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def passed(self) -> bool:
-        return self.chain_violations == 0 and all(
-            c["mean_below_bound"] for c in self.cells
-        )
-
-    def to_dict(self, include_trials: bool = True) -> dict:
-        out = {
-            "dims": list(self.config.dims),
-            "trials": self.config.trials,
-            "seed": self.config.seed,
-            "state_policy": self.config.state_policy,
-            "D": self.config.dim_total,
-            "D_E": self.config.spectrum.num_levels,
-            "D_G": self.max_gap_degeneracy,
-            "D_F": self.max_sum_degeneracy,
-            "cells": self.cells,
-            "overall": self.overall,
-            "chain_violations": self.chain_violations,
-            "pass": self.passed,
-        }
-        if include_trials and self.samples is not None:
-            out["trial_totals"] = [
-                [float(x) for x in row] for row in self.samples
-            ]
-        return out
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Sample decompositions, evaluate the deviation per cell, aggregate.
-
-    Per-cell means are compared against the decomposition-average bound; a
-    per-trial inequality chain (ergodicity gap below the total, resonant
-    term below its sum-degeneracy bound) is audited with tiny slack.
-    """
-    spec = config.spectrum
-    gaps = gap_structure(spec)
-    sums = sum_structure(spec)
-    d_f = sums.max_sum_degeneracy
-    fixed_vector = _fixed_state_vector(config)
-
-    m = len(config.dims)
-    totals = np.empty((config.trials, m))
-    chain_violations = 0
-    for t in range(config.trials):
-        decomposition, state = _trial_inputs(config, t, fixed_vector)
-        for k, cell in enumerate(decomposition):
-            b = deviation_exact(state, cell, gaps, sums)
-            totals[t, k] = b.total
-            if ergodicity_gap(state, cell) > b.total + CHAIN_SLACK:
-                chain_violations += 1
-            if b.resonant_term > resonant_term_bound(state, cell, d_f) + CHAIN_SLACK:
-                chain_violations += 1
-
-    cells = []
-    for k, rank in enumerate(config.dims):
-        col = totals[:, k]
-        mean = float(col.mean())
-        stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
-        threshold = config.threshold(rank)
-        bound = mean_deviation_bound(config.dim_total, rank, d_f, config.log_base)
-        cells.append({
-            "cell": k + 1,
-            "rank": rank,
-            "mean": mean,
-            "stderr": stderr,
-            "max": float(col.max()),
-            "min": float(col.min()),
-            "threshold": threshold,
-            "prob_exceed": float((col > threshold).mean()),
-            "mean_bound": bound,
-            "mean_below_bound": mean <= bound,
-        })
-
-    pooled = totals.ravel()
-    overall = {
-        "mean": float(pooled.mean()),
-        "stderr": float(pooled.std(ddof=1) / math.sqrt(pooled.size)) if pooled.size > 1 else 0.0,
-        "max": float(pooled.max()),
-        "min": float(pooled.min()),
-    }
-    return ExperimentReport(
-        config=config,
-        max_gap_degeneracy=gaps.max_gap_degeneracy,
-        max_sum_degeneracy=d_f,
-        cells=cells,
-        overall=overall,
-        chain_violations=chain_violations,
-        samples=totals if config.retain_trials else None,
-    )
-
-
-def markov_check(report: ExperimentReport, threshold: float, sigma: float = 3.0) -> dict:
-    """Audit the tail bound Prob[X >= B] <= mean(X)/B on the retained samples.
-
-    Compares the empirical exceedance probability against the *stored*
-    aggregate mean divided by B, within ``sigma`` combined standard errors.
-    The inequality is distribution-free, so a failure beyond noise flags an
-    inconsistent report rather than an unlucky draw.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if report.samples is None:
-        raise ValueError("markov check needs retained per-trial values")
-    samples = np.asarray(report.samples, dtype=float).ravel()
-    n = samples.size
-    prob = float((samples >= threshold).mean())
-    mean = float(report.overall["mean"])
-    se_prob = math.sqrt(max(prob * (1 - prob), 0.0) / n)
-    se_mean = float(report.overall["stderr"]) / threshold
-    slack = sigma * math.hypot(se_prob, se_mean)
-    bound = mean / threshold
-    return {
-        "pass": prob <= bound + slack,
-        "prob_exceed": prob,
-        "markov_bound": bound,
-        "slack": slack,
-        "threshold": threshold,
-    }
-
-
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial fraction."""
-    if n < 1:
-        raise ValueError("need at least one observation")
-    p = successes / n
-    denom = 1 + z**2 / n
-    center = (p + z**2 / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2))
-    return (max(center - half, 0.0), min(center + half, 1.0))
-
-
 @dataclass
 class NormalityReport:
     """Fractions of sampled decompositions passing the two normality routes."""
@@ -299,58 +151,192 @@ class NormalityReport:
         }
 
 
-def normality_fraction(config: ExperimentConfig) -> NormalityReport:
-    """Fraction of decompositions that are normal, by both available routes.
+@dataclass(eq=False)
+class ExperimentReport:
+    """Aggregated deviation statistics of an ensemble run.
 
-    The strong proxy asks the deviation of every cell to meet the
-    sufficient-condition threshold; the direct route asks the one-period
-    time fraction of simultaneous closeness to reach 1 - delta'.  Every
-    trial passing the proxy must pass the direct route; violations are
-    counted (and indicate a bug, not noise).
+    ``samples`` holds every per-trial deviation, shape (trials, cells);
+    ``normality`` is set exactly when the config asked for the audit.
+    """
+
+    config: ExperimentConfig
+    max_gap_degeneracy: int
+    max_sum_degeneracy: int
+    cells: list[dict]
+    overall: dict
+    chain_violations: int
+    samples: np.ndarray = field(repr=False)
+    normality: NormalityReport | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.chain_violations == 0 and all(
+            c["mean_below_bound"] for c in self.cells
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "dims": list(self.config.dims),
+            "trials": self.config.trials,
+            "seed": self.config.seed,
+            "state_policy": self.config.state_policy,
+            "D": self.config.dim_total,
+            "D_E": self.config.spectrum.num_levels,
+            "D_G": self.max_gap_degeneracy,
+            "D_F": self.max_sum_degeneracy,
+            "cells": self.cells,
+            "overall": self.overall,
+            "chain_violations": self.chain_violations,
+            "pass": self.passed,
+            "trial_totals": [[float(x) for x in row] for row in self.samples],
+        }
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Sample decompositions, evaluate the deviation per cell, aggregate.
+
+    Per-cell means are compared against the decomposition-average bound; a
+    per-trial inequality chain (ergodicity gap below the total, resonant
+    term below its sum-degeneracy bound) is audited with tiny slack.  Both
+    chain quantities come from the breakdown's shell overlap matrix.
+
+    With ``config.normality`` the same pass also asks of each trial whether
+    every cell meets the sufficient-condition threshold and whether the
+    one-period time fraction of simultaneous closeness reaches
+    1 - delta'.  A trial passing the first route must pass the second;
+    violations are counted (and indicate a bug, not noise).
     """
     spec = config.spectrum
     gaps = gap_structure(spec)
     sums = sum_structure(spec)
-    ispec, _ = integer_rescaled(spec)
+    d_f = sums.max_sum_degeneracy
     fixed_vector = _fixed_state_vector(config)
     p = config.params
+    ispec = integer_rescaled(spec)[0] if config.normality else None
 
-    sufficient_count = 0
-    direct_count = 0
-    violations = 0
+    totals = np.empty((config.trials, len(config.dims)))
+    chain_violations = 0
+    sufficient_count = direct_count = implication_violations = 0
     for t in range(config.trials):
         decomposition, state = _trial_inputs(config, t, fixed_vector)
-        ok_sufficient = all(
-            sufficient_condition(
-                deviation_exact(state, cell, gaps, sums).total,
-                p, cell.rank, config.dim_total,
+        for k, cell in enumerate(decomposition):
+            b = deviation_exact(state, cell, gaps, sums)
+            totals[t, k] = b.total
+            if b.diag_dev_sq > b.total + CHAIN_SLACK:
+                chain_violations += 1
+            if b.resonant_term > resonant_term_bound(b.time_avg_weight, d_f) + CHAIN_SLACK:
+                chain_violations += 1
+        if config.normality:
+            ok_sufficient = all(
+                sufficient_condition(total, p, cell.rank, config.dim_total)
+                for total, cell in zip(totals[t], decomposition)
             )
-            for cell in decomposition
-        )
-        istate = prepare_state(state.vector, ispec)
-        fraction = time_fraction_normal(
-            istate, decomposition, p.epsilon, config.grid_points
-        )
-        ok_direct = fraction >= 1 - p.delta_prime
-        sufficient_count += ok_sufficient
-        direct_count += ok_direct
-        if ok_sufficient and not ok_direct:
-            violations += 1
+            istate = prepare_state(state.vector, ispec)
+            fraction = time_fraction_normal(
+                istate, decomposition, p.epsilon, config.grid_points
+            )
+            ok_direct = fraction >= 1 - p.delta_prime
+            sufficient_count += ok_sufficient
+            direct_count += ok_direct
+            implication_violations += ok_sufficient and not ok_direct
 
-    return NormalityReport(
-        trials=config.trials,
-        sufficient_count=sufficient_count,
-        direct_count=direct_count,
-        implication_violations=violations,
-        sufficient_ci=wilson_interval(sufficient_count, config.trials),
-        direct_ci=wilson_interval(direct_count, config.trials),
+    cells = []
+    for k, rank in enumerate(config.dims):
+        col = totals[:, k]
+        mean = float(col.mean())
+        stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
+        threshold = config.threshold(rank)
+        bound = mean_deviation_bound(config.dim_total, rank, d_f, config.log_base)
+        cells.append({
+            "cell": k + 1,
+            "rank": rank,
+            "mean": mean,
+            "stderr": stderr,
+            "max": float(col.max()),
+            "min": float(col.min()),
+            "threshold": threshold,
+            "prob_exceed": float((col > threshold).mean()),
+            "mean_bound": bound,
+            "mean_below_bound": mean <= bound,
+        })
+
+    pooled = totals.ravel()
+    overall = {
+        "mean": float(pooled.mean()),
+        "stderr": float(pooled.std(ddof=1) / math.sqrt(pooled.size)) if pooled.size > 1 else 0.0,
+        "max": float(pooled.max()),
+        "min": float(pooled.min()),
+    }
+    normality = None
+    if config.normality:
+        normality = NormalityReport(
+            trials=config.trials,
+            sufficient_count=sufficient_count,
+            direct_count=direct_count,
+            implication_violations=implication_violations,
+            sufficient_ci=wilson_interval(sufficient_count, config.trials),
+            direct_ci=wilson_interval(direct_count, config.trials),
+        )
+    return ExperimentReport(
+        config=config,
+        max_gap_degeneracy=gaps.max_gap_degeneracy,
+        max_sum_degeneracy=d_f,
+        cells=cells,
+        overall=overall,
+        chain_violations=chain_violations,
+        samples=totals,
+        normality=normality,
     )
+
+
+def markov_check(report: ExperimentReport, threshold: float, sigma: float = 3.0) -> dict:
+    """Audit the tail bound Prob[X >= B] <= mean(X)/B on the per-trial samples.
+
+    Compares the empirical exceedance probability against the *stored*
+    aggregate mean divided by B, within ``sigma`` combined standard errors.
+    The inequality is distribution-free, so a failure beyond noise flags an
+    inconsistent report rather than an unlucky draw.
+    """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    samples = np.asarray(report.samples, dtype=float).ravel()
+    n = samples.size
+    prob = float((samples >= threshold).mean())
+    mean = float(report.overall["mean"])
+    se_prob = math.sqrt(max(prob * (1 - prob), 0.0) / n)
+    se_mean = float(report.overall["stderr"]) / threshold
+    slack = sigma * math.hypot(se_prob, se_mean)
+    bound = mean / threshold
+    return {
+        "pass": prob <= bound + slack,
+        "prob_exceed": prob,
+        "markov_bound": bound,
+        "slack": slack,
+        "threshold": threshold,
+    }
+
+
+def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for a binomial fraction."""
+    if n < 1:
+        raise ValueError("need at least one observation")
+    p = successes / n
+    denom = 1 + z**2 / n
+    center = (p + z**2 / (2 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2))
+    return (max(center - half, 0.0), min(center + half, 1.0))
+
+
+def normality_fraction(config: ExperimentConfig) -> NormalityReport:
+    """Fraction of decompositions that are normal, by both available routes.
+
+    The normality audit of :func:`run_experiment` run on ``config``.
+    """
+    return run_experiment(replace(config, normality=True)).normality
 
 
 def dump_trials(report: ExperimentReport, path) -> None:
     """Columnar per-trial dump: trial, cell, deviation, threshold, flag."""
-    if report.samples is None:
-        raise ValueError("per-trial dump needs retained values")
     thresholds = [c["threshold"] for c in report.cells]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("trial\tcell\tdeviation\tthreshold\tsufficient\n")

@@ -92,6 +92,8 @@ class DeviationBreakdown:
     Two regroupings of the same quantity are carried side by side:
     ``total = cell_fraction_sq + degeneracy_term + nonresonant_term + resonant_term``
     and ``total = offdiag_sum + diag_dev_sq + resonant_term``.
+    ``time_avg_weight`` is trace(S), the exact time-averaged cell weight, so
+    ``diag_dev_sq`` is the ergodicity gap; it is not part of :meth:`as_dict`.
     """
 
     total: float
@@ -101,6 +103,7 @@ class DeviationBreakdown:
     resonant_term: float
     offdiag_sum: float
     diag_dev_sq: float
+    time_avg_weight: float
 
     def identity_residuals(self) -> tuple[float, float]:
         r1 = abs(
@@ -202,6 +205,7 @@ def deviation_exact(
         resonant_term=res,
         offdiag_sum=offdiag_sum,
         diag_dev_sq=diag_dev_sq,
+        time_avg_weight=trace,
     )
     r1, r2 = breakdown.identity_residuals()
     if max(r1, r2) > IDENTITY_TOL:
@@ -211,17 +215,16 @@ def deviation_exact(
     return breakdown
 
 
-def resonant_term_bound(
-    state: ShellState, cell: Projection, max_sum_degeneracy: int
-) -> float:
+def resonant_term_bound(time_avg_weight: float, max_sum_degeneracy: int) -> float:
     """Upper bound on the resonant term from the worst sum degeneracy.
 
-    Equals (max_sum_degeneracy - 2) times the squared time-averaged weight;
-    clamped at zero so the guarantee also covers single-level spectra,
-    whose resonant term is identically zero.
+    Equals (max_sum_degeneracy - 2) times the squared time-averaged weight
+    (``DeviationBreakdown.time_avg_weight``, or
+    :func:`~ergolab.dynamics.exact_time_avg_weight`); clamped at zero so the
+    guarantee also covers single-level spectra, whose resonant term is
+    identically zero.
     """
-    avg = exact_time_avg_weight(state, cell)
-    return max(int(max_sum_degeneracy) - 2, 0) * avg * avg
+    return max(int(max_sum_degeneracy) - 2, 0) * time_avg_weight * time_avg_weight
 
 
 def sufficient_condition(

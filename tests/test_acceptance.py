@@ -80,7 +80,8 @@ def oracle_ensemble():
                 "total": breakdown.total,
                 "oracle": oracle,
                 "resonant": breakdown.resonant_term,
-                "resonant_bound": resonant_term_bound(state, cell, d_f),
+                "resonant_bound": resonant_term_bound(
+                    exact_time_avg_weight(state, cell), d_f),
                 "gap": ergodicity_gap(state, cell),
             })
     return {"records": records, "runtime": time.monotonic() - start}

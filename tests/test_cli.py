@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,14 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--dim", "4", "--rank", "5",
                      "--samples", "10"]) != 0
 
+    def test_single_sample_rejected(self, tmp_path, capsys):
+        # one sample has no standard error: the report would carry NaN
+        out = tmp_path / "v.json"
+        assert main(["verify-lemmas", "--dim", "4", "--rank", "2",
+                     "--samples", "1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, "--samples")
+
     def test_moderate_run_passes(self, tmp_path):
         out = tmp_path / "v.json"
         code = main(["verify-lemmas", "--dim", "30", "--rank", "6",
@@ -151,6 +160,16 @@ class TestComputeL:
         assert main(["compute-l", spec, "--dims", "1,1",
                      "--state", str(state_path)]) == 1
         assert_one_line_error(capsys, "amplitudes")
+
+    def test_nan_state_rejected(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"amplitudes": [[float("nan"), 0], [0, 0]]}))
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", "1,1",
+                     "--state", str(state_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, "norm")
 
     def test_trajectory_dump(self, tmp_path):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1), (2, 1)])
@@ -263,9 +282,31 @@ class TestRun:
     @pytest.mark.parametrize("overrides, fragment", [
         ({"log_base": "2"}, "log_base"),
         ({"grid_points": 0, "normality": True}, "grid_points"),
+        ({"trials": None}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"grid_points": None}, "grid_points"),
+        ({"dims": 5}, "dims"),
+        ({"dims": [4, "4"]}, "dims"),
+        ({"params": [1]}, "params"),
+        ({"params": {"epsilon": None}}, "epsilon"),
+        ({"params": {"epsilon": 1.0, "eps": 1.0}}, "eps"),
+        ({"normality": "no"}, "normality"),
+        ({"markov_threshold": "0.1"}, "markov_threshold"),
+        ({"markov_threshold": float("nan")}, "markov_threshold"),
+        ({"retain_trials": True}, "retain_trials"),
+        ({"state": {"amplitudes": [[float("nan"), 0]] + [[0, 0]] * 7}}, "norm"),
+        ({"state": {"amplitudes": [[1e200, 0]] + [[0, 0]] * 7}}, "norm"),
+        ({"state": {"amplitudes": [[1, 0]] + [[0, 0]] * 7, "phase": 0}}, "phase"),
+        ({"log_base": 10}, "log_base"),
+        ([{"dims": [4, 4]}], "JSON object"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, overrides, fragment):
-        cfg = self.write_config(tmp_path, **overrides)
+        if isinstance(overrides, dict):
+            cfg = self.write_config(tmp_path, **overrides)
+        else:  # the whole document, which is not an object
+            cfg = str(tmp_path / "config.json")
+            Path(cfg).write_text(json.dumps(overrides))
         out = tmp_path / "report.json"
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()

@@ -14,12 +14,17 @@ from ergolab import (
     deviation_exact,
     dump_trials,
     gap_structure,
+    integer_rescaled,
     markov_check,
     normality_fraction,
+    prepare_state,
     run_experiment,
     sum_structure,
+    time_fraction_normal,
     wilson_interval,
 )
+from ergolab import montecarlo, typicality
+from ergolab.cli import main
 from ergolab.montecarlo import _fixed_state_vector, _trial_inputs
 
 
@@ -90,14 +95,6 @@ class TestRunExperiment:
             assert cell["mean_below_bound"]
             assert cell["min"] <= cell["mean"] <= cell["max"]
             assert 0.0 <= cell["prob_exceed"] <= 1.0
-
-    def test_retention_cap_respected(self):
-        report = run_experiment(make_config(retain_trials=False))
-        assert report.samples is None
-        with pytest.raises(ValueError, match="retained"):
-            markov_check(report, 0.1)
-        with pytest.raises(ValueError, match="retained"):
-            dump_trials(report, "/dev/null")
 
     def test_per_trial_dump(self, tmp_path):
         report = run_experiment(make_config(trials=5))
@@ -196,3 +193,90 @@ class TestNormalityFraction:
         )
         out = normality_fraction(cfg)
         assert out.direct_fraction == 1.0
+
+
+RATIONAL_SPEC = spec_of([(0, 2), (F(1, 2), 3), (F(3, 2), 1), (2, 2)])
+
+
+def rational_config(state_policy, **kw):
+    amplitudes = None
+    if state_policy == "explicit":
+        amplitudes = np.zeros(8, dtype=complex)
+        amplitudes[:4] = [0.5, 0.5j, 0.5, 0.5j]
+    return ExperimentConfig(
+        spectrum=RATIONAL_SPEC,
+        dims=(3, 5),
+        # epsilon 0.5: every policy has trials on both sides of the
+        # sufficient threshold, and the explicit state also of the direct one
+        params=TheoremParams(0.5, 0.5, 0.5, 2),
+        trials=40,
+        seed=5,
+        state_policy=state_policy,
+        amplitudes=amplitudes,
+        grid_points=400,
+        **kw,
+    )
+
+
+class TestSinglePass:
+    def test_cli_run_draws_and_evaluates_each_trial_once(self, tmp_path, monkeypatch):
+        calls = {"deviation_exact": 0, "sample_decomposition": 0, "exact_time_avg_weight": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(montecarlo, "deviation_exact")
+        counted(montecarlo, "sample_decomposition")
+        counted(typicality, "exact_time_avg_weight")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "spectrum": {"levels": [{"energy": e, "degeneracy": 2} for e in range(4)]},
+            "dims": [2, 2, 2, 2],
+            "trials": 20,
+            "seed": 1,
+            "state": "haar-per-trial",
+            "params": {"epsilon": 0.8, "delta": 0.5, "delta_prime": 0.5},
+            "normality": True,
+        }))
+        assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == {"deviation_exact": 20 * 4, "sample_decomposition": 20,
+                         "exact_time_avg_weight": 0}
+
+    @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
+    def test_normality_counts_match_per_trial_recomputation(self, policy):
+        cfg = rational_config(policy, normality=True)
+        gaps, sums = gap_structure(cfg.spectrum), sum_structure(cfg.spectrum)
+        ispec, _ = integer_rescaled(cfg.spectrum)
+        p = cfg.params
+        sufficient = direct = violations = 0
+        fixed = _fixed_state_vector(cfg)
+        for t in range(cfg.trials):
+            dec, state = _trial_inputs(cfg, t, fixed)
+            ok_sufficient = all(
+                deviation_exact(state, cell, gaps, sums).total <= cfg.threshold(cell.rank)
+                for cell in dec
+            )
+            fraction = time_fraction_normal(
+                prepare_state(state.vector, ispec), dec, p.epsilon, cfg.grid_points
+            )
+            ok_direct = fraction >= 1 - p.delta_prime
+            sufficient += ok_sufficient
+            direct += ok_direct
+            violations += ok_sufficient and not ok_direct
+        out = run_experiment(cfg).normality
+        assert (out.sufficient_count, out.direct_count, out.implication_violations) == (
+            sufficient, direct, violations)
+        assert out.trials == cfg.trials
+
+    def test_normality_leaves_cell_statistics_unchanged(self):
+        off = run_experiment(rational_config("haar-per-trial"))
+        on = run_experiment(rational_config("haar-per-trial", normality=True))
+        assert off.normality is None and on.normality is not None
+        assert json.dumps(off.to_dict(), sort_keys=True) == json.dumps(
+            on.to_dict(), sort_keys=True)
+        assert np.array_equal(off.samples, on.samples)

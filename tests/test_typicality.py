@@ -16,6 +16,7 @@ from ergolab import (
     ergodicity_condition,
     ergodicity_gap,
     evolve,
+    exact_time_avg_weight,
     find_admissible_constant,
     gap_structure,
     integer_rescaled,
@@ -147,7 +148,7 @@ class TestResonantTerm:
                 state, dec = random_instance(spec, rng)
                 for cell in dec:
                     term = resonant_term(state, cell, sums)
-                    bound = resonant_term_bound(state, cell, d_f)
+                    bound = resonant_term_bound(exact_time_avg_weight(state, cell), d_f)
                     assert term <= bound + 1e-12
 
     def test_bound_trivial_cases(self):
@@ -156,10 +157,11 @@ class TestResonantTerm:
         state, dec = random_instance(spec, rng)
         sums = sum_structure(spec)
         assert resonant_term(state, dec.cells[0], sums) == 0.0
-        assert resonant_term_bound(state, dec.cells[0], 2) == 0.0
+        assert resonant_term_bound(exact_time_avg_weight(state, dec.cells[0]), 2) == 0.0
         # full projection: the time-averaged weight is 1, bound is F - 2
         full = sample_decomposition([spec.dim_total], substream(2, 4)).cells[0]
-        assert resonant_term_bound(state, full, 5) == pytest.approx(3.0, abs=1e-10)
+        assert resonant_term_bound(exact_time_avg_weight(state, full), 5) == pytest.approx(
+            3.0, abs=1e-10)
 
     def test_positivity_inequality(self):
         # real part of any cross term is dominated by the diagonal average
@@ -258,6 +260,11 @@ class TestSufficientAndErgodicity:
                 for cell in dec:
                     b = deviation_exact(state, cell, gaps, sums)
                     assert ergodicity_gap(state, cell) <= b.total + 1e-12
+                    # trace(S) is the independent time average, to rounding
+                    avg = exact_time_avg_weight(state, cell)
+                    assert b.time_avg_weight == pytest.approx(avg, abs=1e-14)
+                    assert b.diag_dev_sq == pytest.approx(ergodicity_gap(state, cell),
+                                                          abs=1e-14)
 
     def test_stationary_share_has_zero_gap(self):
         spec = spec_of([(0, 4)])
