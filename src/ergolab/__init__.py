@@ -56,6 +56,7 @@ from .typicality import (
     resonant_term,
     resonant_term_bound,
     sufficient_condition,
+    sufficient_threshold,
     theorem_condition,
 )
 from .montecarlo import (

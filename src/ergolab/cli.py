@@ -378,11 +378,9 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
             raise ValueError(f'run config needs "{key}"')
     spec = spectrum.parse_spectrum(doc["spectrum"])
     dims = doc["dims"]
-    if not isinstance(dims, list) or any(
-        isinstance(d, bool) or not isinstance(d, int) for d in dims
-    ):
+    if not isinstance(dims, list):
         raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
-    dims = tuple(dims)
+    dims = tuple(_integer(d, "dims") for d in dims)
     raw_params = _object(doc.get("params", {}), '"params"', PARAM_KEYS)
     params = typicality.TheoremParams(
         epsilon=_finite(raw_params.get("epsilon", 1.0), "epsilon"),

@@ -28,6 +28,7 @@ from .typicality import (
     mean_deviation_bound,
     resonant_term_bound,
     sufficient_condition,
+    sufficient_threshold,
 )
 
 __all__ = [
@@ -96,8 +97,7 @@ class ExperimentConfig:
 
     def threshold(self, rank: int) -> float:
         """Sufficient-condition threshold for one cell rank."""
-        p = self.params
-        return p.delta_prime * (p.epsilon / p.num_cells) ** 2 * (rank / self.dim_total)
+        return sufficient_threshold(self.params, rank, self.dim_total)
 
 
 def _fixed_state_vector(config: ExperimentConfig) -> np.ndarray | None:
@@ -188,7 +188,7 @@ class ExperimentReport:
             "overall": self.overall,
             "chain_violations": self.chain_violations,
             "pass": self.passed,
-            "trial_totals": [[float(x) for x in row] for row in self.samples],
+            "trial_totals": self.samples.tolist(),
         }
 
 

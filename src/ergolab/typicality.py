@@ -72,6 +72,7 @@ __all__ = [
     "resonant_term",
     "resonant_term_bound",
     "sufficient_condition",
+    "sufficient_threshold",
     "ergodicity_gap",
     "ergodicity_condition",
     "mean_deviation_bound",
@@ -227,20 +228,20 @@ def resonant_term_bound(time_avg_weight: float, max_sum_degeneracy: int) -> floa
     return max(int(max_sum_degeneracy) - 2, 0) * time_avg_weight * time_avg_weight
 
 
+def sufficient_threshold(params: TheoremParams, rank: int, dim: int) -> float:
+    """The sufficient-condition threshold delta' * (epsilon/M)^2 * (d/D)."""
+    return params.delta_prime * (params.epsilon / params.num_cells) ** 2 * (rank / dim)
+
+
 def sufficient_condition(
     total: float, params: TheoremParams, rank: int, dim: int
 ) -> bool:
     """Whether the deviation is small enough to force near-constant weights.
 
-    The threshold is delta' * (epsilon/M)^2 * (d/D); meeting it (inclusively)
-    guarantees the normality time fraction is at least 1 - delta'.
+    Meeting :func:`sufficient_threshold` (inclusively) guarantees the
+    normality time fraction is at least 1 - delta'.
     """
-    threshold = (
-        params.delta_prime
-        * (params.epsilon / params.num_cells) ** 2
-        * (rank / dim)
-    )
-    return total <= threshold
+    return total <= sufficient_threshold(params, rank, dim)
 
 
 def ergodicity_gap(state: ShellState, cell: Projection) -> float:

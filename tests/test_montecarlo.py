@@ -96,6 +96,14 @@ class TestRunExperiment:
             assert cell["min"] <= cell["mean"] <= cell["max"]
             assert 0.0 <= cell["prob_exceed"] <= 1.0
 
+    def test_cell_threshold_is_the_sufficient_condition_boundary(self):
+        cfg = make_config(dims=(2, 6), trials=2)
+        for cell in run_experiment(cfg).cells:
+            threshold, rank = cell["threshold"], cell["rank"]
+            assert typicality.sufficient_condition(threshold, cfg.params, rank, cfg.dim_total)
+            above = float(np.nextafter(threshold, np.inf))
+            assert not typicality.sufficient_condition(above, cfg.params, rank, cfg.dim_total)
+
     def test_per_trial_dump(self, tmp_path):
         report = run_experiment(make_config(trials=5))
         path = tmp_path / "trials.tsv"
