@@ -47,6 +47,7 @@ from .typicality import (
     TheoremParams,
     TheoremVerdict,
     admissible_constant_crossover,
+    deviation_breakdowns,
     deviation_exact,
     ergodicity_condition,
     ergodicity_gap,

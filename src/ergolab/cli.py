@@ -70,6 +70,17 @@ def _parse_big_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """A generator seed: numpy takes only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+    return value
+
+
 def _log_base(arg: str) -> float:
     if not isinstance(arg, str) or arg not in LOG_BASES:
         raise ValueError(f'log_base must be "e" or "10", got {arg!r}')
@@ -232,7 +243,7 @@ def cmd_compute_l(args) -> int:
             "chain_ok": (b.diag_dev_sq <= b.total + montecarlo.CHAIN_SLACK
                          and b.resonant_term <= bound + montecarlo.CHAIN_SLACK),
         })
-        ok = record["chain_ok"] and max(r1, r2) <= typicality.IDENTITY_TOL
+        ok = record["chain_ok"] and r1 <= typicality.IDENTITY_TOL and r2 <= typicality.IDENTITY_TOL
         if oracle_note is None:
             oracle = dynamics.discrete_time_average(
                 lambda tau: (dynamics.cell_weight(dynamics.evolve(istate, tau), cell)
@@ -403,13 +414,15 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
     if markov_threshold is not None:
         markov_threshold = _finite(markov_threshold, "markov_threshold")
     trials = args.trials if args.trials is not None else doc.get("trials", 100)
-    seed = args.seed if args.seed is not None else doc.get("seed", DEFAULT_SEED)
+    seed = args.seed if args.seed is not None else _integer(doc.get("seed", DEFAULT_SEED), "seed")
+    if seed < 0:
+        raise ValueError(f'"seed" must be a non-negative integer, got {seed}')
     config = montecarlo.ExperimentConfig(
         spectrum=spec,
         dims=dims,
         params=params,
         trials=_integer(trials, "trials"),
-        seed=_integer(seed, "seed"),
+        seed=seed,
         state_policy=policy,
         amplitudes=amplitudes,
         log_base=_log_base(doc.get("log_base", "e")),
@@ -468,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--ensemble", type=int, default=200,
                    help="unitary ensemble size for block statistics")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lemmas)
 
@@ -477,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma-separated cell ranks")
     p.add_argument("--state", default=None,
                    help='path to a state JSON document {"amplitudes": [[re, im], ...]}')
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--grid-points", type=int, default=1000,
                    help="grid size for the trajectory dump")
     p.add_argument("--periods", type=float, default=1.0,
@@ -504,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="seeded ensemble experiment from a config file")
     p.add_argument("config", help="path to an experiment config JSON document")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument("--trials", type=int, default=None, help="override the trial count")
     p.add_argument("--dump-trials", default=None,
                    help="write columnar per-trial values to this path")

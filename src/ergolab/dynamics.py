@@ -4,6 +4,15 @@ The energy eigenbasis is the coordinate basis: level alpha occupies a
 contiguous block of e_alpha coordinates, so evolution is a diagonal phase
 multiplication and measurement bases are rotated instead of the state.
 
+The kernels take a state and a basis as the *rotated amplitudes*
+``conj(U) * psi[:, None]``: entry (i, j) is conj(U[i, j]) psi[i], so the
+sum of column j over the coordinates of shell a is the component of shell a
+along basis vector j, and the phase-weighted sum over all coordinates is the
+coordinate of the evolved state along it.  Every kernel also accepts stacks
+of these arrays on leading axes, which is how an ensemble evaluates a block
+of trials at once; the single-state functions are the same code on an
+array without a leading axis.
+
 For integer spectra every trajectory observable used here is a
 trigonometric polynomial with integer frequencies, which turns the
 infinite-time average into an exact finite sum: averaging over
@@ -26,14 +35,23 @@ from .spectrum import Spectrum
 
 __all__ = [
     "ShellState",
+    "coordinate_energies",
+    "shell_offsets",
     "prepare_state",
+    "unit_rows",
+    "rotated_amplitudes",
+    "shell_coordinates",
+    "overlap_matrices",
     "evolve",
     "cell_weight",
     "shell_overlap_matrix",
     "exact_time_avg_weight",
     "discrete_time_average",
     "integer_rescaled",
+    "period_grid",
+    "time_phases",
     "trajectory_weights",
+    "normal_time_fractions",
     "time_fraction_normal",
 ]
 
@@ -69,10 +87,25 @@ class ShellState:
     def coord_energies(self) -> np.ndarray:
         """Energy of each coordinate, as floats, for phase evolution."""
         if self._coord_energies is None:
-            self._coord_energies = np.repeat(
-                [float(e) for e in self.spec.energies], self.spec.degeneracies
-            )
+            self._coord_energies = coordinate_energies(self.spec)
         return self._coord_energies
+
+
+def coordinate_energies(spec: Spectrum) -> np.ndarray:
+    """Energy of each coordinate of the eigenbasis, as floats."""
+    return np.repeat([float(e) for e in spec.energies], spec.degeneracies)
+
+
+def shell_offsets(spec: Spectrum) -> np.ndarray:
+    """Level alpha occupies coordinates offsets[alpha]:offsets[alpha + 1]."""
+    return np.concatenate([[0], np.cumsum(spec.degeneracies)])
+
+
+def _check_unit_norms(norms) -> None:
+    bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)  # also rejects NaN
+    if bad.any():
+        norm = np.asarray(norms)[bad].flat[0]
+        raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
 
 
 def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
@@ -84,12 +117,20 @@ def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
         )
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm = np.linalg.norm(vector)
-    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects NaN
-        raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
+    _check_unit_norms(norm)
     vector = vector / norm
-    offsets = np.concatenate([[0], np.cumsum(spec.degeneracies)])
+    offsets = shell_offsets(spec)
     weights = np.add.reduceat(np.abs(vector) ** 2, offsets[:-1])
     return ShellState(spec=spec, vector=vector, offsets=offsets, weights=weights)
+
+
+def unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """State vectors stacked as rows, each divided by its norm; every norm
+    must be 1 within the tolerance of :func:`prepare_state`."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    _check_unit_norms(norms)
+    return vectors / norms
 
 
 def evolve(state: ShellState, tau: float) -> np.ndarray:
@@ -102,11 +143,27 @@ def cell_weight(vector, cell: Projection) -> float:
     return float(np.sum(np.abs(cell.basis.conj().T @ np.asarray(vector)) ** 2))
 
 
-def _shell_coordinates(state: ShellState, cell: Projection) -> np.ndarray:
-    """Row a: the coordinates of shell component a in the cell's basis."""
-    return np.add.reduceat(
-        cell.basis.conj() * state.vector[:, None], state.offsets[:-1], axis=0
-    )
+def rotated_amplitudes(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``conj(bases) * vectors[..., :, None]``, the input of every kernel below.
+
+    ``bases`` is (..., D, c), any c columns of a basis; ``vectors`` is
+    (..., D).  Column sums are the coordinates <u_j|psi>.
+    """
+    return bases.conj() * vectors[..., :, None]
+
+
+def shell_coordinates(rotated: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Row a: the coordinates of shell component a along each basis column."""
+    return np.add.reduceat(rotated, offsets[:-1], axis=-2)
+
+
+def overlap_matrices(coords: np.ndarray) -> np.ndarray:
+    """S[a, b] = sum_j conj(coords[a, j]) coords[b, j], on the last two axes."""
+    return coords.conj() @ np.swapaxes(coords, -1, -2)
+
+
+def _cell_shell_coordinates(state: ShellState, cell: Projection) -> np.ndarray:
+    return shell_coordinates(rotated_amplitudes(cell.basis, state.vector), state.offsets)
 
 
 def shell_overlap_matrix(state: ShellState, cell: Projection) -> np.ndarray:
@@ -116,8 +173,7 @@ def shell_overlap_matrix(state: ShellState, cell: Projection) -> np.ndarray:
     by the cell projector.  Built from the d basis columns restricted to
     each shell block, so the full projector is never formed.
     """
-    t = _shell_coordinates(state, cell)
-    return t.conj() @ t.T
+    return overlap_matrices(_cell_shell_coordinates(state, cell))
 
 
 def exact_time_avg_weight(state: ShellState, cell: Projection) -> float:
@@ -127,7 +183,7 @@ def exact_time_avg_weight(state: ShellState, cell: Projection) -> float:
     averaging, so the result is the sum over shells of each component's
     weight in the cell.
     """
-    return float(np.sum(np.abs(_shell_coordinates(state, cell)) ** 2))
+    return float(np.sum(np.abs(_cell_shell_coordinates(state, cell)) ** 2))
 
 
 def discrete_time_average(
@@ -161,16 +217,61 @@ def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
     return Spectrum(levels, approximate=spec.approximate), mult
 
 
+def period_grid(grid_points: int) -> np.ndarray:
+    """``grid_points`` equally spaced times covering one period 2*pi."""
+    n = int(grid_points)
+    return 2 * math.pi * np.arange(n) / n
+
+
+def time_phases(coord_energies: np.ndarray, taus) -> np.ndarray:
+    """Evolution phases exp(-i E tau), one row per time; shape (times, D)."""
+    return np.exp(-1j * np.outer(np.asarray(taus, dtype=float), coord_energies))
+
+
+def _cell_weights(phases: np.ndarray, rotated: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Weights of consecutive column blocks of the given ranks along the
+    time grid: the state is evolved, then projected; shape (..., times, cells).
+
+    The squared real and imaginary parts are formed in place, and each
+    cell's share is summed by a product with its 0/1 membership column.
+    """
+    coords = phases @ rotated
+    parts = coords.view(np.float64)  # real and imaginary parts, interleaved
+    np.square(parts, out=parts)
+    membership = np.repeat(np.eye(len(ranks)), 2 * np.asarray(ranks), axis=0)
+    return parts @ membership
+
+
+def _joined_basis(decomposition: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    basis = np.hstack([cell.basis for cell in decomposition])
+    return basis, np.array(decomposition.ranks)
+
+
 def trajectory_weights(
     state: ShellState, decomposition: Decomposition, taus
 ) -> np.ndarray:
     """Cell weights along a time grid; shape (len(taus), number of cells)."""
-    taus = np.asarray(taus, dtype=float)
-    psi = np.exp(-1j * np.outer(taus, state.coord_energies)) * state.vector
-    out = np.empty((taus.size, len(decomposition)))
-    for k, cell in enumerate(decomposition):
-        out[:, k] = np.sum(np.abs(psi @ cell.basis.conj()) ** 2, axis=1)
-    return out
+    basis, ranks = _joined_basis(decomposition)
+    phases = time_phases(state.coord_energies, taus)
+    return _cell_weights(phases, rotated_amplitudes(basis, state.vector), ranks)
+
+
+def normal_time_fractions(
+    phases: np.ndarray, rotated: np.ndarray, ranks, epsilon: float
+) -> np.ndarray:
+    """Fraction of the grid times at which every cell weight is near its share.
+
+    ``phases`` comes from :func:`time_phases` on a grid; ``rotated`` from
+    :func:`rotated_amplitudes` on complete bases whose consecutive column
+    blocks of the given ranks are the cells.  One fraction per leading index.
+    """
+    ranks = np.asarray(ranks)
+    fracs = ranks / rotated.shape[-2]
+    tol = (epsilon / math.sqrt(ranks.size)) * np.sqrt(fracs)
+    deviations = _cell_weights(phases, rotated, ranks)
+    deviations -= fracs
+    np.abs(deviations, out=deviations)
+    return np.all(deviations <= tol, axis=-1).mean(axis=-1)
 
 
 def time_fraction_normal(
@@ -191,11 +292,7 @@ def time_fraction_normal(
         raise ValueError(
             "time fractions need an integer spectrum; rescale rational spectra first"
         )
-    dim = state.spec.dim_total
-    m = len(decomposition)
-    taus = 2 * math.pi * np.arange(int(grid_points)) / int(grid_points)
-    weights = trajectory_weights(state, decomposition, taus)
-    fracs = np.array([c.rank / dim for c in decomposition])
-    tol = (epsilon / math.sqrt(m)) * np.sqrt(fracs)
-    ok = np.all(np.abs(weights - fracs) <= tol, axis=1)
-    return float(ok.mean())
+    basis, ranks = _joined_basis(decomposition)
+    phases = time_phases(state.coord_energies, period_grid(grid_points))
+    rotated = rotated_amplitudes(basis, state.vector)
+    return float(normal_time_fractions(phases, rotated, ranks, epsilon))

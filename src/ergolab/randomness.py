@@ -28,6 +28,8 @@ __all__ = [
     "DEFAULT_SEED",
     "ORTHO_TOL",
     "substream",
+    "ginibre_matrix",
+    "haar_from_ginibre",
     "sample_haar_unitary",
     "sample_random_state",
     "Projection",
@@ -59,16 +61,27 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *(int(p) for p in path)])
 
 
-def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via Ginibre + QR with phase-fixed diagonal."""
+def ginibre_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre matrix with entries of unit mean squared modulus."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= math.sqrt(2.0)
+    return z
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre matrices stacked on the leading axes:
+    one QR factorisation, then the phases of R's diagonal moved into Q."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via Ginibre + QR with phase-fixed diagonal."""
+    return haar_from_ginibre(ginibre_matrix(dim, rng)[None])[0]
 
 
 def sample_random_state(dim: int, rng: np.random.Generator, size: int | None = None):

@@ -47,6 +47,12 @@ real by construction.  The buckets come from the spectrum's integer
 :class:`~ergolab.spectrum.PairIndex`, so each cell costs one gather and one
 segmented sum over D_E^2 entries instead of a loop over sum classes.
 
+The kernel (:func:`deviation_breakdowns`) takes a stack of overlap
+matrices and returns every piece as an array over the stack, which is how
+an ensemble evaluates a block of trials; :func:`deviation_exact` is the
+same kernel on one matrix.  Its identity check, like every gate here, is
+written so that NaN fails it.
+
 Everything here is a plain float computation except the asymptotic-regime
 condition checks, which run in arbitrary precision because they must
 survive dimensions like 2**100.
@@ -68,6 +74,7 @@ __all__ = [
     "DeviationBreakdown",
     "TheoremParams",
     "TheoremVerdict",
+    "deviation_breakdowns",
     "deviation_exact",
     "resonant_term",
     "resonant_term_bound",
@@ -95,6 +102,8 @@ class DeviationBreakdown:
     and ``total = offdiag_sum + diag_dev_sq + resonant_term``.
     ``time_avg_weight`` is trace(S), the exact time-averaged cell weight, so
     ``diag_dev_sq`` is the ergodicity gap; it is not part of :meth:`as_dict`.
+    The fields are floats for one cell, or arrays over a stack of overlap
+    matrices from :func:`deviation_breakdowns`.
     """
 
     total: float
@@ -157,23 +166,59 @@ def _check_same_spec(state: ShellState, *structures):
             raise ValueError("structure was built from a different spectrum")
 
 
-def _resonant_sum(s: np.ndarray, index: PairIndex) -> float:
+def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:
     """R = sum over shared nonzero gaps of |G_g|^2 minus the bucket's own
-    |S[a, b]|^2 (see the module docstring)."""
+    |S[a, b]|^2 (see the module docstring), per matrix of the stack."""
     positions, starts = index.shared_gaps
     if positions.size == 0:
-        return 0.0  # no gap recurs: every bucket is a singleton
-    z = s.ravel()[positions]
-    buckets = np.add.reduceat(z, starts)
-    return float(
-        np.sum(buckets.real**2 + buckets.imag**2) - np.sum(z.real**2 + z.imag**2)
-    )
+        return np.zeros(s.shape[:-2])  # no gap recurs: every bucket is a singleton
+    # np.take keeps the gathered pairs contiguous per matrix, so the sums
+    # below run in the same order for a stack as for one matrix.
+    z = np.take(s.reshape(*s.shape[:-2], -1), positions, axis=-1)
+    buckets = np.add.reduceat(z, starts, axis=-1)
+    return (np.sum(buckets.real**2 + buckets.imag**2, axis=-1)
+            - np.sum(z.real**2 + z.imag**2, axis=-1))
 
 
 def resonant_term(state: ShellState, cell: Projection, sums: SumStructure) -> float:
     """The resonance-only part of the deviation functional."""
     _check_same_spec(state, sums)
-    return _resonant_sum(shell_overlap_matrix(state, cell), state.spec.pair_index)
+    return float(_resonant_sums(shell_overlap_matrix(state, cell), state.spec.pair_index))
+
+
+def deviation_breakdowns(
+    s: np.ndarray, frac: float, index: PairIndex
+) -> DeviationBreakdown:
+    """The deviation functional of every shell overlap matrix in a stack.
+
+    ``s`` is (..., D_E, D_E), each matrix built for a cell of share
+    ``frac`` = d/D on the spectrum whose pair index is ``index``.  Every
+    field of the result except ``cell_fraction_sq`` is an array over the
+    leading axes.  Raises ArithmeticError unless both regroupings agree
+    within IDENTITY_TOL for every matrix.
+    """
+    diag = np.diagonal(s, axis1=-2, axis2=-1).real
+    trace = diag.sum(axis=-1)
+    offdiag_sum = np.sum(np.abs(s) ** 2, axis=(-2, -1)) - np.sum(diag**2, axis=-1)
+    diag_dev_sq = (trace - frac) ** 2
+    res = _resonant_sums(s, index)
+
+    breakdown = DeviationBreakdown(
+        total=offdiag_sum + diag_dev_sq + res,
+        cell_fraction_sq=frac**2,
+        degeneracy_term=-2.0 * frac * trace,
+        nonresonant_term=offdiag_sum + trace**2,
+        resonant_term=res,
+        offdiag_sum=offdiag_sum,
+        diag_dev_sq=diag_dev_sq,
+        time_avg_weight=trace,
+    )
+    r1, r2 = breakdown.identity_residuals()
+    if not (np.all(r1 <= IDENTITY_TOL) and np.all(r2 <= IDENTITY_TOL)):
+        raise ArithmeticError(
+            f"deviation regroupings disagree: residuals {np.max(r1)}, {np.max(r2)}"
+        )
+    return breakdown
 
 
 def deviation_exact(
@@ -191,29 +236,8 @@ def deviation_exact(
     """
     _check_same_spec(state, gaps, sums)
     s = shell_overlap_matrix(state, cell)
-    frac = cell.rank / state.spec.dim_total
-
-    trace = float(s.diagonal().real.sum())
-    offdiag_sum = float(np.sum(np.abs(s) ** 2) - np.sum(s.diagonal().real ** 2))
-    diag_dev_sq = (trace - frac) ** 2
-    res = _resonant_sum(s, state.spec.pair_index)
-
-    breakdown = DeviationBreakdown(
-        total=offdiag_sum + diag_dev_sq + res,
-        cell_fraction_sq=frac**2,
-        degeneracy_term=-2.0 * frac * trace,
-        nonresonant_term=offdiag_sum + trace**2,
-        resonant_term=res,
-        offdiag_sum=offdiag_sum,
-        diag_dev_sq=diag_dev_sq,
-        time_avg_weight=trace,
-    )
-    r1, r2 = breakdown.identity_residuals()
-    if max(r1, r2) > IDENTITY_TOL:
-        raise ArithmeticError(
-            f"deviation regroupings disagree: residuals {r1}, {r2}"
-        )
-    return breakdown
+    b = deviation_breakdowns(s, cell.rank / state.spec.dim_total, state.spec.pair_index)
+    return DeviationBreakdown(**{name: float(v) for name, v in vars(b).items()})
 
 
 def resonant_term_bound(time_avg_weight: float, max_sum_degeneracy: int) -> float:

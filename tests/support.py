@@ -2,18 +2,29 @@
 
 The oracles here deliberately use different algorithms from the package
 (quadruple loops and pairwise counting instead of value grouping) so that
-agreement is evidence, not tautology.
+agreement is evidence, not tautology.  The ensemble reference evaluates one
+trial at a time through the public single-state functions, where the
+package evaluates blocks of trials.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ergolab import (
     Spectrum,
+    deviation_exact,
+    gap_structure,
+    integer_rescaled,
     prepare_state,
+    resonant_term_bound,
     sample_decomposition,
     sample_random_state,
+    substream,
+    sum_structure,
+    time_fraction_normal,
 )
 
 
@@ -139,3 +150,59 @@ def random_instance(spec: Spectrum, rng: np.random.Generator, max_cells: int = 4
     decomposition = sample_decomposition(dims, rng)
     state = prepare_state(sample_random_state(dim, rng), spec)
     return state, decomposition
+
+
+@dataclass
+class EnsembleReference:
+    """Per-trial recomputation of what ``run_experiment`` reports."""
+
+    totals: np.ndarray
+    chain_violations: int
+    sufficient_count: int
+    direct_count: int
+    implication_violations: int
+
+
+def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference:
+    """Redraw and evaluate every trial of ``config`` on its own.
+
+    Trial t draws from ``substream(seed, 1, t)`` a Haar decomposition, then
+    (``haar-per-trial`` only) a state; fixed states come from the policy
+    alone.  Each cell goes through :func:`deviation_exact`, the chain is
+    checked on the breakdown, and the direct normality route runs
+    :func:`time_fraction_normal` on the integer-rescaled spectrum.
+    """
+    spec, dim, p = config.spectrum, config.dim_total, config.params
+    gaps, sums = gap_structure(spec), sum_structure(spec)
+    ispec = integer_rescaled(spec)[0]
+    fixed = {
+        "uniform": np.ones(dim, dtype=complex) / math.sqrt(dim),
+        "haar-fixed": sample_random_state(dim, substream(config.seed, 0)),
+        "explicit": config.amplitudes,
+        "haar-per-trial": None,
+    }[config.state_policy]
+    totals = np.empty((config.trials, len(config.dims)))
+    chain = sufficient = direct = violations = 0
+    for t in range(config.trials):
+        rng = substream(config.seed, 1, t)
+        decomposition = sample_decomposition(config.dims, rng)
+        vector = fixed if fixed is not None else sample_random_state(dim, rng)
+        state = prepare_state(vector, spec)
+        ok_sufficient = True
+        for k, cell in enumerate(decomposition):
+            b = deviation_exact(state, cell, gaps, sums)
+            totals[t, k] = b.total
+            chain += not b.diag_dev_sq <= b.total + chain_slack
+            bound = resonant_term_bound(b.time_avg_weight, sums.max_sum_degeneracy)
+            chain += not b.resonant_term <= bound + chain_slack
+            ok_sufficient = ok_sufficient and b.total <= config.threshold(cell.rank)
+        if config.normality:
+            fraction = time_fraction_normal(
+                prepare_state(state.vector, ispec), decomposition, p.epsilon,
+                config.grid_points,
+            )
+            ok_direct = fraction >= 1 - p.delta_prime
+            sufficient += ok_sufficient
+            direct += ok_direct
+            violations += ok_sufficient and not ok_direct
+    return EnsembleReference(totals, chain, sufficient, direct, violations)

@@ -236,6 +236,32 @@ class TestCheckTheorem:
         assert "Traceback" not in err
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemmas", "--dim", "4", "--rank", "2", "--samples", "10", "--seed", "-1"],
+        ["compute-l", "SPEC", "--dims", "1,1", "--seed", "-3"],
+        ["run", "CONFIG", "--seed", "-1"],
+        ["run", "CONFIG", "--seed", "one"],
+    ], ids=["verify-lemmas", "compute-l", "run", "run-not-an-integer"])
+    def test_bad_seed_flag_names_the_flag(self, tmp_path, capsys, argv):
+        paths = {"SPEC": write_spectrum(tmp_path, [(0, 1), (1, 1)]),
+                 "CONFIG": TestRun.write_config(tmp_path)}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus-one", "below-int64"])
+    def test_negative_config_seed_names_the_key(self, tmp_path, capsys, seed):
+        cfg = TestRun.write_config(tmp_path, seed=seed)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, '"seed" must be a non-negative integer')
+
+
 class TestRun:
     @staticmethod
     def write_config(tmp_path, **overrides):

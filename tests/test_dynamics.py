@@ -216,6 +216,32 @@ class TestIntegerRescale:
         assert mult == 1 and scaled == spec
 
 
+class TestTrajectoryKernel:
+    def test_weights_match_evolve_then_project(self):
+        spec = spec_of([(0, 2), (1, 1), (3, 2)])
+        state, dec = random_instance(spec, substream(7, 0))
+        taus = np.linspace(0.0, 7.0, 23)
+        weights = trajectory_weights(state, dec, taus)
+        for tau, row in zip(taus, weights):
+            psi = evolve(state, tau)
+            expected = [cell_weight(psi, cell) for cell in dec]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
+
+    def test_fraction_counts_grid_times_within_tolerance(self):
+        spec = spec_of([(0, 2), (1, 2), (2, 2), (3, 2)])
+        state, dec = random_instance(spec, substream(7, 1))
+        dim, m, epsilon, n = spec.dim_total, len(dec), 0.6, 200
+        inside = 0
+        for j in range(n):
+            psi = evolve(state, 2 * math.pi * j / n)
+            inside += all(
+                abs(cell_weight(psi, c) - c.rank / dim)
+                <= epsilon / math.sqrt(m) * math.sqrt(c.rank / dim)
+                for c in dec
+            )
+        assert time_fraction_normal(state, dec, epsilon, grid_points=n) == inside / n
+
+
 class TestTimeFractionNormal:
     def test_stationary_exact_shares(self):
         # one fully degenerate level: every state is stationary; uniform

@@ -1,6 +1,7 @@
 """Ensemble orchestration: determinism, tail bound audit, normality fractions."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,21 +12,17 @@ from ergolab import (
     ExperimentReport,
     Spectrum,
     TheoremParams,
-    deviation_exact,
     dump_trials,
-    gap_structure,
-    integer_rescaled,
     markov_check,
     normality_fraction,
-    prepare_state,
     run_experiment,
-    sum_structure,
-    time_fraction_normal,
     wilson_interval,
 )
 from ergolab import montecarlo, typicality
 from ergolab.cli import main
-from ergolab.montecarlo import _fixed_state_vector, _trial_inputs
+from ergolab.montecarlo import _block_trials
+
+from support import per_trial_reference
 
 
 def spec_of(levels):
@@ -74,10 +71,7 @@ class TestRunExperiment:
     def test_single_trial_equals_breakdown(self):
         cfg = make_config(trials=1, state_policy="uniform")
         report = run_experiment(cfg)
-        dec, state = _trial_inputs(cfg, 0, _fixed_state_vector(cfg))
-        gaps, sums = gap_structure(cfg.spectrum), sum_structure(cfg.spectrum)
-        for k, cell in enumerate(dec):
-            expected = deviation_exact(state, cell, gaps, sums).total
+        for k, expected in enumerate(per_trial_reference(cfg).totals[0]):
             assert report.cells[k]["mean"] == expected
             assert report.cells[k]["max"] == expected
             assert report.cells[k]["min"] == expected
@@ -206,41 +200,69 @@ class TestNormalityFraction:
 RATIONAL_SPEC = spec_of([(0, 2), (F(1, 2), 3), (F(3, 2), 1), (2, 2)])
 
 
-def rational_config(state_policy, **kw):
-    amplitudes = None
-    if state_policy == "explicit":
-        amplitudes = np.zeros(8, dtype=complex)
-        amplitudes[:4] = [0.5, 0.5j, 0.5, 0.5j]
+EXPLICIT_AMPLITUDES = np.zeros(8, dtype=complex)
+EXPLICIT_AMPLITUDES[:4] = [0.5, 0.5j, 0.5, 0.5j]
+
+
+def ensemble_config(spectrum, state_policy, trials, normality=True):
     return ExperimentConfig(
-        spectrum=RATIONAL_SPEC,
+        spectrum=spectrum,
         dims=(3, 5),
         # epsilon 0.5: every policy has trials on both sides of the
         # sufficient threshold, and the explicit state also of the direct one
         params=TheoremParams(0.5, 0.5, 0.5, 2),
-        trials=40,
         seed=5,
         state_policy=state_policy,
-        amplitudes=amplitudes,
+        amplitudes=EXPLICIT_AMPLITUDES if state_policy == "explicit" else None,
+        trials=trials,
         grid_points=400,
-        **kw,
+        normality=normality,
     )
+
+
+def rational_config(state_policy, normality=False):
+    return ensemble_config(RATIONAL_SPEC, state_policy, trials=40, normality=normality)
+
+
+# Trial counts around the block size of the engine.
+TRIAL_COUNTS = {
+    "1": lambda block: 1,
+    "block-1": lambda block: block - 1,
+    "block": lambda block: block,
+    "block+1": lambda block: block + 1,
+    "2*block+1": lambda block: 2 * block + 1,
+}
 
 
 class TestSinglePass:
     def test_cli_run_draws_and_evaluates_each_trial_once(self, tmp_path, monkeypatch):
-        calls = {"deviation_exact": 0, "sample_decomposition": 0, "exact_time_avg_weight": 0}
+        # The blocked engine draws each trial from its own substream exactly
+        # once, evaluates trials x cells overlap matrices in the deviation
+        # kernel, builds the time-grid phases once, and never goes back to
+        # the per-cell time average.
+        draws, calls = Counter(), Counter()
+        substream, kernel = montecarlo.substream, montecarlo.deviation_breakdowns
+        phases, time_avg = montecarlo.time_phases, typicality.exact_time_avg_weight
 
-        def counted(module, name):
-            fn = getattr(module, name)
+        def counted_substream(seed, *path):
+            draws[path] += 1
+            return substream(seed, *path)
 
+        def counted_kernel(s, frac, index):
+            calls["matrices"] += s.shape[0]
+            return kernel(s, frac, index)
+
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            return wrapper
 
-        counted(montecarlo, "deviation_exact")
-        counted(montecarlo, "sample_decomposition")
-        counted(typicality, "exact_time_avg_weight")
+        monkeypatch.setattr(montecarlo, "substream", counted_substream)
+        monkeypatch.setattr(montecarlo, "deviation_breakdowns", counted_kernel)
+        monkeypatch.setattr(montecarlo, "time_phases", counted("time_phases", phases))
+        monkeypatch.setattr(typicality, "exact_time_avg_weight",
+                            counted("exact_time_avg_weight", time_avg))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "spectrum": {"levels": [{"energy": e, "degeneracy": 2} for e in range(4)]},
@@ -252,34 +274,50 @@ class TestSinglePass:
             "normality": True,
         }))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
-        assert calls == {"deviation_exact": 20 * 4, "sample_decomposition": 20,
-                         "exact_time_avg_weight": 0}
+        assert draws == {(1, t): 1 for t in range(20)}
+        assert calls == {"matrices": 20 * 4, "time_phases": 1}
 
     @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
     def test_normality_counts_match_per_trial_recomputation(self, policy):
         cfg = rational_config(policy, normality=True)
-        gaps, sums = gap_structure(cfg.spectrum), sum_structure(cfg.spectrum)
-        ispec, _ = integer_rescaled(cfg.spectrum)
-        p = cfg.params
-        sufficient = direct = violations = 0
-        fixed = _fixed_state_vector(cfg)
-        for t in range(cfg.trials):
-            dec, state = _trial_inputs(cfg, t, fixed)
-            ok_sufficient = all(
-                deviation_exact(state, cell, gaps, sums).total <= cfg.threshold(cell.rank)
-                for cell in dec
-            )
-            fraction = time_fraction_normal(
-                prepare_state(state.vector, ispec), dec, p.epsilon, cfg.grid_points
-            )
-            ok_direct = fraction >= 1 - p.delta_prime
-            sufficient += ok_sufficient
-            direct += ok_direct
-            violations += ok_sufficient and not ok_direct
+        ref = per_trial_reference(cfg)
         out = run_experiment(cfg).normality
         assert (out.sufficient_count, out.direct_count, out.implication_violations) == (
-            sufficient, direct, violations)
+            ref.sufficient_count, ref.direct_count, ref.implication_violations)
         assert out.trials == cfg.trials
+
+    @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
+    @pytest.mark.parametrize("spectrum", [RES_SPEC, RATIONAL_SPEC], ids=["integer", "rational"])
+    @pytest.mark.parametrize("count", TRIAL_COUNTS)
+    def test_blocks_match_the_per_trial_reference(self, policy, spectrum, count):
+        block = _block_trials(ensemble_config(spectrum, policy, trials=10**6))
+        assert block > 2
+        cfg = ensemble_config(spectrum, policy, trials=TRIAL_COUNTS[count](block))
+        report = run_experiment(cfg)
+        ref = per_trial_reference(cfg)
+        assert np.max(np.abs(report.samples - ref.totals)) <= 1e-14
+        assert report.chain_violations == ref.chain_violations
+        out = report.normality
+        assert (out.sufficient_count, out.direct_count, out.implication_violations) == (
+            ref.sufficient_count, ref.direct_count, ref.implication_violations)
+
+    def test_chain_violations_counted_per_trial_and_cell(self, monkeypatch):
+        # a negative slack makes the chain checks fail on some trials and
+        # cells but not all, so the count tests the engine's bookkeeping
+        monkeypatch.setattr(montecarlo, "CHAIN_SLACK", -0.02)
+        cfg = rational_config("haar-per-trial")
+        count = run_experiment(cfg).chain_violations
+        assert count == per_trial_reference(cfg, chain_slack=-0.02).chain_violations
+        assert 0 < count < 2 * cfg.trials * len(cfg.dims)
+
+    def test_block_size_changes_no_result(self, monkeypatch):
+        cfg = rational_config("haar-per-trial", normality=True)
+        blocked = run_experiment(cfg)
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)
+        assert _block_trials(cfg) == 1
+        single = run_experiment(cfg)
+        assert np.array_equal(blocked.samples, single.samples)
+        assert blocked.normality == single.normality
 
     def test_normality_leaves_cell_statistics_unchanged(self):
         off = run_experiment(rational_config("haar-per-trial"))

@@ -17,6 +17,7 @@ from ergolab import (
     substream,
     unitary_block_statistics,
 )
+from ergolab.randomness import ginibre_matrix, haar_from_ginibre
 
 
 class TestSubstream:
@@ -59,6 +60,18 @@ class TestHaarUnitary:
         ])
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 1 / dim) < 5 * se
+
+    def test_stack_is_the_phase_fixed_qr_of_each_matrix(self):
+        rng = substream(3, 99)
+        stack = np.stack([ginibre_matrix(6, rng) for _ in range(4)])
+        unitaries = haar_from_ginibre(stack)
+        for z, u in zip(stack, unitaries):
+            q, r = np.linalg.qr(z)
+            phases = r.diagonal() / np.abs(r.diagonal())
+            np.testing.assert_array_equal(u, q @ np.diag(phases))
+        again = substream(3, 99)
+        for u in unitaries:
+            np.testing.assert_array_equal(sample_haar_unitary(6, again), u)
 
 
 class TestRandomState:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    ShellState,
     Spectrum,
     TheoremParams,
     admissible_constant_crossover,
     cell_weight,
+    deviation_breakdowns,
     deviation_exact,
     discrete_time_average,
     ergodicity_condition,
@@ -105,6 +107,32 @@ class TestDeviationExact:
                 r1, r2 = b.identity_residuals()
                 assert max(r1, r2) < 1e-10
                 assert b.total >= 0 and b.offdiag_sum >= 0 and b.diag_dev_sq >= 0
+
+    def test_nan_amplitude_fails_the_identity_check(self):
+        spec = spec_of([(0, 2), (1, 2)])
+        good = prepare_state(sample_random_state(4, substream(1, 7)), spec)
+        vector = good.vector.copy()
+        vector[1] = np.nan
+        state = ShellState(spec=spec, vector=vector, offsets=good.offsets,
+                           weights=good.weights)
+        cell = sample_decomposition([2, 2], substream(1, 8)).cells[0]
+        with pytest.raises(ArithmeticError, match="regroupings disagree"):
+            deviation_exact(state, cell, *structures(spec))
+
+    def test_stack_equals_single_cells(self):
+        # one kernel: a stack of overlap matrices gives, matrix by matrix,
+        # exactly the breakdown of deviation_exact
+        spec = spec_of([(0, 2), (1, 2), (2, 1), (3, 2)])
+        rng = substream(1, 9)
+        states = [prepare_state(sample_random_state(7, rng), spec) for _ in range(5)]
+        cells = [sample_decomposition([2, 5], rng).cells[0] for _ in range(5)]
+        stack = np.stack([shell_overlap_matrix(s, c) for s, c in zip(states, cells)])
+        b = deviation_breakdowns(stack, 2 / 7, spec.pair_index)
+        assert b.resonant_term.shape == (5,)
+        for i, (state, cell) in enumerate(zip(states, cells)):
+            one = deviation_exact(state, cell, *structures(spec))
+            for name, value in vars(one).items():
+                assert np.broadcast_to(getattr(b, name), (5,))[i] == value, name
 
     def test_structure_mismatch_rejected(self):
         spec_a = spec_of([(0, 1), (1, 1)])
