@@ -192,31 +192,32 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_compute_l(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if not 0 < args.periods < math.inf:
+        raise ValueError(f"--periods must be a positive finite number, got {args.periods}")
     spec = _read_spectrum_file(args.spectrum)
     dims = tuple(int(x) for x in args.dims.split(","))
-    if sum(dims) != spec.dim_total:
-        raise ValueError(
-            f"cell ranks {dims} do not sum to the dimension {spec.dim_total}"
-        )
-    decomposition = randomness.sample_decomposition(
-        dims, randomness.substream(args.seed, 0)
-    )
+    montecarlo.check_ranks(dims, spec.dim_total)
+    # The unitary of randomness.sample_decomposition(dims, substream(seed, 0)).
+    unitary = randomness.sample_haar_unitary(spec.dim_total, randomness.substream(args.seed, 0))
     if args.state is not None:
-        amplitudes = _read_state_file(args.state)
-        state_source = "file"
+        amplitudes, state_source = _read_state_file(args.state), "file"
     else:
         amplitudes = randomness.sample_random_state(
-            spec.dim_total, randomness.substream(args.seed, 1)
-        )
+            spec.dim_total, randomness.substream(args.seed, 1))
         state_source = "sampled"
     state = dynamics.prepare_state(amplitudes, spec)
+    rotated = dynamics.rotated_amplitudes(unitary, state.vector)
 
-    gaps = spectrum.gap_structure(spec)
-    sums = spectrum.sum_structure(spec)
-    d_f = sums.max_sum_degeneracy
-
+    # The oracle evolves the rotated amplitudes on the integer spectrum.
     ispec, mult = dynamics.integer_rescaled(spec)
-    istate = dynamics.prepare_state(amplitudes, ispec)
+    if args.dump_trajectory is not None:
+        # Periods of the (rescaled-integer) dynamics in original time units.
+        span = 2 * math.pi * mult * args.periods
+        if span == math.inf:
+            raise ValueError(f"--periods {args.periods} overflows the dump's time span")
+    energies = dynamics.coordinate_energies(ispec)
     spread = int(ispec.spread)
     grid = 4 * spread + 1
     oracle_note = None
@@ -226,46 +227,44 @@ def cmd_compute_l(args) -> int:
             f"{grid}-point grid (limit {MAX_ORACLE_GRID})"
         )
 
-    all_ok = True
     cell_records = []
-    for k, cell in enumerate(decomposition):
-        b = typicality.deviation_exact(state, cell, gaps, sums)
-        frac = cell.rank / spec.dim_total
-        r1, r2 = b.identity_residuals()
-        bound = typicality.resonant_term_bound(b.time_avg_weight, d_f)
-        record = b.as_dict()
+    blocks = np.split(rotated, np.cumsum(dims)[:-1], axis=-1)
+    cells = montecarlo.evaluate_cells(spec, dims, rotated)
+    for k, (rank, columns, (b, bound, gap_ok, resonant_ok)) in enumerate(
+            zip(dims, blocks, cells)):
+        # The kernel has already checked both identity residuals.
+        record = {name: float(value) for name, value in b.as_dict().items()}
         record.update({
             "cell": k + 1,
-            "rank": cell.rank,
-            "identity_residuals": [r1, r2],
-            "ergodicity_gap": b.diag_dev_sq,
-            "resonant_bound": bound,
-            "chain_ok": (b.diag_dev_sq <= b.total + montecarlo.CHAIN_SLACK
-                         and b.resonant_term <= bound + montecarlo.CHAIN_SLACK),
+            "rank": rank,
+            "identity_residuals": [float(r) for r in b.identity_residuals()],
+            "ergodicity_gap": record["diag_dev_sq"],
+            "resonant_bound": float(bound),
+            "chain_ok": bool(gap_ok and resonant_ok),
         })
-        ok = record["chain_ok"] and r1 <= typicality.IDENTITY_TOL and r2 <= typicality.IDENTITY_TOL
         if oracle_note is None:
+            frac = rank / spec.dim_total
             oracle = dynamics.discrete_time_average(
-                lambda tau: (dynamics.cell_weight(dynamics.evolve(istate, tau), cell)
-                             - frac) ** 2,
+                lambda taus: (dynamics.trajectory_weights(
+                    energies, columns, [rank], taus)[:, 0] - frac) ** 2,
                 ispec,
                 2 * spread,
             )
-            residual = abs(oracle - b.total)
+            residual = abs(oracle - record["total"])
             record["oracle"] = {
                 "value": oracle,
                 "residual": residual,
                 "match": residual <= 1e-9,
             }
-            ok = ok and record["oracle"]["match"]
         cell_records.append(record)
-        all_ok = all_ok and ok
+    all_ok = all(c["chain_ok"] and c.get("oracle", {"match": True})["match"]
+                 for c in cell_records)
 
     doc = {
         "D": spec.dim_total,
         "D_E": spec.num_levels,
-        "D_G": gaps.max_gap_degeneracy,
-        "D_F": d_f,
+        "D_G": spec.pair_index.max_gap_degeneracy,
+        "D_F": spec.pair_index.max_sum_degeneracy,
         "dims": list(dims),
         "seed": args.seed,
         "state_source": state_source,
@@ -277,14 +276,13 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        # Periods of the (rescaled-integer) dynamics in original time units;
-        # columnar text for external plotters.
-        span = 2 * math.pi * mult * args.periods
+        # Columnar text for external plotters.
         taus = span * np.arange(args.grid_points) / args.grid_points
-        weights = dynamics.trajectory_weights(state, decomposition, taus)
+        weights = dynamics.trajectory_weights(
+            dynamics.coordinate_energies(spec), rotated, dims, taus)
         with open(args.dump_trajectory, "w", encoding="utf-8") as fh:
             fh.write("tau\t" + "\t".join(
-                f"cell_{k + 1}" for k in range(len(decomposition))) + "\n")
+                f"cell_{k + 1}" for k in range(len(dims))) + "\n")
             for tau, row in zip(taus, weights):
                 fh.write(f"{float(tau)!r}\t"
                          + "\t".join(f"{float(w)!r}" for w in row) + "\n")
@@ -415,8 +413,6 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
         markov_threshold = _finite(markov_threshold, "markov_threshold")
     trials = args.trials if args.trials is not None else doc.get("trials", 100)
     seed = args.seed if args.seed is not None else _integer(doc.get("seed", DEFAULT_SEED), "seed")
-    if seed < 0:
-        raise ValueError(f'"seed" must be a non-negative integer, got {seed}')
     config = montecarlo.ExperimentConfig(
         spectrum=spec,
         dims=dims,

@@ -9,12 +9,12 @@ Trials are evaluated in blocks of consecutive indices.  A block draws each
 of its trials from that trial's substream in the order above, factors all
 of its Ginibre matrices in one stacked QR, checks all of its state norms at
 once, and then evaluates every trial once, with array operations over the
-block: the per-cell deviations (one shell reduction for all cells, then the
-stacked kernel of :func:`~ergolab.typicality.deviation_breakdowns`), the
-inequality-chain audit and, when ``normality`` is on, both normality
-routes.  The Haar output is used as it comes: the Projection and
-Decomposition classes keep validating the bases that callers build.  Every
-per-trial deviation is kept in a (trials, cells) array.
+block: the per-cell deviations and their inequality chain
+(:func:`evaluate_cells`, which ``compute-l`` runs on its one state) and,
+when ``normality`` is on, both normality routes.  The Haar output is used
+as it comes: the Projection and Decomposition classes keep validating the
+bases that callers build.  Every per-trial deviation is kept in a
+(trials, cells) array.
 
 The block size only trades speed for memory; it changes no result, since
 every kernel works trial by trial along the leading axis.  A block gets
@@ -57,7 +57,7 @@ from .randomness import (
     sample_random_state,
     substream,
 )
-from .spectrum import Spectrum, gap_structure, sum_structure
+from .spectrum import Spectrum
 from .typicality import (
     TheoremParams,
     deviation_breakdowns,
@@ -71,7 +71,9 @@ __all__ = [
     "CHAIN_SLACK",
     "ExperimentConfig",
     "ExperimentReport",
+    "check_ranks",
     "NormalityReport",
+    "evaluate_cells",
     "run_experiment",
     "markov_check",
     "normality_fraction",
@@ -93,6 +95,14 @@ _MATRICES_PER_TRIAL = 6
 _POLICIES = ("uniform", "haar-fixed", "haar-per-trial", "explicit")
 
 
+def check_ranks(ranks: tuple[int, ...], dim: int) -> None:
+    """Cell ranks must be positive and sum to the dimension."""
+    if sum(ranks) != dim:
+        raise ValueError(f"cell ranks {ranks} do not sum to the dimension {dim}")
+    if any(d < 1 for d in ranks):
+        raise ValueError(f"all cell ranks must be >= 1, got {list(ranks)}")
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Everything a reproducible ensemble run depends on."""
@@ -110,13 +120,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
-        if sum(self.dims) != self.spectrum.dim_total:
-            raise ValueError(
-                f"cell ranks {self.dims} do not sum to the dimension "
-                f"{self.spectrum.dim_total}"
-            )
-        if any(d < 1 for d in self.dims):
-            raise ValueError("all cell ranks must be >= 1")
+        check_ranks(self.dims, self.spectrum.dim_total)
         if self.params.num_cells != len(self.dims):
             raise ValueError(
                 f"params expect {self.params.num_cells} cells, got {len(self.dims)}"
@@ -124,6 +128,8 @@ class ExperimentConfig:
         if int(self.trials) < 1:
             raise ValueError("trial count must be >= 1")
         self.trials = int(self.trials)
+        if int(self.seed) < 0:
+            raise ValueError(f'"seed" must be a non-negative integer, got {self.seed}')
         if self.state_policy not in _POLICIES:
             raise ValueError(
                 f"state policy must be one of {_POLICIES}, got {self.state_policy!r}"
@@ -142,6 +148,26 @@ class ExperimentConfig:
     def threshold(self, rank: int) -> float:
         """Sufficient-condition threshold for one cell rank."""
         return sufficient_threshold(self.params, rank, self.dim_total)
+
+
+def evaluate_cells(spec: Spectrum, ranks, rotated: np.ndarray):
+    """Yield ``(breakdown, bound, gap_ok, resonant_ok)`` for every cell, in order.
+
+    ``rotated`` is the rotated amplitudes of one state, or a stack of them,
+    on complete bases whose consecutive column blocks of the given ranks are
+    the cells.  The shell coordinates are built once, then each cell's
+    overlap matrices go through
+    :func:`~ergolab.typicality.deviation_breakdowns`.  The two links of the
+    inequality chain, each within CHAIN_SLACK and broken by NaN: the
+    ergodicity gap stays below the total, the resonant term below ``bound``.
+    """
+    coords = shell_coordinates(rotated, shell_offsets(spec))
+    index = spec.pair_index
+    for rank, columns in zip(ranks, np.split(coords, np.cumsum(ranks)[:-1], axis=-1)):
+        b = deviation_breakdowns(overlap_matrices(columns), rank / spec.dim_total, index)
+        bound = resonant_term_bound(b.time_avg_weight, index.max_sum_degeneracy)
+        yield (b, bound, b.diag_dev_sq <= b.total + CHAIN_SLACK,
+               b.resonant_term <= bound + CHAIN_SLACK)
 
 
 def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
@@ -253,15 +279,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     violations are counted (and indicate a bug, not noise).
     """
     spec = config.spectrum
-    gaps = gap_structure(spec)
-    sums = sum_structure(spec)
-    d_f = sums.max_sum_degeneracy
-    index = spec.pair_index
+    d_f = spec.pair_index.max_sum_degeneracy
     dim = config.dim_total
     p = config.params
     fixed = _fixed_state(config)
-    offsets = shell_offsets(spec)
-    starts = np.cumsum(config.dims) - config.dims
     phases = None
     if config.normality:
         ispec = integer_rescaled(spec)[0]
@@ -282,16 +303,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 states[i] = sample_random_state(dim, rng)
         states = unit_rows(states) if fixed is None else fixed
         rotated = rotated_amplitudes(haar_from_ginibre(ginibre), states)
-        coords = shell_coordinates(rotated, offsets)
         block_totals = totals[trials.start:trials.stop]
-        for k, (start, rank) in enumerate(zip(starts, config.dims)):
-            s = overlap_matrices(coords[..., start:start + rank])
-            b = deviation_breakdowns(s, rank / dim, index)
+        cells = evaluate_cells(spec, config.dims, rotated)
+        for k, (b, _, gap_ok, resonant_ok) in enumerate(cells):
             block_totals[:, k] = b.total
-            # Written so that NaN counts as a violation.
-            bound = resonant_term_bound(b.time_avg_weight, d_f)
-            chain_violations += int(np.sum(~(b.diag_dev_sq <= b.total + CHAIN_SLACK))
-                                    + np.sum(~(b.resonant_term <= bound + CHAIN_SLACK)))
+            chain_violations += int(np.sum(~gap_ok) + np.sum(~resonant_ok))
         if config.normality:
             ok_sufficient = np.all([
                 sufficient_condition(block_totals[:, k], p, rank, dim)
@@ -342,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
     return ExperimentReport(
         config=config,
-        max_gap_degeneracy=gaps.max_gap_degeneracy,
+        max_gap_degeneracy=spec.pair_index.max_gap_degeneracy,
         max_sum_degeneracy=d_f,
         cells=cells,
         overall=overall,

@@ -194,9 +194,6 @@ class GapStructure:
     def entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
         return self.spec.pair_index.gap_entries()
 
-    def degeneracy(self, value) -> int:
-        return len(self.entries.get(Fraction(value), ()))
-
     @property
     def max_gap_degeneracy(self) -> int:
         """Largest pair count among nonzero gaps; 0 for a single level."""
@@ -217,9 +214,6 @@ class SumStructure:
     @cached_property
     def entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
         return self.spec.pair_index.sum_entries()
-
-    def degeneracy(self, value) -> int:
-        return len(self.entries.get(Fraction(value), ()))
 
     @property
     def max_sum_degeneracy(self) -> int:

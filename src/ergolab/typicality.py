@@ -49,9 +49,10 @@ segmented sum over D_E^2 entries instead of a loop over sum classes.
 
 The kernel (:func:`deviation_breakdowns`) takes a stack of overlap
 matrices and returns every piece as an array over the stack, which is how
-an ensemble evaluates a block of trials; :func:`deviation_exact` is the
-same kernel on one matrix.  Its identity check, like every gate here, is
-written so that NaN fails it.
+``run`` and ``compute-l`` evaluate every cell (through
+:func:`ergolab.montecarlo.evaluate_cells`); :func:`deviation_exact` is the
+same kernel on one state and cell, and takes the spectrum from the state.
+Its identity check, like every gate here, is written so that NaN fails it.
 
 Everything here is a plain float computation except the asymptotic-regime
 condition checks, which run in arbitrary precision because they must
@@ -68,7 +69,7 @@ from mpmath import mp, mpf
 
 from .dynamics import ShellState, exact_time_avg_weight, shell_overlap_matrix
 from .randomness import Projection
-from .spectrum import GapStructure, PairIndex, SumStructure
+from .spectrum import PairIndex
 
 __all__ = [
     "DeviationBreakdown",
@@ -160,12 +161,6 @@ class TheoremParams:
             raise ValueError("the ordering constant must exceed 1")
 
 
-def _check_same_spec(state: ShellState, *structures):
-    for s in structures:
-        if s.spec != state.spec:
-            raise ValueError("structure was built from a different spectrum")
-
-
 def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:
     """R = sum over shared nonzero gaps of |G_g|^2 minus the bucket's own
     |S[a, b]|^2 (see the module docstring), per matrix of the stack."""
@@ -180,9 +175,8 @@ def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:
             - np.sum(z.real**2 + z.imag**2, axis=-1))
 
 
-def resonant_term(state: ShellState, cell: Projection, sums: SumStructure) -> float:
+def resonant_term(state: ShellState, cell: Projection) -> float:
     """The resonance-only part of the deviation functional."""
-    _check_same_spec(state, sums)
     return float(_resonant_sums(shell_overlap_matrix(state, cell), state.spec.pair_index))
 
 
@@ -221,20 +215,12 @@ def deviation_breakdowns(
     return breakdown
 
 
-def deviation_exact(
-    state: ShellState,
-    cell: Projection,
-    gaps: GapStructure,
-    sums: SumStructure,
-) -> DeviationBreakdown:
+def deviation_exact(state: ShellState, cell: Projection) -> DeviationBreakdown:
     """Exact evaluation of the deviation functional for one cell.
 
-    ``gaps`` and ``sums`` must come from the same spectrum the state was
-    prepared on; the gap structure is accepted (and validated) alongside
-    the sum structure because the two decompositions of the result are
-    tied to the same resonance bookkeeping.
+    The resonance buckets come from the pair index of the spectrum the
+    state was prepared on.
     """
-    _check_same_spec(state, gaps, sums)
     s = shell_overlap_matrix(state, cell)
     b = deviation_breakdowns(s, cell.rank / state.spec.dim_total, state.spec.pair_index)
     return DeviationBreakdown(**{name: float(v) for name, v in vars(b).items()})

@@ -16,7 +16,6 @@ import numpy as np
 from ergolab import (
     Spectrum,
     deviation_exact,
-    gap_structure,
     integer_rescaled,
     prepare_state,
     resonant_term_bound,
@@ -152,6 +151,12 @@ def random_instance(spec: Spectrum, rng: np.random.Generator, max_cells: int = 4
     return state, decomposition
 
 
+def per_point(observable):
+    """An array observable for :func:`discrete_time_average` that evaluates
+    ``observable`` one time at a time, as a per-point reference."""
+    return lambda taus: [observable(tau) for tau in taus]
+
+
 @dataclass
 class EnsembleReference:
     """Per-trial recomputation of what ``run_experiment`` reports."""
@@ -173,7 +178,7 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
     :func:`time_fraction_normal` on the integer-rescaled spectrum.
     """
     spec, dim, p = config.spectrum, config.dim_total, config.params
-    gaps, sums = gap_structure(spec), sum_structure(spec)
+    d_f = sum_structure(spec).max_sum_degeneracy
     ispec = integer_rescaled(spec)[0]
     fixed = {
         "uniform": np.ones(dim, dtype=complex) / math.sqrt(dim),
@@ -190,10 +195,10 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
         state = prepare_state(vector, spec)
         ok_sufficient = True
         for k, cell in enumerate(decomposition):
-            b = deviation_exact(state, cell, gaps, sums)
+            b = deviation_exact(state, cell)
             totals[t, k] = b.total
             chain += not b.diag_dev_sq <= b.total + chain_slack
-            bound = resonant_term_bound(b.time_avg_weight, sums.max_sum_degeneracy)
+            bound = resonant_term_bound(b.time_avg_weight, d_f)
             chain += not b.resonant_term <= bound + chain_slack
             ok_sufficient = ok_sufficient and b.total <= config.threshold(cell.rank)
         if config.normality:

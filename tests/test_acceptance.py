@@ -23,7 +23,6 @@ from ergolab import (
     ergodicity_gap,
     evolve,
     exact_time_avg_weight,
-    gap_structure,
     hypersphere_moments,
     mean_deviation_bound,
     normality_fraction,
@@ -38,6 +37,7 @@ from ergolab.cli import main
 
 from support import (
     greedy_nonresonant_levels,
+    per_point,
     random_instance,
     random_integer_spectrum,
     random_nonresonant_levels,
@@ -64,15 +64,13 @@ def oracle_ensemble():
     for _ in range(200):
         spec = random_integer_spectrum(rng, dim_range=(4, 12), spread=12)
         state, decomposition = random_instance(spec, rng)
-        gaps = gap_structure(spec)
-        sums = sum_structure(spec)
-        d_f = sums.max_sum_degeneracy
+        d_f = sum_structure(spec).max_sum_degeneracy
         spread = int(spec.spread)
         for cell in decomposition:
-            breakdown = deviation_exact(state, cell, gaps, sums)
+            breakdown = deviation_exact(state, cell)
             frac = cell.rank / spec.dim_total
             oracle = discrete_time_average(
-                lambda tau: (cell_weight(evolve(state, tau), cell) - frac) ** 2,
+                per_point(lambda tau: (cell_weight(evolve(state, tau), cell) - frac) ** 2),
                 spec,
                 2 * spread,
             )
@@ -107,7 +105,7 @@ def test_criterion_2_nonresonant_collapse():
         spec = Spectrum(tuple((F(e), d) for e, d in zip(levels, degens)))
         sums = sum_structure(spec)
         state, decomposition = random_instance(spec, rng, max_cells=2)
-        term = resonant_term(state, decomposition.cells[0], sums)
+        term = resonant_term(state, decomposition.cells[0])
         if sums.max_sum_degeneracy != 2 or term != 0.0:
             bad += 1
     runtime = time.monotonic() - start
@@ -131,7 +129,7 @@ def test_criterion_3_degenerate_reduction():
         spread = int(spec.spread)
         for cell in decomposition:
             oracle = discrete_time_average(
-                lambda tau: cell_weight(evolve(state, tau), cell), spec, spread
+                per_point(lambda tau: cell_weight(evolve(state, tau), cell)), spec, spread
             )
             worst = max(worst, abs(exact_time_avg_weight(state, cell) - oracle))
     ok = worst <= 1e-10

@@ -1,11 +1,32 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import io
 import json
+import math
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergolab import parse_spectrum, sample_random_state, substream
+from ergolab import (
+    cell_weight,
+    deviation_exact,
+    dynamics,
+    evolve,
+    integer_rescaled,
+    parse_spectrum,
+    prepare_state,
+    randomness,
+    resonant_term_bound,
+    sample_decomposition,
+    sample_random_state,
+    substream,
+    sum_structure,
+    typicality,
+)
 from ergolab.cli import main
 
 
@@ -183,6 +204,175 @@ class TestComputeL:
         assert len(lines) == 17
         weights = [sum(map(float, ln.split("\t")[1:])) for ln in lines[1:]]
         assert all(abs(w - 1) < 1e-9 for w in weights)
+
+
+def compute_l_instance(spec_path, dims, seed):
+    """The decomposition and prepared state compute-l draws for ``seed``."""
+    spec = parse_spectrum(Path(spec_path).read_text())
+    decomposition = sample_decomposition([int(d) for d in dims.split(",")],
+                                         substream(seed, 0))
+    state = prepare_state(sample_random_state(spec.dim_total, substream(seed, 1)), spec)
+    return spec, decomposition, state
+
+
+SPECTRA = {
+    "integer-resonant": ([(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)], "2,3"),
+    "degenerate": ([(0, 3), (1, 2), (3, 1)], "2,2,2"),
+    "rational": ([(0, 2), ("1/2", 1), (2, 1), ("7/3", 2)], "3,1,2"),
+}
+
+
+class TestComputeLPath:
+    """compute-l on the shared cell kernel and the grid-evaluated oracle."""
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_cells_equal_deviation_exact(self, tmp_path, name):
+        levels, dims = SPECTRA[name]
+        spec_path = write_spectrum(tmp_path, levels)
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec_path, "--dims", dims, "--seed", "11",
+                     "--out", str(out)]) == 0
+        spec, decomposition, state = compute_l_instance(spec_path, dims, 11)
+        d_f = sum_structure(spec).max_sum_degeneracy
+        records = load(out)["cells"]
+        assert len(records) == len(decomposition)
+        for record, cell in zip(records, decomposition):
+            b = deviation_exact(state, cell)
+            assert {key: record[key] for key in b.as_dict()} == b.as_dict()
+            assert record["identity_residuals"] == list(b.identity_residuals())
+            assert record["ergodicity_gap"] == b.diag_dev_sq
+            assert record["resonant_bound"] == resonant_term_bound(b.time_avg_weight, d_f)
+            assert record["rank"] == cell.rank and record["chain_ok"] is True
+        if name == "integer-resonant":
+            assert any(record["resonant_term"] != 0.0 for record in records)
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_oracle_matches_the_per_point_average(self, tmp_path, name):
+        levels, dims = SPECTRA[name]
+        spec_path = write_spectrum(tmp_path, levels)
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec_path, "--dims", dims, "--seed", "5",
+                     "--out", str(out)]) == 0
+        spec, decomposition, state = compute_l_instance(spec_path, dims, 5)
+        ispec, _ = integer_rescaled(spec)
+        istate = prepare_state(state.vector, ispec)
+        n = 4 * int(ispec.spread) + 1
+        for record, cell in zip(load(out)["cells"], decomposition):
+            frac = cell.rank / spec.dim_total
+            expected = math.fsum(
+                (cell_weight(evolve(istate, 2 * math.pi * j / n), cell) - frac) ** 2
+                for j in range(n)) / n
+            assert abs(record["oracle"]["value"] - expected) <= 1e-13
+
+    def test_no_per_point_or_per_cell_calls(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for module, name in [(dynamics, "evolve"), (dynamics, "cell_weight"),
+                             (typicality, "deviation_exact"),
+                             (randomness, "sample_decomposition"),
+                             (dynamics, "discrete_time_average"),
+                             (dynamics, "prepare_state")]:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        levels, dims = SPECTRA["rational"]
+        spec_path = write_spectrum(tmp_path, levels)
+        assert main(["compute-l", spec_path, "--dims", dims,
+                     "--out", str(tmp_path / "l.json")]) == 0
+        assert calls == {"discrete_time_average": 3, "prepare_state": 1}
+
+    def test_slices_of_one_time_change_no_oracle_value(self, tmp_path, monkeypatch):
+        # the rescaled spread is 39, so the 157-point grid spans two slices
+        spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("39/2", 2)])
+        argv = ["compute-l", spec_path, "--dims", "3,3", "--seed", "2"]
+        sliced, single = tmp_path / "sliced.json", tmp_path / "single.json"
+        assert dynamics.GRID_SLICE < 157
+        assert main(argv + ["--out", str(sliced)]) == 0
+        monkeypatch.setattr(dynamics, "GRID_SLICE", 1)
+        assert main(argv + ["--out", str(single)]) == 0
+        a, b = load(sliced), load(single)
+        for ca, cb in zip(a["cells"], b["cells"]):
+            assert ca["oracle"]["value"] == pytest.approx(cb["oracle"]["value"],
+                                                          rel=1e-14, abs=1e-16)
+            ca.pop("oracle"), cb.pop("oracle")
+        assert a == b
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--grid-points", "0"], "--grid-points"),
+        (["--grid-points", "-4"], "--grid-points"),
+        (["--periods", "nan"], "--periods"),
+        (["--periods", "inf"], "--periods"),
+        (["--periods", "0"], "--periods"),
+        (["--periods", "-1.5"], "--periods"),
+        (["--periods", "1e308"], "--periods"),
+    ])
+    def test_bad_dump_arguments_rejected(self, tmp_path, capsys, flags, fragment):
+        spec = write_spectrum(tmp_path, [(0, 1), ("1/2", 1), (2, 1)])
+        out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
+        assert main(["compute-l", spec, "--dims", "1,2", "--out", str(out),
+                     "--dump-trajectory", str(traj)] + flags) == 1
+        assert not out.exists() and not traj.exists()
+        assert_one_line_error(capsys, fragment)
+
+
+def _flag(values, wild=st.text(alphabet="0123456789+-.,eix ", max_size=6)):
+    """A flag value: absent, mostly drawn from ``values``, or ``wild``."""
+    return st.one_of(st.none(), values, values, values, values, wild)
+
+
+class TestComputeLFuzz:
+    # Grid sizes stay small: the trajectory dump holds (grid_points, D)
+    # arrays in memory.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        dims=st.one_of(
+            st.sampled_from(["2,3", "5", "1,1,3", "3,2", "0,5", "6"]),
+            st.sampled_from(["2,3", "5", "1,1,3", "3,2"]),
+            st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(
+                lambda ranks: ",".join(map(str, ranks))),
+        ),
+        seed=_flag(st.integers(-1, 2**80).map(str)),
+        grid_points=_flag(st.integers(-3, 40).map(str)),
+        periods=_flag(st.floats(1e-3, 3).map(repr),
+                      st.one_of(st.floats().map(repr), st.text(max_size=4))),
+        state=st.sampled_from([None, None, "good", "good", "nan", "short", "not-pairs",
+                               "missing"]),
+    )
+    def test_flags_end_in_json_or_one_error_line(self, tmp_path_factory, dims, seed,
+                                                grid_points, periods, state):
+        work = tmp_path_factory.getbasetemp() / "compute-l-fuzz"
+        work.mkdir(exist_ok=True)
+        spec = write_spectrum(work, [(0, 2), ("1/2", 1), (2, 2)])
+        states = {
+            "good": [[z.real, z.imag] for z in sample_random_state(5, substream(1, 0))],
+            "nan": [[float("nan"), 0]] + [[0, 0]] * 4,
+            "short": [[1, 0]],
+            "not-pairs": [1, 2, 3, 4, 5],
+        }
+        argv = ["compute-l", spec, f"--dims={dims}",
+                "--dump-trajectory", str(work / "traj.tsv")]
+        for flag, value in [("--seed", seed), ("--grid-points", grid_points),
+                            ("--periods", periods)]:
+            if value is not None:
+                argv.append(f"{flag}={value}")  # a value may start with "-"
+        if state is not None:
+            path = work / f"{state}.json"
+            if state in states:
+                path.write_text(json.dumps({"amplitudes": states[state]}))
+            argv += ["--state", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                assert exc.code == 2 and "error: argument" in stderr.getvalue()
+                return
+        if stdout.getvalue():
+            assert code in (0, 1) and stderr.getvalue() == ""
+            assert json.loads(stdout.getvalue())["pass"] is (code == 0)
+        else:
+            err = stderr.getvalue()
+            assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
 
 
 class TestCheckTheorem:

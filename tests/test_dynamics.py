@@ -22,12 +22,19 @@ from ergolab import (
     time_fraction_normal,
     trajectory_weights,
 )
+from ergolab.dynamics import rotated_amplitudes
 
-from support import random_instance
+from support import per_point, random_instance
 
 
 def spec_of(levels):
     return Spectrum(tuple((F(e), d) for e, d in levels))
+
+
+def kernel_inputs(state, dec):
+    """Coordinate energies, rotated amplitudes and ranks of the time-grid kernel."""
+    basis = np.hstack([cell.basis for cell in dec])
+    return state.coord_energies, rotated_amplitudes(basis, state.vector), dec.ranks
 
 
 class TestPrepareState:
@@ -135,7 +142,7 @@ class TestExactTimeAverage:
         state, dec = random_instance(spec, rng)
         for cell in dec:
             oracle = discrete_time_average(
-                lambda tau: cell_weight(evolve(state, tau), cell),
+                per_point(lambda tau: cell_weight(evolve(state, tau), cell)),
                 spec,
                 int(spec.spread),
             )
@@ -173,17 +180,17 @@ class TestExactTimeAverage:
 class TestDiscreteTimeAverage:
     def test_constant(self):
         spec = spec_of([(0, 1), (2, 1)])
-        assert discrete_time_average(lambda tau: 3.25, spec, 4) == pytest.approx(3.25)
+        assert discrete_time_average(lambda taus: np.full(taus.shape, 3.25), spec, 4) == pytest.approx(3.25)
 
     def test_pure_oscillation_vanishes(self):
         spec = spec_of([(0, 1), (1, 1)])
-        avg = discrete_time_average(math.cos, spec, 1)
+        avg = discrete_time_average(np.cos, spec, 1)
         assert abs(avg) < 1e-14
 
     def test_non_integer_rejected(self):
         spec = spec_of([(0, 1), (F(1, 2), 1)])
         with pytest.raises(ValueError, match="integer"):
-            discrete_time_average(lambda tau: 1.0, spec, 2)
+            discrete_time_average(np.ones_like, spec, 2)
 
     def test_agrees_with_dense_quadrature(self):
         # independent numeric check: trapezoid rule over one full period
@@ -192,13 +199,13 @@ class TestDiscreteTimeAverage:
         state, dec = random_instance(spec, rng)
         cell = dec.cells[0]
         exact = discrete_time_average(
-            lambda tau: cell_weight(evolve(state, tau), cell),
+            per_point(lambda tau: cell_weight(evolve(state, tau), cell)),
             spec,
             int(spec.spread),
         )
         taus = np.linspace(0, 2 * math.pi, 20001)
         dense = np.trapezoid(
-            trajectory_weights(state, dec, taus)[:, 0], taus
+            trajectory_weights(*kernel_inputs(state, dec), taus)[:, 0], taus
         ) / (2 * math.pi)
         assert abs(exact - dense) < 1e-6
 
@@ -221,7 +228,7 @@ class TestTrajectoryKernel:
         spec = spec_of([(0, 2), (1, 1), (3, 2)])
         state, dec = random_instance(spec, substream(7, 0))
         taus = np.linspace(0.0, 7.0, 23)
-        weights = trajectory_weights(state, dec, taus)
+        weights = trajectory_weights(*kernel_inputs(state, dec), taus)
         for tau, row in zip(taus, weights):
             psi = evolve(state, tau)
             expected = [cell_weight(psi, cell) for cell in dec]

@@ -62,6 +62,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="policy"):
             make_config(state_policy="psychic")
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus-one", "below-int64"])
+    def test_negative_seed_names_the_field(self, seed):
+        with pytest.raises(ValueError, match='"seed" must be a non-negative integer'):
+            make_config(seed=seed)
+
     def test_explicit_needs_amplitudes(self):
         with pytest.raises(ValueError, match="amplitudes"):
             make_config(state_policy="explicit")

@@ -40,6 +40,7 @@ from support import (
     brute_max_gap_degeneracy,
     brute_max_sum_degeneracy,
     brute_resonant_cross_terms,
+    per_point,
     random_composition,
     random_instance,
     random_integer_spectrum,
@@ -53,14 +54,10 @@ def spec_of(levels):
     return Spectrum(tuple((F(e), d) for e, d in levels))
 
 
-def structures(spec):
-    return gap_structure(spec), sum_structure(spec)
-
-
 def oracle_deviation(state, cell, spec):
     frac = cell.rank / spec.dim_total
     return discrete_time_average(
-        lambda tau: (cell_weight(evolve(state, tau), cell) - frac) ** 2,
+        per_point(lambda tau: (cell_weight(evolve(state, tau), cell) - frac) ** 2),
         spec,
         2 * int(spec.spread),
     )
@@ -71,7 +68,7 @@ class TestDeviationExact:
         spec = spec_of([(0, 4)])
         state = prepare_state(sample_random_state(4, substream(1, 0)), spec)
         cell = sample_decomposition([2, 2], substream(1, 1)).cells[0]
-        b = deviation_exact(state, cell, *structures(spec))
+        b = deviation_exact(state, cell)
         w = cell_weight(state.vector, cell)
         assert b.total == pytest.approx((w - 0.5) ** 2, abs=1e-12)
         assert b.offdiag_sum == pytest.approx(0.0, abs=1e-12)
@@ -81,18 +78,16 @@ class TestDeviationExact:
         spec = spec_of([(0, 1), (1, 1), (2, 1), (3, 1)])
         rng = substream(1, 2)
         state, dec = random_instance(spec, rng)
-        gaps, sums = structures(spec)
         for cell in dec:
-            b = deviation_exact(state, cell, gaps, sums)
+            b = deviation_exact(state, cell)
             assert abs(b.total - oracle_deviation(state, cell, spec)) < 1e-10
 
     def test_nonresonant_empty_resonant_part(self):
         spec = spec_of([(0, 1), (1, 1), (3, 1), (7, 1)])
         rng = substream(1, 3)
         state, dec = random_instance(spec, rng)
-        gaps, sums = structures(spec)
         for cell in dec:
-            b = deviation_exact(state, cell, gaps, sums)
+            b = deviation_exact(state, cell)
             assert b.resonant_term == 0.0
             assert abs(b.total - oracle_deviation(state, cell, spec)) < 1e-10
 
@@ -101,9 +96,8 @@ class TestDeviationExact:
         for levels in ([(0, 2), (1, 2), (2, 1)], [(0, 1), (2, 3), (3, 2)]):
             spec = spec_of(levels)
             state, dec = random_instance(spec, rng)
-            gaps, sums = structures(spec)
             for cell in dec:
-                b = deviation_exact(state, cell, gaps, sums)
+                b = deviation_exact(state, cell)
                 r1, r2 = b.identity_residuals()
                 assert max(r1, r2) < 1e-10
                 assert b.total >= 0 and b.offdiag_sum >= 0 and b.diag_dev_sq >= 0
@@ -117,7 +111,7 @@ class TestDeviationExact:
                            weights=good.weights)
         cell = sample_decomposition([2, 2], substream(1, 8)).cells[0]
         with pytest.raises(ArithmeticError, match="regroupings disagree"):
-            deviation_exact(state, cell, *structures(spec))
+            deviation_exact(state, cell)
 
     def test_stack_equals_single_cells(self):
         # one kernel: a stack of overlap matrices gives, matrix by matrix,
@@ -130,17 +124,9 @@ class TestDeviationExact:
         b = deviation_breakdowns(stack, 2 / 7, spec.pair_index)
         assert b.resonant_term.shape == (5,)
         for i, (state, cell) in enumerate(zip(states, cells)):
-            one = deviation_exact(state, cell, *structures(spec))
+            one = deviation_exact(state, cell)
             for name, value in vars(one).items():
                 assert np.broadcast_to(getattr(b, name), (5,))[i] == value, name
-
-    def test_structure_mismatch_rejected(self):
-        spec_a = spec_of([(0, 1), (1, 1)])
-        spec_b = spec_of([(0, 1), (2, 1)])
-        state = prepare_state(sample_random_state(2, substream(1, 5)), spec_a)
-        cell = sample_decomposition([1, 1], substream(1, 6)).cells[0]
-        with pytest.raises(ValueError, match="different spectrum"):
-            deviation_exact(state, cell, gap_structure(spec_b), sum_structure(spec_b))
 
 
 class TestResonantTerm:
@@ -149,33 +135,30 @@ class TestResonantTerm:
         rng = substream(2, 0)
         state, dec = random_instance(spec, rng)
         cell = dec.cells[0]
-        sums = sum_structure(spec)
         s = shell_overlap_matrix(state, cell)
         expected = brute_resonant_cross_terms(s, spec.energies)
-        assert resonant_term(state, cell, sums) == pytest.approx(expected, abs=1e-12)
+        assert resonant_term(state, cell) == pytest.approx(expected, abs=1e-12)
         assert expected != 0.0  # generically nonzero for this spectrum
 
     def test_brute_force_degenerate_resonant(self):
         spec = spec_of([(0, 2), (1, 1), (2, 2), (4, 1)])
         rng = substream(2, 1)
         state, dec = random_instance(spec, rng)
-        sums = sum_structure(spec)
         for cell in dec:
             s = shell_overlap_matrix(state, cell)
             expected = brute_resonant_cross_terms(s, spec.energies)
-            assert resonant_term(state, cell, sums) == pytest.approx(expected, abs=1e-12)
+            assert resonant_term(state, cell) == pytest.approx(expected, abs=1e-12)
 
     def test_bound_chain(self):
         rng = substream(2, 2)
         for levels in ([(0, 1), (1, 1), (2, 1)], [(0, 2), (1, 2), (2, 2)],
                        [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]):
             spec = spec_of(levels)
-            sums = sum_structure(spec)
-            d_f = sums.max_sum_degeneracy
+            d_f = sum_structure(spec).max_sum_degeneracy
             for _ in range(10):
                 state, dec = random_instance(spec, rng)
                 for cell in dec:
-                    term = resonant_term(state, cell, sums)
+                    term = resonant_term(state, cell)
                     bound = resonant_term_bound(exact_time_avg_weight(state, cell), d_f)
                     assert term <= bound + 1e-12
 
@@ -183,8 +166,7 @@ class TestResonantTerm:
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
         rng = substream(2, 3)
         state, dec = random_instance(spec, rng)
-        sums = sum_structure(spec)
-        assert resonant_term(state, dec.cells[0], sums) == 0.0
+        assert resonant_term(state, dec.cells[0]) == 0.0
         assert resonant_term_bound(exact_time_avg_weight(state, dec.cells[0]), 2) == 0.0
         # full projection: the time-averaged weight is 1, bound is F - 2
         full = sample_decomposition([spec.dim_total], substream(2, 4)).cells[0]
@@ -214,7 +196,7 @@ class TestGapBucketKernel:
 
     @staticmethod
     def check(spec, rng, with_oracle=True):
-        gaps, sums = structures(spec)
+        gaps, sums = gap_structure(spec), sum_structure(spec)
         energies = spec.energies
         assert gaps.max_gap_degeneracy == (
             brute_max_gap_degeneracy(energies) if spec.num_levels > 1 else 0)
@@ -224,9 +206,9 @@ class TestGapBucketKernel:
         for cell in dec:
             expected = brute_resonant_cross_terms(
                 shell_overlap_matrix(state, cell), energies)
-            b = deviation_exact(state, cell, gaps, sums)
+            b = deviation_exact(state, cell)
             assert b.resonant_term == pytest.approx(expected, abs=1e-12)
-            assert resonant_term(state, cell, sums) == b.resonant_term
+            assert resonant_term(state, cell) == b.resonant_term
             if with_oracle:
                 istate = prepare_state(state.vector, ispec)
                 assert abs(b.total - oracle_deviation(istate, cell, ispec)) < 1e-10
@@ -260,11 +242,10 @@ class TestGapBucketKernel:
             degens = random_composition(rng, len(levels) + 3, len(levels))
             q = int(rng.integers(1, 5))
             spec = spec_of([(F(e, q), d) for e, d in zip(levels, degens)])
-            gaps, sums = structures(spec)
             state, dec = random_instance(spec, rng)
             for cell in dec:
-                assert deviation_exact(state, cell, gaps, sums).resonant_term == 0.0
-                assert resonant_term(state, cell, sums) == 0.0
+                assert deviation_exact(state, cell).resonant_term == 0.0
+                assert resonant_term(state, cell) == 0.0
 
 
 class TestSufficientAndErgodicity:
@@ -282,11 +263,10 @@ class TestSufficientAndErgodicity:
         rng = substream(3, 0)
         for levels in ([(0, 1), (1, 2), (2, 1)], [(0, 1), (1, 1), (4, 1), (6, 1)]):
             spec = spec_of(levels)
-            gaps, sums = structures(spec)
             for _ in range(10):
                 state, dec = random_instance(spec, rng)
                 for cell in dec:
-                    b = deviation_exact(state, cell, gaps, sums)
+                    b = deviation_exact(state, cell)
                     assert ergodicity_gap(state, cell) <= b.total + 1e-12
                     # trace(S) is the independent time average, to rounding
                     avg = exact_time_avg_weight(state, cell)
