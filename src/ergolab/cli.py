@@ -11,7 +11,7 @@ JSON is the source of truth and columnar dumps serve external plotters.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import math
 import sys
@@ -31,6 +31,20 @@ MIN_GATED_SAMPLES = 10_000
 # Oracle cross-checks are skipped when the discrete grid would exceed this.
 MAX_ORACLE_GRID = 20_001
 
+# Largest compute-l trajectory dump, in rows (times).  The dump is written
+# in dynamics.GRID_SLICE slices, so this bounds its size on disk and its
+# running time, not its memory.
+MAX_DUMP_POINTS = 10_000_000
+
+# verify-lemmas size limits.  A run keeps every sample until its moments
+# are taken, about 55 bytes each at peak (261 MB measured at 4 000 000
+# samples), and 16 bytes per ensemble member: at these limits that is
+# 5.5 GB and 1.6 GB.  Larger runs are refused before they allocate, rather
+# than exhausting memory midway.  A --dim whose arrays cannot be allocated
+# at all ends in main's out-of-memory line.
+MAX_LEMMA_SAMPLES = 100_000_000
+MAX_LEMMA_ENSEMBLE = 100_000_000
+
 # The float parameters carry 53 bits; the mpmath checks get at least that.
 # (Below 7 bits the admissible-constant grid step 1.01 rounds to 1.)
 MIN_PRECISION_BITS = 53
@@ -38,18 +52,101 @@ MIN_PRECISION_BITS = 53
 LOG_BASES = {"e": math.e, "10": 10.0}
 
 
+# Rows of a large array formatted at a time.
+WRITE_ROWS = 4096
+
+# Characters of report text gathered into one write.  Writing each piece on
+# its own (for the 300-level analyze report, over a thousand writes of a few
+# KiB into an in-memory stdout) left the process's heap fragmented: the
+# benchmark's lab-commands workload then peaked at 83.8 MiB resident, above
+# the 82.9 MiB of the whole-text writer, against 74-80 MiB with 1 MiB
+# writes (the figure moves with heap layout).
+WRITE_CHARS = 1 << 20
+
+
 def _write_output(doc: dict, out: str | None) -> None:
-    # json.dumps with an indent first gathers every token of the report in a
-    # list; for a large analyze report that list sets the peak memory.
-    buf = io.StringIO()
-    json.dump(doc, buf, indent=2, sort_keys=True, allow_nan=False)
-    buf.write("\n")
-    text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
+    """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline would, in pieces.
+
+    Small values go through ``json.dumps``.  The two large parts of a
+    report, a 2-D float array (``run``'s trial totals) and
+    :class:`~ergolab.spectrum.PairClasses` (``analyze``'s gap and sum
+    tables), are formatted in chunks in that same layout, so no nested
+    lists and no whole-report string are built.  Everything is encoded or
+    checked before the first byte is written: an unencodable value ends in
+    a ValueError with nothing written and no ``out`` file created.
+    """
+    parts: list = []
+    _layout(doc, 0, parts)
+    parts.append(("\n",))
+    fh = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+    try:
+        pending, size = [], 0
+        for chunk in itertools.chain.from_iterable(parts):
+            pending.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_CHARS:
+                fh.write("".join(pending))
+                pending, size = [], 0
+        fh.write("".join(pending))
+    finally:
+        if out is not None:
+            fh.close()
+
+
+def _layout(value, level: int, parts: list) -> None:
+    """Append the JSON text of ``value``, nested ``level`` deep, to ``parts``
+    as iterables of strings: the large parts as chunk generators."""
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            parts.append((("," if i else "{") + "\n" + "  " * (level + 1)
+                          + json.dumps(key) + ": ",))
+            _layout(value[key], level + 1, parts)
+        parts.append(("\n" + "  " * level + "}",))
+    elif isinstance(value, np.ndarray):
+        if not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        parts.append(_array_chunks(value, level))
+    elif isinstance(value, spectrum.PairClasses):
+        parts.append(_class_chunks(value, level))
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        parts.append((text.replace("\n", "\n" + "  " * level),))
+
+
+def _array_chunks(array: np.ndarray, level: int):
+    """A 2-D array as nested JSON lists, ``level`` deep, in WRITE_ROWS chunks."""
+    if len(array) == 0:
+        yield "[]"
+        return
+    pad, row_pad = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if array.shape[1] == 0:
+        row = row_pad + "[]"
+    else:
+        row = (row_pad + "[" + ",".join([row_pad + "  %r"] * array.shape[1])
+               + row_pad + "]")
+    for start in range(0, len(array), WRITE_ROWS):
+        chunk = array[start:start + WRITE_ROWS]
+        # %r of the Python numbers .tolist() gives is their JSON text.
+        yield ("," if start else "[") + ",".join([row] * len(chunk)) % tuple(
+            chunk.ravel().tolist())
+    yield pad + "]"
+
+
+def _class_chunks(classes: spectrum.PairClasses, level: int):
+    """Pair classes (at least one) as the JSON list of class objects,
+    ``level`` deep, one class per chunk."""
+    pad = ["\n" + "  " * (level + k) for k in range(3)]
+    end = 0
+    for k, (value, count) in enumerate(zip(classes.values, classes.counts.tolist())):
+        start, end = end, end + count
+        yield "".join([
+            ("," if k else "[") + pad[1] + "{" + pad[2] + f'"count": {count},'
+            + pad[2] + '"pairs": ',
+            *_array_chunks(classes.pairs[start:end], level + 2),
+            "," + pad[2] + '"value": ' + json.dumps(value) + pad[1] + "}",
+        ])
+    yield pad[0] + "]"
 
 
 def _parse_big_int(text: str) -> int:
@@ -124,6 +221,10 @@ def cmd_verify_lemmas(args) -> int:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     if samples < 2:
         raise ValueError(f"--samples must be at least 2 for a standard error, got {samples}")
+    for flag, value, limit in [("--samples", samples, MAX_LEMMA_SAMPLES),
+                               ("--ensemble", args.ensemble, MAX_LEMMA_ENSEMBLE)]:
+        if value > limit:
+            raise ValueError(f"{flag} must be at most {limit}, got {value}")
     warnings = []
     gated = samples >= MIN_GATED_SAMPLES
     if not gated:
@@ -192,8 +293,9 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_compute_l(args) -> int:
-    if args.grid_points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if not 1 <= args.grid_points <= MAX_DUMP_POINTS:
+        raise ValueError(f"--grid-points must be between 1 and {MAX_DUMP_POINTS}, "
+                         f"got {args.grid_points}")
     if not 0 < args.periods < math.inf:
         raise ValueError(f"--periods must be a positive finite number, got {args.periods}")
     spec = _read_spectrum_file(args.spectrum)
@@ -214,7 +316,13 @@ def cmd_compute_l(args) -> int:
     ispec, mult = dynamics.integer_rescaled(spec)
     if args.dump_trajectory is not None:
         # Periods of the (rescaled-integer) dynamics in original time units.
-        span = 2 * math.pi * mult * args.periods
+        try:
+            span = 2 * math.pi * float(mult) * args.periods
+        except OverflowError:
+            raise ValueError(
+                f"--dump-trajectory: the spectrum's rescaling multiplier "
+                f"({len(str(mult))} digits) is beyond the float range of the time axis"
+            ) from None
         if span == math.inf:
             raise ValueError(f"--periods {args.periods} overflows the dump's time span")
     energies = dynamics.coordinate_energies(ispec)
@@ -276,16 +384,18 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        # Columnar text for external plotters.
-        taus = span * np.arange(args.grid_points) / args.grid_points
-        weights = dynamics.trajectory_weights(
-            dynamics.coordinate_energies(spec), rotated, dims, taus)
+        # Columnar text for external plotters, one slice of times at a time.
+        n = args.grid_points
+        coord_energies = dynamics.coordinate_energies(spec)
+        row = "\t".join(["%r"] * (len(dims) + 1)) + "\n"
         with open(args.dump_trajectory, "w", encoding="utf-8") as fh:
             fh.write("tau\t" + "\t".join(
                 f"cell_{k + 1}" for k in range(len(dims))) + "\n")
-            for tau, row in zip(taus, weights):
-                fh.write(f"{float(tau)!r}\t"
-                         + "\t".join(f"{float(w)!r}" for w in row) + "\n")
+            for j in range(0, n, dynamics.GRID_SLICE):
+                taus = span * np.arange(j, min(j + dynamics.GRID_SLICE, n)) / n
+                weights = dynamics.trajectory_weights(coord_energies, rotated, dims, taus)
+                fh.write(row * len(taus) % tuple(
+                    np.column_stack([taus, weights]).ravel().tolist()))
     return 0 if all_ok else 1
 
 
@@ -294,6 +404,8 @@ def cmd_check_theorem(args) -> int:
         raise ValueError(f"--dim must be at least 2 so that log D > 0, got {args.dim}")
     if args.rank < 1:
         raise ValueError(f"--rank must be at least 1, got {args.rank}")
+    if not 0 < args.margin < math.inf:
+        raise ValueError(f"--margin must be a positive finite number, got {args.margin}")
     if args.precision_bits < MIN_PRECISION_BITS:
         raise ValueError(
             f"--precision-bits must be at least {MIN_PRECISION_BITS}, "
@@ -530,6 +642,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

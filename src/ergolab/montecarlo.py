@@ -247,6 +247,12 @@ class ExperimentReport:
         )
 
     def to_dict(self) -> dict:
+        """The report's fields.  ``trial_totals`` is a read-only view of
+        ``samples``, not a list, so that the CLI's report writer formats it
+        row by row without a copy; ``json.dumps(report,
+        default=np.ndarray.tolist)`` encodes the dict."""
+        totals = self.samples.view()
+        totals.flags.writeable = False
         return {
             "dims": list(self.config.dims),
             "trials": self.config.trials,
@@ -260,7 +266,7 @@ class ExperimentReport:
             "overall": self.overall,
             "chain_violations": self.chain_violations,
             "pass": self.passed,
-            "trial_totals": self.samples.tolist(),
+            "trial_totals": totals,
         }
 
 

@@ -12,8 +12,8 @@ Every collision is decided once per spectrum, by :class:`PairIndex`: the
 energies are rescaled to integers by the least common multiple of their
 denominators, and ``np.unique`` over the integer gap and sum tables gives
 each ordered pair the rank of its value.  The degeneracy maxima, the
-classification, the deviation kernel's gap buckets and the
-Fraction-keyed tables all derive from that one index.
+classification, the deviation kernel's gap buckets, the report's pair
+classes and the Fraction-keyed tables all derive from that one index.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "SpectrumError",
     "Spectrum",
     "PairIndex",
+    "PairClasses",
     "GapStructure",
     "SumStructure",
     "Classification",
@@ -161,9 +162,13 @@ class PairIndex:
         sizes = self.gap_counts[shared]
         return positions, np.cumsum(sizes) - sizes
 
+    def _ordered_pairs(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """First and second level of every pair, class by class.  A stable
+        sort keeps each class's pairs in ascending (a, b) order."""
+        return np.divmod(np.argsort(ids, kind="stable"), self.num_levels)
+
     def _entries(self, values, ids, counts) -> dict[Fraction, tuple[tuple[int, int], ...]]:
-        # A stable sort keeps each class's pairs in ascending (a, b) order.
-        first, second = np.divmod(np.argsort(ids, kind="stable"), self.num_levels)
+        first, second = self._ordered_pairs(ids)
         pairs = list(zip(first.tolist(), second.tolist()))
         ends = np.cumsum(counts).tolist()
         return {
@@ -176,6 +181,46 @@ class PairIndex:
 
     def sum_entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
         return self._entries(self.sum_values, self.sum_ids, self.sum_counts)
+
+    def _report_classes(self, values, ids, counts) -> PairClasses:
+        return PairClasses(
+            [str(Fraction(value, self.scale)) for value in values.tolist()],
+            counts,
+            np.stack(self._ordered_pairs(ids), axis=1) + 1,
+        )
+
+    def gap_classes(self) -> PairClasses:
+        return self._report_classes(self.gap_values, self.gap_ids, self.gap_counts)
+
+    def sum_classes(self) -> PairClasses:
+        return self._report_classes(self.sum_values, self.sum_ids, self.sum_counts)
+
+
+@dataclass(frozen=True, eq=False)
+class PairClasses:
+    """One family of pair classes in report form, held as arrays.
+
+    Class ``k`` has the exact value ``values[k]`` (a string, like ``"-1/2"``)
+    and holds the next ``counts[k]`` rows of ``pairs``, each a 1-based level
+    pair ``(a, b)``; classes ascend by value, pairs ascend within a class.
+    The report writer lays this out as the JSON list
+    ``[{"count": ..., "pairs": [[a, b], ...], "value": ...}, ...]``, which
+    :meth:`tolist` builds as Python objects.
+    """
+
+    values: list[str]
+    counts: np.ndarray
+    pairs: np.ndarray
+
+    def tolist(self) -> list[dict]:
+        """The classes as the report's list of ``{"value", "count",
+        "pairs"}`` dicts, with ``[a, b]`` pair lists."""
+        ends = np.cumsum(self.counts).tolist()
+        return [
+            {"value": value, "count": end - start,
+             "pairs": self.pairs[start:end].tolist()}
+            for value, start, end in zip(self.values, [0] + ends, ends)
+        ]
 
 
 @dataclass
@@ -330,7 +375,11 @@ def structure_report(spec: Spectrum) -> dict:
     """Canonical analysis record for a spectrum.
 
     Pair indices in the report are 1-based, matching the level numbering
-    convention used everywhere in user-facing output.
+    convention used everywhere in user-facing output.  The gap and sum
+    tables are :class:`PairClasses`, which the CLI's report writer formats
+    straight from the index arrays, so the record is not plain JSON data:
+    ``json.dumps(report, default=lambda value: value.tolist())`` encodes
+    it, and ``report["gaps"].tolist()`` gives the list of class dicts.
     """
     gaps = gap_structure(spec)
     sums = sum_structure(spec)
@@ -346,20 +395,6 @@ def structure_report(spec: Spectrum) -> dict:
         "levels": [
             {"energy": str(e), "degeneracy": d} for e, d in spec.levels
         ],
-        "gaps": [
-            {
-                "value": str(value),
-                "count": len(pairs),
-                "pairs": [[a + 1, b + 1] for a, b in pairs],
-            }
-            for value, pairs in gaps.entries.items()
-        ],
-        "sums": [
-            {
-                "value": str(value),
-                "count": len(pairs),
-                "pairs": [[a + 1, b + 1] for a, b in pairs],
-            }
-            for value, pairs in sums.entries.items()
-        ],
+        "gaps": spec.pair_index.gap_classes(),
+        "sums": spec.pair_index.sum_classes(),
     }

@@ -73,6 +73,33 @@ def brute_pair_classes(energies, combine) -> dict:
     return {value: tuple(groups[value]) for value in sorted(groups)}
 
 
+def structure_report_reference(spec: Spectrum) -> dict:
+    """The ``analyze`` report as nested dicts and lists, built by Fraction
+    grouping of the level pairs; ``json.dumps(..., indent=2,
+    sort_keys=True)`` of it is what the command must print."""
+    gaps = brute_pair_classes(spec.energies, lambda e_a, e_b: e_b - e_a)
+    sums = brute_pair_classes(spec.energies, lambda e_a, e_b: e_a + e_b)
+    max_gap = max((len(p) for v, p in gaps.items() if v != 0), default=0)
+
+    def rows(classes):
+        return [{"value": str(value), "count": len(pairs),
+                 "pairs": [[a + 1, b + 1] for a, b in pairs]}
+                for value, pairs in classes.items()]
+
+    return {
+        "D": spec.dim_total,
+        "D_E": spec.num_levels,
+        "D_G": max_gap,
+        "D_F": max(map(len, sums.values())),
+        "non_degenerate": all(d == 1 for d in spec.degeneracies),
+        "non_resonant": max_gap <= 1,
+        "approximate": spec.approximate,
+        "levels": [{"energy": str(e), "degeneracy": d} for e, d in spec.levels],
+        "gaps": rows(gaps),
+        "sums": rows(sums),
+    }
+
+
 def brute_resonant_cross_terms(s: np.ndarray, energies) -> float:
     """Quadruple-loop evaluation of the resonance cross terms.
 

@@ -120,6 +120,20 @@ class TestVerifyLemmas:
         assert not out.exists()
         assert_one_line_error(capsys, "--samples")
 
+    @pytest.mark.parametrize("flags, fragments", [
+        (["--samples", "1000000000000000"], ["--samples", "at most"]),
+        (["--samples", "100000001"], ["--samples", "at most"]),
+        (["--samples", "10", "--ensemble", "100000001"], ["--ensemble", "at most"]),
+        # 10 states of 2^50 amplitudes cannot be allocated on any machine
+        (["--samples", "10", "--dim", "2^50"], ["out of memory"]),
+    ])
+    def test_sizes_beyond_memory_rejected(self, tmp_path, capsys, flags, fragments):
+        out = tmp_path / "v.json"
+        argv = ["verify-lemmas", "--dim", "10", "--rank", "2", "--out", str(out)] + flags
+        assert main(argv) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, *fragments)
+
     def test_moderate_run_passes(self, tmp_path):
         out = tmp_path / "v.json"
         code = main(["verify-lemmas", "--dim", "30", "--rank", "6",
@@ -305,6 +319,8 @@ class TestComputeLPath:
         (["--periods", "0"], "--periods"),
         (["--periods", "-1.5"], "--periods"),
         (["--periods", "1e308"], "--periods"),
+        (["--grid-points", "10000001"], "--grid-points"),
+        (["--grid-points", "1000000000000000"], "--grid-points"),
     ])
     def test_bad_dump_arguments_rejected(self, tmp_path, capsys, flags, fragment):
         spec = write_spectrum(tmp_path, [(0, 1), ("1/2", 1), (2, 1)])
@@ -314,15 +330,72 @@ class TestComputeLPath:
         assert not out.exists() and not traj.exists()
         assert_one_line_error(capsys, fragment)
 
+    def test_multiplier_beyond_float_range_rejected(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path, [(0, 1), ("1/1" + "0" * 309, 1)])
+        out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
+        assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out),
+                     "--dump-trajectory", str(traj)]) == 1
+        assert not out.exists() and not traj.exists()
+        assert_one_line_error(capsys, "--dump-trajectory", "multiplier (310 digits)")
+        # without the dump the multiplier is only reported
+        assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
+        assert load(out)["rescaled_to_integer"] == {"multiplier": 10**309}
 
-def _flag(values, wild=st.text(alphabet="0123456789+-.,eix ", max_size=6)):
-    """A flag value: absent, mostly drawn from ``values``, or ``wild``."""
-    return st.one_of(st.none(), values, values, values, values, wild)
+    def test_dump_slices_change_no_byte(self, tmp_path, monkeypatch):
+        spec = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (2, 1)])
+        argv = ["compute-l", spec, "--dims", "2,2", "--grid-points", "300",
+                "--periods", "1.5", "--out", str(tmp_path / "l.json")]
+        sliced, single = tmp_path / "sliced.tsv", tmp_path / "single.tsv"
+        assert dynamics.GRID_SLICE < 300
+        assert main(argv + ["--dump-trajectory", str(sliced)]) == 0
+        monkeypatch.setattr(dynamics, "GRID_SLICE", 300)
+        assert main(argv + ["--dump-trajectory", str(single)]) == 0
+        assert sliced.read_bytes() == single.read_bytes()
+        assert len(sliced.read_text().splitlines()) == 301
+
+
+def _mostly(valid, wild, required=False, odds=10):
+    """A flag value: ``wild`` once in ``odds``, absent (if optional) once in
+    ``odds``, else from ``valid``.  With ten flags at the default odds a
+    third of the cases still carry no wild value."""
+    return st.integers(1, odds).flatmap(
+        lambda k: wild if k == 1 else st.none() if k == 2 and not required else valid)
+
+
+def run_fuzz_case(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with its streams captured, as (exit code, stdout,
+    stderr), argparse's exit as code 2.  Asserts what every fuzz case
+    shares: JSON with exit 0/1, one ``error:`` line with exit 1, or
+    argparse's ``error: argument`` with exit 2; never a traceback."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected a flag
+            code = exc.code
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 2:
+        assert "error: argument" in err and "Traceback" not in err, err
+    elif out:
+        assert code in (0, 1)
+        json.loads(out)
+    else:
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+    return code, out, err
+
+
+def _with_flags(argv, flags):
+    for flag, value in flags:
+        if value is not None:
+            argv.append(f"{flag}={value}")  # a value may start with "-"
+    return argv
+
+
+_WILD = st.text(alphabet="0123456789+-.,eix ", max_size=6)
 
 
 class TestComputeLFuzz:
-    # Grid sizes stay small: the trajectory dump holds (grid_points, D)
-    # arrays in memory.
+    # Grid sizes stay small, so that every case runs quickly.
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
         dims=st.one_of(
@@ -331,10 +404,10 @@ class TestComputeLFuzz:
             st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(
                 lambda ranks: ",".join(map(str, ranks))),
         ),
-        seed=_flag(st.integers(-1, 2**80).map(str)),
-        grid_points=_flag(st.integers(-3, 40).map(str)),
-        periods=_flag(st.floats(1e-3, 3).map(repr),
-                      st.one_of(st.floats().map(repr), st.text(max_size=4))),
+        seed=_mostly(st.integers(-1, 2**80).map(str), _WILD, odds=6),
+        grid_points=_mostly(st.integers(-3, 40).map(str), _WILD, odds=6),
+        periods=_mostly(st.floats(1e-3, 3).map(repr),
+                        st.one_of(st.floats().map(repr), st.text(max_size=4)), odds=6),
         state=st.sampled_from([None, None, "good", "good", "nan", "short", "not-pairs",
                                "missing"]),
     )
@@ -349,30 +422,86 @@ class TestComputeLFuzz:
             "short": [[1, 0]],
             "not-pairs": [1, 2, 3, 4, 5],
         }
-        argv = ["compute-l", spec, f"--dims={dims}",
-                "--dump-trajectory", str(work / "traj.tsv")]
-        for flag, value in [("--seed", seed), ("--grid-points", grid_points),
-                            ("--periods", periods)]:
-            if value is not None:
-                argv.append(f"{flag}={value}")  # a value may start with "-"
+        argv = _with_flags(
+            ["compute-l", spec, f"--dims={dims}",
+             "--dump-trajectory", str(work / "traj.tsv")],
+            [("--seed", seed), ("--grid-points", grid_points), ("--periods", periods)])
         if state is not None:
             path = work / f"{state}.json"
             if state in states:
                 path.write_text(json.dumps({"amplitudes": states[state]}))
             argv += ["--state", str(path)]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejected a flag
-                assert exc.code == 2 and "error: argument" in stderr.getvalue()
-                return
-        if stdout.getvalue():
-            assert code in (0, 1) and stderr.getvalue() == ""
-            assert json.loads(stdout.getvalue())["pass"] is (code == 0)
-        else:
-            err = stderr.getvalue()
-            assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+        code, out, err = run_fuzz_case(argv)
+        if out:
+            assert err == "" and json.loads(out)["pass"] is (code == 0)
+
+
+def _big_int(low, high):
+    """A valid integer flag, in decimal or power notation."""
+    return st.one_of(st.integers(low, high).map(str),
+                     st.integers(1, 64).map(lambda k: f"2^{k}"))
+
+
+# Wild values; their powers stay cheap to compute.
+_BAD_INT = st.one_of(st.sampled_from(["0", "1", "-4", "2^-1", "1e-3", "9^999", "x", ""]),
+                     st.text(alphabet="0123456789^e-x ", max_size=6))
+_BAD_FLOAT = st.one_of(st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "1e308", "5e-324"]),
+                       st.floats().map(repr), st.text(max_size=4))
+
+
+class TestCheckTheoremFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        dim=_mostly(_big_int(2, 10**30), _BAD_INT, required=True),
+        rank=_mostly(_big_int(1, 10**6), _BAD_INT, required=True),
+        cells=_mostly(_big_int(1, 10**6), _BAD_INT, required=True),
+        sum_degeneracy=_mostly(_big_int(0, 100), _BAD_INT),
+        floats=st.lists(_mostly(st.floats(0.01, 1).map(repr), _BAD_FLOAT),
+                        min_size=3, max_size=3),
+        constant=_mostly(st.floats(1.01, 1e6).map(repr), _BAD_FLOAT),
+        margin=_mostly(st.floats(1e-3, 1e3).map(repr), _BAD_FLOAT),
+        precision_bits=_mostly(st.integers(53, 300).map(str),
+                               st.sampled_from(["", "x", "52", "-1", "1e3"])),
+        log_base=_mostly(st.sampled_from(["e", "10"]), st.just("2")),
+    )
+    def test_flags_end_in_json_or_one_error_line(self, dim, rank, cells, sum_degeneracy,
+                                                floats, constant, margin,
+                                                precision_bits, log_base):
+        epsilon, delta, delta_prime = floats
+        code, out, err = run_fuzz_case(_with_flags(["check-theorem"], [
+            ("--dim", dim), ("--rank", rank), ("--cells", cells),
+            ("--sum-degeneracy", sum_degeneracy), ("--epsilon", epsilon),
+            ("--delta", delta), ("--delta-prime", delta_prime), ("--constant", constant),
+            ("--margin", margin), ("--precision-bits", precision_bits),
+            ("--log-base", log_base)]))
+        if out:  # the report has no pass key: a written report exits 0
+            assert code == 0 and err == ""
+
+
+class TestVerifyLemmasFuzz:
+    # Valid sizes stay small, so that every case runs quickly; the large
+    # wild values are beyond the limits or beyond any machine's memory.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        dim=_mostly(st.integers(1, 12).map(str),
+                    st.sampled_from(["0", "-2", "x", "2^50", "1e9", "2^-1"]),
+                    required=True),
+        rank=_mostly(st.integers(1, 6).map(str),
+                     st.sampled_from(["0", "-2", "x", "2^50", "13", "2^-1"]), required=True),
+        samples=_mostly(st.integers(2, 300).map(str), st.sampled_from(
+            ["1", "-2", "x", "1e3", "100000001", "1000000000000000"]), odds=4),
+        ensemble=_mostly(st.integers(1, 30).map(str), st.sampled_from(
+            ["0", "-2", "x", "2.5", "100000001", "1000000000000000"]), odds=4),
+        seed=_mostly(st.integers(0, 2**80).map(str), st.sampled_from(["-1", "x"])),
+    )
+    def test_flags_end_in_json_or_one_error_line(self, dim, rank, samples, ensemble,
+                                                seed):
+        code, out, err = run_fuzz_case(_with_flags(["verify-lemmas"], [
+            ("--dim", dim), ("--rank", rank), ("--samples", samples),
+            ("--ensemble", ensemble), ("--seed", seed)]))
+        if out:  # with a report, stderr carries only its warnings
+            assert json.loads(out)["pass"] is (code == 0)
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err
 
 
 class TestCheckTheorem:
@@ -412,6 +541,10 @@ class TestCheckTheorem:
     @pytest.mark.parametrize("flags, fragment", [
         (["--dim", "1"], "--dim"),
         (["--dim", "16", "--precision-bits", "0"], "--precision-bits"),
+        (["--dim", "16", "--margin", "0"], "--margin"),
+        (["--dim", "16", "--margin=-1"], "--margin"),
+        (["--dim", "16", "--margin", "nan"], "--margin"),
+        (["--dim", "16", "--margin", "inf"], "--margin"),
     ])
     def test_degenerate_arguments_rejected(self, capsys, flags, fragment):
         assert main(["check-theorem", "--rank", "1", "--cells", "2"] + flags) == 1

@@ -85,7 +85,18 @@ class TestRunExperiment:
     def test_deterministic_reports(self):
         a = run_experiment(make_config()).to_dict()
         b = run_experiment(make_config()).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert json.dumps(a, sort_keys=True, default=np.ndarray.tolist) == json.dumps(
+            b, sort_keys=True, default=np.ndarray.tolist)
+
+    def test_trial_totals_are_a_read_only_view(self):
+        report = run_experiment(make_config(trials=5))
+        totals = report.to_dict()["trial_totals"]
+        assert np.shares_memory(totals, report.samples) and not totals.flags.writeable
+        with pytest.raises(ValueError):
+            totals[0, 0] = 1.0
+        assert report.samples.flags.writeable
+        doc = json.loads(json.dumps(report.to_dict(), default=np.ndarray.tolist))
+        assert doc["trial_totals"] == report.samples.tolist()
 
     def test_chain_clean_and_bounded(self):
         report = run_experiment(make_config(trials=40, state_policy="haar-per-trial"))
@@ -328,6 +339,6 @@ class TestSinglePass:
         off = run_experiment(rational_config("haar-per-trial"))
         on = run_experiment(rational_config("haar-per-trial", normality=True))
         assert off.normality is None and on.normality is not None
-        assert json.dumps(off.to_dict(), sort_keys=True) == json.dumps(
-            on.to_dict(), sort_keys=True)
+        assert json.dumps(off.to_dict(), sort_keys=True, default=np.ndarray.tolist) == (
+            json.dumps(on.to_dict(), sort_keys=True, default=np.ndarray.tolist))
         assert np.array_equal(off.samples, on.samples)

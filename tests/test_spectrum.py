@@ -25,6 +25,7 @@ from support import (
     brute_max_sum_degeneracy,
     brute_pair_classes,
     random_nonresonant_levels,
+    structure_report_reference,
 )
 
 
@@ -264,8 +265,9 @@ def test_structure_report_round_trip():
     # the report's own levels block parses back to the same spectrum
     again = parse_spectrum(json.dumps({"levels": report["levels"]}))
     assert again == spec
-    # 1-based pair indices and consistent counts
-    for row in report["gaps"] + report["sums"]:
-        assert row["count"] == len(row["pairs"])
-        assert all(1 <= i <= spec.num_levels for pair in row["pairs"] for i in pair)
-    assert json.loads(json.dumps(report)) == report
+    # the class tables read as lists, through the documented JSON recipe,
+    # give the reference report
+    text = json.dumps(report, default=lambda value: value.tolist())
+    assert json.loads(text) == structure_report_reference(spec)
+    assert report["gaps"].tolist() == structure_report_reference(spec)["gaps"]
+    assert sum(report["sums"].counts) == len(report["sums"].pairs) == spec.num_levels ** 2
