@@ -64,7 +64,6 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentReport,
     NormalityReport,
-    dump_trials,
     markov_check,
     normality_fraction,
     run_experiment,

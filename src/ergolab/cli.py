@@ -11,6 +11,7 @@ JSON is the source of truth and columnar dumps serve external plotters.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -51,6 +52,10 @@ MIN_PRECISION_BITS = 53
 
 LOG_BASES = {"e": math.e, "10": 10.0}
 
+# Most digits of an integer flag.  Every integer flag is written into the
+# JSON report, and Python converts at most 4300 digits of an int to text.
+MAX_INT_DIGITS = 4300
+
 
 # Rows of a large array formatted at a time.
 WRITE_ROWS = 4096
@@ -79,10 +84,17 @@ def _write_output(doc: dict, out: str | None) -> None:
     parts: list = []
     _layout(doc, 0, parts)
     parts.append(("\n",))
-    fh = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+    _write(itertools.chain.from_iterable(parts), out)
+
+
+def _write(chunks, path: str | None) -> None:
+    """Write the strings ``chunks`` to ``path`` (stdout when None) in
+    writes of about WRITE_CHARS characters.  Every report and dump the
+    program writes goes through here."""
+    fh = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     try:
         pending, size = [], 0
-        for chunk in itertools.chain.from_iterable(parts):
+        for chunk in chunks:
             pending.append(chunk)
             size += len(chunk)
             if size >= WRITE_CHARS:
@@ -90,8 +102,17 @@ def _write_output(doc: dict, out: str | None) -> None:
                 pending, size = [], 0
         fh.write("".join(pending))
     finally:
-        if out is not None:
+        if path is not None:
             fh.close()
+
+
+def _rows(template: str, rows: np.ndarray):
+    """``template`` filled in turn with each row of a 2-D array, as chunks
+    of WRITE_ROWS rows."""
+    for start in range(0, len(rows), WRITE_ROWS):
+        chunk = rows[start:start + WRITE_ROWS]
+        # %r of the Python numbers .tolist() gives is their JSON text.
+        yield template * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _layout(value, level: int, parts: list) -> None:
@@ -125,11 +146,9 @@ def _array_chunks(array: np.ndarray, level: int):
     else:
         row = (row_pad + "[" + ",".join([row_pad + "  %r"] * array.shape[1])
                + row_pad + "]")
-    for start in range(0, len(array), WRITE_ROWS):
-        chunk = array[start:start + WRITE_ROWS]
-        # %r of the Python numbers .tolist() gives is their JSON text.
-        yield ("," if start else "[") + ",".join([row] * len(chunk)) % tuple(
-            chunk.ravel().tolist())
+    chunks = _rows("," + row, array)
+    yield "[" + next(chunks)[1:]
+    yield from chunks
     yield pad + "]"
 
 
@@ -149,22 +168,74 @@ def _class_chunks(classes: spectrum.PairClasses, level: int):
     yield pad[0] + "]"
 
 
+def _trial_chunks(report: montecarlo.ExperimentReport):
+    """The ``--dump-trials`` text: a header, then per trial and cell the
+    deviation, the cell's sufficient-condition threshold and whether the
+    deviation meets it."""
+    yield "trial\tcell\tdeviation\tthreshold\tsufficient\n"
+    thresholds = [c["threshold"] for c in report.cells]
+    # One template row per trial, a line per cell with its threshold written
+    # in; %d writes the integral float columns as integers.
+    template = "".join(f"%d\t{k + 1}\t%r\t{threshold!r}\t%d\n"
+                       for k, threshold in enumerate(thresholds))
+    step = max(1, WRITE_ROWS // len(thresholds))  # WRITE_ROWS lines per chunk
+    for first in range(0, len(report.samples), step):
+        block = report.samples[first:first + step]
+        table = np.empty(block.shape + (3,))
+        table[..., 0] = np.arange(first, first + len(block))[:, None]
+        table[..., 1] = block
+        table[..., 2] = block <= thresholds
+        yield from _rows(template, table.reshape(len(block), -1))
+
+
+def _trajectory_chunks(energies, rotated, dims, span: float, n: int):
+    """The ``--dump-trajectory`` text: a header, then tau and every cell's
+    weight at ``n`` times spread over ``span``, a GRID_SLICE slice of times
+    per chunk, so that memory stays flat."""
+    yield "tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"
+    row = "\t".join(["%r"] * (len(dims) + 1)) + "\n"
+    for j in range(0, n, dynamics.GRID_SLICE):
+        taus = span * np.arange(j, min(j + dynamics.GRID_SLICE, n)) / n
+        weights = dynamics.trajectory_weights(energies, rotated, dims, taus)
+        yield from _rows(row, np.column_stack([taus, weights]))
+
+
 def _parse_big_int(text: str) -> int:
-    """Integer with power notation: 123, 2^100, 10^22, or 1e8 (if exact)."""
+    """Integer with power notation: 123, 2^100, 10^22, or 1e8 (if exact),
+    of at most MAX_INT_DIGITS digits.  A longer power is refused before it
+    is formed."""
     text = text.strip().replace("_", "")
+    invalid = argparse.ArgumentTypeError(
+        f"{text!r} is not an integer of at most {MAX_INT_DIGITS} digits")
     if "^" in text:
         base, _, exponent = text.partition("^")
-        power = int(exponent)
+        base, power = int(base), int(exponent)
         if power < 0:
             raise argparse.ArgumentTypeError(f"{text!r} has a negative exponent")
-        return int(base) ** power
-    if "e" in text.lower():
+        # An int compared with a float, so that no huge power overflows.
+        if abs(base) > 1 and power > (MAX_INT_DIGITS + 1) / math.log10(abs(base)):
+            raise invalid
+        value = base ** power
+    elif "e" in text.lower():
         mantissa, _, exponent = text.lower().partition("e")
-        value = Fraction(mantissa) * Fraction(10) ** int(exponent)
+        power = int(exponent)
+        # A nonzero mantissa of n characters lies within a factor 10^n of 1,
+        # so beyond this power the value is too long or not an integer (a
+        # zero mantissa is refused there too).
+        if abs(power) > MAX_INT_DIGITS + len(mantissa):
+            raise invalid
+        try:
+            value = Fraction(mantissa) * Fraction(10) ** power
+        except ZeroDivisionError:  # a mantissa such as 1/0
+            raise invalid from None
         if value.denominator != 1:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an exact integer")
-        return value.numerator
-    return int(text)
+            raise invalid
+        value = value.numerator
+    else:
+        value = int(text)
+    if abs(value) >= 10 ** MAX_INT_DIGITS:
+        raise invalid
+    return value
 
 
 def _seed(text: str) -> int:
@@ -217,8 +288,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     dim, rank, samples = args.dim, args.rank, args.samples
-    if not 1 <= rank <= dim:
-        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     if samples < 2:
         raise ValueError(f"--samples must be at least 2 for a standard error, got {samples}")
     for flag, value, limit in [("--samples", samples, MAX_LEMMA_SAMPLES),
@@ -252,7 +321,7 @@ def cmd_verify_lemmas(args) -> int:
         block_gate = {"applicable": applicable, "pass": None}
         if applicable and gated:
             block_gate["pass"] = all(
-                rec["estimate"] <= rec["threshold"] + 5 * rec["stderr"]
+                rec["estimate"] <= rec["threshold"] + randomness.GATE_SIGMA * rec["stderr"]
                 for rec in (block_stats["max_offdiag"], block_stats["max_diag_dev"])
             )
     else:
@@ -384,18 +453,8 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        # Columnar text for external plotters, one slice of times at a time.
-        n = args.grid_points
-        coord_energies = dynamics.coordinate_energies(spec)
-        row = "\t".join(["%r"] * (len(dims) + 1)) + "\n"
-        with open(args.dump_trajectory, "w", encoding="utf-8") as fh:
-            fh.write("tau\t" + "\t".join(
-                f"cell_{k + 1}" for k in range(len(dims))) + "\n")
-            for j in range(0, n, dynamics.GRID_SLICE):
-                taus = span * np.arange(j, min(j + dynamics.GRID_SLICE, n)) / n
-                weights = dynamics.trajectory_weights(coord_energies, rotated, dims, taus)
-                fh.write(row * len(taus) % tuple(
-                    np.column_stack([taus, weights]).ravel().tolist()))
+        _write(_trajectory_chunks(dynamics.coordinate_energies(spec), rotated, dims,
+                                  span, args.grid_points), args.dump_trajectory)
     return 0 if all_ok else 1
 
 
@@ -562,11 +621,14 @@ def cmd_run(args) -> int:
     }
     _write_output(out_doc, args.out)
     if args.dump_trials is not None:
-        montecarlo.dump_trials(report, args.dump_trials)
+        _write(_trial_chunks(report), args.dump_trials)
     return 0 if all(gates.values()) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: building takes longer
+    than parsing a command, and importing the module should not pay for it."""
     parser = argparse.ArgumentParser(
         prog="ergolab",
         description=(
@@ -636,8 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -54,6 +54,7 @@ from .randomness import (
     DEFAULT_SEED,
     ginibre_matrix,
     haar_from_ginibre,
+    mean_stderr,
     sample_random_state,
     substream,
 )
@@ -78,7 +79,6 @@ __all__ = [
     "markov_check",
     "normality_fraction",
     "wilson_interval",
-    "dump_trials",
 ]
 
 # Numerical slack for the per-trial inequality chain.
@@ -140,6 +140,13 @@ class ExperimentConfig:
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if int(self.grid_points) < 1:
             raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
+        try:
+            self.threshold(self.dims[0])
+        except OverflowError:
+            raise ValueError(
+                f"epsilon {self.params.epsilon} overflows the sufficient-condition "
+                f"threshold delta' (epsilon/M)^2 d/D"
+            ) from None
 
     @property
     def dim_total(self) -> int:
@@ -328,8 +335,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cells = []
     for k, rank in enumerate(config.dims):
         col = totals[:, k]
-        mean = float(col.mean())
-        stderr = float(col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
+        mean, stderr = mean_stderr(col)
         threshold = config.threshold(rank)
         bound = mean_deviation_bound(config.dim_total, rank, d_f, config.log_base)
         cells.append({
@@ -346,9 +352,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         })
 
     pooled = totals.ravel()
+    mean, stderr = mean_stderr(pooled)
     overall = {
-        "mean": float(pooled.mean()),
-        "stderr": float(pooled.std(ddof=1) / math.sqrt(pooled.size)) if pooled.size > 1 else 0.0,
+        "mean": mean,
+        "stderr": stderr,
         "max": float(pooled.max()),
         "min": float(pooled.min()),
     }
@@ -419,15 +426,3 @@ def normality_fraction(config: ExperimentConfig) -> NormalityReport:
     """
     return run_experiment(replace(config, normality=True)).normality
 
-
-def dump_trials(report: ExperimentReport, path) -> None:
-    """Columnar per-trial dump: trial, cell, deviation, threshold, flag."""
-    thresholds = [c["threshold"] for c in report.cells]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trial\tcell\tdeviation\tthreshold\tsufficient\n")
-        for t, row in enumerate(report.samples):
-            for k, value in enumerate(row):
-                fh.write(
-                    f"{t}\t{k + 1}\t{float(value)!r}\t{float(thresholds[k])!r}\t"
-                    f"{int(value <= thresholds[k])}\n"
-                )

@@ -36,6 +36,8 @@ __all__ = [
     "Decomposition",
     "coordinate_projection",
     "sample_decomposition",
+    "GATE_SIGMA",
+    "mean_stderr",
     "state_weight_statistics",
     "hypersphere_moments",
     "unitary_block_statistics",
@@ -45,6 +47,10 @@ DEFAULT_SEED = 12345
 
 # Orthonormality / completeness tolerance for projection cells.
 ORTHO_TOL = 1e-10
+
+# Standard errors an estimate may sit from its exact target before a gate
+# fails (see the module docstring).
+GATE_SIGMA = 5
 
 # Internal batch size for vectorized moment estimation; fixed so that a
 # given seed always consumes the generator in the same order.
@@ -194,15 +200,19 @@ def sample_decomposition(dims, rng: np.random.Generator) -> Decomposition:
     return Decomposition(cells=tuple(cells))
 
 
-def _mean_record(samples: np.ndarray, target: float) -> dict:
+def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of one sample is 0.0."""
     n = samples.size
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n))
+    stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(samples.mean()), stderr
+
+
+def _record(estimate: float, stderr: float, target: float) -> dict:
     return {
-        "estimate": est,
-        "stderr": se,
+        "estimate": estimate,
+        "stderr": stderr,
         "target": float(target),
-        "pass": abs(est - target) <= 5 * se,
+        "pass": abs(estimate - target) <= GATE_SIGMA * stderr,
     }
 
 
@@ -212,13 +222,7 @@ def _variance_record(samples: np.ndarray, target: float) -> dict:
     centered = samples - samples.mean()
     v = float(np.sum(centered**2) / (n - 1))
     m4 = float(np.mean(centered**4))
-    se = math.sqrt(max(m4 - v * v, 0.0) / n)
-    return {
-        "estimate": v,
-        "stderr": se,
-        "target": float(target),
-        "pass": abs(v - target) <= 5 * se,
-    }
+    return _record(v, math.sqrt(max(m4 - v * v, 0.0) / n), target)
 
 
 def _covariance_record(a: np.ndarray, b: np.ndarray, target: float) -> dict:
@@ -227,13 +231,25 @@ def _covariance_record(a: np.ndarray, b: np.ndarray, target: float) -> dict:
     db = b - b.mean()
     c = float(np.sum(da * db) / (n - 1))
     m22 = float(np.mean(da**2 * db**2))
-    se = math.sqrt(max(m22 - c * c, 0.0) / n)
-    return {
-        "estimate": c,
-        "stderr": se,
-        "target": float(target),
-        "pass": abs(c - target) <= 5 * se,
-    }
+    return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
+
+
+def _gaussian_batches(dim: int, samples: int, rng: np.random.Generator):
+    """``(rows, z)`` pairs: the complex Gaussian D-vectors ``z`` of samples
+    ``rows``, drawn _BATCH at a time as :func:`sample_random_state` draws
+    them, real parts first.  ``z`` is one buffer, refilled in place for
+    every batch so that drawing allocates nothing per batch; a caller reads
+    it before taking the next.  At least two samples are needed for a
+    standard error."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+    z = np.empty((min(_BATCH, samples), dim), dtype=complex)
+    part = np.empty(z.shape)
+    for done in range(0, samples, _BATCH):
+        k = min(_BATCH, samples - done)
+        z.real[:k] = rng.standard_normal(out=part[:k])
+        z.imag[:k] = rng.standard_normal(out=part[:k])
+        yield slice(done, done + k), z[:k]
 
 
 def state_weight_statistics(
@@ -243,26 +259,21 @@ def state_weight_statistics(
 
     The projection is taken on the first ``rank`` coordinates; by unitary
     invariance of the state distribution this loses no generality.  Targets
-    are d/D and (1/d)(d/D)^2 (D-d)/(D+1).
+    are d/D and (1/d)(d/D)^2 (D-d)/(D+1).  Needs at least two samples.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    samples = int(samples)
     w = np.empty(samples)
-    done = 0
-    while done < samples:
-        k = min(_BATCH, samples - done)
-        z = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+    for rows, z in _gaussian_batches(dim, samples, rng):
         z2 = np.abs(z) ** 2
-        w[done:done + k] = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
-        done += k
+        w[rows] = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
     frac = rank / dim
     var_target = (1 / rank) * frac**2 * (dim - rank) / (dim + 1)
     return {
         "dim": dim,
         "rank": rank,
         "samples": samples,
-        "mean": _mean_record(w, frac),
+        "mean": _record(*mean_stderr(w), frac),
         "variance": _variance_record(w, var_target),
     }
 
@@ -276,29 +287,25 @@ def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dic
     moduli of complex coefficients, i.e. sums of two sphere coordinates:
     these are the variables whose D-term decomposition reproduces the
     variance of a rank-d cell weight, with targets (D-1)/(D^2 (D+1)) and,
-    between two distinct coefficients, -1/(D^2 (D+1)).
+    between two distinct coefficients, -1/(D^2 (D+1)).  Needs at least two
+    samples.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    samples = int(samples)
-    x2 = np.empty(samples)   # squared real part of coefficient 0
-    m0 = np.empty(samples)   # squared modulus of coefficient 0
-    m1 = np.empty(samples)   # squared modulus of coefficient 1
-    done = 0
-    while done < samples:
-        k = min(_BATCH, samples - done)
-        z = sample_random_state(dim, rng, size=k)
-        x2[done:done + k] = z[:, 0].real ** 2
-        m0[done:done + k] = np.abs(z[:, 0]) ** 2
-        m1[done:done + k] = np.abs(z[:, min(1, dim - 1)]) ** 2
-        done += k
+    # Squared real part and squared modulus of coefficient 0, squared
+    # modulus of coefficient 1; only these two coefficients are normalized.
+    x2, m0, m1 = np.empty((3, samples))
+    for rows, z in _gaussian_batches(dim, samples, rng):
+        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
+        x2[rows] = c[:, 0].real ** 2
+        m0[rows], m1[rows] = np.abs(c[:, 0]) ** 2, np.abs(c[:, 1]) ** 2
     mean_target = 1 / (2 * dim)
     var_target = (dim - 1) / (dim**2 * (dim + 1))
     cov_target = -1 / (dim**2 * (dim + 1))
     out = {
         "dim": dim,
         "samples": samples,
-        "mean": _mean_record(x2, mean_target),
+        "mean": _record(*mean_stderr(x2), mean_target),
         "variance": _variance_record(m0, var_target),
     }
     if dim >= 2:
@@ -334,18 +341,15 @@ def unitary_block_statistics(
         max_off[t] = (np.abs(w) ** 2)[offdiag_mask].max()
         max_diag[t] = ((w.diagonal().real - frac) ** 2).max()
     log_dim = math.log(dim)
+
+    def record(samples, threshold):
+        estimate, stderr = mean_stderr(samples)
+        return {"estimate": estimate, "stderr": stderr, "threshold": threshold}
+
     return {
         "dim": dim,
         "rank": rank,
         "ensemble": ensemble,
-        "max_offdiag": {
-            "estimate": float(max_off.mean()),
-            "stderr": float(max_off.std(ddof=1) / math.sqrt(ensemble)) if ensemble > 1 else 0.0,
-            "threshold": log_dim / dim,
-        },
-        "max_diag_dev": {
-            "estimate": float(max_diag.mean()),
-            "stderr": float(max_diag.std(ddof=1) / math.sqrt(ensemble)) if ensemble > 1 else 0.0,
-            "threshold": 9 * rank * log_dim / dim**2,
-        },
+        "max_offdiag": record(max_off, log_dim / dim),
+        "max_diag_dev": record(max_diag, 9 * rank * log_dim / dim**2),
     }

@@ -291,10 +291,13 @@ def _as_fraction(value: Any, snap_denominator: int | None) -> tuple[Fraction, bo
             raise SpectrumError(
                 f"float energy {value!r} requires an explicit snap denominator"
             )
-        q = int(snap_denominator)
-        if q < 1:
-            raise SpectrumError(f"snap denominator must be positive, got {q}")
-        return Fraction(round(value * q), q), True
+        try:
+            numerator = round(value * snap_denominator)
+        except (OverflowError, ValueError):  # the product is infinite or NaN
+            raise SpectrumError(
+                f"float energy {value!r} times the snap denominator "
+                f"{snap_denominator} is not a finite float") from None
+        return Fraction(numerator, snap_denominator), True
     raise SpectrumError(f"malformed energy value {value!r}")
 
 
@@ -308,6 +311,10 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
     snapped to the nearest multiple of ``1/snap_denominator`` and the
     resulting spectrum is flagged ``approximate``.
     """
+    if snap_denominator is not None:
+        snap_denominator = int(snap_denominator)
+        if snap_denominator < 1:
+            raise SpectrumError(f"snap denominator must be positive, got {snap_denominator}")
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)

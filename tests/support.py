@@ -24,7 +24,9 @@ from ergolab import (
     substream,
     sum_structure,
     time_fraction_normal,
+    trajectory_weights,
 )
+from ergolab.dynamics import GRID_SLICE
 
 
 def brute_max_gap_degeneracy(energies) -> int:
@@ -238,3 +240,30 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
             direct += ok_direct
             violations += ok_sufficient and not ok_direct
     return EnsembleReference(totals, chain, sufficient, direct, violations)
+
+
+def trial_dump_reference(report) -> str:
+    """The ``run --dump-trials`` text, written a line at a time: trial, cell,
+    deviation, threshold and sufficient flag per trial and cell."""
+    thresholds = [c["threshold"] for c in report.cells]
+    lines = ["trial\tcell\tdeviation\tthreshold\tsufficient\n"]
+    for t, row in enumerate(report.samples):
+        for k, value in enumerate(row):
+            lines.append(f"{t}\t{k + 1}\t{float(value)!r}\t{float(thresholds[k])!r}\t"
+                         f"{int(value <= thresholds[k])}\n")
+    return "".join(lines)
+
+
+def trajectory_dump_reference(energies, rotated, dims, span, n) -> str:
+    """The ``compute-l --dump-trajectory`` text, written a line at a time:
+    tau and every cell's weight at ``n`` times spread over ``span``.  The
+    weights are evaluated in slices of GRID_SLICE times, as the program
+    evaluates them, since BLAS may round a product of another shape
+    differently."""
+    lines = ["tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"]
+    for j in range(0, n, GRID_SLICE):
+        taus = span * np.arange(j, min(j + GRID_SLICE, n)) / n
+        weights = trajectory_weights(energies, rotated, dims, taus)
+        for tau, row in zip(taus.tolist(), weights.tolist()):
+            lines.append("\t".join(repr(x) for x in [tau, *row]) + "\n")
+    return "".join(lines)

@@ -8,11 +8,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
     cell_weight,
+    cli,
     deviation_exact,
     dynamics,
     evolve,
@@ -502,6 +503,125 @@ class TestVerifyLemmasFuzz:
         if out:  # with a report, stderr carries only its warnings
             assert json.loads(out)["pass"] is (code == 0)
             assert all(line.startswith("warning: ") for line in err.splitlines()), err
+
+
+# Energies of every JSON type: exact values, floats (NaN and infinities
+# included, which json.dumps writes as the literals NaN and Infinity) and
+# malformed ones.
+_ENERGY = st.one_of(
+    st.integers(-10, 10),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).map(str),
+    st.floats(),
+    st.sampled_from(["x", "1/0", "", None, True, [1]]),
+)
+
+
+class TestAnalyzeFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        levels=st.lists(st.tuples(_ENERGY, _mostly(st.integers(1, 3), st.sampled_from(
+            [0, -1, 1.5, True, "2"]), required=True)), max_size=5),
+        snap=_mostly(st.integers(1, 1000).map(str),
+                     st.sampled_from(["0", "-5", "x", "1.5", "1" + "0" * 400])),
+    )
+    @example(levels=[(1e308, 1), (0, 1)], snap="10")
+    @example(levels=[(math.inf, 1), (0, 1)], snap="10")
+    @example(levels=[(0, 1), (1, 1)], snap="-5")
+    def test_input_ends_in_json_or_one_error_line(self, tmp_path_factory, levels, snap):
+        path = tmp_path_factory.getbasetemp() / "fuzz-spectrum.json"
+        path.write_text(json.dumps({"levels": [{"energy": e, "degeneracy": d}
+                                               for e, d in levels]}))
+        code, out, err = run_fuzz_case(_with_flags(["analyze", str(path)],
+                                                   [("--snap-denominator", snap)]))
+        if out:
+            assert code == 0 and err == ""
+            assert snap is None or int(snap) >= 1
+
+
+_FUZZ_SPECTRUM = {"levels": [{"energy": k, "degeneracy": 1} for k in range(4)]}
+
+
+class TestRunConfigFuzz:
+    # Trial counts and grids stay small, so that every case runs quickly.
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        spectrum=_mostly(st.just(_FUZZ_SPECTRUM), st.sampled_from([
+            {"levels": []}, 3, {"levels": [{"energy": 1e308, "degeneracy": 4}]}]),
+            required=True),
+        dims=_mostly(st.sampled_from([[2, 2], [1, 3], [4], [1, 1, 1, 1]]),
+                     st.lists(st.one_of(st.integers(-1, 4), st.sampled_from([1.0, "2"])),
+                              max_size=3), required=True),
+        params=st.dictionaries(
+            st.sampled_from(["epsilon", "delta", "delta_prime", "constant", "other"]),
+            _mostly(st.floats(0.1, 1), st.one_of(st.floats(), st.sampled_from(
+                [1e308, -1, 0, "1", True])), required=True),
+            max_size=3),
+        state=_mostly(st.sampled_from(["uniform", "haar-fixed", "haar-per-trial"]),
+                      st.sampled_from(["other", 3, {"amplitudes": [[1, 0]]}, {"other": 1},
+                                       {"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}])),
+        trials=_mostly(st.integers(1, 4), st.sampled_from([0, -1, 2.5, "3", True]),
+                       required=True),
+        seed=_mostly(st.integers(0, 2**70), st.sampled_from([-1, 1.5, "1"])),
+        grid_points=_mostly(st.integers(1, 40), st.sampled_from([0, -3, 2.5]),
+                            required=True),
+        normality=_mostly(st.booleans(), st.sampled_from(["no", 1])),
+        markov_threshold=_mostly(st.floats(1e-3, 1), st.one_of(
+            st.floats(), st.sampled_from([0, -1, "x"]))),
+        log_base=_mostly(st.sampled_from(["e", "10"]), st.sampled_from([10, "2"])),
+    )
+    @example(spectrum=_FUZZ_SPECTRUM, dims=[2, 2], params={"epsilon": 1e308},
+             state=None, trials=2, seed=None, grid_points=10, normality=None,
+             markov_threshold=None, log_base=None)
+    def test_config_ends_in_json_or_one_error_line(self, tmp_path_factory, **doc):
+        # None stands for an absent key.
+        path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        code, out, err = run_fuzz_case(["run", str(path)])
+        if out:
+            assert err == "" and json.loads(out)["pass"] is (code == 0)
+
+
+class TestBigIntFlags:
+    """Every integer flag is written into the report, where Python writes at
+    most 4300 digits of an int; longer values are refused before any power
+    is formed."""
+
+    @pytest.mark.parametrize("value", [
+        "2^15000", "10^30000000", "2^1" + "0" * 400, "1e4301", "1e" + "9" * 400,
+        "1e-30000000", "1/0e3",
+    ], ids=["2^15000", "10^30000000", "2^1e400", "1e4301", "1e(400 nines)",
+            "1e-30000000", "1/0e3"])
+    def test_too_long_rejected_at_parse_time(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-theorem", "--dim", value, "--rank", "1", "--cells", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"error: argument --dim: {value!r} is not an integer of at most "
+                "4300 digits") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value, digits", [("2^14000", 4215), ("9e4299", 4300)])
+    def test_longest_values_still_reported(self, tmp_path, value, digits):
+        out = tmp_path / "t.json"
+        assert main(["check-theorem", "--dim", value, "--rank", "2^100",
+                     "--cells", "2", "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert len(str(json.load(fh)["D"])) == digits
+
+
+class TestParser:
+    def test_built_once_and_reused_after_a_usage_error(self, tmp_path):
+        cli.build_parser.cache_clear()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["check-theorem", "--dim", "16", "--rank", "8", "--cells", "2"]
+        assert main(argv + ["--epsilon", "3", "--out", str(first)]) == 0
+        with pytest.raises(SystemExit) as exc:  # parsed --epsilon, then failed
+            main(argv + ["--epsilon", "0.5", "--margin", "x"])
+        assert exc.value.code == 2
+        assert main(argv + ["--out", str(second)]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert load(first)["epsilon"] == 3.0
+        assert load(second)["epsilon"] == 1.0  # the default, not a leftover
 
 
 class TestCheckTheorem:

@@ -12,7 +12,6 @@ from ergolab import (
     ExperimentReport,
     Spectrum,
     TheoremParams,
-    dump_trials,
     markov_check,
     normality_fraction,
     run_experiment,
@@ -113,15 +112,6 @@ class TestRunExperiment:
             assert typicality.sufficient_condition(threshold, cfg.params, rank, cfg.dim_total)
             above = float(np.nextafter(threshold, np.inf))
             assert not typicality.sufficient_condition(above, cfg.params, rank, cfg.dim_total)
-
-    def test_per_trial_dump(self, tmp_path):
-        report = run_experiment(make_config(trials=5))
-        path = tmp_path / "trials.tsv"
-        dump_trials(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split("\t") == ["trial", "cell", "deviation",
-                                        "threshold", "sufficient"]
-        assert len(lines) == 1 + 5 * 2
 
 
 class TestMarkovCheck:

@@ -17,7 +17,7 @@ from ergolab import (
     substream,
     unitary_block_statistics,
 )
-from ergolab.randomness import ginibre_matrix, haar_from_ginibre
+from ergolab.randomness import ginibre_matrix, haar_from_ginibre, mean_stderr
 
 
 class TestSubstream:
@@ -151,12 +151,44 @@ class TestWeightStatistics:
             state_weight_statistics(4, 5, 100, substream(6, 2))
 
 
+class TestMomentSampleCounts:
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            state_weight_statistics(8, 2, samples, substream(6, 3))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            hypersphere_moments(8, samples, substream(7, 2))
+
+    def test_mean_stderr(self):
+        assert mean_stderr(np.array([0.25])) == (0.25, 0.0)
+        mean, stderr = mean_stderr(np.array([1.0, 2.0, 4.0]))
+        assert mean == pytest.approx(7 / 3)
+        assert stderr == pytest.approx(math.sqrt(7 / 3 / 3))
+
+
 class TestHypersphereMoments:
     def test_targets(self):
         stats = hypersphere_moments(50, 1000, substream(7, 0))
         assert stats["mean"]["target"] == pytest.approx(0.01)
         assert stats["variance"]["target"] == pytest.approx(49 / 127500)
         assert stats["covariance"]["target"] == pytest.approx(-1 / 127500)
+
+    @pytest.mark.parametrize("dim, samples", [(1, 5), (2, 4097), (9, 9000)])
+    def test_moments_of_whole_normalized_states(self, dim, samples):
+        # The sampler normalizes the two coefficients it reads; normalizing
+        # whole states, batch by batch, gives the same values to the bit.
+        rng = substream(7, 3)
+        z = np.concatenate([sample_random_state(dim, rng, size=min(4096, samples - done))
+                            for done in range(0, samples, 4096)])
+        x2 = z[:, 0].real ** 2
+        m0, m1 = np.abs(z[:, 0]) ** 2, np.abs(z[:, min(1, dim - 1)]) ** 2
+        stats = hypersphere_moments(dim, samples, substream(7, 3))
+        assert stats["mean"]["estimate"] == float(x2.mean())
+        centered = m0 - m0.mean()
+        assert stats["variance"]["estimate"] == float(np.sum(centered**2) / (samples - 1))
+        if dim >= 2:
+            c = float(np.sum(centered * (m1 - m1.mean())) / (samples - 1))
+            assert stats["covariance"]["estimate"] == c
 
     def test_gates_at_moderate_samples(self):
         stats = hypersphere_moments(50, 20_000, substream(7, 1))

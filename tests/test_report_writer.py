@@ -1,4 +1,5 @@
-"""The report writer: what it streams equals json.dump(indent=2, sort_keys=True)."""
+"""The report writer: what it streams equals json.dump(indent=2, sort_keys=True),
+and the dumps it writes equal the line-by-line reference writers."""
 
 import io
 import json
@@ -15,7 +16,11 @@ from hypothesis.extra import numpy as hnp
 from ergolab import Spectrum, cli, montecarlo
 from ergolab.cli import main
 
-from support import structure_report_reference
+from support import (
+    structure_report_reference,
+    trajectory_dump_reference,
+    trial_dump_reference,
+)
 
 
 def stdlib_text(doc) -> str:
@@ -121,6 +126,56 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: Out of range float values")
         assert captured.err.count("\n") == 1
+
+
+class TestDumps:
+    """``--dump-trials`` and ``--dump-trajectory`` against the reference
+    writers of tests/support.py, on the inputs the program passed its own."""
+
+    @staticmethod
+    def trial_dump(tmp_path, argv) -> tuple[str, str]:
+        dump = tmp_path / "trials.tsv"
+        with mock.patch.object(cli, "_trial_chunks", wraps=cli._trial_chunks) as spy:
+            assert main(argv + ["--out", str(tmp_path / "report.json"),
+                                "--dump-trials", str(dump)]) == 0
+        return dump.read_text(), trial_dump_reference(*spy.call_args.args)
+
+    @staticmethod
+    def trajectory_dump(tmp_path, argv) -> tuple[str, str]:
+        dump = tmp_path / "trajectory.tsv"
+        with mock.patch.object(cli, "_trajectory_chunks",
+                               wraps=cli._trajectory_chunks) as spy:
+            assert main(argv + ["--out", str(tmp_path / "report.json"),
+                                "--dump-trajectory", str(dump)]) == 0
+        return dump.read_text(), trajectory_dump_reference(*spy.call_args.args)
+
+    def test_100000_trial_dump_matches_the_reference_writer(self, tmp_path):
+        # the benchmark's ensemble-small cells, 100 000 trials x 4 cells
+        cfg = run_config(tmp_path / "config.json", dims=[2, 2, 2, 2], trials=100_000,
+                         state="uniform", normality=False)
+        text, want = self.trial_dump(tmp_path, ["run", cfg])
+        assert len(text.splitlines()) == 1 + 400_000 and text == want
+
+    def test_100000_row_trajectory_dump_matches_the_reference_writer(self, tmp_path):
+        spectrum = write_json(tmp_path / "spectrum.json", {"levels": [
+            {"energy": e, "degeneracy": d} for e, d in [(0, 2), ("1/3", 1), ("1/2", 2),
+                                                         ("7/4", 1)]]})
+        text, want = self.trajectory_dump(tmp_path, [
+            "compute-l", spectrum, "--dims", "3,3", "--seed", "7",
+            "--grid-points", "100000", "--periods", "1.5"])
+        assert len(text.splitlines()) == 1 + 100_000 and text == want
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, cli.WRITE_ROWS])
+    def test_chunk_boundaries_change_no_byte(self, tmp_path, rows):
+        cfg = run_config(tmp_path / "config.json", trials=7)
+        spectrum = write_json(tmp_path / "spectrum.json", {"levels": [
+            {"energy": k, "degeneracy": 1} for k in range(5)]})
+        with mock.patch.object(cli, "WRITE_ROWS", rows):
+            for text, want in [self.trial_dump(tmp_path, ["run", cfg]),
+                               self.trajectory_dump(tmp_path, [
+                                   "compute-l", spectrum, "--dims", "2,3",
+                                   "--grid-points", "300"])]:
+                assert text == want
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
