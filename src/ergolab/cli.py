@@ -52,9 +52,13 @@ MIN_PRECISION_BITS = 53
 
 LOG_BASES = {"e": math.e, "10": 10.0}
 
-# Most digits of an integer flag.  Every integer flag is written into the
-# JSON report, and Python converts at most 4300 digits of an int to text.
-MAX_INT_DIGITS = 4300
+# Most digits of an integer flag (every integer flag is written into the
+# JSON report), and the least integer with more.
+MAX_INT_DIGITS = spectrum.MAX_DIGITS
+INT_LIMIT = 10 ** MAX_INT_DIGITS
+
+# The encoder of every report value that is not formatted in chunks.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 # Rows of a large array formatted at a time.
@@ -73,7 +77,8 @@ def _write_output(doc: dict, out: str | None) -> None:
     """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True,
     allow_nan=False)`` plus a newline would, in pieces.
 
-    Small values go through ``json.dumps``.  The two large parts of a
+    Every other value goes through one shared encoder, a whole dict in
+    one call when it holds neither large part.  The two large parts of a
     report, a 2-D float array (``run``'s trial totals) and
     :class:`~ergolab.spectrum.PairClasses` (``analyze``'s gap and sum
     tables), are formatted in chunks in that same layout, so no nested
@@ -118,10 +123,10 @@ def _rows(template: str, rows: np.ndarray):
 def _layout(value, level: int, parts: list) -> None:
     """Append the JSON text of ``value``, nested ``level`` deep, to ``parts``
     as iterables of strings: the large parts as chunk generators."""
-    if isinstance(value, dict) and value:
+    if isinstance(value, dict) and _chunked(value):
         for i, key in enumerate(sorted(value)):
             parts.append((("," if i else "{") + "\n" + "  " * (level + 1)
-                          + json.dumps(key) + ": ",))
+                          + _ENCODER.encode(key) + ": ",))
             _layout(value[key], level + 1, parts)
         parts.append(("\n" + "  " * level + "}",))
     elif isinstance(value, np.ndarray):
@@ -131,8 +136,15 @@ def _layout(value, level: int, parts: list) -> None:
     elif isinstance(value, spectrum.PairClasses):
         parts.append(_class_chunks(value, level))
     else:
-        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-        parts.append((text.replace("\n", "\n" + "  " * level),))
+        parts.append((_ENCODER.encode(value).replace("\n", "\n" + "  " * level),))
+
+
+def _chunked(value) -> bool:
+    """Whether ``value`` holds, at any depth of dicts, a value that
+    :func:`_layout` formats in chunks."""
+    if isinstance(value, dict):
+        return any(_chunked(v) for v in value.values())
+    return isinstance(value, (np.ndarray, spectrum.PairClasses))
 
 
 def _array_chunks(array: np.ndarray, level: int):
@@ -233,7 +245,7 @@ def _parse_big_int(text: str) -> int:
         value = value.numerator
     else:
         value = int(text)
-    if abs(value) >= 10 ** MAX_INT_DIGITS:
+    if abs(value) >= INT_LIMIT:
         raise invalid
     return value
 
@@ -394,15 +406,18 @@ def cmd_compute_l(args) -> int:
             ) from None
         if span == math.inf:
             raise ValueError(f"--periods {args.periods} overflows the dump's time span")
-    energies = dynamics.coordinate_energies(ispec)
     spread = int(ispec.spread)
-    grid = 4 * spread + 1
+    # (w - d/D)^2 has integer frequencies up to twice the spread.
+    max_frequency = 2 * spread
+    grid = dynamics.exact_grid_points(max_frequency)
     oracle_note = None
     if grid > MAX_ORACLE_GRID:
         oracle_note = (
             f"oracle skipped: rescaled spectral spread {spread} needs a "
             f"{grid}-point grid (limit {MAX_ORACLE_GRID})"
         )
+    else:
+        phases = dynamics.grid_phases(ispec, grid)
 
     cell_records = []
     blocks = np.split(rotated, np.cumsum(dims)[:-1], axis=-1)
@@ -422,10 +437,10 @@ def cmd_compute_l(args) -> int:
         if oracle_note is None:
             frac = rank / spec.dim_total
             oracle = dynamics.discrete_time_average(
-                lambda taus: (dynamics.trajectory_weights(
-                    energies, columns, [rank], taus)[:, 0] - frac) ** 2,
+                lambda taus: (dynamics.evolved_weights(
+                    phases.at(taus), columns, [rank])[:, 0] - frac) ** 2,
                 ispec,
-                2 * spread,
+                max_frequency,
             )
             residual = abs(oracle - record["total"])
             record["oracle"] = {
@@ -453,8 +468,10 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        _write(_trajectory_chunks(dynamics.coordinate_energies(spec), rotated, dims,
-                                  span, args.grid_points), args.dump_trajectory)
+        # Energies from the lowest level: an offset is only a global phase.
+        energies = dynamics.coordinate_energies(spec, origin=spec.energies[0])
+        _write(_trajectory_chunks(energies, rotated, dims, span, args.grid_points),
+               args.dump_trajectory)
     return 0 if all_ok else 1
 
 

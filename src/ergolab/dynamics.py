@@ -22,6 +22,13 @@ Rational spectra are rescaled to integers first; the rescaling leaves all
 gap and sum collision structure, and hence every time average, unchanged.
 Observables of :func:`discrete_time_average` take slices of GRID_SLICE
 times, so time-grid kernels bound their arrays however long the grid.
+
+On that grid every evolution phase is an N-th root of unity,
+exp(-i E tau_j) = exp(-2*pi*i (E*j mod N)/N).  :func:`grid_phases` forms
+the phases that way: the residues E mod N are taken on the exact integers
+and the N roots are tabulated once, so a phase is as accurate at E = 10^17
+as at E = 1, and a common energy offset stays an exact global phase.
+:func:`time_phases` forms exp(-i E tau) in floats, for times off the grid.
 """
 
 from __future__ import annotations
@@ -50,9 +57,13 @@ __all__ = [
     "shell_overlap_matrix",
     "exact_time_avg_weight",
     "discrete_time_average",
+    "exact_grid_points",
     "integer_rescaled",
     "period_grid",
+    "GridPhases",
+    "grid_phases",
     "time_phases",
+    "evolved_weights",
     "trajectory_weights",
     "normal_time_fractions",
     "time_fraction_normal",
@@ -64,6 +75,14 @@ STATE_NORM_TOL = 1e-10
 # 19 501-point grid at D = 80 (2-core x86-64 VM) ran fastest with 32..128 and
 # kept its peak RSS; slices of 1024 ran slower and cost 2.8 MiB more.
 GRID_SLICE = 128
+
+# Largest grid of grid_phases.  A grid index and a residue are both below N,
+# so their int64 product stays below N^2 <= 2^63 - 1 exactly when N is at
+# most isqrt(2^63 - 1) = 3 037 000 499.
+MAX_PHASE_GRID = math.isqrt(2**63 - 1)
+
+# (-i)^k for k = 0..4: the quarter turns of a root of unity.
+_QUARTER_TURNS = np.array([1, -1j, -1, 1j, 1])
 
 
 @dataclass(eq=False)
@@ -99,9 +118,10 @@ class ShellState:
         return self._coord_energies
 
 
-def coordinate_energies(spec: Spectrum) -> np.ndarray:
-    """Energy of each coordinate of the eigenbasis, as floats."""
-    return np.repeat([float(e) for e in spec.energies], spec.degeneracies)
+def coordinate_energies(spec: Spectrum, origin=0) -> np.ndarray:
+    """Energy of each coordinate of the eigenbasis, measured from ``origin``
+    exactly and then converted to floats."""
+    return np.repeat([float(e - origin) for e in spec.energies], spec.degeneracies)
 
 
 def shell_offsets(spec: Spectrum) -> np.ndarray:
@@ -210,11 +230,17 @@ def discrete_time_average(
             "discrete time averaging is exact only for integer spectra; "
             "rescale rational spectra first"
         )
-    n = 2 * int(max_frequency) + 1
+    n = exact_grid_points(max_frequency)
     taus = period_grid(n)
     return math.fsum(itertools.chain.from_iterable(
         observable(taus[j:j + GRID_SLICE]) for j in range(0, n, GRID_SLICE)
     )) / n
+
+
+def exact_grid_points(max_frequency: int) -> int:
+    """Points of the period grid that :func:`discrete_time_average` averages
+    over for integer frequencies up to ``max_frequency``."""
+    return 2 * int(max_frequency) + 1
 
 
 def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
@@ -232,8 +258,63 @@ def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
 
 def period_grid(grid_points: int) -> np.ndarray:
     """``grid_points`` equally spaced times covering one period 2*pi."""
+    return _grid_times(np.arange(int(grid_points)), grid_points)
+
+
+def _grid_times(indices: np.ndarray, grid_points: int) -> np.ndarray:
+    return 2 * math.pi * indices / int(grid_points)
+
+
+@dataclass(frozen=True, eq=False)
+class GridPhases:
+    """Evolution phases on the N-point period grid of an integer spectrum.
+
+    ``roots[m]`` is exp(-2*pi*i*m/N) and ``residues`` holds each
+    coordinate's energy mod N, so the phase of coordinate c at tau_j is
+    ``roots[(j * residues[c]) % N]``.
+    """
+
+    grid_points: int
+    roots: np.ndarray
+    residues: np.ndarray
+
+    def rows(self, indices) -> np.ndarray:
+        """Phase rows of the grid indices j; shape (len(j), D)."""
+        j = np.asarray(indices, dtype=np.int64)
+        return self.roots[np.multiply.outer(j, self.residues) % self.grid_points]
+
+    def at(self, taus) -> np.ndarray:
+        """Phase rows at times of this grid, as :func:`period_grid` gives
+        them; any other time is a ValueError."""
+        taus = np.asarray(taus, dtype=float)
+        j = np.rint(taus * (self.grid_points / (2 * math.pi))).astype(np.int64)
+        if not np.array_equal(_grid_times(j, self.grid_points), taus):
+            raise ValueError(f"times off the {self.grid_points}-point period grid")
+        return self.rows(j)
+
+
+def grid_phases(spec: Spectrum, grid_points: int) -> GridPhases:
+    """The phases of an integer spectrum on its ``grid_points``-point period
+    grid, exact roots of unity whatever the size of the energies."""
+    if not spec.is_integer:
+        raise ValueError("grid phases need an integer spectrum; rescale rational spectra first")
     n = int(grid_points)
-    return 2 * math.pi * np.arange(n) / n
+    if not 1 <= n <= MAX_PHASE_GRID:
+        raise ValueError(f"a phase grid has 1 to {MAX_PHASE_GRID} points, got {n}")
+    residues = np.repeat(np.array([e.numerator % n for e in spec.energies], dtype=np.int64),
+                         spec.degeneracies)
+    return GridPhases(n, _roots_of_unity(n), residues)
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(-2*pi*i*m/n) for m < n.  The angle is split into k quarter turns,
+    whose phase (-i)^k is exact, and a rest of at most pi/4, so each root
+    is within about an ulp of the exact one (float angles up to 2*pi
+    were off by up to 1.2e-15)."""
+    m = np.arange(n, dtype=np.int64)
+    k = (8 * m + n) // (2 * n)  # the nearest quarter turn, 0..4
+    rest = (math.pi / 2) * ((4 * m - k * n) / n)
+    return np.exp(-1j * rest) * _QUARTER_TURNS[k]
 
 
 def time_phases(coord_energies: np.ndarray, taus) -> np.ndarray:
@@ -241,9 +322,10 @@ def time_phases(coord_energies: np.ndarray, taus) -> np.ndarray:
     return np.exp(-1j * np.outer(np.asarray(taus, dtype=float), coord_energies))
 
 
-def _cell_weights(phases: np.ndarray, rotated: np.ndarray, ranks) -> np.ndarray:
-    """Weights of consecutive column blocks of the given ranks along the
-    time grid: the state is evolved, then projected; shape (..., times, cells).
+def evolved_weights(phases: np.ndarray, rotated: np.ndarray, ranks) -> np.ndarray:
+    """Weights of consecutive column blocks of the given ranks along a
+    time grid whose phase rows are ``phases``: the state is evolved, then
+    projected; shape (..., times, cells).
 
     The squared real and imaginary parts are formed in place, and each
     cell's share is summed by a product with its 0/1 membership column.
@@ -260,7 +342,7 @@ def trajectory_weights(
 ) -> np.ndarray:
     """Weights along a time grid of the cells that are consecutive column
     blocks of ``rotated``, with the given ranks; shape (..., times, cells)."""
-    return _cell_weights(time_phases(coord_energies, taus), rotated, ranks)
+    return evolved_weights(time_phases(coord_energies, taus), rotated, ranks)
 
 
 def normal_time_fractions(
@@ -268,14 +350,15 @@ def normal_time_fractions(
 ) -> np.ndarray:
     """Fraction of the grid times at which every cell weight is near its share.
 
-    ``phases`` comes from :func:`time_phases` on a grid; ``rotated`` from
+    ``phases`` holds the phase rows of the grid times (from
+    :func:`grid_phases` or :func:`time_phases`); ``rotated`` from
     :func:`rotated_amplitudes` on complete bases whose consecutive column
     blocks of the given ranks are the cells.  One fraction per leading index.
     """
     ranks = np.asarray(ranks)
     fracs = ranks / rotated.shape[-2]
     tol = (epsilon / math.sqrt(ranks.size)) * np.sqrt(fracs)
-    deviations = _cell_weights(phases, rotated, ranks)
+    deviations = evolved_weights(phases, rotated, ranks)
     deviations -= fracs
     np.abs(deviations, out=deviations)
     return np.all(deviations <= tol, axis=-1).mean(axis=-1)

@@ -38,16 +38,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
-    coordinate_energies,
+    MAX_PHASE_GRID,
+    grid_phases,
     integer_rescaled,
     normal_time_fractions,
     overlap_matrices,
-    period_grid,
     prepare_state,
     rotated_amplitudes,
     shell_coordinates,
     shell_offsets,
-    time_phases,
     unit_rows,
 )
 from .randomness import (
@@ -138,8 +137,9 @@ class ExperimentConfig:
             if self.amplitudes is None:
                 raise ValueError("explicit state policy needs amplitudes")
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if int(self.grid_points) < 1:
-            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
+        if not 1 <= int(self.grid_points) <= MAX_PHASE_GRID:
+            raise ValueError(
+                f"grid_points must be between 1 and {MAX_PHASE_GRID}, got {self.grid_points}")
         try:
             self.threshold(self.dims[0])
         except OverflowError:
@@ -298,8 +298,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     fixed = _fixed_state(config)
     phases = None
     if config.normality:
-        ispec = integer_rescaled(spec)[0]
-        phases = time_phases(coordinate_energies(ispec), period_grid(config.grid_points))
+        grid = config.grid_points
+        phases = grid_phases(integer_rescaled(spec)[0], grid).rows(np.arange(grid))
 
     totals = np.empty((config.trials, len(config.dims)))
     chain_violations = 0
@@ -399,6 +399,10 @@ def markov_check(report: ExperimentReport, threshold: float, sigma: float = 3.0)
     se_mean = float(report.overall["stderr"]) / threshold
     slack = sigma * math.hypot(se_prob, se_mean)
     bound = mean / threshold
+    if not (math.isfinite(bound) and math.isfinite(slack)):
+        raise ValueError(
+            f'"markov_threshold" {threshold!r} is too small: the Markov bound '
+            f"mean / threshold ({mean!r} / {threshold!r}) overflows")
     return {
         "pass": prob <= bound + slack,
         "prob_exceed": prob,

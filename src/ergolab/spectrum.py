@@ -43,6 +43,12 @@ __all__ = [
     "structure_report",
 ]
 
+# Most digits of an integer the program takes as text: Python converts at
+# most 4300 digits of an int to text or back, and every energy and integer
+# flag is written into a report.  A string energy's decimal exponent is
+# bounded by it before the power of ten is formed.
+MAX_DIGITS = 4300
+
 
 class SpectrumError(ValueError):
     """Malformed or inconsistent spectrum input."""
@@ -282,6 +288,16 @@ def _as_fraction(value: Any, snap_denominator: int | None) -> tuple[Fraction, bo
     if isinstance(value, int):
         return Fraction(value), False
     if isinstance(value, str):
+        # A nonzero mantissa of n characters lies within a factor 10^n of 1,
+        # so beyond this exponent the value has too many digits.
+        mantissa, marker, exponent = value.strip().lower().partition("e")
+        try:
+            too_long = bool(marker) and abs(int(exponent)) > MAX_DIGITS + len(mantissa)
+        except ValueError:  # not a decimal exponent: Fraction judges the text
+            too_long = False
+        if too_long:
+            raise SpectrumError(
+                f"energy {value!r} has a decimal exponent beyond {MAX_DIGITS} digits")
         try:
             return Fraction(value), False
         except (ValueError, ZeroDivisionError) as exc:

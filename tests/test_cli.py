@@ -7,6 +7,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,19 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--snap-denominator", "2",
                      "--out", str(out)]) == 0
         assert load(out)["approximate"] is True
+
+    @pytest.mark.parametrize("energy", ["1e999999999", "1E-999999999", "-2e+99999999"])
+    def test_huge_decimal_exponent_rejected(self, tmp_path, capsys, energy):
+        # refused before the power of ten is formed, which took minutes
+        spec = write_spectrum(tmp_path, [(energy, 1), (0, 1)])
+        assert main(["analyze", spec]) == 1
+        assert_one_line_error(capsys, repr(energy), "decimal exponent")
+
+    def test_decimal_exponents_below_the_bound(self, tmp_path):
+        spec = write_spectrum(tmp_path, [("9e4000", 1), ("25e-1", 1)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", spec, "--out", str(out)]) == 0
+        assert [level["energy"] for level in load(out)["levels"]] == ["5/2", str(9 * 10**4000)]
 
 
 class TestVerifyLemmas:
@@ -219,6 +233,75 @@ class TestComputeL:
         assert len(lines) == 17
         weights = [sum(map(float, ln.split("\t")[1:])) for ln in lines[1:]]
         assert all(abs(w - 1) < 1e-9 for w in weights)
+
+
+OFFSET_LEVELS = (0, 1, 3, 7)
+
+
+class TestOffsetSpectra:
+    """A common energy offset is a global phase: it changes no reported
+    number.  The grid phases are exact roots of unity on the exact integer
+    energies; float phases lost the oracle at 10^12 and the normality route
+    at 10^17."""
+
+    @staticmethod
+    def levels(offset):
+        return [(str(offset + e), 2) for e in OFFSET_LEVELS]
+
+    @pytest.mark.parametrize("offset", [10**12, 10**15])
+    def test_compute_l_oracle_exact(self, tmp_path, offset):
+        reports = []
+        for shift in (0, offset):
+            spec = write_spectrum(tmp_path, self.levels(shift), f"spec-{shift}.json")
+            out = tmp_path / f"l-{shift}.json"
+            assert main(["compute-l", spec, "--dims", "2,2,4", "--seed", "3",
+                         "--out", str(out)]) == 0
+            reports.append(load(out))
+        plain, shifted = reports
+        assert shifted["pass"] is True
+        for a, b in zip(plain["cells"], shifted["cells"]):
+            assert b["oracle"]["residual"] <= 1e-15
+            assert abs(a["oracle"]["value"] - b["oracle"]["value"]) <= 1e-15
+            assert {k: v for k, v in a.items() if k != "oracle"} == \
+                {k: v for k, v in b.items() if k != "oracle"}
+
+    def test_run_normality_unchanged_at_1e17(self, tmp_path):
+        reports = []
+        for shift in (0, 10**17):
+            config = tmp_path / f"config-{shift}.json"
+            config.write_text(json.dumps({
+                "spectrum": {"levels": [{"energy": str(e), "degeneracy": d}
+                                        for e, d in self.levels(shift)]},
+                "dims": [2, 2, 4],
+                "trials": 500,
+                "seed": 3,
+                "state": "haar-per-trial",
+                "params": {"epsilon": 0.8, "delta": 0.5, "delta_prime": 0.5},
+                "normality": True,
+            }))
+            out = tmp_path / f"report-{shift}.json"
+            assert main(["run", str(config), "--out", str(out)]) == 0
+            reports.append(load(out))
+        plain, shifted = reports
+        assert shifted["normality"] == plain["normality"]
+        assert shifted["experiment"]["trial_totals"] == plain["experiment"]["trial_totals"]
+
+    def test_trajectory_dump_unchanged_at_1e12(self, tmp_path):
+        dumps = []
+        for shift in (0, 10**12):
+            spec = write_spectrum(tmp_path, self.levels(shift), f"spec-{shift}.json")
+            dump = tmp_path / f"traj-{shift}.tsv"
+            assert main(["compute-l", spec, "--dims", "2,2,4", "--seed", "3",
+                         "--grid-points", "500", "--periods", "1.5",
+                         "--dump-trajectory", str(dump),
+                         "--out", str(tmp_path / f"l-{shift}.json")]) == 0
+            lines = dump.read_text().splitlines()
+            assert lines[0] == "tau\tcell_1\tcell_2\tcell_3"
+            dumps.append(np.array([[float(x) for x in ln.split("\t")] for ln in lines[1:]]))
+        plain, shifted = dumps
+        assert plain.shape == shifted.shape == (500, 4)
+        assert np.array_equal(plain[:, 0], shifted[:, 0])
+        assert np.max(np.abs(plain - shifted)) <= 1e-12
 
 
 def compute_l_instance(spec_path, dims, seed):
@@ -751,6 +834,7 @@ class TestRun:
     @pytest.mark.parametrize("overrides, fragment", [
         ({"log_base": "2"}, "log_base"),
         ({"grid_points": 0, "normality": True}, "grid_points"),
+        ({"grid_points": 3_037_000_500}, "grid_points must be between 1 and 3037000499"),
         ({"trials": None}, "trials"),
         ({"trials": True}, "trials"),
         ({"seed": 1.5}, "seed"),
@@ -763,6 +847,9 @@ class TestRun:
         ({"normality": "no"}, "normality"),
         ({"markov_threshold": "0.1"}, "markov_threshold"),
         ({"markov_threshold": float("nan")}, "markov_threshold"),
+        ({"markov_threshold": 5e-324}, "markov_threshold"),
+        ({"spectrum": {"levels": [{"energy": "1e999999999", "degeneracy": 8}]}},
+         "decimal exponent"),
         ({"retain_trials": True}, "retain_trials"),
         ({"state": {"amplitudes": [[float("nan"), 0]] + [[0, 0]] * 7}}, "norm"),
         ({"state": {"amplitudes": [[1e200, 0]] + [[0, 0]] * 7}}, "norm"),

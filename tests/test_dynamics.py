@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,14 @@ from ergolab import (
     time_fraction_normal,
     trajectory_weights,
 )
-from ergolab.dynamics import rotated_amplitudes
+from ergolab.dynamics import (
+    MAX_PHASE_GRID,
+    coordinate_energies,
+    grid_phases,
+    period_grid,
+    rotated_amplitudes,
+    time_phases,
+)
 
 from support import per_point, random_instance
 
@@ -208,6 +216,68 @@ class TestDiscreteTimeAverage:
             trajectory_weights(*kernel_inputs(state, dec), taus)[:, 0], taus
         ) / (2 * math.pi)
         assert abs(exact - dense) < 1e-6
+
+
+class TestGridPhases:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 1000, 19_501])
+    def test_root_table_within_an_ulp_or_two(self, n):
+        # float angles 2*pi*m/n up to 2*pi gave errors up to 1.2e-15
+        roots = grid_phases(spec_of([(0, 1)]), n).roots
+        with mpmath.workprec(100):
+            exact = np.array([complex(mpmath.expjpi(mpmath.mpf(-2 * m) / n))
+                              for m in range(n)])
+        assert np.max(np.abs(roots - exact)) <= 5e-16
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 19_501, 100_003])
+    def test_phases_are_the_roots_of_unity_past_int64(self, n):
+        # energies beyond 2^63, negative ones and one beyond 10^30
+        energies = [-(2**70) - 3, 0, 1, 2**63 + 5, 3 * 2**64 + 1, 10**30 + 7]
+        spec = spec_of([(e, 1) for e in energies])
+        phases = grid_phases(spec, n)
+        j = sorted(x for x in {0, 1, 2, n // 4, n // 2, n - 2, n - 1} if x >= 0)
+        rows = phases.rows(j)
+        with mpmath.workprec(200):
+            for jj, row in zip(j, rows):
+                for e, value in zip(energies, row):
+                    exact = mpmath.exp(-2j * mpmath.pi * ((e * jj) % n) / n)
+                    assert abs(complex(exact) - value) <= 1e-15
+
+    def test_small_energies_match_float_phases(self):
+        spec = spec_of([(-3, 2), (0, 1), (4, 3), (11, 1)])
+        n = 31
+        rows = grid_phases(spec, n).rows(np.arange(n))
+        floats = time_phases(coordinate_energies(spec), period_grid(n))
+        assert rows.shape == floats.shape == (n, spec.dim_total)
+        # the float phases lose about |E tau| ulps
+        np.testing.assert_allclose(rows, floats, rtol=0, atol=1e-13)
+
+    def test_offset_is_a_global_phase(self):
+        n, offset = 257, 10**40 + 3
+        plain = grid_phases(spec_of([(0, 1), (1, 2), (5, 1)]), n)
+        shifted = grid_phases(spec_of([(offset, 1), (offset + 1, 2), (offset + 5, 1)]), n)
+        j = np.arange(n)
+        global_phase = plain.roots[(offset % n) * j % n]
+        np.testing.assert_allclose(shifted.rows(j), global_phase[:, None] * plain.rows(j),
+                                   rtol=0, atol=1e-15)
+
+    def test_times_give_their_grid_rows(self):
+        phases = grid_phases(spec_of([(0, 1), (2, 1), (9, 2)]), 97)
+        taus = period_grid(97)
+        assert np.array_equal(phases.at(taus[40:60]), phases.rows(np.arange(40, 60)))
+        with pytest.raises(ValueError, match="97-point period grid"):
+            phases.at(taus[40:60] * (1 + 1e-15))
+        with pytest.raises(ValueError, match="97-point period grid"):
+            phases.at(period_grid(98))
+
+    def test_grid_bound_keeps_index_products_in_int64(self):
+        # indices and residues are below N, so their products below N^2
+        assert MAX_PHASE_GRID**2 <= 2**63 - 1 < (MAX_PHASE_GRID + 1) ** 2
+        spec = spec_of([(0, 1), (1, 1)])
+        for n in (0, MAX_PHASE_GRID + 1):
+            with pytest.raises(ValueError, match="phase grid"):
+                grid_phases(spec, n)
+        with pytest.raises(ValueError, match="integer"):
+            grid_phases(spec_of([(0, 1), (F(1, 2), 1)]), 5)
 
 
 class TestIntegerRescale:

@@ -248,7 +248,7 @@ class TestSinglePass:
         # the per-cell time average.
         draws, calls = Counter(), Counter()
         substream, kernel = montecarlo.substream, montecarlo.deviation_breakdowns
-        phases, time_avg = montecarlo.time_phases, typicality.exact_time_avg_weight
+        phases, time_avg = montecarlo.grid_phases, typicality.exact_time_avg_weight
 
         def counted_substream(seed, *path):
             draws[path] += 1
@@ -266,7 +266,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(montecarlo, "substream", counted_substream)
         monkeypatch.setattr(montecarlo, "deviation_breakdowns", counted_kernel)
-        monkeypatch.setattr(montecarlo, "time_phases", counted("time_phases", phases))
+        monkeypatch.setattr(montecarlo, "grid_phases", counted("grid_phases", phases))
         monkeypatch.setattr(typicality, "exact_time_avg_weight",
                             counted("exact_time_avg_weight", time_avg))
         config = tmp_path / "config.json"
@@ -281,7 +281,7 @@ class TestSinglePass:
         }))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
         assert draws == {(1, t): 1 for t in range(20)}
-        assert calls == {"matrices": 20 * 4, "time_phases": 1}
+        assert calls == {"matrices": 20 * 4, "grid_phases": 1}
 
     @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
     def test_normality_counts_match_per_trial_recomputation(self, policy):
