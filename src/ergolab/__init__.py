@@ -19,9 +19,6 @@ from .spectrum import (
 )
 from .randomness import (
     DEFAULT_SEED,
-    Decomposition,
-    Projection,
-    coordinate_projection,
     hypersphere_moments,
     sample_decomposition,
     sample_haar_unitary,
@@ -32,9 +29,7 @@ from .randomness import (
 )
 from .dynamics import (
     ShellState,
-    cell_weight,
     discrete_time_average,
-    evolve,
     exact_time_avg_weight,
     integer_rescaled,
     prepare_state,
@@ -49,12 +44,10 @@ from .typicality import (
     admissible_constant_crossover,
     deviation_breakdowns,
     deviation_exact,
-    ergodicity_condition,
     ergodicity_gap,
     find_admissible_constant,
     mean_deviation_bound,
     resonance_impact,
-    resonant_term,
     resonant_term_bound,
     sufficient_condition,
     sufficient_threshold,

@@ -55,7 +55,7 @@ LOG_BASES = {"e": math.e, "10": 10.0}
 # Most digits of an integer flag (every integer flag is written into the
 # JSON report), and the least integer with more.
 MAX_INT_DIGITS = spectrum.MAX_DIGITS
-INT_LIMIT = 10 ** MAX_INT_DIGITS
+INT_LIMIT = spectrum.DIGIT_LIMIT
 
 # The encoder of every report value that is not formatted in chunks.
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)

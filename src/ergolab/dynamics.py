@@ -3,6 +3,9 @@
 The energy eigenbasis is the coordinate basis: level alpha occupies a
 contiguous block of e_alpha coordinates, so evolution is a diagonal phase
 multiplication and measurement bases are rotated instead of the state.
+A cell is a plain (D, d) array of orthonormal basis columns and a
+decomposition a list of cells, as :func:`ergolab.randomness.sample_decomposition`
+draws them; the kernels see only columns of one basis, never a projector.
 
 The kernels take a state and a basis as the *rotated amplitudes*
 ``conj(U) * psi[:, None]``: entry (i, j) is conj(U[i, j]) psi[i], so the
@@ -33,14 +36,14 @@ as at E = 1, and a common energy offset stays an exact global phase.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .randomness import Decomposition, Projection
 from .spectrum import Spectrum
 
 __all__ = [
@@ -52,8 +55,6 @@ __all__ = [
     "rotated_amplitudes",
     "shell_coordinates",
     "overlap_matrices",
-    "evolve",
-    "cell_weight",
     "shell_overlap_matrix",
     "exact_time_avg_weight",
     "discrete_time_average",
@@ -91,31 +92,16 @@ class ShellState:
 
     ``vector`` is the normalized state in the coordinate basis; level
     ``alpha`` occupies coordinates ``offsets[alpha]:offsets[alpha+1]``.
-    ``weights[alpha]`` is the squared norm of the component in that block.
     """
 
     spec: Spectrum
     vector: np.ndarray
     offsets: np.ndarray
-    weights: np.ndarray
-    _coord_energies: np.ndarray = field(default=None, repr=False)
-
-    def shell_slice(self, level: int) -> slice:
-        return slice(int(self.offsets[level]), int(self.offsets[level + 1]))
-
-    def shell_component(self, level: int) -> np.ndarray:
-        """The unnormalized component of the state in one energy shell."""
-        out = np.zeros_like(self.vector)
-        sl = self.shell_slice(level)
-        out[sl] = self.vector[sl]
-        return out
 
     @property
     def coord_energies(self) -> np.ndarray:
         """Energy of each coordinate, as floats, for phase evolution."""
-        if self._coord_energies is None:
-            self._coord_energies = coordinate_energies(self.spec)
-        return self._coord_energies
+        return coordinate_energies(self.spec)
 
 
 def coordinate_energies(spec: Spectrum, origin=0) -> np.ndarray:
@@ -146,10 +132,7 @@ def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm = np.linalg.norm(vector)
     _check_unit_norms(norm)
-    vector = vector / norm
-    offsets = shell_offsets(spec)
-    weights = np.add.reduceat(np.abs(vector) ** 2, offsets[:-1])
-    return ShellState(spec=spec, vector=vector, offsets=offsets, weights=weights)
+    return ShellState(spec=spec, vector=vector / norm, offsets=shell_offsets(spec))
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -159,16 +142,6 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
     _check_unit_norms(norms)
     return vectors / norms
-
-
-def evolve(state: ShellState, tau: float) -> np.ndarray:
-    """State vector after time tau: each shell picks up the phase of its energy."""
-    return np.exp(-1j * tau * state.coord_energies) * state.vector
-
-
-def cell_weight(vector, cell: Projection) -> float:
-    """Squared norm of the projection of a vector onto one cell."""
-    return float(np.sum(np.abs(cell.basis.conj().T @ np.asarray(vector)) ** 2))
 
 
 def rotated_amplitudes(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -190,11 +163,11 @@ def overlap_matrices(coords: np.ndarray) -> np.ndarray:
     return coords.conj() @ np.swapaxes(coords, -1, -2)
 
 
-def _cell_shell_coordinates(state: ShellState, cell: Projection) -> np.ndarray:
-    return shell_coordinates(rotated_amplitudes(cell.basis, state.vector), state.offsets)
+def _cell_shell_coordinates(state: ShellState, cell: np.ndarray) -> np.ndarray:
+    return shell_coordinates(rotated_amplitudes(cell, state.vector), state.offsets)
 
 
-def shell_overlap_matrix(state: ShellState, cell: Projection) -> np.ndarray:
+def shell_overlap_matrix(state: ShellState, cell: np.ndarray) -> np.ndarray:
     """Hermitian matrix of shell-component overlaps through the cell.
 
     Entry (a, b) is the inner product of shell components a and b mediated
@@ -204,7 +177,7 @@ def shell_overlap_matrix(state: ShellState, cell: Projection) -> np.ndarray:
     return overlap_matrices(_cell_shell_coordinates(state, cell))
 
 
-def exact_time_avg_weight(state: ShellState, cell: Projection) -> float:
+def exact_time_avg_weight(state: ShellState, cell: np.ndarray) -> float:
     """Infinite-time average of the cell weight, exactly.
 
     Only the diagonal (equal-energy) terms of the weight survive time
@@ -333,8 +306,17 @@ def evolved_weights(phases: np.ndarray, rotated: np.ndarray, ranks) -> np.ndarra
     coords = phases @ rotated
     parts = coords.view(np.float64)  # real and imaginary parts, interleaved
     np.square(parts, out=parts)
+    return parts @ _membership(tuple(int(d) for d in ranks))
+
+
+@functools.lru_cache(maxsize=64)
+def _membership(ranks: tuple[int, ...]) -> np.ndarray:
+    """The read-only 0/1 matrix whose column k sums the interleaved real and
+    imaginary parts of cell k, built once per rank tuple: compute-l's oracle
+    asks for the same one at every slice of its grid."""
     membership = np.repeat(np.eye(len(ranks)), 2 * np.asarray(ranks), axis=0)
-    return parts @ membership
+    membership.flags.writeable = False
+    return membership
 
 
 def trajectory_weights(
@@ -366,11 +348,14 @@ def normal_time_fractions(
 
 def time_fraction_normal(
     state: ShellState,
-    decomposition: Decomposition,
+    decomposition: list[np.ndarray],
     epsilon: float,
     grid_points: int = 1000,
 ) -> float:
     """Fraction of one period during which every cell weight is near its share.
+
+    ``decomposition`` lists the cells as (D, d) basis arrays that together
+    form a complete basis.
 
     At each sampled time the weight of cell ``nu`` must satisfy
     ``|w_nu - d_nu/D| <= (epsilon/sqrt(M)) * sqrt(d_nu/D)`` simultaneously
@@ -382,7 +367,7 @@ def time_fraction_normal(
         raise ValueError(
             "time fractions need an integer spectrum; rescale rational spectra first"
         )
-    basis = np.hstack([cell.basis for cell in decomposition])
+    ranks = [cell.shape[1] for cell in decomposition]
     phases = time_phases(state.coord_energies, period_grid(grid_points))
-    rotated = rotated_amplitudes(basis, state.vector)
-    return float(normal_time_fractions(phases, rotated, decomposition.ranks, epsilon))
+    rotated = rotated_amplitudes(np.hstack(decomposition), state.vector)
+    return float(normal_time_fractions(phases, rotated, ranks, epsilon))

@@ -11,10 +11,11 @@ of its Ginibre matrices in one stacked QR, checks all of its state norms at
 once, and then evaluates every trial once, with array operations over the
 block: the per-cell deviations and their inequality chain
 (:func:`evaluate_cells`, which ``compute-l`` runs on its one state) and,
-when ``normality`` is on, both normality routes.  The Haar output is used
-as it comes: the Projection and Decomposition classes keep validating the
-bases that callers build.  Every per-trial deviation is kept in a
-(trials, cells) array.
+when ``normality`` is on, both normality routes.  A trial's cells are the
+consecutive column blocks of its Haar unitary, as
+:func:`~ergolab.randomness.sample_decomposition` cuts them; the blocks are
+never copied out, the kernels read them as columns of the whole unitary.
+Every per-trial deviation is kept in a (trials, cells) array.
 
 The block size only trades speed for memory; it changes no result, since
 every kernel works trial by trial along the leading axis.  A block gets

@@ -4,8 +4,10 @@ Unitaries are drawn by QR-factoring a complex Ginibre matrix and absorbing
 the phases of the R diagonal into Q, which makes the distribution exactly
 invariant under left and right unitary multiplication.  Random states are
 normalized complex Gaussian vectors (equivalently, first columns of Haar
-unitaries).  A random decomposition is the coordinate partition of given
-ranks conjugated by a single Haar unitary.
+unitaries).  A cell is a plain (D, d) array of orthonormal basis columns
+and a decomposition a list of cells: a random one is the consecutive column
+blocks of a single Haar unitary, the coordinate partition of the given
+ranks rotated by it.  Nothing checks a basis a caller builds by hand.
 
 All observables handled here (entry moduli, projection weights) are
 invariant under a global phase, so sampling from the full unitary group
@@ -20,21 +22,16 @@ which keeps the false-alarm rate of a seeded check below ~1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
-    "ORTHO_TOL",
     "substream",
     "ginibre_matrix",
     "haar_from_ginibre",
     "sample_haar_unitary",
     "sample_random_state",
-    "Projection",
-    "Decomposition",
-    "coordinate_projection",
     "sample_decomposition",
     "GATE_SIGMA",
     "mean_stderr",
@@ -44,9 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 12345
-
-# Orthonormality / completeness tolerance for projection cells.
-ORTHO_TOL = 1e-10
 
 # Standard errors an estimate may sit from its exact target before a gate
 # fails (see the module docstring).
@@ -104,100 +98,14 @@ def sample_random_state(dim: int, rng: np.random.Generator, size: int | None = N
     return z / norms
 
 
-@dataclass(eq=False)
-class Projection:
-    """Rank-d orthogonal projection stored as d orthonormal basis columns.
-
-    ``basis`` has shape (D, d); the projector itself (basis @ basis^H) is
-    never materialized.  ``indices`` records which coordinates of the parent
-    partition the cell came from.
-    """
-
-    basis: np.ndarray
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=complex)
-        if self.basis.ndim != 2:
-            raise ValueError("projection basis must be a (D, d) matrix")
-        self.indices = tuple(int(i) for i in self.indices)
-        if len(self.indices) != self.basis.shape[1]:
-            raise ValueError("rank must equal the size of the index set")
-        gram = self.basis.conj().T @ self.basis
-        if np.abs(gram - np.eye(self.rank)).max() > ORTHO_TOL:
-            raise ValueError("projection basis is not orthonormal")
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-@dataclass(eq=False)
-class Decomposition:
-    """Ordered list of mutually orthogonal cells partitioning the space."""
-
-    cells: tuple[Projection, ...]
-
-    def __post_init__(self):
-        self.cells = tuple(self.cells)
-        if not self.cells:
-            raise ValueError("decomposition needs at least one cell")
-        dim = self.cells[0].dim
-        if any(c.dim != dim for c in self.cells):
-            raise ValueError("cells live in different spaces")
-        if sum(c.rank for c in self.cells) != dim:
-            raise ValueError(
-                f"cell ranks {self.ranks} do not sum to the dimension {dim}"
-            )
-        # One unitarity check covers orthonormality within each cell,
-        # orthogonality across cells, and joint completeness.
-        stacked = np.hstack([c.basis for c in self.cells])
-        if np.abs(stacked.conj().T @ stacked - np.eye(dim)).max() > ORTHO_TOL:
-            raise ValueError("cells are not jointly orthonormal and complete")
-
-    @property
-    def dim(self) -> int:
-        return self.cells[0].dim
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(c.rank for c in self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-
-def coordinate_projection(dim: int, indices) -> Projection:
-    """Projection onto a subset of coordinate axes."""
-    indices = tuple(int(i) for i in indices)
-    basis = np.zeros((dim, len(indices)), dtype=complex)
-    for col, i in enumerate(indices):
-        basis[i, col] = 1.0
-    return Projection(basis=basis, indices=indices)
-
-
-def sample_decomposition(dims, rng: np.random.Generator) -> Decomposition:
-    """Coordinate partition of the given ranks rotated by one Haar unitary."""
+def sample_decomposition(dims, rng: np.random.Generator) -> list[np.ndarray]:
+    """Cells of the given ranks: the consecutive column blocks, each a
+    (D, d) orthonormal basis, of one Haar unitary."""
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
         raise ValueError(f"all cell ranks must be >= 1, got {dims}")
-    total = sum(dims)
-    u = sample_haar_unitary(total, rng)
-    cells = []
-    start = 0
-    for d in dims:
-        cells.append(
-            Projection(basis=u[:, start:start + d], indices=range(start, start + d))
-        )
-        start += d
-    return Decomposition(cells=tuple(cells))
+    u = sample_haar_unitary(sum(dims), rng)
+    return np.split(u, np.cumsum(dims)[:-1], axis=1)
 
 
 def mean_stderr(samples: np.ndarray) -> tuple[float, float]:

@@ -46,8 +46,10 @@ __all__ = [
 # Most digits of an integer the program takes as text: Python converts at
 # most 4300 digits of an int to text or back, and every energy and integer
 # flag is written into a report.  A string energy's decimal exponent is
-# bounded by it before the power of ten is formed.
+# bounded by it before the power of ten is formed.  DIGIT_LIMIT is the
+# least integer with more digits.
 MAX_DIGITS = 4300
+DIGIT_LIMIT = 10**MAX_DIGITS
 
 
 class SpectrumError(ValueError):
@@ -357,7 +359,26 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
                 f"level {i}: degeneracy must be a positive integer, got {deg!r}"
             )
         levels.append((energy, deg))
+    _check_digits(levels)
     return Spectrum(tuple(levels), approximate=snapped_any)
+
+
+def _check_digits(levels) -> None:
+    """Refuse energies whose gaps, sums or integer rescaling could print
+    with more than MAX_DIGITS digits.  With L the least common denominator,
+    every gap and sum is a multiple of 1/L of magnitude at most 2 max|E|,
+    so L and 2 max|E| L below DIGIT_LIMIT bound every numerator, every
+    denominator, the rescaling multiplier and the rescaled spread."""
+    scale = 1
+    for i, (energy, _) in enumerate(levels):
+        scale = math.lcm(scale, energy.denominator)
+        if scale >= DIGIT_LIMIT:
+            raise SpectrumError(f"level {i}: the common denominator of the energies "
+                                f"up to this level reaches 10^{MAX_DIGITS}")
+    for i, (energy, _) in enumerate(levels):
+        if 2 * abs(energy.numerator) * (scale // energy.denominator) >= DIGIT_LIMIT:
+            raise SpectrumError(f"level {i}: twice the energy's magnitude times the "
+                                f"common denominator of the energies reaches 10^{MAX_DIGITS}")
 
 
 def gap_structure(spec: Spectrum) -> GapStructure:

@@ -51,7 +51,8 @@ The kernel (:func:`deviation_breakdowns`) takes a stack of overlap
 matrices and returns every piece as an array over the stack, which is how
 ``run`` and ``compute-l`` evaluate every cell (through
 :func:`ergolab.montecarlo.evaluate_cells`); :func:`deviation_exact` is the
-same kernel on one state and cell, and takes the spectrum from the state.
+same kernel on one state and one cell, a (D, d) basis array, and takes the
+spectrum from the state.
 Its identity check, like every gate here, is written so that NaN fails it.
 
 Everything here is a plain float computation except the asymptotic-regime
@@ -68,7 +69,6 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .dynamics import ShellState, exact_time_avg_weight, shell_overlap_matrix
-from .randomness import Projection
 from .spectrum import PairIndex
 
 __all__ = [
@@ -77,12 +77,10 @@ __all__ = [
     "TheoremVerdict",
     "deviation_breakdowns",
     "deviation_exact",
-    "resonant_term",
     "resonant_term_bound",
     "sufficient_condition",
     "sufficient_threshold",
     "ergodicity_gap",
-    "ergodicity_condition",
     "mean_deviation_bound",
     "theorem_condition",
     "resonance_impact",
@@ -92,6 +90,10 @@ __all__ = [
 
 IDENTITY_TOL = 1e-10
 DEFAULT_PRECISION_BITS = 256
+
+# find_admissible_constant searches the geometric grid of ratio
+# 1 + ADMISSIBLE_RESOLUTION.
+ADMISSIBLE_RESOLUTION = 0.01
 
 
 @dataclass
@@ -175,11 +177,6 @@ def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:
             - np.sum(z.real**2 + z.imag**2, axis=-1))
 
 
-def resonant_term(state: ShellState, cell: Projection) -> float:
-    """The resonance-only part of the deviation functional."""
-    return float(_resonant_sums(shell_overlap_matrix(state, cell), state.spec.pair_index))
-
-
 def deviation_breakdowns(
     s: np.ndarray, frac: float, index: PairIndex
 ) -> DeviationBreakdown:
@@ -215,14 +212,15 @@ def deviation_breakdowns(
     return breakdown
 
 
-def deviation_exact(state: ShellState, cell: Projection) -> DeviationBreakdown:
-    """Exact evaluation of the deviation functional for one cell.
+def deviation_exact(state: ShellState, cell: np.ndarray) -> DeviationBreakdown:
+    """Exact evaluation of the deviation functional for one cell, a (D, d)
+    basis array.
 
     The resonance buckets come from the pair index of the spectrum the
     state was prepared on.
     """
     s = shell_overlap_matrix(state, cell)
-    b = deviation_breakdowns(s, cell.rank / state.spec.dim_total, state.spec.pair_index)
+    b = deviation_breakdowns(s, cell.shape[1] / state.spec.dim_total, state.spec.pair_index)
     return DeviationBreakdown(**{name: float(v) for name, v in vars(b).items()})
 
 
@@ -254,21 +252,14 @@ def sufficient_condition(
     return total <= sufficient_threshold(params, rank, dim)
 
 
-def ergodicity_gap(state: ShellState, cell: Projection) -> float:
+def ergodicity_gap(state: ShellState, cell: np.ndarray) -> float:
     """Squared deviation of the time-averaged weight from the cell's share.
 
     Never exceeds the deviation functional for the same state and cell
     (the time average of a square dominates the square of the average).
     """
-    frac = cell.rank / state.spec.dim_total
+    frac = cell.shape[1] / state.spec.dim_total
     return (exact_time_avg_weight(state, cell) - frac) ** 2
-
-
-def ergodicity_condition(
-    gap: float, params: TheoremParams, rank: int, dim: int
-) -> bool:
-    """Threshold form of relative ergodicity: gap <= (epsilon/M)^2 (d/D)."""
-    return gap <= (params.epsilon / params.num_cells) ** 2 * (rank / dim)
 
 
 def mean_deviation_bound(
@@ -375,30 +366,18 @@ def admissible_constant_crossover(
 
 
 def find_admissible_constant(
-    dim: int,
-    rank: int,
-    block_stats: dict | None = None,
-    resolution: float = 0.01,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    dim: int, rank: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ):
     """Largest constant C > 1 admissible for the pair (rank, dim), or None.
 
-    Searches the geometric grid (1 + resolution)**j from below the analytic
-    crossover; ties resolve toward smaller C.  When ``block_stats`` (from
-    :func:`ergolab.randomness.unitary_block_statistics`) is supplied, the
-    empirical worst-overlap means must additionally sit below their
-    log(D)/D and 9 d log(D)/D^2 thresholds, otherwise no C is admissible.
+    Searches the geometric grid (1 + ADMISSIBLE_RESOLUTION)**j from below
+    the analytic crossover; ties resolve toward smaller C.
     """
     with mp.workprec(int(precision_bits)):
         crossover = admissible_constant_crossover(dim, rank, precision_bits)
         if crossover <= 1:
             return None
-        if block_stats is not None:
-            off = block_stats["max_offdiag"]
-            diag = block_stats["max_diag_dev"]
-            if off["estimate"] > off["threshold"] or diag["estimate"] > diag["threshold"]:
-                return None
-        step = mpf(1) + mpf(resolution)
+        step = mpf(1) + mpf(ADMISSIBLE_RESOLUTION)
         j = int(mp.floor(mp.log(crossover) / mp.log(step)))
         c = step**j
         while c >= crossover and j > 0:

@@ -1,10 +1,12 @@
 """Shared generators and independent brute-force oracles for the test suite.
 
 The oracles here deliberately use different algorithms from the package
-(quadruple loops and pairwise counting instead of value grouping) so that
-agreement is evidence, not tautology.  The ensemble reference evaluates one
-trial at a time through the public single-state functions, where the
-package evaluates blocks of trials.
+(quadruple loops and pairwise counting instead of value grouping, dense
+projectors instead of shell coordinates) so that agreement is evidence, not
+tautology.  The ensemble reference evaluates one trial at a time through the
+public single-state functions, where the package evaluates blocks of trials.
+A cell is a (D, d) array of orthonormal basis columns, as the package takes
+it.
 """
 
 import math
@@ -170,6 +172,18 @@ def greedy_nonresonant_levels(count: int) -> list[int]:
     return levels
 
 
+def evolve(state, tau: float) -> np.ndarray:
+    """State vector after time tau: each coordinate picks up the float
+    phase exp(-i E tau) of its energy."""
+    return np.exp(-1j * tau * state.coord_energies) * state.vector
+
+
+def cell_weight(vector, cell: np.ndarray) -> float:
+    """<v|P|v> for the cell's dense projector P = B B^H."""
+    vector = np.asarray(vector)
+    return float(np.vdot(vector, cell @ cell.conj().T @ vector).real)
+
+
 def random_instance(spec: Spectrum, rng: np.random.Generator, max_cells: int = 4):
     """Random prepared state plus random decomposition for a spectrum."""
     dim = spec.dim_total
@@ -229,7 +243,7 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
             chain += not b.diag_dev_sq <= b.total + chain_slack
             bound = resonant_term_bound(b.time_avg_weight, d_f)
             chain += not b.resonant_term <= bound + chain_slack
-            ok_sufficient = ok_sufficient and b.total <= config.threshold(cell.rank)
+            ok_sufficient = ok_sufficient and b.total <= config.threshold(cell.shape[1])
         if config.normality:
             fraction = time_fraction_normal(
                 prepare_state(state.vector, ispec), decomposition, p.epsilon,

@@ -16,17 +16,14 @@ from ergolab import (
     ExperimentConfig,
     Spectrum,
     TheoremParams,
-    cell_weight,
     classify,
     deviation_exact,
     discrete_time_average,
     ergodicity_gap,
-    evolve,
     exact_time_avg_weight,
     hypersphere_moments,
     mean_deviation_bound,
     normality_fraction,
-    resonant_term,
     resonant_term_bound,
     run_experiment,
     state_weight_statistics,
@@ -36,6 +33,8 @@ from ergolab import (
 from ergolab.cli import main
 
 from support import (
+    cell_weight,
+    evolve,
     greedy_nonresonant_levels,
     per_point,
     random_instance,
@@ -68,7 +67,7 @@ def oracle_ensemble():
         spread = int(spec.spread)
         for cell in decomposition:
             breakdown = deviation_exact(state, cell)
-            frac = cell.rank / spec.dim_total
+            frac = cell.shape[1] / spec.dim_total
             oracle = discrete_time_average(
                 per_point(lambda tau: (cell_weight(evolve(state, tau), cell) - frac) ** 2),
                 spec,
@@ -105,7 +104,7 @@ def test_criterion_2_nonresonant_collapse():
         spec = Spectrum(tuple((F(e), d) for e, d in zip(levels, degens)))
         sums = sum_structure(spec)
         state, decomposition = random_instance(spec, rng, max_cells=2)
-        term = resonant_term(state, decomposition.cells[0])
+        term = deviation_exact(state, decomposition[0]).resonant_term
         if sums.max_sum_degeneracy != 2 or term != 0.0:
             bad += 1
     runtime = time.monotonic() - start

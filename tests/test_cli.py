@@ -13,11 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
-    cell_weight,
     cli,
     deviation_exact,
     dynamics,
-    evolve,
     integer_rescaled,
     parse_spectrum,
     prepare_state,
@@ -30,6 +28,8 @@ from ergolab import (
     typicality,
 )
 from ergolab.cli import main
+
+from support import cell_weight, evolve
 
 
 def write_spectrum(tmp_path, levels, name="spec.json"):
@@ -110,6 +110,26 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         assert main(["analyze", spec, "--out", str(out)]) == 0
         assert [level["energy"] for level in load(out)["levels"]] == ["5/2", str(9 * 10**4000)]
+
+    @pytest.mark.parametrize("levels, level", [
+        ([("5e4299", 1), (0, 1)], 0),  # 2 max|E| L = 10^4300
+        ([("9e4299", 1), ("25e-1", 1)], 0),  # a sum of 4301 digits
+        ([(0, 1), ("1/" + str(2**7000), 1), ("1/" + str(3**5000), 1)], 2),  # L of 4494 digits
+    ])
+    def test_gaps_and_sums_beyond_the_digit_limit_rejected(self, tmp_path, capsys,
+                                                           levels, level):
+        # a gap or sum class value of more than 4300 digits cannot be printed
+        spec = write_spectrum(tmp_path, levels)
+        out = tmp_path / "report.json"
+        assert main(["analyze", spec, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, f"level {level}:", "10^4300")
+
+    def test_largest_sums_within_the_digit_limit(self, tmp_path):
+        spec = write_spectrum(tmp_path, [("4e4299", 1), (0, 1)])
+        out = tmp_path / "report.json"
+        assert main(["analyze", spec, "--out", str(out)]) == 0
+        assert load(out)["sums"][-1]["value"] == str(8 * 10**4299)
 
 
 class TestVerifyLemmas:
@@ -340,7 +360,7 @@ class TestComputeLPath:
             assert record["identity_residuals"] == list(b.identity_residuals())
             assert record["ergodicity_gap"] == b.diag_dev_sq
             assert record["resonant_bound"] == resonant_term_bound(b.time_avg_weight, d_f)
-            assert record["rank"] == cell.rank and record["chain_ok"] is True
+            assert record["rank"] == cell.shape[1] and record["chain_ok"] is True
         if name == "integer-resonant":
             assert any(record["resonant_term"] != 0.0 for record in records)
 
@@ -356,7 +376,7 @@ class TestComputeLPath:
         istate = prepare_state(state.vector, ispec)
         n = 4 * int(ispec.spread) + 1
         for record, cell in zip(load(out)["cells"], decomposition):
-            frac = cell.rank / spec.dim_total
+            frac = cell.shape[1] / spec.dim_total
             expected = math.fsum(
                 (cell_weight(evolve(istate, 2 * math.pi * j / n), cell) - frac) ** 2
                 for j in range(n)) / n
@@ -364,8 +384,7 @@ class TestComputeLPath:
 
     def test_no_per_point_or_per_cell_calls(self, tmp_path, monkeypatch):
         calls = Counter()
-        for module, name in [(dynamics, "evolve"), (dynamics, "cell_weight"),
-                             (typicality, "deviation_exact"),
+        for module, name in [(typicality, "deviation_exact"),
                              (randomness, "sample_decomposition"),
                              (dynamics, "discrete_time_average"),
                              (dynamics, "prepare_state")]:
@@ -378,6 +397,18 @@ class TestComputeLPath:
         assert main(["compute-l", spec_path, "--dims", dims,
                      "--out", str(tmp_path / "l.json")]) == 0
         assert calls == {"discrete_time_average": 3, "prepare_state": 1}
+
+    def test_one_membership_matrix_per_rank_tuple(self, tmp_path):
+        # two cells of rank 3 on a 157-point grid, two slices each, and a
+        # three-slice dump: one matrix for (3,), one for (3, 3)
+        spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("39/2", 2)])
+        dynamics._membership.cache_clear()
+        assert main(["compute-l", spec_path, "--dims", "3,3", "--grid-points", "300",
+                     "--dump-trajectory", str(tmp_path / "traj.tsv"),
+                     "--out", str(tmp_path / "l.json")]) == 0
+        info = dynamics._membership.cache_info()
+        assert (info.misses, info.hits) == (2, 5)
+        assert not dynamics._membership((3, 3)).flags.writeable
 
     def test_slices_of_one_time_change_no_oracle_value(self, tmp_path, monkeypatch):
         # the rescaled spread is 39, so the 157-point grid spans two slices

@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from ergolab import (
-    Decomposition,
     Spectrum,
-    cell_weight,
-    coordinate_projection,
     discrete_time_average,
-    evolve,
     exact_time_avg_weight,
     integer_rescaled,
     prepare_state,
@@ -32,7 +28,7 @@ from ergolab.dynamics import (
     time_phases,
 )
 
-from support import per_point, random_instance
+from support import cell_weight, evolve, per_point, random_instance
 
 
 def spec_of(levels):
@@ -41,8 +37,21 @@ def spec_of(levels):
 
 def kernel_inputs(state, dec):
     """Coordinate energies, rotated amplitudes and ranks of the time-grid kernel."""
-    basis = np.hstack([cell.basis for cell in dec])
-    return state.coord_energies, rotated_amplitudes(basis, state.vector), dec.ranks
+    ranks = [cell.shape[1] for cell in dec]
+    return state.coord_energies, rotated_amplitudes(np.hstack(dec), state.vector), ranks
+
+
+def shell_weights(state):
+    """Squared norm of the state's component in each energy shell."""
+    return np.add.reduceat(np.abs(state.vector) ** 2, state.offsets[:-1])
+
+
+def weights_now(vector, dec):
+    """Weights of the cells of ``dec`` on ``vector``, from the trajectory
+    kernel at time 0."""
+    energies = np.zeros(len(vector))
+    rotated = rotated_amplitudes(np.hstack(dec), np.asarray(vector, dtype=complex))
+    return trajectory_weights(energies, rotated, [c.shape[1] for c in dec], [0.0])[0]
 
 
 class TestPrepareState:
@@ -51,23 +60,25 @@ class TestPrepareState:
         amp = np.zeros(5, dtype=complex)
         amp[3] = 1.0  # inside the second shell block
         state = prepare_state(amp, spec)
-        np.testing.assert_allclose(state.weights, [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(shell_weights(state), [0.0, 1.0], atol=1e-15)
 
     def test_uniform_superposition_weights(self):
         spec = spec_of([(0, 2), (1, 2)])
         state = prepare_state(np.full(4, 0.5, dtype=complex), spec)
-        np.testing.assert_allclose(state.weights, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(shell_weights(state), [0.5, 0.5], atol=1e-15)
 
     def test_weights_sum_to_one(self):
         spec = spec_of([(0, 3), (2, 2), (5, 4)])
         state = prepare_state(sample_random_state(9, substream(1, 0)), spec)
-        assert abs(state.weights.sum() - 1) < 1e-12
+        assert abs(shell_weights(state).sum() - 1) < 1e-12
 
     def test_components_reconstruct_state(self):
         spec = spec_of([(0, 2), (1, 1), (4, 3)])
         state = prepare_state(sample_random_state(6, substream(1, 1)), spec)
-        rebuilt = sum(state.shell_component(a) for a in range(spec.num_levels))
-        np.testing.assert_array_equal(rebuilt, state.vector)
+        blocks = [state.vector[state.offsets[a]:state.offsets[a + 1]]
+                  for a in range(spec.num_levels)]
+        assert [len(b) for b in blocks] == list(spec.degeneracies)
+        np.testing.assert_array_equal(np.concatenate(blocks), state.vector)
 
     def test_wrong_length_rejected(self):
         spec = spec_of([(0, 2)])
@@ -81,23 +92,26 @@ class TestPrepareState:
 
 
 class TestEvolve:
+    """The float phases exp(-i E tau) of the package's trajectory kernel."""
+
     def test_zero_time_identity(self):
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
-        state = prepare_state(sample_random_state(3, substream(2, 0)), spec)
-        np.testing.assert_array_equal(evolve(state, 0.0), state.vector)
+        np.testing.assert_array_equal(time_phases(coordinate_energies(spec), [0.0]),
+                                      np.ones((1, 3)))
 
     def test_integer_spectrum_periodic(self):
         spec = spec_of([(0, 1), (1, 2), (3, 1)])
-        state = prepare_state(sample_random_state(4, substream(2, 1)), spec)
         np.testing.assert_allclose(
-            evolve(state, 2 * math.pi), state.vector, atol=1e-12
-        )
+            time_phases(coordinate_energies(spec), [2 * math.pi]), np.ones((1, 4)),
+            atol=1e-12)
 
     def test_norm_preserved(self):
         spec = spec_of([(0, 2), (F(1, 3), 2)])
         state = prepare_state(sample_random_state(4, substream(2, 2)), spec)
-        for tau in np.linspace(0, 20, 17):
-            assert abs(np.linalg.norm(evolve(state, tau)) - 1) < 1e-12
+        taus = np.linspace(0, 20, 17)
+        weights = trajectory_weights(
+            state.coord_energies, rotated_amplitudes(np.eye(4), state.vector), [4], taus)
+        np.testing.assert_allclose(weights, 1, rtol=0, atol=1e-12)
 
     def test_stationary_state_constant_weights(self):
         spec = spec_of([(0, 3), (1, 2)])
@@ -106,34 +120,39 @@ class TestEvolve:
         state = prepare_state(amp, spec)
         dec = sample_decomposition([2, 3], substream(2, 4))
         w0 = [cell_weight(state.vector, c) for c in dec]
-        for tau in (0.3, 1.7, 9.2):
-            wt = [cell_weight(evolve(state, tau), c) for c in dec]
+        taus = [0.3, 1.7, 9.2]
+        for wt in trajectory_weights(*kernel_inputs(state, dec), taus):
             np.testing.assert_allclose(wt, w0, atol=1e-12)
 
 
 class TestCellWeight:
+    """Cell weights of the trajectory kernel against dense projectors."""
+
     def test_full_rank_is_one(self):
         v = sample_random_state(5, substream(3, 0))
         dec = sample_decomposition([5], substream(3, 1))
-        assert abs(cell_weight(v, dec.cells[0]) - 1) < 1e-12
+        assert abs(weights_now(v, dec)[0] - 1) < 1e-12
+        assert abs(cell_weight(v, dec[0]) - 1) < 1e-12
 
     def test_orthogonal_vector_is_zero(self):
-        cell = coordinate_projection(4, [0, 1])
+        dec = [np.eye(4)[:, [0, 1]], np.eye(4)[:, [2, 3]]]
         v = np.array([0, 0, 1, 0], dtype=complex)
-        assert cell_weight(v, cell) == 0.0
+        assert list(weights_now(v, dec)) == [0.0, 1.0]
 
     def test_weights_complete(self):
         v = sample_random_state(12, substream(3, 2))
         dec = sample_decomposition([3, 4, 5], substream(3, 3))
-        total = sum(cell_weight(v, c) for c in dec)
-        assert abs(total - 1) < 1e-10
+        weights = weights_now(v, dec)
+        assert abs(weights.sum() - 1) < 1e-10
+        np.testing.assert_allclose(weights, [cell_weight(v, c) for c in dec],
+                                   rtol=0, atol=1e-14)
 
 
 class TestExactTimeAverage:
     def test_stationary_equals_instantaneous(self):
         spec = spec_of([(2, 4)])
         state = prepare_state(sample_random_state(4, substream(4, 0)), spec)
-        cell = sample_decomposition([2, 2], substream(4, 1)).cells[0]
+        cell = sample_decomposition([2, 2], substream(4, 1))[0]
         assert abs(
             exact_time_avg_weight(state, cell) - cell_weight(state.vector, cell)
         ) < 1e-12
@@ -141,7 +160,7 @@ class TestExactTimeAverage:
     def test_full_projection_is_one(self):
         spec = spec_of([(0, 2), (1, 2)])
         state = prepare_state(sample_random_state(4, substream(4, 2)), spec)
-        cell = sample_decomposition([4], substream(4, 3)).cells[0]
+        cell = sample_decomposition([4], substream(4, 3))[0]
         assert abs(exact_time_avg_weight(state, cell) - 1) < 1e-12
 
     def test_matches_discrete_average(self):
@@ -162,13 +181,14 @@ class TestExactTimeAverage:
         spec = spec_of([(0, 2), (1, 3), (5, 1)])
         rng = substream(4, 6)
         state, dec = random_instance(spec, rng)
-        cell = dec.cells[0]
+        cell = dec[0]
         mixture = 0.0
-        for a in range(spec.num_levels):
-            comp = state.shell_component(a)
-            if state.weights[a] > 0:
-                normalized = comp / np.linalg.norm(comp)
-                mixture += state.weights[a] * cell_weight(normalized, cell)
+        for a, weight in enumerate(shell_weights(state)):
+            comp = np.zeros_like(state.vector)
+            shell = slice(state.offsets[a], state.offsets[a + 1])
+            comp[shell] = state.vector[shell]
+            if weight > 0:
+                mixture += weight * cell_weight(comp / np.linalg.norm(comp), cell)
         avg = exact_time_avg_weight(state, cell)
         assert avg == pytest.approx(mixture, abs=1e-12)
         assert 0.0 <= avg <= 1.0
@@ -179,8 +199,8 @@ class TestExactTimeAverage:
         spec = spec_of([(0, 1), (1, 1), (3, 1), (7, 1)])
         rng = substream(4, 5)
         state, dec = random_instance(spec, rng)
-        cell = dec.cells[0]
-        row_weights = np.sum(np.abs(cell.basis) ** 2, axis=1)
+        cell = dec[0]
+        row_weights = np.sum(np.abs(cell) ** 2, axis=1)
         direct = float(np.sum(np.abs(state.vector) ** 2 * row_weights))
         assert abs(exact_time_avg_weight(state, cell) - direct) < 1e-12
 
@@ -205,7 +225,7 @@ class TestDiscreteTimeAverage:
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
         rng = substream(5, 0)
         state, dec = random_instance(spec, rng)
-        cell = dec.cells[0]
+        cell = dec[0]
         exact = discrete_time_average(
             per_point(lambda tau: cell_weight(evolve(state, tau), cell)),
             spec,
@@ -312,8 +332,8 @@ class TestTrajectoryKernel:
         for j in range(n):
             psi = evolve(state, 2 * math.pi * j / n)
             inside += all(
-                abs(cell_weight(psi, c) - c.rank / dim)
-                <= epsilon / math.sqrt(m) * math.sqrt(c.rank / dim)
+                abs(cell_weight(psi, c) - c.shape[1] / dim)
+                <= epsilon / math.sqrt(m) * math.sqrt(c.shape[1] / dim)
                 for c in dec
             )
         assert time_fraction_normal(state, dec, epsilon, grid_points=n) == inside / n
@@ -325,10 +345,7 @@ class TestTimeFractionNormal:
         # state on coordinate cells hits d/D exactly, so any epsilon works
         spec = spec_of([(0, 4)])
         state = prepare_state(np.full(4, 0.5, dtype=complex), spec)
-        dec = Decomposition(cells=(
-            coordinate_projection(4, [0, 1]),
-            coordinate_projection(4, [2, 3]),
-        ))
+        dec = [np.eye(4)[:, [0, 1]], np.eye(4)[:, [2, 3]]]
         assert time_fraction_normal(state, dec, 1e-9, grid_points=64) == 1.0
 
     def test_huge_epsilon_vacuous(self):

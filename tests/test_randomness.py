@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from ergolab import (
-    Decomposition,
-    Projection,
-    coordinate_projection,
     hypersphere_moments,
     sample_decomposition,
     sample_haar_unitary,
@@ -17,6 +14,7 @@ from ergolab import (
     substream,
     unitary_block_statistics,
 )
+from ergolab.montecarlo import check_ranks
 from ergolab.randomness import ginibre_matrix, haar_from_ginibre, mean_stderr
 
 
@@ -81,8 +79,7 @@ class TestRandomState:
 
     def test_dimension_one_full_weight(self):
         v = sample_random_state(1, substream(4, 1))
-        cell = coordinate_projection(1, [0])
-        assert abs(np.sum(np.abs(cell.basis.conj().T @ v) ** 2) - 1) < 1e-12
+        assert abs(abs(v[0]) ** 2 - 1) < 1e-12
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -95,38 +92,34 @@ class TestRandomState:
 
 
 class TestProjectionAndDecomposition:
-    def test_non_orthonormal_rejected(self):
-        basis = np.ones((4, 2), dtype=complex)
-        with pytest.raises(ValueError, match="orthonormal"):
-            Projection(basis=basis, indices=(0, 1))
-
-    def test_rank_index_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
-            Projection(basis=np.eye(4)[:, :2], indices=(0, 1, 2))
+    """Decompositions as lists of (D, d) basis arrays."""
 
     def test_rank_sum_mismatch_rejected(self):
-        cells = sample_decomposition([3, 3], substream(5, 0)).cells
+        # the check run configs and compute-l's --dims go through
         with pytest.raises(ValueError, match="sum"):
-            Decomposition(cells=cells[:1])
+            check_ranks((3,), 6)
+
+    def test_blocks_of_one_haar_unitary(self):
+        dec = sample_decomposition([2, 3, 1], substream(5, 0))
+        np.testing.assert_array_equal(np.hstack(dec),
+                                      sample_haar_unitary(6, substream(5, 0)))
 
     def test_full_cell_carries_everything(self):
         dec = sample_decomposition([6], substream(5, 1))
         v = sample_random_state(6, substream(5, 2))
-        w = np.sum(np.abs(dec.cells[0].basis.conj().T @ v) ** 2)
+        w = np.sum(np.abs(dec[0].conj().T @ v) ** 2)
         assert abs(w - 1) < 1e-10
 
     def test_rank_one_cells(self):
         dec = sample_decomposition([1] * 5, substream(5, 3))
-        assert dec.ranks == (1,) * 5
+        assert [c.shape for c in dec] == [(5, 1)] * 5
 
     def test_completeness_per_sample(self):
         dec = sample_decomposition([8] * 8, substream(5, 4))
         v = sample_random_state(64, substream(5, 5))
-        weights = [
-            float(np.sum(np.abs(c.basis.conj().T @ v) ** 2)) for c in dec
-        ]
+        weights = [float(np.sum(np.abs(c.conj().T @ v) ** 2)) for c in dec]
         assert abs(sum(weights) - 1) < 1e-10
-        stacked = np.hstack([c.basis for c in dec])
+        stacked = np.hstack(dec)
         assert np.abs(stacked.conj().T @ stacked - np.eye(64)).max() < 1e-10
 
     def test_invalid_ranks_rejected(self):
