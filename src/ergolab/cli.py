@@ -200,7 +200,7 @@ def _trial_chunks(report: montecarlo.ExperimentReport):
         yield from _rows(template, table.reshape(len(block), -1))
 
 
-def _trajectory_chunks(energies, rotated, dims, span: float, n: int):
+def _trajectory_chunks(energies, coords, dims, span: float, n: int):
     """The ``--dump-trajectory`` text: a header, then tau and every cell's
     weight at ``n`` times spread over ``span``, a GRID_SLICE slice of times
     per chunk, so that memory stays flat."""
@@ -208,7 +208,7 @@ def _trajectory_chunks(energies, rotated, dims, span: float, n: int):
     row = "\t".join(["%r"] * (len(dims) + 1)) + "\n"
     for j in range(0, n, dynamics.GRID_SLICE):
         taus = span * np.arange(j, min(j + dynamics.GRID_SLICE, n)) / n
-        weights = dynamics.trajectory_weights(energies, rotated, dims, taus)
+        weights = dynamics.trajectory_weights(energies, coords, dims, taus)
         yield from _rows(row, np.column_stack([taus, weights]))
 
 
@@ -286,7 +286,7 @@ def _amplitudes(pairs) -> np.ndarray:
 def _read_state_file(path: str) -> np.ndarray:
     """State schema: {"amplitudes": [[re, im], ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=spectrum.json_int)
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ValueError('state document must contain an "amplitudes" list')
     return _amplitudes(doc["amplitudes"])
@@ -391,9 +391,9 @@ def cmd_compute_l(args) -> int:
             spec.dim_total, randomness.substream(args.seed, 1))
         state_source = "sampled"
     state = dynamics.prepare_state(amplitudes, spec)
-    rotated = dynamics.rotated_amplitudes(unitary, state.vector)
+    coords = dynamics.shell_coordinates(unitary, state.vector, state.offsets)
 
-    # The oracle evolves the rotated amplitudes on the integer spectrum.
+    # The oracle evolves the shell coordinates on the integer spectrum.
     ispec, mult = dynamics.integer_rescaled(spec)
     if args.dump_trajectory is not None:
         # Periods of the (rescaled-integer) dynamics in original time units.
@@ -420,16 +420,14 @@ def cmd_compute_l(args) -> int:
         phases = dynamics.grid_phases(ispec, grid)
 
     cell_records = []
-    blocks = np.split(rotated, np.cumsum(dims)[:-1], axis=-1)
-    cells = montecarlo.evaluate_cells(spec, dims, rotated)
+    blocks = np.split(coords, np.cumsum(dims)[:-1], axis=-1)
+    cells = montecarlo.evaluate_cells(spec, dims, coords)
     for k, (rank, columns, (b, bound, gap_ok, resonant_ok)) in enumerate(
             zip(dims, blocks, cells)):
-        # The kernel has already checked both identity residuals.
         record = {name: float(value) for name, value in b.as_dict().items()}
         record.update({
             "cell": k + 1,
             "rank": rank,
-            "identity_residuals": [float(r) for r in b.identity_residuals()],
             "ergodicity_gap": record["diag_dev_sq"],
             "resonant_bound": float(bound),
             "chain_ok": bool(gap_ok and resonant_ok),
@@ -469,8 +467,8 @@ def cmd_compute_l(args) -> int:
 
     if args.dump_trajectory is not None:
         # Energies from the lowest level: an offset is only a global phase.
-        energies = dynamics.coordinate_energies(spec, origin=spec.energies[0])
-        _write(_trajectory_chunks(energies, rotated, dims, span, args.grid_points),
+        energies = dynamics.level_energies(spec, origin=spec.energies[0])
+        _write(_trajectory_chunks(energies, coords, dims, span, args.grid_points),
                args.dump_trajectory)
     return 0 if all_ok else 1
 
@@ -610,7 +608,8 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
         state_policy=policy,
         amplitudes=amplitudes,
         log_base=_log_base(doc.get("log_base", "e")),
-        grid_points=_integer(doc.get("grid_points", 1000), "grid_points"),
+        grid_points=(_integer(doc["grid_points"], "grid_points")
+                     if "grid_points" in doc else None),
         normality=normality,
     )
     return config, markov_threshold
@@ -618,7 +617,7 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
 
 def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=spectrum.json_int)
     config, markov_threshold = _config_from_document(doc, args)
 
     report = montecarlo.run_experiment(config)

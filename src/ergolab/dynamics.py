@@ -7,14 +7,15 @@ A cell is a plain (D, d) array of orthonormal basis columns and a
 decomposition a list of cells, as :func:`ergolab.randomness.sample_decomposition`
 draws them; the kernels see only columns of one basis, never a projector.
 
-The kernels take a state and a basis as the *rotated amplitudes*
-``conj(U) * psi[:, None]``: entry (i, j) is conj(U[i, j]) psi[i], so the
-sum of column j over the coordinates of shell a is the component of shell a
-along basis vector j, and the phase-weighted sum over all coordinates is the
-coordinate of the evolved state along it.  Every kernel also accepts stacks
-of these arrays on leading axes, which is how an ensemble evaluates a block
-of trials at once; the single-state functions are the same code on an
-array without a leading axis.
+Every kernel takes a state and a basis as the *shell coordinates*
+X[a, j] = <u_j|Pi_a psi>, the component of shell a along basis vector j, a
+D_E x c array (:func:`shell_coordinates`).  Shell a evolves with the one
+phase exp(-i E_a tau), so the coordinate of the evolved state along u_j is
+sum_a exp(-i E_a tau) X[a, j]: the time-grid kernels take one phase per
+level, and everything the cells' weights depend on is read through X.
+Every kernel also accepts stacks of these arrays on leading axes, which is
+how an ensemble evaluates a block of trials at once; the single-state
+functions are the same code on an array without a leading axis.
 
 For integer spectra every trajectory observable used here is a
 trigonometric polynomial with integer frequencies, which turns the
@@ -48,11 +49,10 @@ from .spectrum import Spectrum
 
 __all__ = [
     "ShellState",
-    "coordinate_energies",
+    "level_energies",
     "shell_offsets",
     "prepare_state",
     "unit_rows",
-    "rotated_amplitudes",
     "shell_coordinates",
     "overlap_matrices",
     "shell_overlap_matrix",
@@ -98,16 +98,11 @@ class ShellState:
     vector: np.ndarray
     offsets: np.ndarray
 
-    @property
-    def coord_energies(self) -> np.ndarray:
-        """Energy of each coordinate, as floats, for phase evolution."""
-        return coordinate_energies(self.spec)
 
-
-def coordinate_energies(spec: Spectrum, origin=0) -> np.ndarray:
-    """Energy of each coordinate of the eigenbasis, measured from ``origin``
-    exactly and then converted to floats."""
-    return np.repeat([float(e - origin) for e in spec.energies], spec.degeneracies)
+def level_energies(spec: Spectrum, origin=0) -> np.ndarray:
+    """Energy of each level, measured from ``origin`` exactly and then
+    converted to floats, for phase evolution off the period grid."""
+    return np.array([float(e - origin) for e in spec.energies])
 
 
 def shell_offsets(spec: Spectrum) -> np.ndarray:
@@ -144,27 +139,19 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms
 
 
-def rotated_amplitudes(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``conj(bases) * vectors[..., :, None]``, the input of every kernel below.
+def shell_coordinates(bases: np.ndarray, vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The input of every kernel below: X[..., a, j] = <u_j|Pi_a psi>.
 
     ``bases`` is (..., D, c), any c columns of a basis; ``vectors`` is
-    (..., D).  Column sums are the coordinates <u_j|psi>.
+    (..., D), states in the coordinate basis whose level a occupies
+    ``offsets[a]:offsets[a + 1]``.  Returns (..., D_E, c).
     """
-    return bases.conj() * vectors[..., :, None]
-
-
-def shell_coordinates(rotated: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Row a: the coordinates of shell component a along each basis column."""
-    return np.add.reduceat(rotated, offsets[:-1], axis=-2)
+    return np.add.reduceat(bases.conj() * vectors[..., :, None], offsets[:-1], axis=-2)
 
 
 def overlap_matrices(coords: np.ndarray) -> np.ndarray:
     """S[a, b] = sum_j conj(coords[a, j]) coords[b, j], on the last two axes."""
     return coords.conj() @ np.swapaxes(coords, -1, -2)
-
-
-def _cell_shell_coordinates(state: ShellState, cell: np.ndarray) -> np.ndarray:
-    return shell_coordinates(rotated_amplitudes(cell, state.vector), state.offsets)
 
 
 def shell_overlap_matrix(state: ShellState, cell: np.ndarray) -> np.ndarray:
@@ -174,7 +161,7 @@ def shell_overlap_matrix(state: ShellState, cell: np.ndarray) -> np.ndarray:
     by the cell projector.  Built from the d basis columns restricted to
     each shell block, so the full projector is never formed.
     """
-    return overlap_matrices(_cell_shell_coordinates(state, cell))
+    return overlap_matrices(shell_coordinates(cell, state.vector, state.offsets))
 
 
 def exact_time_avg_weight(state: ShellState, cell: np.ndarray) -> float:
@@ -184,7 +171,7 @@ def exact_time_avg_weight(state: ShellState, cell: np.ndarray) -> float:
     averaging, so the result is the sum over shells of each component's
     weight in the cell.
     """
-    return float(np.sum(np.abs(_cell_shell_coordinates(state, cell)) ** 2))
+    return float(np.sum(np.abs(shell_coordinates(cell, state.vector, state.offsets)) ** 2))
 
 
 def discrete_time_average(
@@ -242,9 +229,9 @@ def _grid_times(indices: np.ndarray, grid_points: int) -> np.ndarray:
 class GridPhases:
     """Evolution phases on the N-point period grid of an integer spectrum.
 
-    ``roots[m]`` is exp(-2*pi*i*m/N) and ``residues`` holds each
-    coordinate's energy mod N, so the phase of coordinate c at tau_j is
-    ``roots[(j * residues[c]) % N]``.
+    ``roots[m]`` is exp(-2*pi*i*m/N) and ``residues`` holds each level's
+    energy mod N, so the phase of level a at tau_j is
+    ``roots[(j * residues[a]) % N]``.
     """
 
     grid_points: int
@@ -252,7 +239,7 @@ class GridPhases:
     residues: np.ndarray
 
     def rows(self, indices) -> np.ndarray:
-        """Phase rows of the grid indices j; shape (len(j), D)."""
+        """Phase rows of the grid indices j; shape (len(j), D_E)."""
         j = np.asarray(indices, dtype=np.int64)
         return self.roots[np.multiply.outer(j, self.residues) % self.grid_points]
 
@@ -274,8 +261,7 @@ def grid_phases(spec: Spectrum, grid_points: int) -> GridPhases:
     n = int(grid_points)
     if not 1 <= n <= MAX_PHASE_GRID:
         raise ValueError(f"a phase grid has 1 to {MAX_PHASE_GRID} points, got {n}")
-    residues = np.repeat(np.array([e.numerator % n for e in spec.energies], dtype=np.int64),
-                         spec.degeneracies)
+    residues = np.array([e.numerator % n for e in spec.energies], dtype=np.int64)
     return GridPhases(n, _roots_of_unity(n), residues)
 
 
@@ -290,21 +276,22 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return np.exp(-1j * rest) * _QUARTER_TURNS[k]
 
 
-def time_phases(coord_energies: np.ndarray, taus) -> np.ndarray:
-    """Evolution phases exp(-i E tau), one row per time; shape (times, D)."""
-    return np.exp(-1j * np.outer(np.asarray(taus, dtype=float), coord_energies))
+def time_phases(energies: np.ndarray, taus) -> np.ndarray:
+    """Evolution phases exp(-i E tau) of the levels of :func:`level_energies`,
+    one row per time; shape (times, D_E)."""
+    return np.exp(-1j * np.outer(np.asarray(taus, dtype=float), energies))
 
 
-def evolved_weights(phases: np.ndarray, rotated: np.ndarray, ranks) -> np.ndarray:
+def evolved_weights(phases: np.ndarray, coords: np.ndarray, ranks) -> np.ndarray:
     """Weights of consecutive column blocks of the given ranks along a
-    time grid whose phase rows are ``phases``: the state is evolved, then
-    projected; shape (..., times, cells).
+    time grid whose phase rows (one phase per level) are ``phases``, from
+    the shell coordinates ``coords``; shape (..., times, cells).
 
     The squared real and imaginary parts are formed in place, and each
     cell's share is summed by a product with its 0/1 membership column.
     """
-    coords = phases @ rotated
-    parts = coords.view(np.float64)  # real and imaginary parts, interleaved
+    evolved = phases @ coords
+    parts = evolved.view(np.float64)  # real and imaginary parts, interleaved
     np.square(parts, out=parts)
     return parts @ _membership(tuple(int(d) for d in ranks))
 
@@ -320,27 +307,29 @@ def _membership(ranks: tuple[int, ...]) -> np.ndarray:
 
 
 def trajectory_weights(
-    coord_energies: np.ndarray, rotated: np.ndarray, ranks, taus
+    energies: np.ndarray, coords: np.ndarray, ranks, taus
 ) -> np.ndarray:
     """Weights along a time grid of the cells that are consecutive column
-    blocks of ``rotated``, with the given ranks; shape (..., times, cells)."""
-    return evolved_weights(time_phases(coord_energies, taus), rotated, ranks)
+    blocks of the shell coordinates ``coords``, with the given ranks, for
+    levels of the float ``energies``; shape (..., times, cells)."""
+    return evolved_weights(time_phases(energies, taus), coords, ranks)
 
 
 def normal_time_fractions(
-    phases: np.ndarray, rotated: np.ndarray, ranks, epsilon: float
+    phases: np.ndarray, coords: np.ndarray, ranks, epsilon: float
 ) -> np.ndarray:
     """Fraction of the grid times at which every cell weight is near its share.
 
     ``phases`` holds the phase rows of the grid times (from
-    :func:`grid_phases` or :func:`time_phases`); ``rotated`` from
-    :func:`rotated_amplitudes` on complete bases whose consecutive column
-    blocks of the given ranks are the cells.  One fraction per leading index.
+    :func:`grid_phases` or :func:`time_phases`); ``coords`` the shell
+    coordinates of complete bases whose consecutive column blocks of the
+    given ranks are the cells, so the ranks sum to D.  One fraction per
+    leading index.
     """
     ranks = np.asarray(ranks)
-    fracs = ranks / rotated.shape[-2]
+    fracs = ranks / ranks.sum()
     tol = (epsilon / math.sqrt(ranks.size)) * np.sqrt(fracs)
-    deviations = evolved_weights(phases, rotated, ranks)
+    deviations = evolved_weights(phases, coords, ranks)
     deviations -= fracs
     np.abs(deviations, out=deviations)
     return np.all(deviations <= tol, axis=-1).mean(axis=-1)
@@ -361,13 +350,10 @@ def time_fraction_normal(
     ``|w_nu - d_nu/D| <= (epsilon/sqrt(M)) * sqrt(d_nu/D)`` simultaneously
     for all cells.  Requires an integer spectrum, for which the trajectory
     has period 2*pi and the long-run fraction equals the one-period
-    fraction.
+    fraction; the phases are those of :func:`grid_phases`, as ``run`` takes
+    them.
     """
-    if not state.spec.is_integer:
-        raise ValueError(
-            "time fractions need an integer spectrum; rescale rational spectra first"
-        )
     ranks = [cell.shape[1] for cell in decomposition]
-    phases = time_phases(state.coord_energies, period_grid(grid_points))
-    rotated = rotated_amplitudes(np.hstack(decomposition), state.vector)
-    return float(normal_time_fractions(phases, rotated, ranks, epsilon))
+    phases = grid_phases(state.spec, grid_points).rows(np.arange(grid_points))
+    coords = shell_coordinates(np.hstack(decomposition), state.vector, state.offsets)
+    return float(normal_time_fractions(phases, coords, ranks, epsilon))

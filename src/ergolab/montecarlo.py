@@ -21,14 +21,15 @@ The block size only trades speed for memory; it changes no result, since
 every kernel works trial by trial along the leading axis.  A block gets
 BLOCK_BYTES for its working arrays, counted per trial as the complex D x D
 matrices alive while it is drawn and factored (_MATRICES_PER_TRIAL of
-them; the D_E x D_E overlap matrices are smaller) or, with ``normality``,
-the complex (grid_points, D) evolved coordinates, whichever is larger.  The
-budget was read off the benchmark's ensemble-small workload (D = 8, 1000
-grid points, 500 trials, normality on) on a 2-core x86-64 VM with one BLAS
-thread, where the peak resident set is 42.55 MiB trial by trial.  Blocks of 4, 8 and 16 trials (budgets of 512 KiB,
-1 MiB and 2 MiB) ran in 1.80, 1.59 and 1.40 reference units against 6.45,
-and raised that peak by 0.2, 0.8 and 2.1 MiB; 1 MiB is the largest budget
-that keeps the peak well inside 5% of it.
+them; the D_E x D shell coordinates and overlap matrices are smaller) or,
+with ``normality``, the complex (grid_points, D) evolved coordinates,
+whichever is larger.  The budget was read off the benchmark's
+ensemble-small workload (D = 8, 1000 grid points, 500 trials, normality
+on) on a 2-core x86-64 VM with one BLAS thread, where the peak resident
+set is 42.55 MiB trial by trial.  Blocks of 4, 8 and 16 trials (budgets
+of 512 KiB, 1 MiB and 2 MiB) ran in 1.80, 1.59 and 1.40 reference units
+against 6.45, and raised that peak by 0.2, 0.8 and 2.1 MiB; 1 MiB is the
+largest budget that keeps the peak well inside 5% of it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .dynamics import (
     normal_time_fractions,
     overlap_matrices,
     prepare_state,
-    rotated_amplitudes,
     shell_coordinates,
     shell_offsets,
     unit_rows,
@@ -89,7 +89,7 @@ BLOCK_BYTES = 1 << 20
 
 # Complex D x D arrays alive at once per trial while a block is drawn and
 # factored: the Ginibre matrix, the QR's working copy, Q, R, the unitary and
-# the rotated amplitudes.
+# the product conj(U) * psi that shell_coordinates sums over each shell.
 _MATRICES_PER_TRIAL = 6
 
 _POLICIES = ("uniform", "haar-fixed", "haar-per-trial", "explicit")
@@ -115,7 +115,7 @@ class ExperimentConfig:
     state_policy: str = "uniform"
     amplitudes: np.ndarray | None = None
     log_base: float = math.e
-    grid_points: int = 1000
+    grid_points: int | None = None  # None: max(1000, the least grid allowed)
     normality: bool = False
 
     def __post_init__(self):
@@ -138,9 +138,18 @@ class ExperimentConfig:
             if self.amplitudes is None:
                 raise ValueError("explicit state policy needs amplitudes")
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if not 1 <= int(self.grid_points) <= MAX_PHASE_GRID:
-            raise ValueError(
-                f"grid_points must be between 1 and {MAX_PHASE_GRID}, got {self.grid_points}")
+        least, note = 1, ""
+        if self.normality:
+            # The integer frequencies of (w - d/D)^2 reach twice the spread, so
+            # only a grid of more points averages it exactly, and only there
+            # does the sufficient condition imply the direct route.
+            least = 2 * int(integer_rescaled(self.spectrum)[0].spread) + 1
+            note = " with normality on (2*spread + 1 of the rescaled levels)"
+        if self.grid_points is None:
+            self.grid_points = max(1000, least)
+        if not least <= int(self.grid_points) <= MAX_PHASE_GRID:
+            raise ValueError(f"grid_points must be between {least} and {MAX_PHASE_GRID}{note}, "
+                             f"got {self.grid_points}")
         try:
             self.threshold(self.dims[0])
         except OverflowError:
@@ -158,18 +167,17 @@ class ExperimentConfig:
         return sufficient_threshold(self.params, rank, self.dim_total)
 
 
-def evaluate_cells(spec: Spectrum, ranks, rotated: np.ndarray):
+def evaluate_cells(spec: Spectrum, ranks, coords: np.ndarray):
     """Yield ``(breakdown, bound, gap_ok, resonant_ok)`` for every cell, in order.
 
-    ``rotated`` is the rotated amplitudes of one state, or a stack of them,
-    on complete bases whose consecutive column blocks of the given ranks are
-    the cells.  The shell coordinates are built once, then each cell's
-    overlap matrices go through
+    ``coords`` is the shell coordinates
+    (:func:`~ergolab.dynamics.shell_coordinates`) of one state, or a stack of
+    them, on complete bases whose consecutive column blocks of the given
+    ranks are the cells.  Each cell's overlap matrices go through
     :func:`~ergolab.typicality.deviation_breakdowns`.  The two links of the
     inequality chain, each within CHAIN_SLACK and broken by NaN: the
     ergodicity gap stays below the total, the resonant term below ``bound``.
     """
-    coords = shell_coordinates(rotated, shell_offsets(spec))
     index = spec.pair_index
     for rank, columns in zip(ranks, np.split(coords, np.cumsum(ranks)[:-1], axis=-1)):
         b = deviation_breakdowns(overlap_matrices(columns), rank / spec.dim_total, index)
@@ -297,6 +305,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     dim = config.dim_total
     p = config.params
     fixed = _fixed_state(config)
+    offsets = shell_offsets(spec)
     phases = None
     if config.normality:
         grid = config.grid_points
@@ -316,9 +325,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if fixed is None:
                 states[i] = sample_random_state(dim, rng)
         states = unit_rows(states) if fixed is None else fixed
-        rotated = rotated_amplitudes(haar_from_ginibre(ginibre), states)
+        coords = shell_coordinates(haar_from_ginibre(ginibre), states, offsets)
         block_totals = totals[trials.start:trials.stop]
-        cells = evaluate_cells(spec, config.dims, rotated)
+        cells = evaluate_cells(spec, config.dims, coords)
         for k, (b, _, gap_ok, resonant_ok) in enumerate(cells):
             block_totals[:, k] = b.total
             chain_violations += int(np.sum(~gap_ok) + np.sum(~resonant_ok))
@@ -327,7 +336,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 sufficient_condition(block_totals[:, k], p, rank, dim)
                 for k, rank in enumerate(config.dims)
             ], axis=0)
-            fractions = normal_time_fractions(phases, rotated, config.dims, p.epsilon)
+            fractions = normal_time_fractions(phases, coords, config.dims, p.epsilon)
             ok_direct = fractions >= 1 - p.delta_prime
             sufficient_count += int(np.sum(ok_sufficient))
             direct_count += int(np.sum(ok_direct))

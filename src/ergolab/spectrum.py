@@ -35,6 +35,7 @@ __all__ = [
     "GapStructure",
     "SumStructure",
     "Classification",
+    "json_int",
     "parse_spectrum",
     "gap_structure",
     "sum_structure",
@@ -54,6 +55,15 @@ DIGIT_LIMIT = 10**MAX_DIGITS
 
 class SpectrumError(ValueError):
     """Malformed or inconsistent spectrum input."""
+
+
+def json_int(text: str) -> int:
+    """The ``parse_int`` of every JSON document the program reads: an
+    integer of at most MAX_DIGITS digits, refused before it is converted."""
+    digits = len(text.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"a JSON integer has {digits} digits, beyond the limit of {MAX_DIGITS}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -335,7 +345,7 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
             raise SpectrumError(f"snap denominator must be positive, got {snap_denominator}")
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
+            document = json.loads(document, parse_int=json_int)
         except json.JSONDecodeError as exc:
             raise SpectrumError(f"invalid spectrum document: {exc}") from exc
     if not isinstance(document, dict) or "levels" not in document:

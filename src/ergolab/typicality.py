@@ -14,7 +14,10 @@ collapses exactly to three pieces:
 where R collects the cross terms between distinct ordered level pairs that
 share an energy-sum value, beyond the always-present pair and its swap.
 The same quantity also splits as (d/D)^2 plus a degeneracy term linear in
-trace(S) plus a quartic term; both groupings are computed and must agree.
+trace(S) plus a quartic term; that grouping is reported beside the first.
+It is an algebraic rearrangement of the same inputs, so it agrees up to
+rounding and checks nothing: the kernel's one gate is that the total is
+finite.
 
 R is computed over gap buckets.  Let g range over the distinct gaps
 E_b - E_a of ordered level pairs (a, b) and put
@@ -53,7 +56,7 @@ matrices and returns every piece as an array over the stack, which is how
 :func:`ergolab.montecarlo.evaluate_cells`); :func:`deviation_exact` is the
 same kernel on one state and one cell, a (D, d) basis array, and takes the
 spectrum from the state.
-Its identity check, like every gate here, is written so that NaN fails it.
+Its finiteness check, like every gate here, is written so that NaN fails it.
 
 Everything here is a plain float computation except the asymptotic-regime
 condition checks, which run in arbitrary precision because they must
@@ -88,7 +91,6 @@ __all__ = [
     "find_admissible_constant",
 ]
 
-IDENTITY_TOL = 1e-10
 DEFAULT_PRECISION_BITS = 256
 
 # find_admissible_constant searches the geometric grid of ratio
@@ -117,15 +119,6 @@ class DeviationBreakdown:
     offdiag_sum: float
     diag_dev_sq: float
     time_avg_weight: float
-
-    def identity_residuals(self) -> tuple[float, float]:
-        r1 = abs(
-            self.total
-            - (self.cell_fraction_sq + self.degeneracy_term
-               + self.nonresonant_term + self.resonant_term)
-        )
-        r2 = abs(self.total - (self.offdiag_sum + self.diag_dev_sq + self.resonant_term))
-        return r1, r2
 
     def as_dict(self) -> dict:
         return {
@@ -185,17 +178,19 @@ def deviation_breakdowns(
     ``s`` is (..., D_E, D_E), each matrix built for a cell of share
     ``frac`` = d/D on the spectrum whose pair index is ``index``.  Every
     field of the result except ``cell_fraction_sq`` is an array over the
-    leading axes.  Raises ArithmeticError unless both regroupings agree
-    within IDENTITY_TOL for every matrix.
+    leading axes.  Raises ArithmeticError unless every total is finite.
     """
     diag = np.diagonal(s, axis1=-2, axis2=-1).real
     trace = diag.sum(axis=-1)
     offdiag_sum = np.sum(np.abs(s) ** 2, axis=(-2, -1)) - np.sum(diag**2, axis=-1)
     diag_dev_sq = (trace - frac) ** 2
     res = _resonant_sums(s, index)
+    total = offdiag_sum + diag_dev_sq + res
+    if not np.all(np.isfinite(total)):
+        raise ArithmeticError("deviation functional is not finite")
 
-    breakdown = DeviationBreakdown(
-        total=offdiag_sum + diag_dev_sq + res,
+    return DeviationBreakdown(
+        total=total,
         cell_fraction_sq=frac**2,
         degeneracy_term=-2.0 * frac * trace,
         nonresonant_term=offdiag_sum + trace**2,
@@ -204,12 +199,6 @@ def deviation_breakdowns(
         diag_dev_sq=diag_dev_sq,
         time_avg_weight=trace,
     )
-    r1, r2 = breakdown.identity_residuals()
-    if not (np.all(r1 <= IDENTITY_TOL) and np.all(r2 <= IDENTITY_TOL)):
-        raise ArithmeticError(
-            f"deviation regroupings disagree: residuals {np.max(r1)}, {np.max(r2)}"
-        )
-    return breakdown
 
 
 def deviation_exact(state: ShellState, cell: np.ndarray) -> DeviationBreakdown:

@@ -172,10 +172,16 @@ def greedy_nonresonant_levels(count: int) -> list[int]:
     return levels
 
 
+def coordinate_energies(spec: Spectrum) -> np.ndarray:
+    """Energy of each coordinate of the eigenbasis, as floats: each level's
+    energy repeated over its degeneracy."""
+    return np.repeat([float(e) for e in spec.energies], spec.degeneracies)
+
+
 def evolve(state, tau: float) -> np.ndarray:
     """State vector after time tau: each coordinate picks up the float
     phase exp(-i E tau) of its energy."""
-    return np.exp(-1j * tau * state.coord_energies) * state.vector
+    return np.exp(-1j * tau * coordinate_energies(state.spec)) * state.vector
 
 
 def cell_weight(vector, cell: np.ndarray) -> float:
@@ -268,7 +274,7 @@ def trial_dump_reference(report) -> str:
     return "".join(lines)
 
 
-def trajectory_dump_reference(energies, rotated, dims, span, n) -> str:
+def trajectory_dump_reference(energies, coords, dims, span, n) -> str:
     """The ``compute-l --dump-trajectory`` text, written a line at a time:
     tau and every cell's weight at ``n`` times spread over ``span``.  The
     weights are evaluated in slices of GRID_SLICE times, as the program
@@ -277,7 +283,7 @@ def trajectory_dump_reference(energies, rotated, dims, span, n) -> str:
     lines = ["tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"]
     for j in range(0, n, GRID_SLICE):
         taus = span * np.arange(j, min(j + GRID_SLICE, n)) / n
-        weights = trajectory_weights(energies, rotated, dims, taus)
+        weights = trajectory_weights(energies, coords, dims, taus)
         for tau, row in zip(taus.tolist(), weights.tolist()):
             lines.append("\t".join(repr(x) for x in [tau, *row]) + "\n")
     return "".join(lines)

@@ -17,6 +17,7 @@ from ergolab import (
     deviation_exact,
     dynamics,
     integer_rescaled,
+    montecarlo,
     parse_spectrum,
     prepare_state,
     randomness,
@@ -357,7 +358,8 @@ class TestComputeLPath:
         for record, cell in zip(records, decomposition):
             b = deviation_exact(state, cell)
             assert {key: record[key] for key in b.as_dict()} == b.as_dict()
-            assert record["identity_residuals"] == list(b.identity_residuals())
+            assert set(record) == set(b.as_dict()) | {
+                "cell", "rank", "ergodicity_gap", "resonant_bound", "chain_ok", "oracle"}
             assert record["ergodicity_gap"] == b.diag_dev_sq
             assert record["resonant_bound"] == resonant_term_bound(b.time_avg_weight, d_f)
             assert record["rank"] == cell.shape[1] and record["chain_ok"] is True
@@ -397,6 +399,31 @@ class TestComputeLPath:
         assert main(["compute-l", spec_path, "--dims", dims,
                      "--out", str(tmp_path / "l.json")]) == 0
         assert calls == {"discrete_time_average": 3, "prepare_state": 1}
+
+    def test_time_grid_kernels_read_one_column_per_level(self, tmp_path, monkeypatch):
+        # run's normality route, the oracle and the dump evolve the D_E x D
+        # shell coordinates with one phase per level, never a D-wide array
+        widths = Counter()
+        evolved = dynamics.evolved_weights
+
+        def spy(phases, coords, ranks):
+            widths[phases.shape[-1], coords.shape[-2]] += 1
+            return evolved(phases, coords, ranks)
+
+        monkeypatch.setattr(dynamics, "evolved_weights", spy)
+        levels = [(0, 3), (1, 2), ("7/2", 3)]  # D = 8, D_E = 3
+        spec_path = write_spectrum(tmp_path, levels)
+        assert main(["compute-l", spec_path, "--dims", "4,4", "--grid-points", "300",
+                     "--dump-trajectory", str(tmp_path / "traj.tsv"),
+                     "--out", str(tmp_path / "l.json")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "spectrum": json.loads(Path(spec_path).read_text()), "dims": [4, 4],
+            "trials": 3, "state": "haar-per-trial", "normality": True}))
+        assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
+        # an oracle slice per cell (29 grid times), 3 dump slices and 1 block
+        # of run trials
+        assert widths == {(3, 3): 2 + 3 + 1}
 
     def test_one_membership_matrix_per_rank_tuple(self, tmp_path):
         # two cells of rank 3 on a 157-point grid, two slices each, and a
@@ -723,6 +750,34 @@ class TestBigIntFlags:
             assert len(str(json.load(fh)["D"])) == digits
 
 
+class TestLongJsonIntegers:
+    """An integer of more than 4300 digits in any JSON document the program
+    reads ends in one error line with its digit count and the limit, not in
+    Python's integer-conversion message."""
+
+    LONG = "-1" + "0" * 4300  # 4301 digits
+
+    def test_energy(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"levels": [{"energy": %s, "degeneracy": 1}]}' % self.LONG)
+        assert main(["analyze", str(path)]) == 1
+        assert_one_line_error(capsys, "4301 digits", "limit of 4300")
+
+    def test_run_trials(self, tmp_path, capsys):
+        cfg = Path(TestRun.write_config(tmp_path))
+        cfg.write_text(cfg.read_text().replace('"trials": 5', '"trials": ' + self.LONG[1:]))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "report.json")]) == 1
+        assert not (tmp_path / "report.json").exists()
+        assert_one_line_error(capsys, "4301 digits", "limit of 4300")
+
+    def test_state_amplitude(self, tmp_path, capsys):
+        spec_path = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        state = tmp_path / "state.json"
+        state.write_text('{"amplitudes": [[%s, 0], [0, 0]]}' % self.LONG)
+        assert main(["compute-l", spec_path, "--dims", "1,1", "--state", str(state)]) == 1
+        assert_one_line_error(capsys, "4301 digits", "limit of 4300")
+
+
 class TestParser:
     def test_built_once_and_reused_after_a_usage_error(self, tmp_path):
         cli.build_parser.cache_clear()
@@ -898,6 +953,45 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert_one_line_error(capsys, fragment)
+
+    # Levels {0, 1, 3, 7}: 2*spread + 1 = 15.  At seed 3 with 20 000 trials a
+    # grid of 1 point gave 47 implication violations, 2 points gave 3.
+    SPREAD_7 = {"levels": [{"energy": e, "degeneracy": 1} for e in (0, 1, 3, 7)]}
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_normality_grid_below_twice_the_spread_rejected(self, tmp_path, capsys, grid):
+        cfg = self.write_config(tmp_path, spectrum=self.SPREAD_7, dims=[2, 2],
+                                grid_points=grid, normality=True)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, "grid_points must be between 15 and", f"got {grid}")
+
+    def test_normality_holds_on_the_least_grid(self, tmp_path):
+        # on a grid of 2*spread + 1 points the grid mean of (w - d/D)^2 is
+        # the deviation, so "sufficient => direct" is a theorem
+        cfg = self.write_config(tmp_path, spectrum=self.SPREAD_7, dims=[2, 2], trials=20_000,
+                                seed=3, state="haar-per-trial", grid_points=15,
+                                params={"epsilon": 0.8, "delta": 0.5, "delta_prime": 0.5},
+                                normality=True)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert load(out)["normality"]["implication_violations"] == 0
+
+    def test_default_normality_grid_covers_twice_the_spread(self, tmp_path, monkeypatch):
+        # spread 700: the default grid is 1401 points, not 1000, and an
+        # explicit 1000 is refused
+        grids = []
+        phases = montecarlo.grid_phases
+        monkeypatch.setattr(montecarlo, "grid_phases",
+                            lambda spec, n: grids.append(n) or phases(spec, n))
+        spectrum = {"levels": [{"energy": e, "degeneracy": 1} for e in (0, 1, 3, 700)]}
+        cfg = self.write_config(tmp_path, spectrum=spectrum, dims=[2, 2], normality=True)
+        assert main(["run", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert grids == [1401]
+        cfg = self.write_config(tmp_path, spectrum=spectrum, dims=[2, 2], normality=True,
+                                grid_points=1000)
+        assert main(["run", cfg, "--out", str(tmp_path / "report.json")]) == 1
 
     def test_trial_dump_and_overrides(self, tmp_path):
         cfg = self.write_config(tmp_path)

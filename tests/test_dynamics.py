@@ -21,10 +21,11 @@ from ergolab import (
 )
 from ergolab.dynamics import (
     MAX_PHASE_GRID,
-    coordinate_energies,
+    evolved_weights,
     grid_phases,
+    level_energies,
     period_grid,
-    rotated_amplitudes,
+    shell_coordinates,
     time_phases,
 )
 
@@ -36,9 +37,10 @@ def spec_of(levels):
 
 
 def kernel_inputs(state, dec):
-    """Coordinate energies, rotated amplitudes and ranks of the time-grid kernel."""
+    """Level energies, shell coordinates and ranks of the time-grid kernel."""
     ranks = [cell.shape[1] for cell in dec]
-    return state.coord_energies, rotated_amplitudes(np.hstack(dec), state.vector), ranks
+    coords = shell_coordinates(np.hstack(dec), state.vector, state.offsets)
+    return level_energies(state.spec), coords, ranks
 
 
 def shell_weights(state):
@@ -48,10 +50,10 @@ def shell_weights(state):
 
 def weights_now(vector, dec):
     """Weights of the cells of ``dec`` on ``vector``, from the trajectory
-    kernel at time 0."""
-    energies = np.zeros(len(vector))
-    rotated = rotated_amplitudes(np.hstack(dec), np.asarray(vector, dtype=complex))
-    return trajectory_weights(energies, rotated, [c.shape[1] for c in dec], [0.0])[0]
+    kernel at time 0, with the whole space one level."""
+    vector = np.asarray(vector, dtype=complex)
+    coords = shell_coordinates(np.hstack(dec), vector, np.array([0, len(vector)]))
+    return trajectory_weights(np.zeros(1), coords, [c.shape[1] for c in dec], [0.0])[0]
 
 
 class TestPrepareState:
@@ -96,13 +98,13 @@ class TestEvolve:
 
     def test_zero_time_identity(self):
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
-        np.testing.assert_array_equal(time_phases(coordinate_energies(spec), [0.0]),
+        np.testing.assert_array_equal(time_phases(level_energies(spec), [0.0]),
                                       np.ones((1, 3)))
 
     def test_integer_spectrum_periodic(self):
         spec = spec_of([(0, 1), (1, 2), (3, 1)])
         np.testing.assert_allclose(
-            time_phases(coordinate_energies(spec), [2 * math.pi]), np.ones((1, 4)),
+            time_phases(level_energies(spec), [2 * math.pi]), np.ones((1, 3)),
             atol=1e-12)
 
     def test_norm_preserved(self):
@@ -110,7 +112,8 @@ class TestEvolve:
         state = prepare_state(sample_random_state(4, substream(2, 2)), spec)
         taus = np.linspace(0, 20, 17)
         weights = trajectory_weights(
-            state.coord_energies, rotated_amplitudes(np.eye(4), state.vector), [4], taus)
+            level_energies(spec), shell_coordinates(np.eye(4), state.vector, state.offsets),
+            [4], taus)
         np.testing.assert_allclose(weights, 1, rtol=0, atol=1e-12)
 
     def test_stationary_state_constant_weights(self):
@@ -266,8 +269,9 @@ class TestGridPhases:
         spec = spec_of([(-3, 2), (0, 1), (4, 3), (11, 1)])
         n = 31
         rows = grid_phases(spec, n).rows(np.arange(n))
-        floats = time_phases(coordinate_energies(spec), period_grid(n))
-        assert rows.shape == floats.shape == (n, spec.dim_total)
+        floats = time_phases(level_energies(spec), period_grid(n))
+        # one phase per level, not per coordinate
+        assert rows.shape == floats.shape == (n, spec.num_levels)
         # the float phases lose about |E tau| ulps
         np.testing.assert_allclose(rows, floats, rtol=0, atol=1e-13)
 
@@ -321,6 +325,26 @@ class TestTrajectoryKernel:
         weights = trajectory_weights(*kernel_inputs(state, dec), taus)
         for tau, row in zip(taus, weights):
             psi = evolve(state, tau)
+            expected = [cell_weight(psi, cell) for cell in dec]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
+
+    def test_mixed_degeneracies_past_int64_match_the_dense_route(self):
+        # one phase per level evolves shells of 5, 1 and 4 coordinates; the
+        # dense reference evolves every coordinate of the unshifted spectrum,
+        # which differs by a global phase only
+        offset, n = 2**63 + 5, 17
+        levels = [(0, 5), (1, 1), (3, 4)]
+        big = spec_of([(offset + e, d) for e, d in levels])
+        rng = substream(7, 2)
+        state = prepare_state(sample_random_state(10, rng), spec_of(levels))
+        dec = sample_decomposition([3, 3, 4], rng)
+        ranks = [3, 3, 4]
+        phases = grid_phases(big, n).rows(np.arange(n))
+        assert phases.shape == (n, 3)
+        coords = shell_coordinates(np.hstack(dec), state.vector, state.offsets)
+        weights = evolved_weights(phases, coords, ranks)
+        for j, row in enumerate(weights):
+            psi = evolve(state, 2 * math.pi * j / n)
             expected = [cell_weight(psi, cell) for cell in dec]
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
 

@@ -96,18 +96,20 @@ class TestDeviationExact:
             state, dec = random_instance(spec, rng)
             for cell in dec:
                 b = deviation_exact(state, cell)
-                r1, r2 = b.identity_residuals()
-                assert max(r1, r2) < 1e-10
+                first = (b.cell_fraction_sq + b.degeneracy_term + b.nonresonant_term
+                         + b.resonant_term)
+                second = b.offdiag_sum + b.diag_dev_sq + b.resonant_term
+                assert abs(first - b.total) <= 1e-14 and abs(second - b.total) <= 1e-14
                 assert b.total >= 0 and b.offdiag_sum >= 0 and b.diag_dev_sq >= 0
 
-    def test_nan_amplitude_fails_the_identity_check(self):
+    def test_nan_amplitude_fails_the_finiteness_check(self):
         spec = spec_of([(0, 2), (1, 2)])
         good = prepare_state(sample_random_state(4, substream(1, 7)), spec)
         vector = good.vector.copy()
         vector[1] = np.nan
         state = ShellState(spec=spec, vector=vector, offsets=good.offsets)
         cell = sample_decomposition([2, 2], substream(1, 8))[0]
-        with pytest.raises(ArithmeticError, match="regroupings disagree"):
+        with pytest.raises(ArithmeticError, match="not finite"):
             deviation_exact(state, cell)
 
     def test_stack_equals_single_cells(self):
