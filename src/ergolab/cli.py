@@ -38,9 +38,9 @@ MAX_ORACLE_GRID = 20_001
 MAX_DUMP_POINTS = 10_000_000
 
 # verify-lemmas size limits.  A run keeps every sample until its moments
-# are taken, about 55 bytes each at peak (261 MB measured at 4 000 000
-# samples), and 16 bytes per ensemble member: at these limits that is
-# 5.5 GB and 1.6 GB.  Larger runs are refused before they allocate, rather
+# are taken, about 55 bytes each at peak (263 MB measured at 4 000 000
+# samples, --dim 8), and 16 bytes per ensemble member: at these limits that
+# is 5.5 GB and 1.6 GB.  Larger runs are refused before they allocate, rather
 # than exhausting memory midway.  A --dim whose arrays cannot be allocated
 # at all ends in main's out-of-memory line.
 MAX_LEMMA_SAMPLES = 100_000_000
@@ -313,19 +313,12 @@ def cmd_verify_lemmas(args) -> int:
             f"insufficient samples ({samples} < {MIN_GATED_SAMPLES}): gates skipped"
         )
 
-    state_stats = randomness.state_weight_statistics(
-        dim, rank, samples, randomness.substream(args.seed, 0)
-    )
-    sphere_stats = randomness.hypersphere_moments(
-        dim, samples, randomness.substream(args.seed, 1)
+    state_stats, sphere_stats, block_stats = randomness.lemma_statistics(
+        dim, rank, samples, args.ensemble, args.seed
     )
 
-    block_stats = None
     block_gate = None
-    if rank < dim:
-        block_stats = randomness.unitary_block_statistics(
-            dim, rank, args.ensemble, randomness.substream(args.seed, 2)
-        )
+    if block_stats is not None:
         applicable = (
             args.ensemble >= 100
             and typicality.admissible_constant_crossover(dim, rank) > 1

@@ -17,11 +17,20 @@ unchanged.
 Statistical reports follow one record shape per estimated quantity:
 ``{"estimate", "stderr", "target", "pass"}`` with 5-standard-error gates,
 which keeps the false-alarm rate of a seeded check below ~1e-6.
+
+Moment estimates draw their Gaussian vectors a fixed batch at a time, real
+parts of the whole batch first: the batch fixes the order in which a seed's
+generator is consumed, so it fixes every reported bit.  The rows are then
+handed out in chunks of a fixed number of entries; the chunk only bounds
+the working memory of the per-row arithmetic and changes no result.
+:func:`lemma_statistics` runs the three lemma checks concurrently, each on
+its own substream.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -38,6 +47,7 @@ __all__ = [
     "state_weight_statistics",
     "hypersphere_moments",
     "unitary_block_statistics",
+    "lemma_statistics",
 ]
 
 DEFAULT_SEED = 12345
@@ -46,9 +56,15 @@ DEFAULT_SEED = 12345
 # fails (see the module docstring).
 GATE_SIGMA = 5
 
-# Internal batch size for vectorized moment estimation; fixed so that a
-# given seed always consumes the generator in the same order.
+# Rows per Gaussian batch of the moment estimates: the real parts of a
+# batch are drawn before its imaginary parts, so this fixes the order in
+# which a seed's generator is consumed, and with it every reported bit.
 _BATCH = 4096
+
+# Complex entries per chunk handed out of a batch.  The chunk bounds the
+# working memory of the per-row arithmetic (a few hundred KiB whatever the
+# dimension); every per-row quantity is the same however rows are chunked.
+_CHUNK_ENTRIES = 2**15
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -142,22 +158,44 @@ def _covariance_record(a: np.ndarray, b: np.ndarray, target: float) -> dict:
     return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+
+
+def _check_rank(dim: int, rank: int) -> None:
+    if not 1 <= rank <= dim:
+        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
+
+
+def _check_ensemble(ensemble: int) -> None:
+    if ensemble < 1:
+        raise ValueError("ensemble size must be >= 1")
+
+
 def _gaussian_batches(dim: int, samples: int, rng: np.random.Generator):
     """``(rows, z)`` pairs: the complex Gaussian D-vectors ``z`` of samples
     ``rows``, drawn _BATCH at a time as :func:`sample_random_state` draws
-    them, real parts first.  ``z`` is one buffer, refilled in place for
-    every batch so that drawing allocates nothing per batch; a caller reads
-    it before taking the next.  At least two samples are needed for a
-    standard error."""
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    z = np.empty((min(_BATCH, samples), dim), dtype=complex)
-    part = np.empty(z.shape)
+    them, real parts of the batch first, then its imaginary parts.  The
+    batch's real parts are kept in one float buffer; its rows are handed
+    out in chunks of about _CHUNK_ENTRIES entries, each chunk's imaginary
+    parts drawn as it is handed out (consecutive fills consume the generator
+    as one fill of the whole batch does).  ``z`` is one buffer, refilled in
+    place for every chunk so that drawing allocates nothing per batch; a
+    caller reads it before taking the next."""
+    batch = min(_BATCH, samples)
+    chunk = min(batch, max(1, _CHUNK_ENTRIES // dim))
+    real = np.empty((batch, dim))
+    imag = np.empty((chunk, dim))
+    z = np.empty((chunk, dim), dtype=complex)
     for done in range(0, samples, _BATCH):
         k = min(_BATCH, samples - done)
-        z.real[:k] = rng.standard_normal(out=part[:k])
-        z.imag[:k] = rng.standard_normal(out=part[:k])
-        yield slice(done, done + k), z[:k]
+        rng.standard_normal(out=real[:k])
+        for start in range(0, k, chunk):
+            m = min(chunk, k - start)
+            z.real[:m] = real[start:start + m]
+            z.imag[:m] = rng.standard_normal(out=imag[:m])
+            yield slice(done + start, done + start + m), z[:m]
 
 
 def state_weight_statistics(
@@ -169,21 +207,51 @@ def state_weight_statistics(
     invariance of the state distribution this loses no generality.  Targets
     are d/D and (1/d)(d/D)^2 (D-d)/(D+1).  Needs at least two samples.
     """
-    if not 1 <= rank <= dim:
-        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
+    _check_rank(dim, rank)
+    _check_samples(samples)
     w = np.empty(samples)
     for rows, z in _gaussian_batches(dim, samples, rng):
         z2 = np.abs(z) ** 2
         w[rows] = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
+    return _state_record(dim, rank, w)
+
+
+def _state_record(dim: int, rank: int, w) -> dict:
     frac = rank / dim
     var_target = (1 / rank) * frac**2 * (dim - rank) / (dim + 1)
     return {
         "dim": dim,
         "rank": rank,
-        "samples": samples,
+        "samples": w.size,
         "mean": _record(*mean_stderr(w), frac),
         "variance": _variance_record(w, var_target),
     }
+
+
+def _sphere_draws(dim: int, rng: np.random.Generator, x2, m0, m1) -> None:
+    """Fill ``x2``, ``m0``, ``m1`` (one entry per sample) with the squared
+    real part and squared modulus of coefficient 0 and the squared modulus
+    of coefficient 1 of normalized random states; only these two
+    coefficients are normalized."""
+    for rows, z in _gaussian_batches(dim, x2.size, rng):
+        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
+        x2[rows] = c[:, 0].real ** 2
+        m0[rows], m1[rows] = np.abs(c[:, 0]) ** 2, np.abs(c[:, 1]) ** 2
+
+
+def _sphere_record(dim: int, x2, m0, m1) -> dict:
+    mean_target = 1 / (2 * dim)
+    var_target = (dim - 1) / (dim**2 * (dim + 1))
+    cov_target = -1 / (dim**2 * (dim + 1))
+    out = {
+        "dim": dim,
+        "samples": x2.size,
+        "mean": _record(*mean_stderr(x2), mean_target),
+        "variance": _variance_record(m0, var_target),
+    }
+    if dim >= 2:
+        out["covariance"] = _covariance_record(m0, m1, cov_target)
+    return out
 
 
 def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dict:
@@ -200,25 +268,10 @@ def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dic
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    # Squared real part and squared modulus of coefficient 0, squared
-    # modulus of coefficient 1; only these two coefficients are normalized.
+    _check_samples(samples)
     x2, m0, m1 = np.empty((3, samples))
-    for rows, z in _gaussian_batches(dim, samples, rng):
-        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
-        x2[rows] = c[:, 0].real ** 2
-        m0[rows], m1[rows] = np.abs(c[:, 0]) ** 2, np.abs(c[:, 1]) ** 2
-    mean_target = 1 / (2 * dim)
-    var_target = (dim - 1) / (dim**2 * (dim + 1))
-    cov_target = -1 / (dim**2 * (dim + 1))
-    out = {
-        "dim": dim,
-        "samples": samples,
-        "mean": _record(*mean_stderr(x2), mean_target),
-        "variance": _variance_record(m0, var_target),
-    }
-    if dim >= 2:
-        out["covariance"] = _covariance_record(m0, m1, cov_target)
-    return out
+    _sphere_draws(dim, rng, x2, m0, m1)
+    return _sphere_record(dim, x2, m0, m1)
 
 
 def unitary_block_statistics(
@@ -236,8 +289,7 @@ def unitary_block_statistics(
     if not 1 <= rank < dim:
         raise ValueError(f"need 1 <= rank < dim, got rank={rank}, dim={dim}")
     ensemble = int(ensemble)
-    if ensemble < 1:
-        raise ValueError("ensemble size must be >= 1")
+    _check_ensemble(ensemble)
     frac = rank / dim
     max_off = np.empty(ensemble)
     max_diag = np.empty(ensemble)
@@ -261,3 +313,65 @@ def unitary_block_statistics(
         "max_offdiag": record(max_off, log_dim / dim),
         "max_diag_dev": record(max_diag, 9 * rank * log_dim / dim**2),
     }
+
+
+class _Call(threading.Thread):
+    """``fn(*args)`` on a thread of its own, started at once.  :meth:`result`
+    waits for it, then returns its value or raises, in the waiting thread,
+    what the call raised."""
+
+    def __init__(self, fn, *args):
+        super().__init__()
+        self._fn, self._args = fn, args
+        self._value = self._error = None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._fn(*self._args)
+        except BaseException as exc:  # raised again by result()
+            self._error = exc
+        finally:
+            self._fn = self._args = None  # the caller owns and frees the arrays
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def lemma_statistics(dim: int, rank: int, samples: int, ensemble: int, seed: int):
+    """``(state, sphere, blocks)``: :func:`state_weight_statistics` on
+    substream (seed, 0), :func:`hypersphere_moments` on (seed, 1) and, when
+    rank < dim, :func:`unitary_block_statistics` on (seed, 2), else None,
+    each equal to what that function returns on its own.
+
+    The three run at once: the hypersphere draws and the unitary blocks on
+    a thread each, the state weights on the calling thread (numpy's
+    Gaussian fills, its array arithmetic and LAPACK's QR release the GIL).
+    Each stream owns its generator and its arrays, so no result depends on
+    scheduling or on the number of cores.  The arguments are checked before
+    any thread starts.  The per-sample arrays are allocated by the calling
+    thread, whose heap may hold memory earlier work freed, and the moment
+    records are taken on it, the hypersphere's after the state weights are
+    freed, so the peak holds one record's temporaries at a time.  Every
+    thread is joined before anything is returned or raised.
+    """
+    _check_rank(dim, rank)
+    _check_samples(samples)
+    if rank < dim:
+        _check_ensemble(int(ensemble))
+    x2, m0, m1 = np.empty((3, samples))
+    workers = []
+    try:
+        workers.append(_Call(_sphere_draws, dim, substream(seed, 1), x2, m0, m1))
+        if rank < dim:
+            workers.append(_Call(unitary_block_statistics, dim, rank, ensemble,
+                                 substream(seed, 2)))
+        state = state_weight_statistics(dim, rank, samples, substream(seed, 0))
+    finally:
+        for worker in workers:
+            worker.join()
+    _, *blocks = [worker.result() for worker in workers]
+    return state, _sphere_record(dim, x2, m0, m1), blocks[0] if blocks else None

@@ -27,8 +27,13 @@ from ergolab import (
     sum_structure,
     time_fraction_normal,
     trajectory_weights,
+    unitary_block_statistics,
 )
 from ergolab.dynamics import GRID_SLICE
+from ergolab.randomness import _sphere_record, _state_record
+
+# Rows per Gaussian batch of the moment estimates, as the package draws them.
+LEMMA_BATCH = 4096
 
 
 def brute_max_gap_degeneracy(energies) -> int:
@@ -287,3 +292,52 @@ def trajectory_dump_reference(energies, coords, dims, span, n) -> str:
         for tau, row in zip(taus.tolist(), weights.tolist()):
             lines.append("\t".join(repr(x) for x in [tau, *row]) + "\n")
     return "".join(lines)
+
+
+def gaussian_batches_reference(dim: int, samples: int, rng: np.random.Generator):
+    """The complex Gaussian rows of the moment estimates, one whole batch of
+    LEMMA_BATCH rows at a time in one complex array: the batch's real parts
+    drawn first, then its imaginary parts, without chunking."""
+    for done in range(0, samples, LEMMA_BATCH):
+        k = min(LEMMA_BATCH, samples - done)
+        z = np.empty((k, dim), dtype=complex)
+        z.real = rng.standard_normal((k, dim))
+        z.imag = rng.standard_normal((k, dim))
+        yield z
+
+
+def state_weights_reference(dim: int, rank: int, samples: int, rng) -> np.ndarray:
+    """Weight of the first ``rank`` coordinates on each random state, taken
+    on whole batches."""
+    weights = []
+    for z in gaussian_batches_reference(dim, samples, rng):
+        z2 = np.abs(z) ** 2
+        weights.append(z2[:, :rank].sum(axis=1) / z2.sum(axis=1))
+    return np.concatenate(weights)
+
+
+def sphere_coefficients_reference(dim: int, samples: int, rng):
+    """``(x2, m0, m1)`` per random state: the squared real part and squared
+    modulus of coefficient 0, the squared modulus of coefficient 1, each
+    normalized by the norm of the whole batch's rows."""
+    x2, m0, m1 = [], [], []
+    for z in gaussian_batches_reference(dim, samples, rng):
+        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
+        x2.append(c[:, 0].real ** 2)
+        m0.append(np.abs(c[:, 0]) ** 2)
+        m1.append(np.abs(c[:, 1]) ** 2)
+    return np.concatenate(x2), np.concatenate(m0), np.concatenate(m1)
+
+
+def lemma_statistics_reference(dim: int, rank: int, samples: int, ensemble: int, seed: int):
+    """``randomness.lemma_statistics`` computed one stream after another on
+    one thread, from whole-batch draws.  The records are built by the
+    package's own record helpers, so agreement checks the draws and the
+    concurrency, not the moment formulas."""
+    state = _state_record(dim, rank, state_weights_reference(dim, rank, samples,
+                                                             substream(seed, 0)))
+    sphere = _sphere_record(dim, *sphere_coefficients_reference(dim, samples,
+                                                                substream(seed, 1)))
+    blocks = (unitary_block_statistics(dim, rank, ensemble, substream(seed, 2))
+              if rank < dim else None)
+    return state, sphere, blocks

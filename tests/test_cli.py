@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -30,7 +31,7 @@ from ergolab import (
 )
 from ergolab.cli import main
 
-from support import cell_weight, evolve
+from support import cell_weight, evolve, lemma_statistics_reference
 
 
 def write_spectrum(tmp_path, levels, name="spec.json"):
@@ -169,6 +170,54 @@ class TestVerifyLemmas:
         assert main(argv) == 1
         assert not out.exists()
         assert_one_line_error(capsys, *fragments)
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    @pytest.mark.parametrize("dim, rank, samples, ensemble", [
+        ("1", "1", "10001", "5"), ("6", "6", "4099", "5"), ("257", "3", "5003", "4"),
+        ("8", "2", "20000", "30"), ("100", "10", "9000", "10"),
+    ])
+    def test_report_equals_the_sequential_whole_batch_reference(
+            self, tmp_path, monkeypatch, dim, rank, samples, ensemble, seed):
+        argv = ["verify-lemmas", "--dim", dim, "--rank", rank, "--samples", samples,
+                "--ensemble", ensemble, "--seed", seed, "--out"]
+        concurrent, reference = tmp_path / "concurrent.json", tmp_path / "reference.json"
+        code = main(argv + [str(concurrent)])
+        monkeypatch.setattr(randomness, "lemma_statistics", lemma_statistics_reference)
+        assert main(argv + [str(reference)]) == code
+        assert concurrent.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--rank", "13"], "rank"), (["--ensemble", "0"], "ensemble"),
+    ])
+    def test_bad_sizes_rejected_before_any_thread_starts(self, monkeypatch, capsys,
+                                                         flags, fragment):
+        def no_thread(*args):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(randomness, "_Call", no_thread)
+        argv = ["verify-lemmas", "--dim", "12", "--rank", "3", "--samples", "100"] + flags
+        assert main(argv) == 1
+        assert_one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("stream", [
+        "state_weight_statistics", "_sphere_draws", "unitary_block_statistics",
+    ])
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError, "error: out of memory: no room"), (ValueError, "error: no room"),
+    ])
+    def test_failing_stream_is_one_error_line_and_every_thread_joined(
+            self, tmp_path, monkeypatch, capsys, stream, error, message):
+        def fail(*args):
+            raise error("no room")
+
+        monkeypatch.setattr(randomness, stream, fail)
+        before = threading.active_count()
+        out = tmp_path / "v.json"
+        assert main(["verify-lemmas", "--dim", "12", "--rank", "3", "--samples", "20000",
+                     "--ensemble", "50", "--out", str(out)]) == 1
+        assert threading.active_count() == before
+        assert not out.exists()
+        assert_one_line_error(capsys, message)
 
     def test_moderate_run_passes(self, tmp_path):
         out = tmp_path / "v.json"

@@ -1,5 +1,6 @@
 """Haar sampling, decompositions, and moment statistics."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,25 @@ from ergolab import (
     unitary_block_statistics,
 )
 from ergolab.montecarlo import check_ranks
-from ergolab.randomness import ginibre_matrix, haar_from_ginibre, mean_stderr
+from ergolab.randomness import (
+    _gaussian_batches,
+    _sphere_record,
+    _state_record,
+    ginibre_matrix,
+    haar_from_ginibre,
+    mean_stderr,
+)
+
+from support import (
+    gaussian_batches_reference,
+    sphere_coefficients_reference,
+    state_weights_reference,
+)
+
+# (dim, rank, samples) of the chunked-draw checks: D = 1, rank = dim, D = 257
+# (chunks of 127 rows), and sample counts that are multiples of neither the
+# 4096-row batch nor the chunk.
+LEMMA_CASES = [(1, 1, 10001), (6, 6, 4099), (257, 3, 5003), (8, 2, 20000), (100, 10, 9000)]
 
 
 class TestSubstream:
@@ -188,6 +207,33 @@ class TestHypersphereMoments:
         assert stats["mean"]["pass"]
         assert stats["variance"]["pass"]
         assert stats["covariance"]["pass"]
+
+
+class TestChunkedDraws:
+    """The moment estimates draw whole batches but compute on chunks of
+    rows; every bit must equal the whole-batch computation."""
+
+    @pytest.mark.parametrize("dim, samples", [(1, 10001), (3, 4097), (100, 9000), (257, 5003)])
+    def test_chunks_are_the_whole_batch_draws(self, dim, samples):
+        rows, chunks = [], []
+        for r, z in _gaussian_batches(dim, samples, substream(9, dim)):
+            rows.append((r.start, r.stop))
+            chunks.append(z.copy())
+        assert rows[0][0] == 0 and rows[-1][1] == samples
+        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+        whole = np.concatenate(list(gaussian_batches_reference(dim, samples,
+                                                               substream(9, dim))))
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("dim, rank, samples", LEMMA_CASES)
+    def test_moments_equal_the_whole_batch_reference(self, dim, rank, samples, seed):
+        weights = state_weights_reference(dim, rank, samples, substream(seed, 0))
+        assert (json.dumps(state_weight_statistics(dim, rank, samples, substream(seed, 0)))
+                == json.dumps(_state_record(dim, rank, weights)))
+        coefficients = sphere_coefficients_reference(dim, samples, substream(seed, 1))
+        assert (json.dumps(hypersphere_moments(dim, samples, substream(seed, 1)))
+                == json.dumps(_sphere_record(dim, *coefficients)))
 
 
 class TestUnitaryBlockStatistics:
