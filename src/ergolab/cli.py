@@ -29,7 +29,7 @@ __all__ = ["main", "entry", "DEFAULT_SEED"]
 # Gates in verify-lemmas are skipped below this sample count.
 MIN_GATED_SAMPLES = 10_000
 
-# Oracle cross-checks are skipped when the discrete grid would exceed this.
+# Oracle cross-checks are skipped above this grid (rescaled spreads over 10 000).
 MAX_ORACLE_GRID = 20_001
 
 # Largest compute-l trajectory dump, in rows (times).  The dump is written
@@ -302,6 +302,8 @@ def cmd_verify_lemmas(args) -> int:
     dim, rank, samples = args.dim, args.rank, args.samples
     if samples < 2:
         raise ValueError(f"--samples must be at least 2 for a standard error, got {samples}")
+    if args.ensemble < 1:
+        raise ValueError(f"--ensemble must be at least 1, got {args.ensemble}")
     for flag, value, limit in [("--samples", samples, MAX_LEMMA_SAMPLES),
                                ("--ensemble", args.ensemble, MAX_LEMMA_ENSEMBLE)]:
         if value > limit:
@@ -401,8 +403,7 @@ def cmd_compute_l(args) -> int:
             raise ValueError(f"--periods {args.periods} overflows the dump's time span")
     spread = int(ispec.spread)
     # (w - d/D)^2 has integer frequencies up to twice the spread.
-    max_frequency = 2 * spread
-    grid = dynamics.exact_grid_points(max_frequency)
+    grid = dynamics.exact_grid_points(2 * spread)
     oracle_note = None
     if grid > MAX_ORACLE_GRID:
         oracle_note = (
@@ -431,7 +432,7 @@ def cmd_compute_l(args) -> int:
                 lambda taus: (dynamics.evolved_weights(
                     phases.at(taus), columns, [rank])[:, 0] - frac) ** 2,
                 ispec,
-                max_frequency,
+                2 * spread,
             )
             residual = abs(oracle - record["total"])
             record["oracle"] = {
@@ -469,8 +470,15 @@ def cmd_compute_l(args) -> int:
 def cmd_check_theorem(args) -> int:
     if args.dim < 2:
         raise ValueError(f"--dim must be at least 2 so that log D > 0, got {args.dim}")
-    if args.rank < 1:
-        raise ValueError(f"--rank must be at least 1, got {args.rank}")
+    if not 1 <= args.rank <= args.dim:
+        raise ValueError(f"--rank must be between 1 and --dim {args.dim}, got {args.rank}")
+    if args.sum_degeneracy < 1:
+        raise ValueError(f"--sum-degeneracy must be at least 1 (every spectrum has "
+                         f"D_F >= 1), got {args.sum_degeneracy}")
+    for flag, value in [("--epsilon", args.epsilon), ("--delta", args.delta),
+                        ("--delta-prime", args.delta_prime), ("--constant", args.constant)]:
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     if not 0 < args.margin < math.inf:
         raise ValueError(f"--margin must be a positive finite number, got {args.margin}")
     if args.precision_bits < MIN_PRECISION_BITS:

@@ -20,8 +20,9 @@ functions are the same code on an array without a leading axis.
 For integer spectra every trajectory observable used here is a
 trigonometric polynomial with integer frequencies, which turns the
 infinite-time average into an exact finite sum: averaging over
-tau_j = 2*pi*j/N with N = 2*max_frequency + 1 annihilates every nonzero
-frequency of magnitude <= max_frequency (none aliases to 0 mod N).
+tau_j = 2*pi*j/N with N = max_frequency + 1 (:func:`exact_grid_points`)
+annihilates every nonzero frequency of magnitude <= max_frequency, none of
+which is a multiple of N; no smaller N does (Trefethen & Weideman, 2014).
 Rational spectra are rescaled to integers first; the rescaling leaves all
 gap and sum collision structure, and hence every time average, unchanged.
 Observables of :func:`discrete_time_average` take slices of GRID_SLICE
@@ -73,7 +74,8 @@ __all__ = [
 STATE_NORM_TOL = 1e-10
 
 # Times per observable call of discrete_time_average.  compute-l's oracle on a
-# 19 501-point grid at D = 80 (2-core x86-64 VM) ran fastest with 32..128 and
+# 19 501-point grid at D = 80 (2-core x86-64 VM; timed when the oracle took
+# 4*spread + 1 points, twice the exact grid) ran fastest with 32..128 and
 # kept its peak RSS; slices of 1024 ran slower and cost 2.8 MiB more.
 GRID_SLICE = 128
 
@@ -181,9 +183,9 @@ def discrete_time_average(
 
     Valid for integer spectra and observables whose integer frequencies are
     bounded by ``max_frequency`` (cell weights: the spectral spread; squared
-    deviations of a weight: twice the spread).  ``observable`` maps each
-    consecutive slice of at most GRID_SLICE grid times to its values, which
-    are summed with one exactly rounded ``math.fsum``.
+    deviations: twice the spread), on :func:`exact_grid_points` grid times.
+    ``observable`` maps each slice of at most GRID_SLICE consecutive times
+    to its values, which are summed with one exactly rounded ``math.fsum``.
     """
     if not spec.is_integer:
         raise ValueError(
@@ -198,9 +200,9 @@ def discrete_time_average(
 
 
 def exact_grid_points(max_frequency: int) -> int:
-    """Points of the period grid that :func:`discrete_time_average` averages
-    over for integer frequencies up to ``max_frequency``."""
-    return 2 * int(max_frequency) + 1
+    """The least N whose N-point period grid averages every integer frequency
+    up to ``max_frequency`` exactly: N = max_frequency + 1 divides none."""
+    return int(max_frequency) + 1
 
 
 def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:

@@ -41,6 +41,7 @@ import numpy as np
 
 from .dynamics import (
     MAX_PHASE_GRID,
+    exact_grid_points,
     grid_phases,
     integer_rescaled,
     normal_time_fractions,
@@ -140,10 +141,7 @@ class ExperimentConfig:
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         least, note = 1, ""
         if self.normality:
-            # The integer frequencies of (w - d/D)^2 reach twice the spread, so
-            # only a grid of more points averages it exactly, and only there
-            # does the sufficient condition imply the direct route.
-            least = 2 * int(integer_rescaled(self.spectrum)[0].spread) + 1
+            least = exact_grid_points(2 * int(integer_rescaled(self.spectrum)[0].spread))
             note = " with normality on (2*spread + 1 of the rescaled levels)"
         if self.grid_points is None:
             self.grid_points = max(1000, least)
@@ -297,7 +295,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     With ``config.normality`` the same pass also asks of each trial whether
     every cell meets the sufficient-condition threshold and whether the
     one-period time fraction of simultaneous closeness reaches
-    1 - delta'.  A trial passing the first route must pass the second;
+    1 - delta'.  A trial passing the first route must pass the second (a
+    theorem on a grid of at least exact_grid_points(2 * spread) times), so
     violations are counted (and indicate a bug, not noise).
     """
     spec = config.spectrum

@@ -360,8 +360,7 @@ def lemma_statistics(dim: int, rank: int, samples: int, ensemble: int, seed: int
     """
     _check_rank(dim, rank)
     _check_samples(samples)
-    if rank < dim:
-        _check_ensemble(int(ensemble))
+    _check_ensemble(int(ensemble))
     x2, m0, m1 = np.empty((3, samples))
     workers = []
     try:

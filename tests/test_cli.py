@@ -188,6 +188,8 @@ class TestVerifyLemmas:
 
     @pytest.mark.parametrize("flags, fragment", [
         (["--rank", "13"], "rank"), (["--ensemble", "0"], "ensemble"),
+        # no unitary blocks are drawn at rank = dim, yet the flag is reported
+        (["--dim", "4", "--rank", "4", "--ensemble", "-5"], "--ensemble"),
     ])
     def test_bad_sizes_rejected_before_any_thread_starts(self, monkeypatch, capsys,
                                                          flags, fragment):
@@ -425,6 +427,8 @@ class TestComputeLPath:
         spec, decomposition, state = compute_l_instance(spec_path, dims, 5)
         ispec, _ = integer_rescaled(spec)
         istate = prepare_state(state.vector, ispec)
+        # twice the oracle's 2*spread + 1 points: every exact grid gives the
+        # same average
         n = 4 * int(ispec.spread) + 1
         for record, cell in zip(load(out)["cells"], decomposition):
             frac = cell.shape[1] / spec.dim_total
@@ -470,14 +474,15 @@ class TestComputeLPath:
             "spectrum": json.loads(Path(spec_path).read_text()), "dims": [4, 4],
             "trials": 3, "state": "haar-per-trial", "normality": True}))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
-        # an oracle slice per cell (29 grid times), 3 dump slices and 1 block
+        # an oracle slice per cell (15 grid times), 3 dump slices and 1 block
         # of run trials
         assert widths == {(3, 3): 2 + 3 + 1}
 
     def test_one_membership_matrix_per_rank_tuple(self, tmp_path):
-        # two cells of rank 3 on a 157-point grid, two slices each, and a
+        # two cells of rank 3 on a 159-point grid, two slices each, and a
         # three-slice dump: one matrix for (3,), one for (3, 3)
-        spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("39/2", 2)])
+        spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("79/2", 2)])
+        assert dynamics.GRID_SLICE < 159 <= 2 * dynamics.GRID_SLICE
         dynamics._membership.cache_clear()
         assert main(["compute-l", spec_path, "--dims", "3,3", "--grid-points", "300",
                      "--dump-trajectory", str(tmp_path / "traj.tsv"),
@@ -487,11 +492,11 @@ class TestComputeLPath:
         assert not dynamics._membership((3, 3)).flags.writeable
 
     def test_slices_of_one_time_change_no_oracle_value(self, tmp_path, monkeypatch):
-        # the rescaled spread is 39, so the 157-point grid spans two slices
-        spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("39/2", 2)])
+        # the rescaled spread is 79, so the 159-point grid spans two slices
+        spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("79/2", 2)])
         argv = ["compute-l", spec_path, "--dims", "3,3", "--seed", "2"]
         sliced, single = tmp_path / "sliced.json", tmp_path / "single.json"
-        assert dynamics.GRID_SLICE < 157
+        assert dynamics.GRID_SLICE < 159
         assert main(argv + ["--out", str(sliced)]) == 0
         monkeypatch.setattr(dynamics, "GRID_SLICE", 1)
         assert main(argv + ["--out", str(single)]) == 0
@@ -501,6 +506,53 @@ class TestComputeLPath:
                                                           rel=1e-14, abs=1e-16)
             ca.pop("oracle"), cb.pop("oracle")
         assert a == b
+
+    @staticmethod
+    def count_oracle_times(monkeypatch):
+        """Grid times each discrete_time_average call evaluates, in order."""
+        counts = []
+        average = dynamics.discrete_time_average
+
+        def counted(observable, spec, max_frequency):
+            counts.append(0)
+
+            def timed(taus):
+                counts[-1] += len(taus)
+                return observable(taus)
+            return average(timed, spec, max_frequency)
+
+        monkeypatch.setattr(dynamics, "discrete_time_average", counted)
+        return counts
+
+    def test_oracle_takes_the_least_exact_grid(self, tmp_path, monkeypatch):
+        # the benchmark's oracle input: levels 125k/2 rescale to spread 4875,
+        # so (w - d/D)^2 reaches frequency 9750 and 9751 times are exact
+        counts = self.count_oracle_times(monkeypatch)
+        spec = write_spectrum(tmp_path, [(f"{125 * k}/2", 2) for k in range(40)])
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", "20,20,20,20", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert counts == [9751] * 4
+        assert all(cell["oracle"]["match"] for cell in load(out)["cells"])
+
+    def test_oracle_runs_up_to_a_spread_of_ten_thousand(self, tmp_path, monkeypatch):
+        counts = self.count_oracle_times(monkeypatch)
+        spec = write_spectrum(tmp_path, [(0, 1), (10_000, 1)])
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
+        report = load(out)
+        assert report["oracle_note"] is None and counts == [20_001] * 2
+        assert all(cell["oracle"]["match"] for cell in report["cells"])
+
+    def test_oracle_skipped_beyond_the_grid_limit(self, tmp_path, monkeypatch):
+        counts = self.count_oracle_times(monkeypatch)
+        spec = write_spectrum(tmp_path, [(0, 1), (10_001, 1)])
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
+        report = load(out)
+        assert report["oracle_note"] == ("oracle skipped: rescaled spectral spread 10001 "
+                                         "needs a 20003-point grid (limit 20001)")
+        assert counts == [] and all("oracle" not in cell for cell in report["cells"])
 
     @pytest.mark.parametrize("flags, fragment", [
         (["--grid-points", "0"], "--grid-points"),
@@ -883,10 +935,24 @@ class TestCheckTheorem:
         (["--dim", "16", "--margin=-1"], "--margin"),
         (["--dim", "16", "--margin", "nan"], "--margin"),
         (["--dim", "16", "--margin", "inf"], "--margin"),
+        (["--dim", "1000", "--rank", "5000"], "--rank must be between 1 and --dim 1000"),
+        (["--dim", "16", "--sum-degeneracy", "-5"], "--sum-degeneracy"),
+        (["--dim", "16", "--sum-degeneracy", "0"], "--sum-degeneracy"),
+        (["--dim", "16", "--epsilon", "inf"], "--epsilon must be a finite"),
+        (["--dim", "16", "--epsilon", "nan"], "--epsilon"),
+        (["--dim", "16", "--delta", "inf"], "--delta must be a finite"),
+        (["--dim", "16", "--delta-prime=-inf"], "--delta-prime"),
+        (["--dim", "16", "--constant", "inf"], "--constant must be a finite"),
     ])
     def test_degenerate_arguments_rejected(self, capsys, flags, fragment):
         assert main(["check-theorem", "--rank", "1", "--cells", "2"] + flags) == 1
         assert_one_line_error(capsys, fragment)
+
+    def test_rank_equal_to_dim_and_one_sum_collision_accepted(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["check-theorem", "--dim", "16", "--rank", "16", "--cells", "1",
+                     "--sum-degeneracy", "1", "--out", str(out)]) == 0
+        assert load(out)["sum_degeneracy"] == 1
 
     def test_negative_exponent_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,6 +22,7 @@ from ergolab import (
 from ergolab.dynamics import (
     MAX_PHASE_GRID,
     evolved_weights,
+    exact_grid_points,
     grid_phases,
     level_energies,
     period_grid,
@@ -217,6 +218,14 @@ class TestDiscreteTimeAverage:
         spec = spec_of([(0, 1), (1, 1)])
         avg = discrete_time_average(np.cos, spec, 1)
         assert abs(avg) < 1e-14
+
+    @pytest.mark.parametrize("f", [1, 2, 7, 40, 9750])
+    def test_least_exact_grid(self, f):
+        # F + 1 points average cos(F tau) to 0; F points alias it to 1
+        assert exact_grid_points(f) == f + 1
+        spec = spec_of([(0, 1), (f, 1)])
+        assert abs(discrete_time_average(lambda taus: np.cos(f * taus), spec, f)) < 1e-12
+        assert np.mean(np.cos(f * period_grid(f))) == pytest.approx(1.0)
 
     def test_non_integer_rejected(self):
         spec = spec_of([(0, 1), (F(1, 2), 1)])
