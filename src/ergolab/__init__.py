@@ -40,7 +40,6 @@ from .dynamics import (
 from .typicality import (
     DeviationBreakdown,
     TheoremParams,
-    TheoremVerdict,
     admissible_constant_crossover,
     deviation_breakdowns,
     deviation_exact,
@@ -55,8 +54,6 @@ from .typicality import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    ExperimentReport,
-    NormalityReport,
     markov_check,
     normality_fraction,
     run_experiment,

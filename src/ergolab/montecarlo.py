@@ -35,7 +35,7 @@ largest budget that keeps the peak well inside 5% of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,9 +72,7 @@ from .typicality import (
 __all__ = [
     "CHAIN_SLACK",
     "ExperimentConfig",
-    "ExperimentReport",
     "check_ranks",
-    "NormalityReport",
     "evaluate_cells",
     "run_experiment",
     "markov_check",
@@ -207,85 +205,15 @@ def _block_trials(config: ExperimentConfig) -> int:
     return max(1, min(config.trials, BLOCK_BYTES // (16 * dim * width)))
 
 
-@dataclass
-class NormalityReport:
-    """Fractions of sampled decompositions passing the two normality routes."""
-
-    trials: int
-    sufficient_count: int
-    direct_count: int
-    implication_violations: int
-    sufficient_ci: tuple[float, float]
-    direct_ci: tuple[float, float]
-
-    @property
-    def sufficient_fraction(self) -> float:
-        return self.sufficient_count / self.trials
-
-    @property
-    def direct_fraction(self) -> float:
-        return self.direct_count / self.trials
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "sufficient_fraction": self.sufficient_fraction,
-            "sufficient_ci": list(self.sufficient_ci),
-            "direct_fraction": self.direct_fraction,
-            "direct_ci": list(self.direct_ci),
-            "implication_violations": self.implication_violations,
-        }
-
-
-@dataclass(eq=False)
-class ExperimentReport:
-    """Aggregated deviation statistics of an ensemble run.
-
-    ``samples`` holds every per-trial deviation, shape (trials, cells);
-    ``normality`` is set exactly when the config asked for the audit.
-    """
-
-    config: ExperimentConfig
-    max_gap_degeneracy: int
-    max_sum_degeneracy: int
-    cells: list[dict]
-    overall: dict
-    chain_violations: int
-    samples: np.ndarray = field(repr=False)
-    normality: NormalityReport | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.chain_violations == 0 and all(
-            c["mean_below_bound"] for c in self.cells
-        )
-
-    def to_dict(self) -> dict:
-        """The report's fields.  ``trial_totals`` is a read-only view of
-        ``samples``, not a list, so that the CLI's report writer formats it
-        row by row without a copy; ``json.dumps(report,
-        default=np.ndarray.tolist)`` encodes the dict."""
-        totals = self.samples.view()
-        totals.flags.writeable = False
-        return {
-            "dims": list(self.config.dims),
-            "trials": self.config.trials,
-            "seed": self.config.seed,
-            "state_policy": self.config.state_policy,
-            "D": self.config.dim_total,
-            "D_E": self.config.spectrum.num_levels,
-            "D_G": self.max_gap_degeneracy,
-            "D_F": self.max_sum_degeneracy,
-            "cells": self.cells,
-            "overall": self.overall,
-            "chain_violations": self.chain_violations,
-            "pass": self.passed,
-            "trial_totals": totals,
-        }
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Sample decompositions, evaluate the deviation per cell, aggregate.
+
+    Returns the records ``run`` writes: ``{"experiment": ..., "normality":
+    ...}``, the second None unless the config asked for the audit.  The
+    experiment's ``trial_totals`` is the read-only (trials, cells) array of
+    every per-trial deviation, not a list, so that the CLI's report writer
+    formats it row by row without a copy; ``json.dumps(record,
+    default=np.ndarray.tolist)`` encodes a record.
 
     Per-cell means are compared against the decomposition-average bound; a
     per-trial inequality chain (ergodicity gap below the total, resonant
@@ -362,36 +290,43 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     pooled = totals.ravel()
     mean, stderr = mean_stderr(pooled)
-    overall = {
-        "mean": mean,
-        "stderr": stderr,
-        "max": float(pooled.max()),
-        "min": float(pooled.min()),
+    totals.flags.writeable = False
+    experiment = {
+        "dims": list(config.dims),
+        "trials": config.trials,
+        "seed": config.seed,
+        "state_policy": config.state_policy,
+        "D": dim,
+        "D_E": spec.num_levels,
+        "D_G": spec.pair_index.max_gap_degeneracy,
+        "D_F": d_f,
+        "cells": cells,
+        "overall": {
+            "mean": mean,
+            "stderr": stderr,
+            "max": float(pooled.max()),
+            "min": float(pooled.min()),
+        },
+        "chain_violations": chain_violations,
+        "pass": chain_violations == 0 and all(c["mean_below_bound"] for c in cells),
+        "trial_totals": totals,
     }
     normality = None
     if config.normality:
-        normality = NormalityReport(
-            trials=config.trials,
-            sufficient_count=sufficient_count,
-            direct_count=direct_count,
-            implication_violations=implication_violations,
-            sufficient_ci=wilson_interval(sufficient_count, config.trials),
-            direct_ci=wilson_interval(direct_count, config.trials),
-        )
-    return ExperimentReport(
-        config=config,
-        max_gap_degeneracy=spec.pair_index.max_gap_degeneracy,
-        max_sum_degeneracy=d_f,
-        cells=cells,
-        overall=overall,
-        chain_violations=chain_violations,
-        samples=totals,
-        normality=normality,
-    )
+        normality = {
+            "trials": config.trials,
+            "sufficient_fraction": sufficient_count / config.trials,
+            "sufficient_ci": list(wilson_interval(sufficient_count, config.trials)),
+            "direct_fraction": direct_count / config.trials,
+            "direct_ci": list(wilson_interval(direct_count, config.trials)),
+            "implication_violations": implication_violations,
+        }
+    return {"experiment": experiment, "normality": normality}
 
 
-def markov_check(report: ExperimentReport, threshold: float, sigma: float = 3.0) -> dict:
-    """Audit the tail bound Prob[X >= B] <= mean(X)/B on the per-trial samples.
+def markov_check(experiment: dict, threshold: float, sigma: float = 3.0) -> dict:
+    """Audit the tail bound Prob[X >= B] <= mean(X)/B on the per-trial totals
+    of an experiment record (:func:`run_experiment`).
 
     Compares the empirical exceedance probability against the *stored*
     aggregate mean divided by B, within ``sigma`` combined standard errors.
@@ -400,12 +335,12 @@ def markov_check(report: ExperimentReport, threshold: float, sigma: float = 3.0)
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    samples = np.asarray(report.samples, dtype=float).ravel()
+    samples = np.asarray(experiment["trial_totals"], dtype=float).ravel()
     n = samples.size
     prob = float((samples >= threshold).mean())
-    mean = float(report.overall["mean"])
+    mean = float(experiment["overall"]["mean"])
     se_prob = math.sqrt(max(prob * (1 - prob), 0.0) / n)
-    se_mean = float(report.overall["stderr"]) / threshold
+    se_mean = float(experiment["overall"]["stderr"]) / threshold
     slack = sigma * math.hypot(se_prob, se_mean)
     bound = mean / threshold
     if not (math.isfinite(bound) and math.isfinite(slack)):
@@ -432,10 +367,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
-def normality_fraction(config: ExperimentConfig) -> NormalityReport:
+def normality_fraction(config: ExperimentConfig) -> dict:
     """Fraction of decompositions that are normal, by both available routes.
 
-    The normality audit of :func:`run_experiment` run on ``config``.
+    The ``"normality"`` record of :func:`run_experiment` run on ``config``.
     """
-    return run_experiment(replace(config, normality=True)).normality
+    return run_experiment(replace(config, normality=True))["normality"]
 

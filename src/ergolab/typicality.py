@@ -77,7 +77,6 @@ from .spectrum import PairIndex
 __all__ = [
     "DeviationBreakdown",
     "TheoremParams",
-    "TheoremVerdict",
     "deviation_breakdowns",
     "deviation_exact",
     "resonant_term_bound",
@@ -265,24 +264,6 @@ def mean_deviation_bound(
     return 10 * log_dim / dim + correction
 
 
-@dataclass
-class TheoremVerdict:
-    """Evaluated ordering condition: holds iff lhs < mid < hi."""
-
-    holds: bool
-    lhs: mpf
-    mid: mpf
-    hi: mpf
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "lhs": mp.nstr(self.lhs, 12),
-            "d_over_D": mp.nstr(self.mid, 12),
-            "one_over_C": mp.nstr(self.hi, 12),
-        }
-
-
 def _mp_log(x, log_base) -> mpf:
     if log_base in ("e", math.e, None):
         return mp.log(x)
@@ -296,12 +277,14 @@ def theorem_condition(
     max_sum_degeneracy: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     log_base="e",
-) -> TheoremVerdict:
+) -> dict:
     """Evaluate the combined admissibility ordering in high precision.
 
     Checks max{C, (10 M^2 / (delta delta' eps^2)) [1 + (F-2) d^2 / (10 D log D)]}
     * log(D)/D  <  d/D  <  1/C, with F the maximal sum degeneracy.  Runs in
     arbitrary-precision arithmetic so dimensions like 2**100 never overflow.
+    Returns the ``condition`` record of ``check-theorem``: ``holds`` and the
+    three sides ``lhs``, ``d_over_D`` and ``one_over_C`` as 12-digit strings.
     """
     with mp.workprec(int(precision_bits)):
         d = mpf(rank)
@@ -315,7 +298,12 @@ def theorem_condition(
         lhs = max(mpf(params.constant), stat) * log_dim / dim_mp
         mid = d / dim_mp
         hi = 1 / mpf(params.constant)
-        return TheoremVerdict(holds=bool(lhs < mid < hi), lhs=lhs, mid=mid, hi=hi)
+    return {
+        "holds": bool(lhs < mid < hi),
+        "lhs": mp.nstr(lhs, 12),
+        "d_over_D": mp.nstr(mid, 12),
+        "one_over_C": mp.nstr(hi, 12),
+    }
 
 
 def resonance_impact(

@@ -267,12 +267,13 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
     return EnsembleReference(totals, chain, sufficient, direct, violations)
 
 
-def trial_dump_reference(report) -> str:
-    """The ``run --dump-trials`` text, written a line at a time: trial, cell,
-    deviation, threshold and sufficient flag per trial and cell."""
-    thresholds = [c["threshold"] for c in report.cells]
+def trial_dump_reference(experiment) -> str:
+    """The ``run --dump-trials`` text of an experiment record, written a line
+    at a time: trial, cell, deviation, threshold and sufficient flag per
+    trial and cell."""
+    thresholds = [c["threshold"] for c in experiment["cells"]]
     lines = ["trial\tcell\tdeviation\tthreshold\tsufficient\n"]
-    for t, row in enumerate(report.samples):
+    for t, row in enumerate(experiment["trial_totals"]):
         for k, value in enumerate(row):
             lines.append(f"{t}\t{k + 1}\t{float(value)!r}\t{float(thresholds[k])!r}\t"
                          f"{int(value <= thresholds[k])}\n")

@@ -584,6 +584,16 @@ class TestComputeLPath:
         assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
         assert load(out)["rescaled_to_integer"] == {"multiplier": 10**309}
 
+    # 1e400 is beyond the float range; 1e308 is not, but its phases E*tau are
+    @pytest.mark.parametrize("energy", ["1e400", "1e308"])
+    def test_energy_beyond_float_phases_rejected(self, tmp_path, capsys, energy):
+        spec = write_spectrum(tmp_path, [(0, 1), (energy, 1)])
+        out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
+        assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out),
+                     "--dump-trajectory", str(traj)]) == 1
+        assert not out.exists() and not traj.exists()
+        assert_one_line_error(capsys, "--dump-trajectory", "float range")
+
     def test_dump_slices_change_no_byte(self, tmp_path, monkeypatch):
         spec = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (2, 1)])
         argv = ["compute-l", spec, "--dims", "2,2", "--grid-points", "300",
@@ -931,6 +941,7 @@ class TestCheckTheorem:
     @pytest.mark.parametrize("flags, fragment", [
         (["--dim", "1"], "--dim"),
         (["--dim", "16", "--precision-bits", "0"], "--precision-bits"),
+        (["--dim", "16", "--precision-bits", "65537"], "--precision-bits"),
         (["--dim", "16", "--margin", "0"], "--margin"),
         (["--dim", "16", "--margin=-1"], "--margin"),
         (["--dim", "16", "--margin", "nan"], "--margin"),

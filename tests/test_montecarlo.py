@@ -9,7 +9,6 @@ import pytest
 
 from ergolab import (
     ExperimentConfig,
-    ExperimentReport,
     Spectrum,
     TheoremParams,
     markov_check,
@@ -74,40 +73,51 @@ class TestConfigValidation:
 class TestRunExperiment:
     def test_single_trial_equals_breakdown(self):
         cfg = make_config(trials=1, state_policy="uniform")
-        report = run_experiment(cfg)
+        cells = run_experiment(cfg)["experiment"]["cells"]
         for k, expected in enumerate(per_trial_reference(cfg).totals[0]):
-            assert report.cells[k]["mean"] == expected
-            assert report.cells[k]["max"] == expected
-            assert report.cells[k]["min"] == expected
-            assert report.cells[k]["stderr"] == 0.0
+            assert cells[k]["mean"] == expected
+            assert cells[k]["max"] == expected
+            assert cells[k]["min"] == expected
+            assert cells[k]["stderr"] == 0.0
 
     def test_deterministic_reports(self):
-        a = run_experiment(make_config()).to_dict()
-        b = run_experiment(make_config()).to_dict()
+        a = run_experiment(make_config())
+        b = run_experiment(make_config())
         assert json.dumps(a, sort_keys=True, default=np.ndarray.tolist) == json.dumps(
             b, sort_keys=True, default=np.ndarray.tolist)
 
-    def test_trial_totals_are_a_read_only_view(self):
-        report = run_experiment(make_config(trials=5))
-        totals = report.to_dict()["trial_totals"]
-        assert np.shares_memory(totals, report.samples) and not totals.flags.writeable
+    def test_experiment_record_is_what_run_writes(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "spectrum": {"levels": [{"energy": e, "degeneracy": 2} for e in range(4)]},
+            "dims": [4, 4], "trials": 5, "seed": 7, "state": "haar-per-trial",
+            "params": {"epsilon": 0.8, "delta": 0.5, "delta_prime": 0.5},
+        }))
+        out = tmp_path / "report.json"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        # the same run: RES_SPEC, cells (4, 4)
+        cfg = make_config(params=TheoremParams(0.8, 0.5, 0.5, 2), trials=5, seed=7,
+                          state_policy="haar-per-trial")
+        experiment = run_experiment(cfg)["experiment"]
+        totals = experiment["trial_totals"]
+        assert totals.shape == (5, 2) and not totals.flags.writeable
         with pytest.raises(ValueError):
             totals[0, 0] = 1.0
-        assert report.samples.flags.writeable
-        doc = json.loads(json.dumps(report.to_dict(), default=np.ndarray.tolist))
-        assert doc["trial_totals"] == report.samples.tolist()
+        written = json.loads(out.read_text())["experiment"]
+        assert json.loads(json.dumps(experiment, default=np.ndarray.tolist)) == written
 
     def test_chain_clean_and_bounded(self):
-        report = run_experiment(make_config(trials=40, state_policy="haar-per-trial"))
-        assert report.chain_violations == 0
-        for cell in report.cells:
+        cfg = make_config(trials=40, state_policy="haar-per-trial")
+        experiment = run_experiment(cfg)["experiment"]
+        assert experiment["chain_violations"] == 0
+        for cell in experiment["cells"]:
             assert cell["mean_below_bound"]
             assert cell["min"] <= cell["mean"] <= cell["max"]
             assert 0.0 <= cell["prob_exceed"] <= 1.0
 
     def test_cell_threshold_is_the_sufficient_condition_boundary(self):
         cfg = make_config(dims=(2, 6), trials=2)
-        for cell in run_experiment(cfg).cells:
+        for cell in run_experiment(cfg)["experiment"]["cells"]:
             threshold, rank = cell["threshold"], cell["rank"]
             assert typicality.sufficient_condition(threshold, cfg.params, rank, cfg.dim_total)
             above = float(np.nextafter(threshold, np.inf))
@@ -116,34 +126,28 @@ class TestRunExperiment:
 
 class TestMarkovCheck:
     def test_threshold_above_max_trivially_passes(self):
-        report = run_experiment(make_config())
-        out = markov_check(report, report.overall["max"] * 2)
+        experiment = run_experiment(make_config())["experiment"]
+        out = markov_check(experiment, experiment["overall"]["max"] * 2)
         assert out["pass"] and out["prob_exceed"] == 0.0
 
     def test_vacuous_bound_regime(self):
-        report = run_experiment(make_config())
-        out = markov_check(report, report.overall["mean"] / 2)
+        experiment = run_experiment(make_config())["experiment"]
+        out = markov_check(experiment, experiment["overall"]["mean"] / 2)
         assert out["pass"]
         assert out["markov_bound"] >= 1.0
 
     def test_nonpositive_threshold_rejected(self):
-        report = run_experiment(make_config())
+        experiment = run_experiment(make_config())["experiment"]
         with pytest.raises(ValueError, match="positive"):
-            markov_check(report, 0.0)
+            markov_check(experiment, 0.0)
 
     def test_adversarial_inconsistency_detected(self):
         # fabricate a report whose stored mean is far below what its
         # samples imply: the tail bound cannot hold and the audit must fire
-        base = run_experiment(make_config(trials=10))
-        fake = ExperimentReport(
-            config=base.config,
-            max_gap_degeneracy=base.max_gap_degeneracy,
-            max_sum_degeneracy=base.max_sum_degeneracy,
-            cells=base.cells,
-            overall={"mean": 0.01, "stderr": 0.0, "max": 2.0, "min": 2.0},
-            chain_violations=0,
-            samples=np.full((10, 2), 2.0),
-        )
+        base = run_experiment(make_config(trials=10))["experiment"]
+        fake = dict(base,
+                    overall={"mean": 0.01, "stderr": 0.0, "max": 2.0, "min": 2.0},
+                    trial_totals=np.full((10, 2), 2.0))
         out = markov_check(fake, 1.0)
         assert not out["pass"]
 
@@ -168,14 +172,14 @@ class TestNormalityFraction:
     def test_huge_epsilon_all_pass(self):
         cfg = make_config(params=TheoremParams(1e6, 0.5, 0.5, 2), trials=10)
         out = normality_fraction(cfg)
-        assert out.sufficient_fraction == 1.0
-        assert out.direct_fraction == 1.0
-        assert out.implication_violations == 0
+        assert out["sufficient_fraction"] == 1.0
+        assert out["direct_fraction"] == 1.0
+        assert out["implication_violations"] == 0
 
     def test_tiny_epsilon_sufficient_fails(self):
         cfg = make_config(params=TheoremParams(1e-9, 0.5, 0.5, 2), trials=10)
         out = normality_fraction(cfg)
-        assert out.sufficient_fraction == 0.0
+        assert out["sufficient_fraction"] == 0.0
 
     def test_mixed_regime_zero_violations(self):
         cfg = make_config(
@@ -185,10 +189,10 @@ class TestNormalityFraction:
             seed=20,
         )
         out = normality_fraction(cfg)
-        assert 0.0 < out.sufficient_fraction < 1.0
-        assert out.implication_violations == 0
-        lo, hi = out.sufficient_ci
-        assert 0.0 <= lo <= out.sufficient_fraction <= hi <= 1.0
+        assert 0.0 < out["sufficient_fraction"] < 1.0
+        assert out["implication_violations"] == 0
+        lo, hi = out["sufficient_ci"]
+        assert 0.0 <= lo <= out["sufficient_fraction"] <= hi <= 1.0
 
     def test_rational_spectrum_direct_route(self):
         spec = spec_of([(0, 2), (F(1, 2), 2), (1, 2), (F(3, 2), 2)])
@@ -200,7 +204,7 @@ class TestNormalityFraction:
             seed=3,
         )
         out = normality_fraction(cfg)
-        assert out.direct_fraction == 1.0
+        assert out["direct_fraction"] == 1.0
 
 
 RATIONAL_SPEC = spec_of([(0, 2), (F(1, 2), 3), (F(3, 2), 1), (2, 2)])
@@ -224,6 +228,15 @@ def ensemble_config(spectrum, state_policy, trials, normality=True):
         grid_points=400,
         normality=normality,
     )
+
+
+def assert_normality_matches(out, ref):
+    """A normality record against the per-trial reference's counts."""
+    trials = out["trials"]
+    assert (out["sufficient_fraction"], out["direct_fraction"],
+            out["implication_violations"]) == (
+        ref.sufficient_count / trials, ref.direct_count / trials,
+        ref.implication_violations)
 
 
 def rational_config(state_policy, normality=False):
@@ -287,10 +300,9 @@ class TestSinglePass:
     def test_normality_counts_match_per_trial_recomputation(self, policy):
         cfg = rational_config(policy, normality=True)
         ref = per_trial_reference(cfg)
-        out = run_experiment(cfg).normality
-        assert (out.sufficient_count, out.direct_count, out.implication_violations) == (
-            ref.sufficient_count, ref.direct_count, ref.implication_violations)
-        assert out.trials == cfg.trials
+        out = run_experiment(cfg)["normality"]
+        assert_normality_matches(out, ref)
+        assert out["trials"] == cfg.trials
 
     @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
     @pytest.mark.parametrize("spectrum", [RES_SPEC, RATIONAL_SPEC], ids=["integer", "rational"])
@@ -301,18 +313,17 @@ class TestSinglePass:
         cfg = ensemble_config(spectrum, policy, trials=TRIAL_COUNTS[count](block))
         report = run_experiment(cfg)
         ref = per_trial_reference(cfg)
-        assert np.max(np.abs(report.samples - ref.totals)) <= 1e-14
-        assert report.chain_violations == ref.chain_violations
-        out = report.normality
-        assert (out.sufficient_count, out.direct_count, out.implication_violations) == (
-            ref.sufficient_count, ref.direct_count, ref.implication_violations)
+        experiment = report["experiment"]
+        assert np.max(np.abs(experiment["trial_totals"] - ref.totals)) <= 1e-14
+        assert experiment["chain_violations"] == ref.chain_violations
+        assert_normality_matches(report["normality"], ref)
 
     def test_chain_violations_counted_per_trial_and_cell(self, monkeypatch):
         # a negative slack makes the chain checks fail on some trials and
         # cells but not all, so the count tests the engine's bookkeeping
         monkeypatch.setattr(montecarlo, "CHAIN_SLACK", -0.02)
         cfg = rational_config("haar-per-trial")
-        count = run_experiment(cfg).chain_violations
+        count = run_experiment(cfg)["experiment"]["chain_violations"]
         assert count == per_trial_reference(cfg, chain_slack=-0.02).chain_violations
         assert 0 < count < 2 * cfg.trials * len(cfg.dims)
 
@@ -322,13 +333,13 @@ class TestSinglePass:
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)
         assert _block_trials(cfg) == 1
         single = run_experiment(cfg)
-        assert np.array_equal(blocked.samples, single.samples)
-        assert blocked.normality == single.normality
+        assert np.array_equal(blocked["experiment"]["trial_totals"],
+                              single["experiment"]["trial_totals"])
+        assert blocked["normality"] == single["normality"]
 
     def test_normality_leaves_cell_statistics_unchanged(self):
         off = run_experiment(rational_config("haar-per-trial"))
         on = run_experiment(rational_config("haar-per-trial", normality=True))
-        assert off.normality is None and on.normality is not None
-        assert json.dumps(off.to_dict(), sort_keys=True, default=np.ndarray.tolist) == (
-            json.dumps(on.to_dict(), sort_keys=True, default=np.ndarray.tolist))
-        assert np.array_equal(off.samples, on.samples)
+        assert off["normality"] is None and on["normality"] is not None
+        assert json.dumps(off["experiment"], sort_keys=True, default=np.ndarray.tolist) == (
+            json.dumps(on["experiment"], sort_keys=True, default=np.ndarray.tolist))

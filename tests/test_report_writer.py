@@ -114,9 +114,11 @@ class TestRun:
         real = montecarlo.run_experiment
 
         def with_nan(config):
-            report = real(config)
-            report.samples[3, 1] = np.nan
-            return report
+            doc = real(config)
+            totals = doc["experiment"]["trial_totals"].copy()  # read-only
+            totals[3, 1] = np.nan
+            doc["experiment"]["trial_totals"] = totals
+            return doc
 
         out = tmp_path / "report.json"
         with mock.patch.object(montecarlo, "run_experiment", with_nan):

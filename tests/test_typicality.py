@@ -298,26 +298,26 @@ class TestTheoremCondition:
     def test_hundred_spin_scale_holds_at_c_1e6(self):
         params = TheoremParams(1e20, 1.0, 1.0, SPIN_CHAIN_SCALE["cells"], 1e6)
         v = theorem_condition(params, SPIN_CHAIN_SCALE["rank"], SPIN_CHAIN_SCALE["dim"], 2)
-        assert v.holds
-        assert 1e-30 < float(v.lhs) < 1e-22
-        assert float(v.mid) == pytest.approx(7.8886e-23, rel=1e-3)
+        assert v["holds"]
+        assert 1e-30 < float(v["lhs"]) < 1e-22
+        assert float(v["d_over_D"]) == pytest.approx(7.8886e-23, rel=1e-3)
 
     def test_hundred_spin_scale_marginal_at_c_1e7(self):
         params = TheoremParams(1e20, 1.0, 1.0, SPIN_CHAIN_SCALE["cells"], 1e7)
         assert not theorem_condition(
             params, SPIN_CHAIN_SCALE["rank"], SPIN_CHAIN_SCALE["dim"], 2
-        ).holds
+        )["holds"]
 
     def test_upper_bound_violation_fails(self):
         # d/D = 1/2 >= 1/C for C = 3: fails regardless of other params
         params = TheoremParams(100.0, 1.0, 1.0, 2, 3.0)
-        assert not theorem_condition(params, 8, 16, 2).holds
+        assert not theorem_condition(params, 8, 16, 2)["holds"]
 
     def test_resonance_penalty_can_flip(self):
         base = TheoremParams(5.0, 1.0, 1.0, 2, 1.5)
         lo = theorem_condition(base, 100, 4096, 2)
         hi = theorem_condition(base, 100, 4096, 5000)
-        assert float(lo.lhs) < float(hi.lhs)
+        assert float(lo["lhs"]) < float(hi["lhs"])
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
