@@ -12,7 +12,6 @@ from .spectrum import (
     SumStructure,
     classify,
     gap_structure,
-    nonresonance_sum_check,
     parse_spectrum,
     structure_report,
     sum_structure,
@@ -28,7 +27,6 @@ from .randomness import (
     unitary_block_statistics,
 )
 from .dynamics import (
-    ShellState,
     discrete_time_average,
     exact_time_avg_weight,
     integer_rescaled,
@@ -38,7 +36,6 @@ from .dynamics import (
     trajectory_weights,
 )
 from .typicality import (
-    DeviationBreakdown,
     TheoremParams,
     admissible_constant_crossover,
     deviation_breakdowns,

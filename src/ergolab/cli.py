@@ -37,6 +37,13 @@ MAX_ORACLE_GRID = 20_001
 # running time, not its memory.
 MAX_DUMP_POINTS = 10_000_000
 
+# Largest phase E*tau of the trajectory dump, in radians.  A float phase is
+# off by about 2.2e-16 * E*tau (tau and E*tau are rounded before the
+# exponential), so at 2**32 the error reaches 1e-6 rad.  Against the exact
+# times of a 1000-point period it was 1.4e-6 rad at E*tau = 6.3e9 and
+# 1.25 rad at 6.3e15.
+MAX_DUMP_PHASE = 2**32
+
 # verify-lemmas size limits.  A run keeps every sample until its moments
 # are taken, about 55 bytes each at peak (263 MB measured at 4 000 000
 # samples, --dim 8), and 16 bytes per ensemble member: at these limits that
@@ -374,11 +381,16 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_compute_l(args) -> int:
-    if not 1 <= args.grid_points <= MAX_DUMP_POINTS:
+    for flag, value in (("--grid-points", args.grid_points), ("--periods", args.periods)):
+        if value is not None and args.dump_trajectory is None:
+            raise ValueError(f"{flag} shapes the trajectory dump and needs --dump-trajectory")
+    grid_points = 1000 if args.grid_points is None else args.grid_points
+    periods = 1.0 if args.periods is None else args.periods
+    if not 1 <= grid_points <= MAX_DUMP_POINTS:
         raise ValueError(f"--grid-points must be between 1 and {MAX_DUMP_POINTS}, "
-                         f"got {args.grid_points}")
-    if not 0 < args.periods < math.inf:
-        raise ValueError(f"--periods must be a positive finite number, got {args.periods}")
+                         f"got {grid_points}")
+    if not 0 < periods < math.inf:
+        raise ValueError(f"--periods must be a positive finite number, got {periods}")
     spec = _read_spectrum_file(args.spectrum)
     dims = tuple(int(x) for x in args.dims.split(","))
     montecarlo.check_ranks(dims, spec.dim_total)
@@ -390,32 +402,33 @@ def cmd_compute_l(args) -> int:
         amplitudes = randomness.sample_random_state(
             spec.dim_total, randomness.substream(args.seed, 1))
         state_source = "sampled"
-    state = dynamics.prepare_state(amplitudes, spec)
-    coords = dynamics.shell_coordinates(unitary, state.vector, state.offsets)
+    vector = dynamics.prepare_state(amplitudes, spec)
+    coords = dynamics.shell_coordinates(unitary, vector, dynamics.shell_offsets(spec))
 
     # The oracle evolves the shell coordinates on the integer spectrum.
     ispec, mult = dynamics.integer_rescaled(spec)
     if args.dump_trajectory is not None:
         # Periods of the (rescaled-integer) dynamics in original time units.
         try:
-            span = 2 * math.pi * float(mult) * args.periods
+            span = 2 * math.pi * float(mult) * periods
         except OverflowError:
             raise ValueError(
                 f"--dump-trajectory: the spectrum's rescaling multiplier "
                 f"({len(str(mult))} digits) is beyond the float range of the time axis"
             ) from None
         if span == math.inf:
-            raise ValueError(f"--periods {args.periods} overflows the dump's time span")
+            raise ValueError(f"--periods {periods} overflows the dump's time span")
         # Energies from the lowest level: an offset is only a global phase.
         try:
             energies = dynamics.level_energies(spec, origin=spec.energies[0])
-            finite = math.isfinite(float(energies.max()) * span)
+            phase = float(energies.max()) * span
         except OverflowError:  # an energy beyond the float range
-            finite = False
-        if not finite:
+            phase = math.inf
+        if not phase < MAX_DUMP_PHASE:
             raise ValueError(
-                "--dump-trajectory: the phases E*tau of the spectrum's energies "
-                "over the dump's time span are beyond the float range"
+                f"--dump-trajectory: the phases E*tau of the spectrum's energies over "
+                f"the dump's time span reach {phase:.3g} rad, beyond the float range of "
+                f"the dump: float phases are within 1e-6 rad only below 2**32 rad"
             )
     spread = int(ispec.spread)
     # (w - d/D)^2 has integer frequencies up to twice the spread.
@@ -434,7 +447,7 @@ def cmd_compute_l(args) -> int:
     cells = montecarlo.evaluate_cells(spec, dims, coords)
     for k, (rank, columns, (b, bound, gap_ok, resonant_ok)) in enumerate(
             zip(dims, blocks, cells)):
-        record = {name: float(value) for name, value in b.as_dict().items()}
+        record = {name: float(value) for name, value in b.items() if name != "time_avg_weight"}
         record.update({
             "cell": k + 1,
             "rank": rank,
@@ -476,7 +489,7 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        _write(_trajectory_chunks(energies, coords, dims, span, args.grid_points),
+        _write(_trajectory_chunks(energies, coords, dims, span, grid_points),
                args.dump_trajectory)
     return 0 if all_ok else 1
 
@@ -687,10 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None,
                    help='path to a state JSON document {"amplitudes": [[re, im], ...]}')
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--grid-points", type=int, default=1000,
-                   help="grid size for the trajectory dump")
-    p.add_argument("--periods", type=float, default=1.0,
-                   help="how many periods the trajectory dump spans")
+    p.add_argument("--grid-points", type=int, default=None,
+                   help="grid size for the trajectory dump (default 1000)")
+    p.add_argument("--periods", type=float, default=None,
+                   help="how many periods the trajectory dump spans (default 1)")
     p.add_argument("--dump-trajectory", default=None,
                    help="write columnar (tau, weight per cell) to this path")
     p.add_argument("--out", default=None)

@@ -49,7 +49,6 @@ import numpy as np
 from .spectrum import Spectrum
 
 __all__ = [
-    "ShellState",
     "level_energies",
     "shell_offsets",
     "prepare_state",
@@ -88,19 +87,6 @@ MAX_PHASE_GRID = math.isqrt(2**63 - 1)
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j, 1])
 
 
-@dataclass(eq=False)
-class ShellState:
-    """An initial state resolved into energy-shell components.
-
-    ``vector`` is the normalized state in the coordinate basis; level
-    ``alpha`` occupies coordinates ``offsets[alpha]:offsets[alpha+1]``.
-    """
-
-    spec: Spectrum
-    vector: np.ndarray
-    offsets: np.ndarray
-
-
 def level_energies(spec: Spectrum, origin=0) -> np.ndarray:
     """Energy of each level, measured from ``origin`` exactly and then
     converted to floats, for phase evolution off the period grid."""
@@ -119,8 +105,9 @@ def _check_unit_norms(norms) -> None:
         raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
 
 
-def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
-    """Slice a normalized amplitude vector into energy-shell blocks."""
+def prepare_state(amplitudes, spec: Spectrum) -> np.ndarray:
+    """The amplitudes as a unit complex vector of length D; their norm must
+    be 1 within STATE_NORM_TOL."""
     vector = np.asarray(amplitudes, dtype=complex)
     if vector.shape != (spec.dim_total,):
         raise ValueError(
@@ -129,7 +116,7 @@ def prepare_state(amplitudes, spec: Spectrum) -> ShellState:
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm = np.linalg.norm(vector)
     _check_unit_norms(norm)
-    return ShellState(spec=spec, vector=vector / norm, offsets=shell_offsets(spec))
+    return vector / norm
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -156,24 +143,24 @@ def overlap_matrices(coords: np.ndarray) -> np.ndarray:
     return coords.conj() @ np.swapaxes(coords, -1, -2)
 
 
-def shell_overlap_matrix(state: ShellState, cell: np.ndarray) -> np.ndarray:
+def shell_overlap_matrix(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """Hermitian matrix of shell-component overlaps through the cell.
 
     Entry (a, b) is the inner product of shell components a and b mediated
     by the cell projector.  Built from the d basis columns restricted to
     each shell block, so the full projector is never formed.
     """
-    return overlap_matrices(shell_coordinates(cell, state.vector, state.offsets))
+    return overlap_matrices(shell_coordinates(cell, vector, shell_offsets(spec)))
 
 
-def exact_time_avg_weight(state: ShellState, cell: np.ndarray) -> float:
+def exact_time_avg_weight(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) -> float:
     """Infinite-time average of the cell weight, exactly.
 
     Only the diagonal (equal-energy) terms of the weight survive time
     averaging, so the result is the sum over shells of each component's
     weight in the cell.
     """
-    return float(np.sum(np.abs(shell_coordinates(cell, state.vector, state.offsets)) ** 2))
+    return float(np.sum(np.abs(shell_coordinates(cell, vector, shell_offsets(spec))) ** 2))
 
 
 def discrete_time_average(
@@ -338,7 +325,8 @@ def normal_time_fractions(
 
 
 def time_fraction_normal(
-    state: ShellState,
+    spec: Spectrum,
+    vector: np.ndarray,
     decomposition: list[np.ndarray],
     epsilon: float,
     grid_points: int = 1000,
@@ -356,6 +344,6 @@ def time_fraction_normal(
     them.
     """
     ranks = [cell.shape[1] for cell in decomposition]
-    phases = grid_phases(state.spec, grid_points).rows(np.arange(grid_points))
-    coords = shell_coordinates(np.hstack(decomposition), state.vector, state.offsets)
+    phases = grid_phases(spec, grid_points).rows(np.arange(grid_points))
+    coords = shell_coordinates(np.hstack(decomposition), vector, shell_offsets(spec))
     return float(normal_time_fractions(phases, coords, ranks, epsilon))

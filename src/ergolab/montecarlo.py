@@ -164,7 +164,7 @@ class ExperimentConfig:
 
 
 def evaluate_cells(spec: Spectrum, ranks, coords: np.ndarray):
-    """Yield ``(breakdown, bound, gap_ok, resonant_ok)`` for every cell, in order.
+    """Yield ``(record, bound, gap_ok, resonant_ok)`` for every cell, in order.
 
     ``coords`` is the shell coordinates
     (:func:`~ergolab.dynamics.shell_coordinates`) of one state, or a stack of
@@ -177,9 +177,9 @@ def evaluate_cells(spec: Spectrum, ranks, coords: np.ndarray):
     index = spec.pair_index
     for rank, columns in zip(ranks, np.split(coords, np.cumsum(ranks)[:-1], axis=-1)):
         b = deviation_breakdowns(overlap_matrices(columns), rank / spec.dim_total, index)
-        bound = resonant_term_bound(b.time_avg_weight, index.max_sum_degeneracy)
-        yield (b, bound, b.diag_dev_sq <= b.total + CHAIN_SLACK,
-               b.resonant_term <= bound + CHAIN_SLACK)
+        bound = resonant_term_bound(b["time_avg_weight"], index.max_sum_degeneracy)
+        yield (b, bound, b["diag_dev_sq"] <= b["total"] + CHAIN_SLACK,
+               b["resonant_term"] <= bound + CHAIN_SLACK)
 
 
 def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
@@ -193,7 +193,7 @@ def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
         vector = config.amplitudes
     else:
         return None
-    return prepare_state(vector, config.spectrum).vector
+    return prepare_state(vector, config.spectrum)
 
 
 def _block_trials(config: ExperimentConfig) -> int:
@@ -256,7 +256,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         block_totals = totals[trials.start:trials.stop]
         cells = evaluate_cells(spec, config.dims, coords)
         for k, (b, _, gap_ok, resonant_ok) in enumerate(cells):
-            block_totals[:, k] = b.total
+            block_totals[:, k] = b["total"]
             chain_violations += int(np.sum(~gap_ok) + np.sum(~resonant_ok))
         if config.normality:
             ok_sufficient = np.all([

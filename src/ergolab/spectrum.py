@@ -40,7 +40,6 @@ __all__ = [
     "gap_structure",
     "sum_structure",
     "classify",
-    "nonresonance_sum_check",
     "structure_report",
 ]
 
@@ -406,23 +405,6 @@ def classify(spec: Spectrum) -> Classification:
     non_degenerate = all(d == 1 for d in spec.degeneracies)
     non_resonant = spec.pair_index.max_gap_degeneracy <= 1
     return Classification(non_degenerate, non_resonant)
-
-
-def nonresonance_sum_check(spec: Spectrum) -> str:
-    """Check that a non-resonant spectrum has maximal sum degeneracy two.
-
-    Returns "holds" when the spectrum is non-resonant and the maximal sum
-    degeneracy equals 2, "vacuous" when the spectrum is resonant (the
-    implication says nothing), "violated" if a non-resonant spectrum ever
-    produced a different sum degeneracy, and "inapplicable" for fewer than
-    two levels.  Note the literal claim is about the maximum: sum values
-    reachable only as twice a level energy have a single pair.
-    """
-    if spec.num_levels < 2:
-        return "inapplicable"
-    if not classify(spec).non_resonant:
-        return "vacuous"
-    return "holds" if spec.pair_index.max_sum_degeneracy == 2 else "violated"
 
 
 def structure_report(spec: Spectrum) -> dict:

@@ -51,11 +51,10 @@ real by construction.  The buckets come from the spectrum's integer
 segmented sum over D_E^2 entries instead of a loop over sum classes.
 
 The kernel (:func:`deviation_breakdowns`) takes a stack of overlap
-matrices and returns every piece as an array over the stack, which is how
-``run`` and ``compute-l`` evaluate every cell (through
+matrices and returns a dict of every piece as an array over the stack,
+which is how ``run`` and ``compute-l`` evaluate every cell (through
 :func:`ergolab.montecarlo.evaluate_cells`); :func:`deviation_exact` is the
-same kernel on one state and one cell, a (D, d) basis array, and takes the
-spectrum from the state.
+same kernel on one state and one cell, a (D, d) basis array.
 Its finiteness check, like every gate here, is written so that NaN fails it.
 
 Everything here is a plain float computation except the asymptotic-regime
@@ -71,11 +70,10 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .dynamics import ShellState, exact_time_avg_weight, shell_overlap_matrix
-from .spectrum import PairIndex
+from .dynamics import exact_time_avg_weight, shell_overlap_matrix
+from .spectrum import PairIndex, Spectrum
 
 __all__ = [
-    "DeviationBreakdown",
     "TheoremParams",
     "deviation_breakdowns",
     "deviation_exact",
@@ -95,40 +93,6 @@ DEFAULT_PRECISION_BITS = 256
 # find_admissible_constant searches the geometric grid of ratio
 # 1 + ADMISSIBLE_RESOLUTION.
 ADMISSIBLE_RESOLUTION = 0.01
-
-
-@dataclass
-class DeviationBreakdown:
-    """The deviation functional split into its exact constituents.
-
-    Two regroupings of the same quantity are carried side by side:
-    ``total = cell_fraction_sq + degeneracy_term + nonresonant_term + resonant_term``
-    and ``total = offdiag_sum + diag_dev_sq + resonant_term``.
-    ``time_avg_weight`` is trace(S), the exact time-averaged cell weight, so
-    ``diag_dev_sq`` is the ergodicity gap; it is not part of :meth:`as_dict`.
-    The fields are floats for one cell, or arrays over a stack of overlap
-    matrices from :func:`deviation_breakdowns`.
-    """
-
-    total: float
-    cell_fraction_sq: float
-    degeneracy_term: float
-    nonresonant_term: float
-    resonant_term: float
-    offdiag_sum: float
-    diag_dev_sq: float
-    time_avg_weight: float
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "cell_fraction_sq": self.cell_fraction_sq,
-            "degeneracy_term": self.degeneracy_term,
-            "nonresonant_term": self.nonresonant_term,
-            "resonant_term": self.resonant_term,
-            "offdiag_sum": self.offdiag_sum,
-            "diag_dev_sq": self.diag_dev_sq,
-        }
 
 
 @dataclass
@@ -169,15 +133,18 @@ def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:
             - np.sum(z.real**2 + z.imag**2, axis=-1))
 
 
-def deviation_breakdowns(
-    s: np.ndarray, frac: float, index: PairIndex
-) -> DeviationBreakdown:
+def deviation_breakdowns(s: np.ndarray, frac: float, index: PairIndex) -> dict:
     """The deviation functional of every shell overlap matrix in a stack.
 
     ``s`` is (..., D_E, D_E), each matrix built for a cell of share
-    ``frac`` = d/D on the spectrum whose pair index is ``index``.  Every
-    field of the result except ``cell_fraction_sq`` is an array over the
-    leading axes.  Raises ArithmeticError unless every total is finite.
+    ``frac`` = d/D on the spectrum whose pair index is ``index``.  Returns
+    the two regroupings of the same quantity,
+    ``total = cell_fraction_sq + degeneracy_term + nonresonant_term + resonant_term``
+    and ``total = offdiag_sum + diag_dev_sq + resonant_term``, plus
+    ``time_avg_weight``, trace(S), the exact time-averaged cell weight, of
+    which ``diag_dev_sq`` is the ergodicity gap.  Every value except
+    ``cell_fraction_sq`` is an array over the leading axes.  Raises
+    ArithmeticError unless every total is finite.
     """
     diag = np.diagonal(s, axis1=-2, axis2=-1).real
     trace = diag.sum(axis=-1)
@@ -188,35 +155,31 @@ def deviation_breakdowns(
     if not np.all(np.isfinite(total)):
         raise ArithmeticError("deviation functional is not finite")
 
-    return DeviationBreakdown(
-        total=total,
-        cell_fraction_sq=frac**2,
-        degeneracy_term=-2.0 * frac * trace,
-        nonresonant_term=offdiag_sum + trace**2,
-        resonant_term=res,
-        offdiag_sum=offdiag_sum,
-        diag_dev_sq=diag_dev_sq,
-        time_avg_weight=trace,
-    )
+    return {
+        "total": total,
+        "cell_fraction_sq": frac**2,
+        "degeneracy_term": -2.0 * frac * trace,
+        "nonresonant_term": offdiag_sum + trace**2,
+        "resonant_term": res,
+        "offdiag_sum": offdiag_sum,
+        "diag_dev_sq": diag_dev_sq,
+        "time_avg_weight": trace,
+    }
 
 
-def deviation_exact(state: ShellState, cell: np.ndarray) -> DeviationBreakdown:
-    """Exact evaluation of the deviation functional for one cell, a (D, d)
-    basis array.
-
-    The resonance buckets come from the pair index of the spectrum the
-    state was prepared on.
-    """
-    s = shell_overlap_matrix(state, cell)
-    b = deviation_breakdowns(s, cell.shape[1] / state.spec.dim_total, state.spec.pair_index)
-    return DeviationBreakdown(**{name: float(v) for name, v in vars(b).items()})
+def deviation_exact(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) -> dict:
+    """The record of :func:`deviation_breakdowns`, in floats, for the state
+    ``vector`` on ``spec`` and one cell, a (D, d) basis array."""
+    s = shell_overlap_matrix(spec, vector, cell)
+    b = deviation_breakdowns(s, cell.shape[1] / spec.dim_total, spec.pair_index)
+    return {name: float(value) for name, value in b.items()}
 
 
 def resonant_term_bound(time_avg_weight: float, max_sum_degeneracy: int) -> float:
     """Upper bound on the resonant term from the worst sum degeneracy.
 
     Equals (max_sum_degeneracy - 2) times the squared time-averaged weight
-    (``DeviationBreakdown.time_avg_weight``, or
+    (the breakdown's ``time_avg_weight``, or
     :func:`~ergolab.dynamics.exact_time_avg_weight`); clamped at zero so the
     guarantee also covers single-level spectra, whose resonant term is
     identically zero.
@@ -240,14 +203,14 @@ def sufficient_condition(
     return total <= sufficient_threshold(params, rank, dim)
 
 
-def ergodicity_gap(state: ShellState, cell: np.ndarray) -> float:
+def ergodicity_gap(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) -> float:
     """Squared deviation of the time-averaged weight from the cell's share.
 
     Never exceeds the deviation functional for the same state and cell
     (the time average of a square dominates the square of the average).
     """
-    frac = cell.shape[1] / state.spec.dim_total
-    return (exact_time_avg_weight(state, cell) - frac) ** 2
+    frac = cell.shape[1] / spec.dim_total
+    return (exact_time_avg_weight(spec, vector, cell) - frac) ** 2
 
 
 def mean_deviation_bound(

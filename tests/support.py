@@ -183,10 +183,10 @@ def coordinate_energies(spec: Spectrum) -> np.ndarray:
     return np.repeat([float(e) for e in spec.energies], spec.degeneracies)
 
 
-def evolve(state, tau: float) -> np.ndarray:
-    """State vector after time tau: each coordinate picks up the float
-    phase exp(-i E tau) of its energy."""
-    return np.exp(-1j * tau * coordinate_energies(state.spec)) * state.vector
+def evolve(spec: Spectrum, vector: np.ndarray, tau: float) -> np.ndarray:
+    """State vector on ``spec`` after time tau: each coordinate picks up the
+    float phase exp(-i E tau) of its energy."""
+    return np.exp(-1j * tau * coordinate_energies(spec)) * vector
 
 
 def cell_weight(vector, cell: np.ndarray) -> float:
@@ -196,13 +196,13 @@ def cell_weight(vector, cell: np.ndarray) -> float:
 
 
 def random_instance(spec: Spectrum, rng: np.random.Generator, max_cells: int = 4):
-    """Random prepared state plus random decomposition for a spectrum."""
+    """Random prepared state vector plus random decomposition for a spectrum."""
     dim = spec.dim_total
     parts = int(rng.integers(1, min(max_cells, dim) + 1))
     dims = random_composition(rng, dim, parts)
     decomposition = sample_decomposition(dims, rng)
-    state = prepare_state(sample_random_state(dim, rng), spec)
-    return state, decomposition
+    vector = prepare_state(sample_random_state(dim, rng), spec)
+    return vector, decomposition
 
 
 def per_point(observable):
@@ -245,21 +245,19 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
     for t in range(config.trials):
         rng = substream(config.seed, 1, t)
         decomposition = sample_decomposition(config.dims, rng)
-        vector = fixed if fixed is not None else sample_random_state(dim, rng)
-        state = prepare_state(vector, spec)
+        vector = prepare_state(fixed if fixed is not None else sample_random_state(dim, rng),
+                               spec)
         ok_sufficient = True
         for k, cell in enumerate(decomposition):
-            b = deviation_exact(state, cell)
-            totals[t, k] = b.total
-            chain += not b.diag_dev_sq <= b.total + chain_slack
-            bound = resonant_term_bound(b.time_avg_weight, d_f)
-            chain += not b.resonant_term <= bound + chain_slack
-            ok_sufficient = ok_sufficient and b.total <= config.threshold(cell.shape[1])
+            b = deviation_exact(spec, vector, cell)
+            totals[t, k] = b["total"]
+            chain += not b["diag_dev_sq"] <= b["total"] + chain_slack
+            bound = resonant_term_bound(b["time_avg_weight"], d_f)
+            chain += not b["resonant_term"] <= bound + chain_slack
+            ok_sufficient = ok_sufficient and b["total"] <= config.threshold(cell.shape[1])
         if config.normality:
             fraction = time_fraction_normal(
-                prepare_state(state.vector, ispec), decomposition, p.epsilon,
-                config.grid_points,
-            )
+                ispec, vector, decomposition, p.epsilon, config.grid_points)
             ok_direct = fraction >= 1 - p.delta_prime
             sufficient += ok_sufficient
             direct += ok_direct

@@ -29,7 +29,7 @@ from ergolab import (
     sum_structure,
     typicality,
 )
-from ergolab.cli import main
+from ergolab.cli import MAX_DUMP_PHASE, main
 
 from support import cell_weight, evolve, lemma_statistics_reference
 
@@ -377,12 +377,12 @@ class TestOffsetSpectra:
 
 
 def compute_l_instance(spec_path, dims, seed):
-    """The decomposition and prepared state compute-l draws for ``seed``."""
+    """The decomposition and prepared state vector compute-l draws for ``seed``."""
     spec = parse_spectrum(Path(spec_path).read_text())
     decomposition = sample_decomposition([int(d) for d in dims.split(",")],
                                          substream(seed, 0))
-    state = prepare_state(sample_random_state(spec.dim_total, substream(seed, 1)), spec)
-    return spec, decomposition, state
+    vector = prepare_state(sample_random_state(spec.dim_total, substream(seed, 1)), spec)
+    return spec, decomposition, vector
 
 
 SPECTRA = {
@@ -402,17 +402,18 @@ class TestComputeLPath:
         out = tmp_path / "l.json"
         assert main(["compute-l", spec_path, "--dims", dims, "--seed", "11",
                      "--out", str(out)]) == 0
-        spec, decomposition, state = compute_l_instance(spec_path, dims, 11)
+        spec, decomposition, vector = compute_l_instance(spec_path, dims, 11)
         d_f = sum_structure(spec).max_sum_degeneracy
         records = load(out)["cells"]
         assert len(records) == len(decomposition)
         for record, cell in zip(records, decomposition):
-            b = deviation_exact(state, cell)
-            assert {key: record[key] for key in b.as_dict()} == b.as_dict()
-            assert set(record) == set(b.as_dict()) | {
+            b = deviation_exact(spec, vector, cell)
+            written = {key: value for key, value in b.items() if key != "time_avg_weight"}
+            assert {key: record[key] for key in written} == written
+            assert set(record) == set(written) | {
                 "cell", "rank", "ergodicity_gap", "resonant_bound", "chain_ok", "oracle"}
-            assert record["ergodicity_gap"] == b.diag_dev_sq
-            assert record["resonant_bound"] == resonant_term_bound(b.time_avg_weight, d_f)
+            assert record["ergodicity_gap"] == b["diag_dev_sq"]
+            assert record["resonant_bound"] == resonant_term_bound(b["time_avg_weight"], d_f)
             assert record["rank"] == cell.shape[1] and record["chain_ok"] is True
         if name == "integer-resonant":
             assert any(record["resonant_term"] != 0.0 for record in records)
@@ -424,16 +425,15 @@ class TestComputeLPath:
         out = tmp_path / "l.json"
         assert main(["compute-l", spec_path, "--dims", dims, "--seed", "5",
                      "--out", str(out)]) == 0
-        spec, decomposition, state = compute_l_instance(spec_path, dims, 5)
+        spec, decomposition, vector = compute_l_instance(spec_path, dims, 5)
         ispec, _ = integer_rescaled(spec)
-        istate = prepare_state(state.vector, ispec)
         # twice the oracle's 2*spread + 1 points: every exact grid gives the
         # same average
         n = 4 * int(ispec.spread) + 1
         for record, cell in zip(load(out)["cells"], decomposition):
             frac = cell.shape[1] / spec.dim_total
             expected = math.fsum(
-                (cell_weight(evolve(istate, 2 * math.pi * j / n), cell) - frac) ** 2
+                (cell_weight(evolve(ispec, vector, 2 * math.pi * j / n), cell) - frac) ** 2
                 for j in range(n)) / n
             assert abs(record["oracle"]["value"] - expected) <= 1e-13
 
@@ -573,6 +573,30 @@ class TestComputeLPath:
         assert not out.exists() and not traj.exists()
         assert_one_line_error(capsys, fragment)
 
+    @pytest.mark.parametrize("flags", [["--grid-points", "5"], ["--periods", "2"],
+                                       ["--grid-points", "1000", "--periods", "1"]])
+    def test_dump_flags_need_the_dump(self, tmp_path, capsys, flags):
+        # the two flags shape only the dump; without it they are refused
+        spec = write_spectrum(tmp_path, [(0, 1), ("1/2", 1), (2, 1)])
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", "1,2", "--out", str(out)] + flags) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, flags[0], "--dump-trajectory")
+
+    def test_phases_just_below_the_accuracy_limit_accepted(self, tmp_path):
+        out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
+        argv = ["--dims", "1,1", "--grid-points", "1000", "--out", str(out),
+                "--dump-trajectory", str(traj)]
+        # the largest energy whose phases over one period stay below the limit
+        energy = int(MAX_DUMP_PHASE / (2 * math.pi))
+        assert energy * 2 * math.pi < MAX_DUMP_PHASE <= (energy + 1) * 2 * math.pi
+        near = write_spectrum(tmp_path, [(0, 1), (energy, 1)], "near.json")
+        assert main(["compute-l", near] + argv) == 0
+        assert len(traj.read_text().splitlines()) == 1001
+        # an offset is measured away, however large
+        offset = write_spectrum(tmp_path, [(10**17, 1), (10**17 + energy, 1)], "offset.json")
+        assert main(["compute-l", offset] + argv) == 0
+
     def test_multiplier_beyond_float_range_rejected(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path, [(0, 1), ("1/1" + "0" * 309, 1)])
         out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
@@ -584,8 +608,10 @@ class TestComputeLPath:
         assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
         assert load(out)["rescaled_to_integer"] == {"multiplier": 10**309}
 
-    # 1e400 is beyond the float range; 1e308 is not, but its phases E*tau are
-    @pytest.mark.parametrize("energy", ["1e400", "1e308"])
+    # 1e400 is beyond the float range; 1e308 is not, but its phases E*tau
+    # are.  At 1e17 every exact phase of the one-period grid is 1, so the
+    # weights are constant, but the float phases drift by up to a radian.
+    @pytest.mark.parametrize("energy", ["1e400", "1e308", "1e17"])
     def test_energy_beyond_float_phases_rejected(self, tmp_path, capsys, energy):
         spec = write_spectrum(tmp_path, [(0, 1), (energy, 1)])
         out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"

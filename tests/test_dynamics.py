@@ -27,6 +27,7 @@ from ergolab.dynamics import (
     level_energies,
     period_grid,
     shell_coordinates,
+    shell_offsets,
     time_phases,
 )
 
@@ -37,16 +38,16 @@ def spec_of(levels):
     return Spectrum(tuple((F(e), d) for e, d in levels))
 
 
-def kernel_inputs(state, dec):
+def kernel_inputs(spec, vector, dec):
     """Level energies, shell coordinates and ranks of the time-grid kernel."""
     ranks = [cell.shape[1] for cell in dec]
-    coords = shell_coordinates(np.hstack(dec), state.vector, state.offsets)
-    return level_energies(state.spec), coords, ranks
+    coords = shell_coordinates(np.hstack(dec), vector, shell_offsets(spec))
+    return level_energies(spec), coords, ranks
 
 
-def shell_weights(state):
+def shell_weights(spec, vector):
     """Squared norm of the state's component in each energy shell."""
-    return np.add.reduceat(np.abs(state.vector) ** 2, state.offsets[:-1])
+    return np.add.reduceat(np.abs(vector) ** 2, shell_offsets(spec)[:-1])
 
 
 def weights_now(vector, dec):
@@ -62,26 +63,26 @@ class TestPrepareState:
         spec = spec_of([(0, 2), (1, 3)])
         amp = np.zeros(5, dtype=complex)
         amp[3] = 1.0  # inside the second shell block
-        state = prepare_state(amp, spec)
-        np.testing.assert_allclose(shell_weights(state), [0.0, 1.0], atol=1e-15)
+        vector = prepare_state(amp, spec)
+        np.testing.assert_allclose(shell_weights(spec, vector), [0.0, 1.0], atol=1e-15)
 
     def test_uniform_superposition_weights(self):
         spec = spec_of([(0, 2), (1, 2)])
-        state = prepare_state(np.full(4, 0.5, dtype=complex), spec)
-        np.testing.assert_allclose(shell_weights(state), [0.5, 0.5], atol=1e-15)
+        vector = prepare_state(np.full(4, 0.5, dtype=complex), spec)
+        np.testing.assert_allclose(shell_weights(spec, vector), [0.5, 0.5], atol=1e-15)
 
     def test_weights_sum_to_one(self):
         spec = spec_of([(0, 3), (2, 2), (5, 4)])
-        state = prepare_state(sample_random_state(9, substream(1, 0)), spec)
-        assert abs(shell_weights(state).sum() - 1) < 1e-12
+        vector = prepare_state(sample_random_state(9, substream(1, 0)), spec)
+        assert abs(shell_weights(spec, vector).sum() - 1) < 1e-12
 
     def test_components_reconstruct_state(self):
         spec = spec_of([(0, 2), (1, 1), (4, 3)])
-        state = prepare_state(sample_random_state(6, substream(1, 1)), spec)
-        blocks = [state.vector[state.offsets[a]:state.offsets[a + 1]]
-                  for a in range(spec.num_levels)]
+        vector = prepare_state(sample_random_state(6, substream(1, 1)), spec)
+        offsets = shell_offsets(spec)
+        blocks = [vector[offsets[a]:offsets[a + 1]] for a in range(spec.num_levels)]
         assert [len(b) for b in blocks] == list(spec.degeneracies)
-        np.testing.assert_array_equal(np.concatenate(blocks), state.vector)
+        np.testing.assert_array_equal(np.concatenate(blocks), vector)
 
     def test_wrong_length_rejected(self):
         spec = spec_of([(0, 2)])
@@ -110,22 +111,20 @@ class TestEvolve:
 
     def test_norm_preserved(self):
         spec = spec_of([(0, 2), (F(1, 3), 2)])
-        state = prepare_state(sample_random_state(4, substream(2, 2)), spec)
+        vector = prepare_state(sample_random_state(4, substream(2, 2)), spec)
         taus = np.linspace(0, 20, 17)
-        weights = trajectory_weights(
-            level_energies(spec), shell_coordinates(np.eye(4), state.vector, state.offsets),
-            [4], taus)
+        weights = trajectory_weights(*kernel_inputs(spec, vector, [np.eye(4)]), taus)
         np.testing.assert_allclose(weights, 1, rtol=0, atol=1e-12)
 
     def test_stationary_state_constant_weights(self):
         spec = spec_of([(0, 3), (1, 2)])
         amp = np.zeros(5, dtype=complex)
         amp[:3] = sample_random_state(3, substream(2, 3))
-        state = prepare_state(amp, spec)
+        vector = prepare_state(amp, spec)
         dec = sample_decomposition([2, 3], substream(2, 4))
-        w0 = [cell_weight(state.vector, c) for c in dec]
+        w0 = [cell_weight(vector, c) for c in dec]
         taus = [0.3, 1.7, 9.2]
-        for wt in trajectory_weights(*kernel_inputs(state, dec), taus):
+        for wt in trajectory_weights(*kernel_inputs(spec, vector, dec), taus):
             np.testing.assert_allclose(wt, w0, atol=1e-12)
 
 
@@ -155,45 +154,46 @@ class TestCellWeight:
 class TestExactTimeAverage:
     def test_stationary_equals_instantaneous(self):
         spec = spec_of([(2, 4)])
-        state = prepare_state(sample_random_state(4, substream(4, 0)), spec)
+        vector = prepare_state(sample_random_state(4, substream(4, 0)), spec)
         cell = sample_decomposition([2, 2], substream(4, 1))[0]
         assert abs(
-            exact_time_avg_weight(state, cell) - cell_weight(state.vector, cell)
+            exact_time_avg_weight(spec, vector, cell) - cell_weight(vector, cell)
         ) < 1e-12
 
     def test_full_projection_is_one(self):
         spec = spec_of([(0, 2), (1, 2)])
-        state = prepare_state(sample_random_state(4, substream(4, 2)), spec)
+        vector = prepare_state(sample_random_state(4, substream(4, 2)), spec)
         cell = sample_decomposition([4], substream(4, 3))[0]
-        assert abs(exact_time_avg_weight(state, cell) - 1) < 1e-12
+        assert abs(exact_time_avg_weight(spec, vector, cell) - 1) < 1e-12
 
     def test_matches_discrete_average(self):
         spec = spec_of([(0, 1), (1, 1), (2, 1), (3, 1)])
         rng = substream(4, 4)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         for cell in dec:
             oracle = discrete_time_average(
-                per_point(lambda tau: cell_weight(evolve(state, tau), cell)),
+                per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell)),
                 spec,
                 int(spec.spread),
             )
-            assert abs(exact_time_avg_weight(state, cell) - oracle) < 1e-10
+            assert abs(exact_time_avg_weight(spec, vector, cell) - oracle) < 1e-10
 
     def test_convex_combination_form(self):
         # average weight equals the weight-mixture of normalized shell
         # components and therefore sits in [0, 1]
         spec = spec_of([(0, 2), (1, 3), (5, 1)])
         rng = substream(4, 6)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         cell = dec[0]
         mixture = 0.0
-        for a, weight in enumerate(shell_weights(state)):
-            comp = np.zeros_like(state.vector)
-            shell = slice(state.offsets[a], state.offsets[a + 1])
-            comp[shell] = state.vector[shell]
+        offsets = shell_offsets(spec)
+        for a, weight in enumerate(shell_weights(spec, vector)):
+            comp = np.zeros_like(vector)
+            shell = slice(offsets[a], offsets[a + 1])
+            comp[shell] = vector[shell]
             if weight > 0:
                 mixture += weight * cell_weight(comp / np.linalg.norm(comp), cell)
-        avg = exact_time_avg_weight(state, cell)
+        avg = exact_time_avg_weight(spec, vector, cell)
         assert avg == pytest.approx(mixture, abs=1e-12)
         assert 0.0 <= avg <= 1.0
 
@@ -202,11 +202,11 @@ class TestExactTimeAverage:
         # coordinate sum over all D levels
         spec = spec_of([(0, 1), (1, 1), (3, 1), (7, 1)])
         rng = substream(4, 5)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         cell = dec[0]
         row_weights = np.sum(np.abs(cell) ** 2, axis=1)
-        direct = float(np.sum(np.abs(state.vector) ** 2 * row_weights))
-        assert abs(exact_time_avg_weight(state, cell) - direct) < 1e-12
+        direct = float(np.sum(np.abs(vector) ** 2 * row_weights))
+        assert abs(exact_time_avg_weight(spec, vector, cell) - direct) < 1e-12
 
 
 class TestDiscreteTimeAverage:
@@ -236,16 +236,16 @@ class TestDiscreteTimeAverage:
         # independent numeric check: trapezoid rule over one full period
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
         rng = substream(5, 0)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         cell = dec[0]
         exact = discrete_time_average(
-            per_point(lambda tau: cell_weight(evolve(state, tau), cell)),
+            per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell)),
             spec,
             int(spec.spread),
         )
         taus = np.linspace(0, 2 * math.pi, 20001)
         dense = np.trapezoid(
-            trajectory_weights(*kernel_inputs(state, dec), taus)[:, 0], taus
+            trajectory_weights(*kernel_inputs(spec, vector, dec), taus)[:, 0], taus
         ) / (2 * math.pi)
         assert abs(exact - dense) < 1e-6
 
@@ -329,11 +329,11 @@ class TestIntegerRescale:
 class TestTrajectoryKernel:
     def test_weights_match_evolve_then_project(self):
         spec = spec_of([(0, 2), (1, 1), (3, 2)])
-        state, dec = random_instance(spec, substream(7, 0))
+        vector, dec = random_instance(spec, substream(7, 0))
         taus = np.linspace(0.0, 7.0, 23)
-        weights = trajectory_weights(*kernel_inputs(state, dec), taus)
+        weights = trajectory_weights(*kernel_inputs(spec, vector, dec), taus)
         for tau, row in zip(taus, weights):
-            psi = evolve(state, tau)
+            psi = evolve(spec, vector, tau)
             expected = [cell_weight(psi, cell) for cell in dec]
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
 
@@ -345,31 +345,32 @@ class TestTrajectoryKernel:
         levels = [(0, 5), (1, 1), (3, 4)]
         big = spec_of([(offset + e, d) for e, d in levels])
         rng = substream(7, 2)
-        state = prepare_state(sample_random_state(10, rng), spec_of(levels))
+        spec = spec_of(levels)
+        vector = prepare_state(sample_random_state(10, rng), spec)
         dec = sample_decomposition([3, 3, 4], rng)
         ranks = [3, 3, 4]
         phases = grid_phases(big, n).rows(np.arange(n))
         assert phases.shape == (n, 3)
-        coords = shell_coordinates(np.hstack(dec), state.vector, state.offsets)
+        coords = shell_coordinates(np.hstack(dec), vector, shell_offsets(spec))
         weights = evolved_weights(phases, coords, ranks)
         for j, row in enumerate(weights):
-            psi = evolve(state, 2 * math.pi * j / n)
+            psi = evolve(spec, vector, 2 * math.pi * j / n)
             expected = [cell_weight(psi, cell) for cell in dec]
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-14)
 
     def test_fraction_counts_grid_times_within_tolerance(self):
         spec = spec_of([(0, 2), (1, 2), (2, 2), (3, 2)])
-        state, dec = random_instance(spec, substream(7, 1))
+        vector, dec = random_instance(spec, substream(7, 1))
         dim, m, epsilon, n = spec.dim_total, len(dec), 0.6, 200
         inside = 0
         for j in range(n):
-            psi = evolve(state, 2 * math.pi * j / n)
+            psi = evolve(spec, vector, 2 * math.pi * j / n)
             inside += all(
                 abs(cell_weight(psi, c) - c.shape[1] / dim)
                 <= epsilon / math.sqrt(m) * math.sqrt(c.shape[1] / dim)
                 for c in dec
             )
-        assert time_fraction_normal(state, dec, epsilon, grid_points=n) == inside / n
+        assert time_fraction_normal(spec, vector, dec, epsilon, grid_points=n) == inside / n
 
 
 class TestTimeFractionNormal:
@@ -377,19 +378,19 @@ class TestTimeFractionNormal:
         # one fully degenerate level: every state is stationary; uniform
         # state on coordinate cells hits d/D exactly, so any epsilon works
         spec = spec_of([(0, 4)])
-        state = prepare_state(np.full(4, 0.5, dtype=complex), spec)
+        vector = prepare_state(np.full(4, 0.5, dtype=complex), spec)
         dec = [np.eye(4)[:, [0, 1]], np.eye(4)[:, [2, 3]]]
-        assert time_fraction_normal(state, dec, 1e-9, grid_points=64) == 1.0
+        assert time_fraction_normal(spec, vector, dec, 1e-9, grid_points=64) == 1.0
 
     def test_huge_epsilon_vacuous(self):
         spec = spec_of([(0, 1), (1, 1), (2, 1), (5, 1)])
         rng = substream(6, 0)
-        state, dec = random_instance(spec, rng)
-        assert time_fraction_normal(state, dec, 1e6, grid_points=128) == 1.0
+        vector, dec = random_instance(spec, rng)
+        assert time_fraction_normal(spec, vector, dec, 1e6, grid_points=128) == 1.0
 
     def test_non_integer_rejected(self):
         spec = spec_of([(0, 1), (F(1, 3), 1)])
-        state = prepare_state(sample_random_state(2, substream(6, 1)), spec)
+        vector = prepare_state(sample_random_state(2, substream(6, 1)), spec)
         dec = sample_decomposition([1, 1], substream(6, 2))
         with pytest.raises(ValueError, match="integer"):
-            time_fraction_normal(state, dec, 0.5)
+            time_fraction_normal(spec, vector, dec, 0.5)

@@ -13,7 +13,6 @@ from ergolab import (
     SpectrumError,
     classify,
     gap_structure,
-    nonresonance_sum_check,
     parse_spectrum,
     structure_report,
     sum_structure,
@@ -139,20 +138,30 @@ class TestClassify:
         assert classify(simple(0, 1, 2)) == (True, False)
 
 
-class TestNonresonanceSumCheck:
-    def test_holds(self):
-        assert nonresonance_sum_check(simple(0, 1, 3)) == "holds"
+class TestNonresonantSumDegeneracy:
+    """A non-resonant spectrum of at least two levels has D_F = 2: every sum
+    value is carried by at most a pair and its swap."""
 
-    def test_vacuous_for_resonant(self):
-        assert nonresonance_sum_check(simple(0, 1, 2)) == "vacuous"
+    def test_holds(self):
+        spec = simple(0, 1, 3)
+        assert classify(spec).non_resonant
+        assert spec.pair_index.max_sum_degeneracy == 2
+
+    def test_resonant_exceeds_two(self):
+        # 0 + 2 = 1 + 1: the pairs (0, 2), (2, 0) and (1, 1) share a sum
+        spec = simple(0, 1, 2)
+        assert not classify(spec).non_resonant
+        assert spec.pair_index.max_sum_degeneracy == 3
 
     def test_smallest_nonresonant(self):
         spec = simple(0, 1)
-        assert nonresonance_sum_check(spec) == "holds"
+        assert classify(spec).non_resonant
+        assert spec.pair_index.max_sum_degeneracy == 2
         assert sum_structure(spec).max_sum_degeneracy == 2
 
-    def test_inapplicable_single_level(self):
-        assert nonresonance_sum_check(Spectrum(((F(0), 3),))) == "inapplicable"
+    def test_single_level_has_one_pair(self):
+        # the property needs two levels: one level carries only (0, 0)
+        assert Spectrum(((F(0), 3),)).pair_index.max_sum_degeneracy == 1
 
 
 level_lists = st.lists(
@@ -252,7 +261,7 @@ def test_nonresonant_implies_sum_degeneracy_two():
         levels = random_nonresonant_levels(rng, n)
         spec = simple(*levels)
         assert classify(spec).non_resonant
-        assert nonresonance_sum_check(spec) == "holds"
+        assert spec.pair_index.max_sum_degeneracy == 2
         assert sum_structure(spec).max_sum_degeneracy == 2
 
 

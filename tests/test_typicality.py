@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ergolab import (
-    ShellState,
     Spectrum,
     TheoremParams,
     admissible_constant_crossover,
@@ -52,10 +51,10 @@ def spec_of(levels):
     return Spectrum(tuple((F(e), d) for e, d in levels))
 
 
-def oracle_deviation(state, cell, spec):
+def oracle_deviation(spec, vector, cell):
     frac = cell.shape[1] / spec.dim_total
     return discrete_time_average(
-        per_point(lambda tau: (cell_weight(evolve(state, tau), cell) - frac) ** 2),
+        per_point(lambda tau: (cell_weight(evolve(spec, vector, tau), cell) - frac) ** 2),
         spec,
         2 * int(spec.spread),
     )
@@ -64,90 +63,89 @@ def oracle_deviation(state, cell, spec):
 class TestDeviationExact:
     def test_stationary_single_shell(self):
         spec = spec_of([(0, 4)])
-        state = prepare_state(sample_random_state(4, substream(1, 0)), spec)
+        vector = prepare_state(sample_random_state(4, substream(1, 0)), spec)
         cell = sample_decomposition([2, 2], substream(1, 1))[0]
-        b = deviation_exact(state, cell)
-        w = cell_weight(state.vector, cell)
-        assert b.total == pytest.approx((w - 0.5) ** 2, abs=1e-12)
-        assert b.offdiag_sum == pytest.approx(0.0, abs=1e-12)
-        assert b.resonant_term == 0.0
+        b = deviation_exact(spec, vector, cell)
+        w = cell_weight(vector, cell)
+        assert b["total"] == pytest.approx((w - 0.5) ** 2, abs=1e-12)
+        assert b["offdiag_sum"] == pytest.approx(0.0, abs=1e-12)
+        assert b["resonant_term"] == 0.0
 
     def test_resonant_matches_oracle(self):
         spec = spec_of([(0, 1), (1, 1), (2, 1), (3, 1)])
         rng = substream(1, 2)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         for cell in dec:
-            b = deviation_exact(state, cell)
-            assert abs(b.total - oracle_deviation(state, cell, spec)) < 1e-10
+            b = deviation_exact(spec, vector, cell)
+            assert abs(b["total"] - oracle_deviation(spec, vector, cell)) < 1e-10
 
     def test_nonresonant_empty_resonant_part(self):
         spec = spec_of([(0, 1), (1, 1), (3, 1), (7, 1)])
         rng = substream(1, 3)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         for cell in dec:
-            b = deviation_exact(state, cell)
-            assert b.resonant_term == 0.0
-            assert abs(b.total - oracle_deviation(state, cell, spec)) < 1e-10
+            b = deviation_exact(spec, vector, cell)
+            assert b["resonant_term"] == 0.0
+            assert abs(b["total"] - oracle_deviation(spec, vector, cell)) < 1e-10
 
     def test_both_regroupings_agree(self):
         rng = substream(1, 4)
         for levels in ([(0, 2), (1, 2), (2, 1)], [(0, 1), (2, 3), (3, 2)]):
             spec = spec_of(levels)
-            state, dec = random_instance(spec, rng)
+            vector, dec = random_instance(spec, rng)
             for cell in dec:
-                b = deviation_exact(state, cell)
-                first = (b.cell_fraction_sq + b.degeneracy_term + b.nonresonant_term
-                         + b.resonant_term)
-                second = b.offdiag_sum + b.diag_dev_sq + b.resonant_term
-                assert abs(first - b.total) <= 1e-14 and abs(second - b.total) <= 1e-14
-                assert b.total >= 0 and b.offdiag_sum >= 0 and b.diag_dev_sq >= 0
+                b = deviation_exact(spec, vector, cell)
+                first = (b["cell_fraction_sq"] + b["degeneracy_term"] + b["nonresonant_term"]
+                         + b["resonant_term"])
+                second = b["offdiag_sum"] + b["diag_dev_sq"] + b["resonant_term"]
+                assert abs(first - b["total"]) <= 1e-14 and abs(second - b["total"]) <= 1e-14
+                assert b["total"] >= 0 and b["offdiag_sum"] >= 0 and b["diag_dev_sq"] >= 0
 
     def test_nan_amplitude_fails_the_finiteness_check(self):
         spec = spec_of([(0, 2), (1, 2)])
-        good = prepare_state(sample_random_state(4, substream(1, 7)), spec)
-        vector = good.vector.copy()
+        vector = prepare_state(sample_random_state(4, substream(1, 7)), spec)
         vector[1] = np.nan
-        state = ShellState(spec=spec, vector=vector, offsets=good.offsets)
         cell = sample_decomposition([2, 2], substream(1, 8))[0]
         with pytest.raises(ArithmeticError, match="not finite"):
-            deviation_exact(state, cell)
+            deviation_exact(spec, vector, cell)
 
     def test_stack_equals_single_cells(self):
         # one kernel: a stack of overlap matrices gives, matrix by matrix,
         # exactly the breakdown of deviation_exact
         spec = spec_of([(0, 2), (1, 2), (2, 1), (3, 2)])
         rng = substream(1, 9)
-        states = [prepare_state(sample_random_state(7, rng), spec) for _ in range(5)]
+        vectors = [prepare_state(sample_random_state(7, rng), spec) for _ in range(5)]
         cells = [sample_decomposition([2, 5], rng)[0] for _ in range(5)]
-        stack = np.stack([shell_overlap_matrix(s, c) for s, c in zip(states, cells)])
+        stack = np.stack([shell_overlap_matrix(spec, v, c) for v, c in zip(vectors, cells)])
         b = deviation_breakdowns(stack, 2 / 7, spec.pair_index)
-        assert b.resonant_term.shape == (5,)
-        for i, (state, cell) in enumerate(zip(states, cells)):
-            one = deviation_exact(state, cell)
-            for name, value in vars(one).items():
-                assert np.broadcast_to(getattr(b, name), (5,))[i] == value, name
+        assert b["resonant_term"].shape == (5,)
+        for i, (vector, cell) in enumerate(zip(vectors, cells)):
+            one = deviation_exact(spec, vector, cell)
+            assert one.keys() == b.keys()
+            for name, value in one.items():
+                assert np.broadcast_to(b[name], (5,))[i] == value, name
 
 
 class TestResonantTerm:
     def test_brute_force_enumeration(self):
         spec = spec_of([(0, 1), (1, 1), (2, 1)])
         rng = substream(2, 0)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         cell = dec[0]
-        s = shell_overlap_matrix(state, cell)
+        s = shell_overlap_matrix(spec, vector, cell)
         expected = brute_resonant_cross_terms(s, spec.energies)
-        term = deviation_exact(state, cell).resonant_term
+        term = deviation_exact(spec, vector, cell)["resonant_term"]
         assert term == pytest.approx(expected, abs=1e-12)
         assert expected != 0.0  # generically nonzero for this spectrum
 
     def test_brute_force_degenerate_resonant(self):
         spec = spec_of([(0, 2), (1, 1), (2, 2), (4, 1)])
         rng = substream(2, 1)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         for cell in dec:
-            s = shell_overlap_matrix(state, cell)
+            s = shell_overlap_matrix(spec, vector, cell)
             expected = brute_resonant_cross_terms(s, spec.energies)
-            term = deviation_exact(state, cell).resonant_term
+            term = deviation_exact(spec, vector, cell)["resonant_term"]
             assert term == pytest.approx(expected, abs=1e-12)
 
     def test_bound_chain(self):
@@ -157,29 +155,29 @@ class TestResonantTerm:
             spec = spec_of(levels)
             d_f = sum_structure(spec).max_sum_degeneracy
             for _ in range(10):
-                state, dec = random_instance(spec, rng)
+                vector, dec = random_instance(spec, rng)
                 for cell in dec:
-                    term = deviation_exact(state, cell).resonant_term
-                    bound = resonant_term_bound(exact_time_avg_weight(state, cell), d_f)
+                    term = deviation_exact(spec, vector, cell)["resonant_term"]
+                    bound = resonant_term_bound(exact_time_avg_weight(spec, vector, cell), d_f)
                     assert term <= bound + 1e-12
 
     def test_bound_trivial_cases(self):
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
         rng = substream(2, 3)
-        state, dec = random_instance(spec, rng)
-        assert deviation_exact(state, dec[0]).resonant_term == 0.0
-        assert resonant_term_bound(exact_time_avg_weight(state, dec[0]), 2) == 0.0
+        vector, dec = random_instance(spec, rng)
+        assert deviation_exact(spec, vector, dec[0])["resonant_term"] == 0.0
+        assert resonant_term_bound(exact_time_avg_weight(spec, vector, dec[0]), 2) == 0.0
         # full projection: the time-averaged weight is 1, bound is F - 2
         full = sample_decomposition([spec.dim_total], substream(2, 4))[0]
-        assert resonant_term_bound(exact_time_avg_weight(state, full), 5) == pytest.approx(
+        assert resonant_term_bound(exact_time_avg_weight(spec, vector, full), 5) == pytest.approx(
             3.0, abs=1e-10)
 
     def test_positivity_inequality(self):
         # real part of any cross term is dominated by the diagonal average
         spec = spec_of([(0, 2), (1, 2), (2, 1)])
         rng = substream(2, 5)
-        state, dec = random_instance(spec, rng)
-        s = shell_overlap_matrix(state, dec[0])
+        vector, dec = random_instance(spec, rng)
+        s = shell_overlap_matrix(spec, vector, dec[0])
         n = spec.num_levels
         for a in range(n):
             for sig in range(n):
@@ -203,15 +201,14 @@ class TestGapBucketKernel:
             brute_max_gap_degeneracy(energies) if spec.num_levels > 1 else 0)
         assert sums.max_sum_degeneracy == brute_max_sum_degeneracy(energies)
         ispec, _ = integer_rescaled(spec)
-        state, dec = random_instance(spec, rng)
+        vector, dec = random_instance(spec, rng)
         for cell in dec:
             expected = brute_resonant_cross_terms(
-                shell_overlap_matrix(state, cell), energies)
-            b = deviation_exact(state, cell)
-            assert b.resonant_term == pytest.approx(expected, abs=1e-12)
+                shell_overlap_matrix(spec, vector, cell), energies)
+            b = deviation_exact(spec, vector, cell)
+            assert b["resonant_term"] == pytest.approx(expected, abs=1e-12)
             if with_oracle:
-                istate = prepare_state(state.vector, ispec)
-                assert abs(b.total - oracle_deviation(istate, cell, ispec)) < 1e-10
+                assert abs(b["total"] - oracle_deviation(ispec, vector, cell)) < 1e-10
 
     def test_integer_and_degenerate_spectra(self):
         rng = substream(6, 0)
@@ -242,9 +239,9 @@ class TestGapBucketKernel:
             degens = random_composition(rng, len(levels) + 3, len(levels))
             q = int(rng.integers(1, 5))
             spec = spec_of([(F(e, q), d) for e, d in zip(levels, degens)])
-            state, dec = random_instance(spec, rng)
+            vector, dec = random_instance(spec, rng)
             for cell in dec:
-                assert deviation_exact(state, cell).resonant_term == 0.0
+                assert deviation_exact(spec, vector, cell)["resonant_term"] == 0.0
 
 
 class TestSufficientAndErgodicity:
@@ -263,21 +260,21 @@ class TestSufficientAndErgodicity:
         for levels in ([(0, 1), (1, 2), (2, 1)], [(0, 1), (1, 1), (4, 1), (6, 1)]):
             spec = spec_of(levels)
             for _ in range(10):
-                state, dec = random_instance(spec, rng)
+                vector, dec = random_instance(spec, rng)
                 for cell in dec:
-                    b = deviation_exact(state, cell)
-                    assert ergodicity_gap(state, cell) <= b.total + 1e-12
+                    b = deviation_exact(spec, vector, cell)
+                    assert ergodicity_gap(spec, vector, cell) <= b["total"] + 1e-12
                     # trace(S) is the independent time average, to rounding
-                    avg = exact_time_avg_weight(state, cell)
-                    assert b.time_avg_weight == pytest.approx(avg, abs=1e-14)
-                    assert b.diag_dev_sq == pytest.approx(ergodicity_gap(state, cell),
+                    avg = exact_time_avg_weight(spec, vector, cell)
+                    assert b["time_avg_weight"] == pytest.approx(avg, abs=1e-14)
+                    assert b["diag_dev_sq"] == pytest.approx(ergodicity_gap(spec, vector, cell),
                                                           abs=1e-14)
 
     def test_stationary_share_has_zero_gap(self):
         spec = spec_of([(0, 4)])
-        state = prepare_state(np.full(4, 0.5, dtype=complex), spec)
+        vector = prepare_state(np.full(4, 0.5, dtype=complex), spec)
         cell = np.eye(4)[:, [0, 1]]
-        assert ergodicity_gap(state, cell) < 1e-15
+        assert ergodicity_gap(spec, vector, cell) < 1e-15
 
 
 class TestMeanBound:
