@@ -20,6 +20,7 @@ from .randomness import (
     DEFAULT_SEED,
     hypersphere_moments,
     sample_decomposition,
+    sample_haar_frame,
     sample_haar_unitary,
     sample_random_state,
     state_weight_statistics,

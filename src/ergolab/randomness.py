@@ -9,6 +9,17 @@ and a decomposition a list of cells: a random one is the consecutive column
 blocks of a single Haar unitary, the coordinate partition of the given
 ranks rotated by it.  Nothing checks a basis a caller builds by hand.
 
+Where only d < D columns of a Haar unitary are read (the d-row blocks of
+:func:`unitary_block_statistics`), they are drawn as a Haar D × d frame:
+the phase-fixed thin QR of a D × d Ginibre matrix (Stewart, SIAM J. Numer.
+Anal. 17, 1980; Mezzadri, Notices AMS 54, 2007).  It has the law of the
+first d columns of a Haar unitary, because Gram-Schmidt runs column by
+column: the first d columns of the phase-fixed QR of a D × D Ginibre
+matrix are the phase-fixed QR of its first d columns, which form a D × d
+Ginibre matrix.  The draw costs O(D d^2) against O(D^3), and D d normals
+against D^2, but it consumes a seed's generator differently, so its
+reports differ from a full draw's in every bit.
+
 All observables handled here (entry moduli, projection weights) are
 invariant under a global phase, so sampling from the full unitary group
 rather than its unit-determinant subgroup leaves their distributions
@@ -40,6 +51,7 @@ __all__ = [
     "ginibre_matrix",
     "haar_from_ginibre",
     "sample_haar_unitary",
+    "sample_haar_frame",
     "sample_random_state",
     "sample_decomposition",
     "GATE_SIGMA",
@@ -77,18 +89,23 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *(int(p) for p in path)])
 
 
-def ginibre_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Ginibre matrix with entries of unit mean squared modulus."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+def ginibre_matrix(dim: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
+    """Complex Ginibre matrix with entries of unit mean squared modulus:
+    ``dim`` rows and ``cols`` columns (``dim`` when None), real parts
+    drawn first."""
+    shape = (dim, dim if cols is None else cols)
+    if min(shape) < 1:
+        raise ValueError(f"dimensions must be >= 1, got {shape}")
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     z /= math.sqrt(2.0)
     return z
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from Ginibre matrices stacked on the leading axes:
-    one QR factorisation, then the phases of R's diagonal moved into Q."""
+    one QR factorisation, then the phases of R's diagonal moved into Q.
+    A D × d Ginibre matrix (d < D) gives a Haar D × d frame, the first d
+    columns of a Haar unitary (see the module docstring)."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # measure-zero guard
@@ -98,6 +115,13 @@ def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via Ginibre + QR with phase-fixed diagonal."""
     return haar_from_ginibre(ginibre_matrix(dim, rng)[None])[0]
+
+
+def sample_haar_frame(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar D × d frame (``cols`` orthonormal columns) via the phase-fixed
+    thin QR of a D × d Ginibre matrix; it has the law of the first ``cols``
+    columns of :func:`sample_haar_unitary` (module docstring)."""
+    return haar_from_ginibre(ginibre_matrix(dim, rng, cols))
 
 
 def sample_random_state(dim: int, rng: np.random.Generator, size: int | None = None):
@@ -285,21 +309,37 @@ def unitary_block_statistics(
     included for the caller to compare against; no pass flag is attached
     because the comparison is only meaningful when the dimension ordering
     that licenses it holds.
+
+    Only V enters, so U is never formed: W = Q Q^H with Q = V^H, the first
+    d columns of the Haar unitary U^H, a Haar D × d frame.  Each member's Q
+    is the phase-fixed thin QR of the next D × d Ginibre matrix the stream
+    draws, which has that law (module docstring).  W is taken in chunks of
+    about _CHUNK_ENTRIES entries (at least one row), rows i against columns
+    j >= i only, since |W_ij| = |W_ji|; no D × D array is formed once D^2
+    exceeds the chunk.
     """
     if not 1 <= rank < dim:
         raise ValueError(f"need 1 <= rank < dim, got rank={rank}, dim={dim}")
     ensemble = int(ensemble)
     _check_ensemble(ensemble)
     frac = rank / dim
-    max_off = np.empty(ensemble)
-    max_diag = np.empty(ensemble)
-    offdiag_mask = ~np.eye(dim, dtype=bool)
+    chunk = max(1, _CHUNK_ENTRIES // dim)
+    max_off = np.zeros(ensemble)
+    max_diag = np.zeros(ensemble)
     for t in range(ensemble):
-        u = sample_haar_unitary(dim, rng)
-        v = u[:rank, :]
-        w = v.conj().T @ v
-        max_off[t] = (np.abs(w) ** 2)[offdiag_mask].max()
-        max_diag[t] = ((w.diagonal().real - frac) ** 2).max()
+        q = sample_haar_frame(dim, rank, rng)
+        qh = q.conj().T
+        for start in range(0, dim, chunk):
+            w = q[start:start + chunk] @ qh[:, start:]
+            rows = np.arange(w.shape[0])
+            diag = w[rows, rows].real
+            w[rows, rows] = 0.0
+            max_off[t] = max(max_off[t], (w.real**2 + w.imag**2).max())
+            max_diag[t] = max(max_diag[t], ((diag - frac) ** 2).max())
+    return _block_record(dim, rank, max_off, max_diag)
+
+
+def _block_record(dim: int, rank: int, max_off, max_diag) -> dict:
     log_dim = math.log(dim)
 
     def record(samples, threshold):
@@ -309,7 +349,7 @@ def unitary_block_statistics(
     return {
         "dim": dim,
         "rank": rank,
-        "ensemble": ensemble,
+        "ensemble": max_off.size,
         "max_offdiag": record(max_off, log_dim / dim),
         "max_diag_dev": record(max_diag, 9 * rank * log_dim / dim**2),
     }

@@ -22,6 +22,7 @@ from ergolab import (
     prepare_state,
     resonant_term_bound,
     sample_decomposition,
+    sample_haar_unitary,
     sample_random_state,
     substream,
     sum_structure,
@@ -30,7 +31,7 @@ from ergolab import (
     unitary_block_statistics,
 )
 from ergolab.dynamics import GRID_SLICE
-from ergolab.randomness import _sphere_record, _state_record
+from ergolab.randomness import _block_record, _sphere_record, _state_record
 
 # Rows per Gaussian batch of the moment estimates, as the package draws them.
 LEMMA_BATCH = 4096
@@ -340,3 +341,23 @@ def lemma_statistics_reference(dim: int, rank: int, samples: int, ensemble: int,
     blocks = (unitary_block_statistics(dim, rank, ensemble, substream(seed, 2))
               if rank < dim else None)
     return state, sphere, blocks
+
+
+def gram_maxima(v: np.ndarray, frac: float) -> tuple[float, float]:
+    """``max_{i != j} |W_ij|^2`` and ``max_i (W_ii - frac)^2`` of the whole
+    D × D Gram ``W = V^H V`` of a d × D block ``v``, in one product, the
+    diagonal masked out."""
+    w = v.conj().T @ v
+    offdiag = ~np.eye(len(w), dtype=bool)
+    return float((np.abs(w) ** 2)[offdiag].max()), float(((w.diagonal().real - frac) ** 2).max())
+
+
+def unitary_block_reference(dim: int, rank: int, ensemble: int, rng) -> dict:
+    """``randomness.unitary_block_statistics`` by the full-unitary route:
+    each member is the first ``rank`` rows of a whole
+    :func:`sample_haar_unitary` and its D × D Gram.  It consumes the
+    generator differently from the package's thin frames, so the two agree
+    in law, not in bits."""
+    maxima = np.array([gram_maxima(sample_haar_unitary(dim, rng)[:rank], rank / dim)
+                       for _ in range(ensemble)])
+    return _block_record(dim, rank, maxima[:, 0], maxima[:, 1])

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,18 +21,23 @@ from ergolab import (
 )
 from ergolab.montecarlo import check_ranks
 from ergolab.randomness import (
+    _CHUNK_ENTRIES,
+    GATE_SIGMA,
     _gaussian_batches,
     _sphere_record,
     _state_record,
     ginibre_matrix,
     haar_from_ginibre,
     mean_stderr,
+    sample_haar_frame,
 )
 
 from support import (
     gaussian_batches_reference,
+    gram_maxima,
     sphere_coefficients_reference,
     state_weights_reference,
+    unitary_block_reference,
 )
 
 # (dim, rank, samples) of the chunked-draw checks: D = 1, rank = dim, D = 257
@@ -236,6 +245,42 @@ class TestChunkedDraws:
                 == json.dumps(_sphere_record(dim, *coefficients)))
 
 
+class TestHaarFrame:
+    def test_first_columns_of_the_phase_fixed_qr(self):
+        # Gram-Schmidt runs column by column: the frame of a D × d Ginibre
+        # matrix is the first d columns of the unitary of any square
+        # Ginibre matrix that begins with it
+        z = ginibre_matrix(9, substream(8, 5))
+        for cols in (1, 4, 9):
+            np.testing.assert_allclose(haar_from_ginibre(z[:, :cols]),
+                                       haar_from_ginibre(z)[:, :cols], atol=1e-13)
+
+    def test_draws_a_ginibre_block(self):
+        frame = sample_haar_frame(7, 3, substream(8, 6))
+        assert frame.shape == (7, 3)
+        np.testing.assert_array_equal(frame,
+                                      haar_from_ginibre(ginibre_matrix(7, substream(8, 6), 3)))
+        assert np.abs(frame.conj().T @ frame - np.eye(3)).max() < 1e-13
+
+    def test_block_gram_moments_are_the_haar_closed_forms(self):
+        # W = Q Q^H is a Haar rank-d projector: E|W_ij|^2 = d(D-d)/(D(D^2-1))
+        # for i != j and Var W_ii = d(D-d)/(D^2(D+1)).  Entries of one member
+        # are dependent, so each member contributes one mean.
+        dim, rank, members = 6, 2, 4000
+        rng = substream(8, 7)
+        off, diag = np.empty((2, members))
+        offdiag = ~np.eye(dim, dtype=bool)
+        for t in range(members):
+            q = sample_haar_frame(dim, rank, rng)
+            w = q @ q.conj().T
+            off[t] = (np.abs(w) ** 2)[offdiag].mean()
+            diag[t] = ((w.diagonal().real - rank / dim) ** 2).mean()
+        for samples, target in [(off, rank * (dim - rank) / (dim * (dim**2 - 1))),
+                                (diag, rank * (dim - rank) / (dim**2 * (dim + 1)))]:
+            estimate, stderr = mean_stderr(samples)
+            assert abs(estimate - target) <= GATE_SIGMA * stderr
+
+
 class TestUnitaryBlockStatistics:
     def test_two_by_two_closed_form(self):
         # at D=2, d=1 the worst diagonal deviation is (u - 1/2)^2 with u
@@ -254,3 +299,41 @@ class TestUnitaryBlockStatistics:
     def test_rank_equal_dim_rejected(self):
         with pytest.raises(ValueError):
             unitary_block_statistics(4, 4, 10, substream(8, 2))
+
+    def test_thin_frames_agree_with_the_full_unitary_route(self):
+        dim, rank, ensemble = 8, 3, 3000
+        thin = unitary_block_statistics(dim, rank, ensemble, substream(8, 3))
+        full = unitary_block_reference(dim, rank, ensemble, substream(8, 4))
+        for key in ("max_offdiag", "max_diag_dev"):
+            a, b = thin[key], full[key]
+            assert a["threshold"] == b["threshold"]
+            pooled = math.hypot(a["stderr"], b["stderr"])
+            assert abs(a["estimate"] - b["estimate"]) <= 5 * pooled
+
+    def test_chunked_maxima_equal_the_whole_gram(self):
+        dim, rank, ensemble = 400, 100, 3
+        assert -(-dim // (_CHUNK_ENTRIES // dim)) == 5  # row chunks per member
+        rng = substream(8, 8)
+        maxima = np.array([gram_maxima(sample_haar_frame(dim, rank, rng).conj().T, rank / dim)
+                           for _ in range(ensemble)])
+        stats = unitary_block_statistics(dim, rank, ensemble, substream(8, 8))
+        for key, column in [("max_offdiag", 0), ("max_diag_dev", 1)]:
+            assert stats[key]["estimate"] == pytest.approx(maxima[:, column].mean(), rel=1e-14)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_large_dimension_peak_memory(self, tmp_path):
+        # On a 2-core x86-64 VM with BLAS at one thread this run peaks at
+        # 109 MiB; drawing full D × D unitaries it peaked at 240 MiB.
+        script = (
+            "from ergolab.cli import main\n"
+            "assert main(['verify-lemmas', '--dim', '1000', '--rank', '10', '--samples',"
+            " '20000', '--ensemble', '20', '--out', 'lemmas.json']) == 0\n"
+            "print([line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')][0])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120, check=True)
+        assert int(done.stdout.split()[-1]) / 1024 < 160
