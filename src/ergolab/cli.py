@@ -44,12 +44,13 @@ MAX_DUMP_POINTS = 10_000_000
 # 1.25 rad at 6.3e15.
 MAX_DUMP_PHASE = 2**32
 
-# verify-lemmas size limits.  A run keeps every sample until its moments
-# are taken, about 55 bytes each at peak (263 MB measured at 4 000 000
-# samples, --dim 8), and 16 bytes per ensemble member: at these limits that
-# is 5.5 GB and 1.6 GB.  Larger runs are refused before they allocate, rather
-# than exhausting memory midway.  A --dim whose arrays cannot be allocated
-# at all ends in main's out-of-memory line.
+# verify-lemmas size limits.  Memory is flat in --samples (power sums, not
+# samples, are kept), so the sample limit bounds running time: 4.8 s at
+# 10 000 000 samples and --dim 8 on a 2-core x86-64 VM, about 50 s at the
+# limit, and proportionally more at larger --dim.  The ensemble keeps 16
+# bytes per member, 1.6 GB at its limit.  Larger runs are refused before
+# any thread starts; arrays that cannot be allocated end in main's
+# out-of-memory line.
 MAX_LEMMA_SAMPLES = 100_000_000
 MAX_LEMMA_ENSEMBLE = 100_000_000
 
@@ -392,7 +393,10 @@ def cmd_compute_l(args) -> int:
     if not 0 < periods < math.inf:
         raise ValueError(f"--periods must be a positive finite number, got {periods}")
     spec = _read_spectrum_file(args.spectrum)
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     montecarlo.check_ranks(dims, spec.dim_total)
     # The unitary of randomness.sample_decomposition(dims, substream(seed, 0)).
     unitary = randomness.sample_haar_unitary(spec.dim_total, randomness.substream(args.seed, 0))
@@ -720,7 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=float, default=2.0)
     p.add_argument("--margin", type=float, default=10.0)
     p.add_argument("--precision-bits", type=int, default=typicality.DEFAULT_PRECISION_BITS)
-    p.add_argument("--log-base", choices=list(LOG_BASES), default="e")
+    p.add_argument("--log-base", choices=list(LOG_BASES), default="e",
+                   help="base of log D in the condition's lhs only; every other "
+                        "reported logarithm is natural")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_theorem)
 

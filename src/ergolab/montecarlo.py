@@ -334,7 +334,7 @@ def markov_check(experiment: dict, threshold: float, sigma: float = 3.0) -> dict
     inconsistent report rather than an unlucky draw.
     """
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise ValueError(f'"markov_threshold" must be positive, got {threshold!r}')
     samples = np.asarray(experiment["trial_totals"], dtype=float).ravel()
     n = samples.size
     prob = float((samples >= threshold).mean())

@@ -29,11 +29,14 @@ Statistical reports follow one record shape per estimated quantity:
 ``{"estimate", "stderr", "target", "pass"}`` with 5-standard-error gates,
 which keeps the false-alarm rate of a seeded check below ~1e-6.
 
-Moment estimates draw their Gaussian vectors a fixed batch at a time, real
-parts of the whole batch first: the batch fixes the order in which a seed's
-generator is consumed, so it fixes every reported bit.  The rows are then
-handed out in chunks of a fixed number of entries; the chunk only bounds
-the working memory of the per-row arithmetic and changes no result.
+Moment estimates stream their samples: Gaussian vectors are drawn a chunk
+of rows at a time, each entry's real and imaginary parts consecutive in one
+fill, so the draws are the same for any chunk size.  Each chunk adds to
+power sums taken about the exact target mean (the shifted-data algorithm of
+Chan, Golub & LeVeque, Am. Stat. 37, 1983; Pébay, SAND2008-6212, 2008), from
+which the records' central moments follow by the binomial expansion, so
+memory is flat in the sample count.  The chunk never changes the draws, but
+it fixes the order of the sums, and with it the last bits of a record.
 :func:`lemma_statistics` runs the three lemma checks concurrently, each on
 its own substream.
 """
@@ -68,14 +71,9 @@ DEFAULT_SEED = 12345
 # fails (see the module docstring).
 GATE_SIGMA = 5
 
-# Rows per Gaussian batch of the moment estimates: the real parts of a
-# batch are drawn before its imaginary parts, so this fixes the order in
-# which a seed's generator is consumed, and with it every reported bit.
-_BATCH = 4096
-
-# Complex entries per chunk handed out of a batch.  The chunk bounds the
-# working memory of the per-row arithmetic (a few hundred KiB whatever the
-# dimension); every per-row quantity is the same however rows are chunked.
+# Complex entries per chunk of the moment estimates' Gaussian rows and of
+# the unitary blocks' Gram rows.  The chunk bounds their working memory (a
+# few hundred KiB whatever the dimension) and changes no draw.
 _CHUNK_ENTRIES = 2**15
 
 
@@ -164,22 +162,48 @@ def _record(estimate: float, stderr: float, target: float) -> dict:
     }
 
 
-def _variance_record(samples: np.ndarray, target: float) -> dict:
-    # Asymptotic stderr of the sample variance: sqrt((m4 - v^2)/n).
-    n = samples.size
-    centered = samples - samples.mean()
-    v = float(np.sum(centered**2) / (n - 1))
-    m4 = float(np.mean(centered**4))
-    return _record(v, math.sqrt(max(m4 - v * v, 0.0) / n), target)
+class _PowerSums:
+    """Sums of ``u^i v^j`` (i <= 4, j <= 2) over a stream of samples, with
+    ``u`` and ``v`` taken about fixed shifts near their means (module
+    docstring), and the moment records they give."""
 
+    def __init__(self, shift_u: float, shift_v: float = 0.0):
+        self.shifts = shift_u, shift_v
+        self.n = 0
+        self.sums = np.zeros((5, 3))
 
-def _covariance_record(a: np.ndarray, b: np.ndarray, target: float) -> dict:
-    n = a.size
-    da = a - a.mean()
-    db = b - b.mean()
-    c = float(np.sum(da * db) / (n - 1))
-    m22 = float(np.mean(da**2 * db**2))
-    return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
+    def add(self, u: np.ndarray, v: np.ndarray | None = None) -> None:
+        u = u - self.shifts[0]
+        v = np.zeros_like(u) if v is None else v - self.shifts[1]
+        one = np.ones_like(u)
+        # einsum's own loops, not BLAS: the sums do not depend on the BLAS build
+        self.sums += np.einsum("ik,jk->ij", np.cumprod(np.stack([one, u, u, u, u]), axis=0),
+                               np.cumprod(np.stack([one, v, v]), axis=0))
+        self.n += u.size
+
+    def _central(self, i: int, j: int = 0) -> float:
+        # mean of (u - ū)^i (v - v̄)^j, by the binomial expansion
+        raw = self.sums / self.n
+        du, dv = -raw[1, 0], -raw[0, 1]
+        return float(sum(math.comb(i, a) * math.comb(j, b) * raw[a, b]
+                         * du ** (i - a) * dv ** (j - b)
+                         for a in range(i + 1) for b in range(j + 1)))
+
+    def mean(self, target: float) -> dict:
+        n = self.n
+        estimate = float(self.shifts[0] + self.sums[1, 0] / n)
+        return _record(estimate, math.sqrt(max(self._central(2), 0.0) / (n - 1)), target)
+
+    def variance(self, target: float) -> dict:
+        # Asymptotic stderr of the sample variance: sqrt((m4 - v^2)/n).
+        n = self.n
+        v = self._central(2) * n / (n - 1)
+        return _record(v, math.sqrt(max(self._central(4) - v * v, 0.0) / n), target)
+
+    def covariance(self, target: float) -> dict:
+        n = self.n
+        c = self._central(1, 1) * n / (n - 1)
+        return _record(c, math.sqrt(max(self._central(2, 2) - c * c, 0.0) / n), target)
 
 
 def _check_samples(samples: int) -> None:
@@ -197,29 +221,15 @@ def _check_ensemble(ensemble: int) -> None:
         raise ValueError("ensemble size must be >= 1")
 
 
-def _gaussian_batches(dim: int, samples: int, rng: np.random.Generator):
-    """``(rows, z)`` pairs: the complex Gaussian D-vectors ``z`` of samples
-    ``rows``, drawn _BATCH at a time as :func:`sample_random_state` draws
-    them, real parts of the batch first, then its imaginary parts.  The
-    batch's real parts are kept in one float buffer; its rows are handed
-    out in chunks of about _CHUNK_ENTRIES entries, each chunk's imaginary
-    parts drawn as it is handed out (consecutive fills consume the generator
-    as one fill of the whole batch does).  ``z`` is one buffer, refilled in
-    place for every chunk so that drawing allocates nothing per batch; a
-    caller reads it before taking the next."""
-    batch = min(_BATCH, samples)
-    chunk = min(batch, max(1, _CHUNK_ENTRIES // dim))
-    real = np.empty((batch, dim))
-    imag = np.empty((chunk, dim))
-    z = np.empty((chunk, dim), dtype=complex)
-    for done in range(0, samples, _BATCH):
-        k = min(_BATCH, samples - done)
-        rng.standard_normal(out=real[:k])
-        for start in range(0, k, chunk):
-            m = min(chunk, k - start)
-            z.real[:m] = real[start:start + m]
-            z.imag[:m] = rng.standard_normal(out=imag[:m])
-            yield slice(done + start, done + start + m), z[:m]
+def _gaussian_chunks(dim: int, samples: int, rng: np.random.Generator):
+    """Complex Gaussian D-vectors of ``samples`` random states, about
+    _CHUNK_ENTRIES entries at a time.  Each entry's real and imaginary
+    parts are consecutive draws of one fill, so the vectors are the same
+    for any chunk size."""
+    chunk = max(1, _CHUNK_ENTRIES // dim)
+    for done in range(0, samples, chunk):
+        m = min(chunk, samples - done)
+        yield rng.standard_normal((m, dim, 2)).view(np.complex128)[..., 0]
 
 
 def state_weight_statistics(
@@ -233,49 +243,18 @@ def state_weight_statistics(
     """
     _check_rank(dim, rank)
     _check_samples(samples)
-    w = np.empty(samples)
-    for rows, z in _gaussian_batches(dim, samples, rng):
-        z2 = np.abs(z) ** 2
-        w[rows] = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
-    return _state_record(dim, rank, w)
-
-
-def _state_record(dim: int, rank: int, w) -> dict:
     frac = rank / dim
-    var_target = (1 / rank) * frac**2 * (dim - rank) / (dim + 1)
+    w = _PowerSums(frac)
+    for z in _gaussian_chunks(dim, samples, rng):
+        z2 = np.abs(z) ** 2
+        w.add(z2[:, :rank].sum(axis=1) / z2.sum(axis=1))
     return {
         "dim": dim,
         "rank": rank,
-        "samples": w.size,
-        "mean": _record(*mean_stderr(w), frac),
-        "variance": _variance_record(w, var_target),
+        "samples": samples,
+        "mean": w.mean(frac),
+        "variance": w.variance((1 / rank) * frac**2 * (dim - rank) / (dim + 1)),
     }
-
-
-def _sphere_draws(dim: int, rng: np.random.Generator, x2, m0, m1) -> None:
-    """Fill ``x2``, ``m0``, ``m1`` (one entry per sample) with the squared
-    real part and squared modulus of coefficient 0 and the squared modulus
-    of coefficient 1 of normalized random states; only these two
-    coefficients are normalized."""
-    for rows, z in _gaussian_batches(dim, x2.size, rng):
-        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
-        x2[rows] = c[:, 0].real ** 2
-        m0[rows], m1[rows] = np.abs(c[:, 0]) ** 2, np.abs(c[:, 1]) ** 2
-
-
-def _sphere_record(dim: int, x2, m0, m1) -> dict:
-    mean_target = 1 / (2 * dim)
-    var_target = (dim - 1) / (dim**2 * (dim + 1))
-    cov_target = -1 / (dim**2 * (dim + 1))
-    out = {
-        "dim": dim,
-        "samples": x2.size,
-        "mean": _record(*mean_stderr(x2), mean_target),
-        "variance": _variance_record(m0, var_target),
-    }
-    if dim >= 2:
-        out["covariance"] = _covariance_record(m0, m1, cov_target)
-    return out
 
 
 def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dict:
@@ -287,15 +266,27 @@ def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dic
     moduli of complex coefficients, i.e. sums of two sphere coordinates:
     these are the variables whose D-term decomposition reproduces the
     variance of a rank-d cell weight, with targets (D-1)/(D^2 (D+1)) and,
-    between two distinct coefficients, -1/(D^2 (D+1)).  Needs at least two
-    samples.
+    between two distinct coefficients, -1/(D^2 (D+1)).  Only the two
+    coefficients read are normalized.  Needs at least two samples.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     _check_samples(samples)
-    x2, m0, m1 = np.empty((3, samples))
-    _sphere_draws(dim, rng, x2, m0, m1)
-    return _sphere_record(dim, x2, m0, m1)
+    x2, moduli = _PowerSums(1 / (2 * dim)), _PowerSums(1 / dim, 1 / dim)
+    for z in _gaussian_chunks(dim, samples, rng):
+        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
+        x2.add(c[:, 0].real ** 2)
+        m = np.abs(c) ** 2
+        moduli.add(m[:, 0], m[:, 1])
+    out = {
+        "dim": dim,
+        "samples": samples,
+        "mean": x2.mean(1 / (2 * dim)),
+        "variance": moduli.variance((dim - 1) / (dim**2 * (dim + 1))),
+    }
+    if dim >= 2:
+        out["covariance"] = moduli.covariance(-1 / (dim**2 * (dim + 1)))
+    return out
 
 
 def unitary_block_statistics(
@@ -371,8 +362,6 @@ class _Call(threading.Thread):
             self._value = self._fn(*self._args)
         except BaseException as exc:  # raised again by result()
             self._error = exc
-        finally:
-            self._fn = self._args = None  # the caller owns and frees the arrays
 
     def result(self):
         self.join()
@@ -387,24 +376,20 @@ def lemma_statistics(dim: int, rank: int, samples: int, ensemble: int, seed: int
     rank < dim, :func:`unitary_block_statistics` on (seed, 2), else None,
     each equal to what that function returns on its own.
 
-    The three run at once: the hypersphere draws and the unitary blocks on
-    a thread each, the state weights on the calling thread (numpy's
+    The three run at once: the hypersphere moments and the unitary blocks
+    on a thread each, the state weights on the calling thread (numpy's
     Gaussian fills, its array arithmetic and LAPACK's QR release the GIL).
-    Each stream owns its generator and its arrays, so no result depends on
-    scheduling or on the number of cores.  The arguments are checked before
-    any thread starts.  The per-sample arrays are allocated by the calling
-    thread, whose heap may hold memory earlier work freed, and the moment
-    records are taken on it, the hypersphere's after the state weights are
-    freed, so the peak holds one record's temporaries at a time.  Every
+    Each stream owns its generator and keeps only its power sums or its
+    ensemble's maxima, so no result depends on scheduling or on the number
+    of cores.  The arguments are checked before any thread starts.  Every
     thread is joined before anything is returned or raised.
     """
     _check_rank(dim, rank)
     _check_samples(samples)
     _check_ensemble(int(ensemble))
-    x2, m0, m1 = np.empty((3, samples))
     workers = []
     try:
-        workers.append(_Call(_sphere_draws, dim, substream(seed, 1), x2, m0, m1))
+        workers.append(_Call(hypersphere_moments, dim, samples, substream(seed, 1)))
         if rank < dim:
             workers.append(_Call(unitary_block_statistics, dim, rank, ensemble,
                                  substream(seed, 2)))
@@ -412,5 +397,5 @@ def lemma_statistics(dim: int, rank: int, samples: int, ensemble: int, seed: int
     finally:
         for worker in workers:
             worker.join()
-    _, *blocks = [worker.result() for worker in workers]
-    return state, _sphere_record(dim, x2, m0, m1), blocks[0] if blocks else None
+    sphere, *blocks = [worker.result() for worker in workers]
+    return state, sphere, blocks[0] if blocks else None

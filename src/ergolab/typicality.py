@@ -227,32 +227,29 @@ def mean_deviation_bound(
     return 10 * log_dim / dim + correction
 
 
-def _mp_log(x, log_base) -> mpf:
-    if log_base in ("e", math.e, None):
-        return mp.log(x)
-    return mp.log(x) / mp.log(log_base)
-
-
 def theorem_condition(
     params: TheoremParams,
     rank: int,
     dim: int,
     max_sum_degeneracy: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    log_base="e",
+    log_base: float = math.e,
 ) -> dict:
     """Evaluate the combined admissibility ordering in high precision.
 
     Checks max{C, (10 M^2 / (delta delta' eps^2)) [1 + (F-2) d^2 / (10 D log D)]}
     * log(D)/D  <  d/D  <  1/C, with F the maximal sum degeneracy.  Runs in
     arbitrary-precision arithmetic so dimensions like 2**100 never overflow.
+    Its logarithms are to ``log_base``; at math.e they are exactly natural.
     Returns the ``condition`` record of ``check-theorem``: ``holds`` and the
     three sides ``lhs``, ``d_over_D`` and ``one_over_C`` as 12-digit strings.
     """
     with mp.workprec(int(precision_bits)):
         d = mpf(rank)
         dim_mp = mpf(dim)
-        log_dim = _mp_log(dim_mp, log_base)
+        log_dim = mp.log(dim_mp)
+        if log_base != math.e:
+            log_dim /= mp.log(log_base)
         bracket = 1 + max(int(max_sum_degeneracy) - 2, 0) * d**2 / (10 * dim_mp * log_dim)
         stat = (
             10 * mpf(params.num_cells) ** 2

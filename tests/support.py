@@ -18,12 +18,14 @@ import numpy as np
 from ergolab import (
     Spectrum,
     deviation_exact,
+    hypersphere_moments,
     integer_rescaled,
     prepare_state,
     resonant_term_bound,
     sample_decomposition,
     sample_haar_unitary,
     sample_random_state,
+    state_weight_statistics,
     substream,
     sum_structure,
     time_fraction_normal,
@@ -31,10 +33,7 @@ from ergolab import (
     unitary_block_statistics,
 )
 from ergolab.dynamics import GRID_SLICE
-from ergolab.randomness import _block_record, _sphere_record, _state_record
-
-# Rows per Gaussian batch of the moment estimates, as the package draws them.
-LEMMA_BATCH = 4096
+from ergolab.randomness import GATE_SIGMA, _block_record, mean_stderr
 
 
 def brute_max_gap_degeneracy(energies) -> int:
@@ -294,50 +293,70 @@ def trajectory_dump_reference(energies, coords, dims, span, n) -> str:
     return "".join(lines)
 
 
-def gaussian_batches_reference(dim: int, samples: int, rng: np.random.Generator):
-    """The complex Gaussian rows of the moment estimates, one whole batch of
-    LEMMA_BATCH rows at a time in one complex array: the batch's real parts
-    drawn first, then its imaginary parts, without chunking."""
-    for done in range(0, samples, LEMMA_BATCH):
-        k = min(LEMMA_BATCH, samples - done)
-        z = np.empty((k, dim), dtype=complex)
-        z.real = rng.standard_normal((k, dim))
-        z.imag = rng.standard_normal((k, dim))
-        yield z
+def gaussian_rows_reference(dim: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The complex Gaussian rows of the moment estimates, all in one fill:
+    each entry's real part, then its imaginary part."""
+    pairs = rng.standard_normal((samples, dim, 2))
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
-def state_weights_reference(dim: int, rank: int, samples: int, rng) -> np.ndarray:
-    """Weight of the first ``rank`` coordinates on each random state, taken
-    on whole batches."""
-    weights = []
-    for z in gaussian_batches_reference(dim, samples, rng):
-        z2 = np.abs(z) ** 2
-        weights.append(z2[:, :rank].sum(axis=1) / z2.sum(axis=1))
-    return np.concatenate(weights)
+def _record(estimate: float, stderr: float, target: float) -> dict:
+    return {"estimate": estimate, "stderr": stderr, "target": target,
+            "pass": abs(estimate - target) <= GATE_SIGMA * stderr}
 
 
-def sphere_coefficients_reference(dim: int, samples: int, rng):
-    """``(x2, m0, m1)`` per random state: the squared real part and squared
-    modulus of coefficient 0, the squared modulus of coefficient 1, each
-    normalized by the norm of the whole batch's rows."""
-    x2, m0, m1 = [], [], []
-    for z in gaussian_batches_reference(dim, samples, rng):
-        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
-        x2.append(c[:, 0].real ** 2)
-        m0.append(np.abs(c[:, 0]) ** 2)
-        m1.append(np.abs(c[:, 1]) ** 2)
-    return np.concatenate(x2), np.concatenate(m0), np.concatenate(m1)
+def _centered(x: np.ndarray, shift: float) -> np.ndarray:
+    # The values are taken about a shift first: at D = 1, |c_0|^2 is 1 within
+    # a few ulp, and a mean taken of values near 1 is off by about as much
+    # as they spread.
+    x = x - shift
+    return x - x.mean()
+
+
+def _variance_record(x: np.ndarray, shift: float, target: float) -> dict:
+    n, c = x.size, _centered(x, shift)
+    v = float(np.sum(c**2) / (n - 1))
+    return _record(v, math.sqrt(max(float(np.mean(c**4)) - v * v, 0.0) / n), target)
+
+
+def _covariance_record(a: np.ndarray, b: np.ndarray, shift: float, target: float) -> dict:
+    n, da, db = a.size, _centered(a, shift), _centered(b, shift)
+    c = float(np.sum(da * db) / (n - 1))
+    m22 = float(np.mean(da**2 * db**2))
+    return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
+
+
+def state_weights_reference(dim: int, rank: int, samples: int, rng) -> dict:
+    """``randomness.state_weight_statistics`` by two passes over every
+    sample's weight, drawn in one fill."""
+    z2 = np.abs(gaussian_rows_reference(dim, samples, rng)) ** 2
+    w = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
+    frac = rank / dim
+    return {"dim": dim, "rank": rank, "samples": samples,
+            "mean": _record(*mean_stderr(w), frac),
+            "variance": _variance_record(w, frac, frac**2 * (dim - rank) / (rank * (dim + 1)))}
+
+
+def hypersphere_reference(dim: int, samples: int, rng) -> dict:
+    """``randomness.hypersphere_moments`` by two passes over every sample:
+    whole states, drawn in one fill and normalized, of which coefficients 0
+    and 1 are read."""
+    z = gaussian_rows_reference(dim, samples, rng)
+    psi = z / np.linalg.norm(z, axis=1, keepdims=True)
+    m0, m1 = np.abs(psi[:, 0]) ** 2, np.abs(psi[:, min(1, dim - 1)]) ** 2
+    out = {"dim": dim, "samples": samples,
+           "mean": _record(*mean_stderr(psi[:, 0].real ** 2), 1 / (2 * dim)),
+           "variance": _variance_record(m0, 1 / dim, (dim - 1) / (dim**2 * (dim + 1)))}
+    if dim >= 2:
+        out["covariance"] = _covariance_record(m0, m1, 1 / dim, -1 / (dim**2 * (dim + 1)))
+    return out
 
 
 def lemma_statistics_reference(dim: int, rank: int, samples: int, ensemble: int, seed: int):
     """``randomness.lemma_statistics`` computed one stream after another on
-    one thread, from whole-batch draws.  The records are built by the
-    package's own record helpers, so agreement checks the draws and the
-    concurrency, not the moment formulas."""
-    state = _state_record(dim, rank, state_weights_reference(dim, rank, samples,
-                                                             substream(seed, 0)))
-    sphere = _sphere_record(dim, *sphere_coefficients_reference(dim, samples,
-                                                                substream(seed, 1)))
+    one thread, by the three public functions."""
+    state = state_weight_statistics(dim, rank, samples, substream(seed, 0))
+    sphere = hypersphere_moments(dim, samples, substream(seed, 1))
     blocks = (unitary_block_statistics(dim, rank, ensemble, substream(seed, 2))
               if rank < dim else None)
     return state, sphere, blocks

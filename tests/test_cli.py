@@ -176,7 +176,7 @@ class TestVerifyLemmas:
         ("1", "1", "10001", "5"), ("6", "6", "4099", "5"), ("257", "3", "5003", "4"),
         ("8", "2", "20000", "30"), ("100", "10", "9000", "10"),
     ])
-    def test_report_equals_the_sequential_whole_batch_reference(
+    def test_report_equals_the_sequential_reference(
             self, tmp_path, monkeypatch, dim, rank, samples, ensemble, seed):
         argv = ["verify-lemmas", "--dim", dim, "--rank", rank, "--samples", samples,
                 "--ensemble", ensemble, "--seed", seed, "--out"]
@@ -202,7 +202,7 @@ class TestVerifyLemmas:
         assert_one_line_error(capsys, fragment)
 
     @pytest.mark.parametrize("stream", [
-        "state_weight_statistics", "_sphere_draws", "unitary_block_statistics",
+        "state_weight_statistics", "hypersphere_moments", "unitary_block_statistics",
     ])
     @pytest.mark.parametrize("error, message", [
         (MemoryError, "error: out of memory: no room"), (ValueError, "error: no room"),
@@ -564,8 +564,11 @@ class TestComputeLPath:
         (["--periods", "1e308"], "--periods"),
         (["--grid-points", "10000001"], "--grid-points"),
         (["--grid-points", "1000000000000000"], "--grid-points"),
+        (["--dims", "2,,4"], "--dims"),
+        (["--dims", "6,"], "--dims"),
+        (["--dims", "1e1"], "--dims"),
     ])
-    def test_bad_dump_arguments_rejected(self, tmp_path, capsys, flags, fragment):
+    def test_bad_flags_rejected(self, tmp_path, capsys, flags, fragment):
         spec = write_spectrum(tmp_path, [(0, 1), ("1/2", 1), (2, 1)])
         out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
         assert main(["compute-l", spec, "--dims", "1,2", "--out", str(out),
@@ -1086,6 +1089,8 @@ class TestRun:
         ({"markov_threshold": "0.1"}, "markov_threshold"),
         ({"markov_threshold": float("nan")}, "markov_threshold"),
         ({"markov_threshold": 5e-324}, "markov_threshold"),
+        ({"markov_threshold": 0}, '"markov_threshold" must be positive'),
+        ({"markov_threshold": -1}, '"markov_threshold" must be positive'),
         ({"spectrum": {"levels": [{"energy": "1e999999999", "degeneracy": 8}]}},
          "decimal exponent"),
         ({"retain_trials": True}, "retain_trials"),

@@ -1,6 +1,5 @@
 """Haar sampling, decompositions, and moment statistics."""
 
-import json
 import math
 import os
 import subprocess
@@ -12,6 +11,7 @@ import pytest
 
 from ergolab import (
     hypersphere_moments,
+    randomness,
     sample_decomposition,
     sample_haar_unitary,
     sample_random_state,
@@ -23,9 +23,7 @@ from ergolab.montecarlo import check_ranks
 from ergolab.randomness import (
     _CHUNK_ENTRIES,
     GATE_SIGMA,
-    _gaussian_batches,
-    _sphere_record,
-    _state_record,
+    _gaussian_chunks,
     ginibre_matrix,
     haar_from_ginibre,
     mean_stderr,
@@ -33,17 +31,18 @@ from ergolab.randomness import (
 )
 
 from support import (
-    gaussian_batches_reference,
+    gaussian_rows_reference,
     gram_maxima,
-    sphere_coefficients_reference,
+    hypersphere_reference,
     state_weights_reference,
     unitary_block_reference,
 )
 
-# (dim, rank, samples) of the chunked-draw checks: D = 1, rank = dim, D = 257
-# (chunks of 127 rows), and sample counts that are multiples of neither the
-# 4096-row batch nor the chunk.
-LEMMA_CASES = [(1, 1, 10001), (6, 6, 4099), (257, 3, 5003), (8, 2, 20000), (100, 10, 9000)]
+# (dim, rank, samples) of the streamed-moment checks: D = 1, rank = dim,
+# D = 2, D = 257 (chunks of 127 rows), sample counts that are not multiples
+# of the chunk, and 100 000 samples at D = 100 (306 chunks).
+LEMMA_CASES = [(1, 1, 10001), (1, 1, 5000), (6, 6, 4099), (2, 1, 4097), (257, 3, 5003),
+               (8, 2, 20000), (8, 2, 200_000), (100, 10, 9000), (100, 10, 100_000)]
 
 
 class TestSubstream:
@@ -194,23 +193,6 @@ class TestHypersphereMoments:
         assert stats["variance"]["target"] == pytest.approx(49 / 127500)
         assert stats["covariance"]["target"] == pytest.approx(-1 / 127500)
 
-    @pytest.mark.parametrize("dim, samples", [(1, 5), (2, 4097), (9, 9000)])
-    def test_moments_of_whole_normalized_states(self, dim, samples):
-        # The sampler normalizes the two coefficients it reads; normalizing
-        # whole states, batch by batch, gives the same values to the bit.
-        rng = substream(7, 3)
-        z = np.concatenate([sample_random_state(dim, rng, size=min(4096, samples - done))
-                            for done in range(0, samples, 4096)])
-        x2 = z[:, 0].real ** 2
-        m0, m1 = np.abs(z[:, 0]) ** 2, np.abs(z[:, min(1, dim - 1)]) ** 2
-        stats = hypersphere_moments(dim, samples, substream(7, 3))
-        assert stats["mean"]["estimate"] == float(x2.mean())
-        centered = m0 - m0.mean()
-        assert stats["variance"]["estimate"] == float(np.sum(centered**2) / (samples - 1))
-        if dim >= 2:
-            c = float(np.sum(centered * (m1 - m1.mean())) / (samples - 1))
-            assert stats["covariance"]["estimate"] == c
-
     def test_gates_at_moderate_samples(self):
         stats = hypersphere_moments(50, 20_000, substream(7, 1))
         assert stats["mean"]["pass"]
@@ -219,30 +201,41 @@ class TestHypersphereMoments:
 
 
 class TestChunkedDraws:
-    """The moment estimates draw whole batches but compute on chunks of
-    rows; every bit must equal the whole-batch computation."""
+    """The moment estimates draw and sum a chunk of rows at a time: the
+    draws must be one whole fill's to the bit, and the records those of two
+    passes over every sample."""
 
+    @pytest.mark.parametrize("chunk_entries", [_CHUNK_ENTRIES, 1000])
     @pytest.mark.parametrize("dim, samples", [(1, 10001), (3, 4097), (100, 9000), (257, 5003)])
-    def test_chunks_are_the_whole_batch_draws(self, dim, samples):
-        rows, chunks = [], []
-        for r, z in _gaussian_batches(dim, samples, substream(9, dim)):
-            rows.append((r.start, r.stop))
-            chunks.append(z.copy())
-        assert rows[0][0] == 0 and rows[-1][1] == samples
-        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
-        whole = np.concatenate(list(gaussian_batches_reference(dim, samples,
-                                                               substream(9, dim))))
+    def test_chunks_are_one_whole_fill(self, monkeypatch, chunk_entries, dim, samples):
+        monkeypatch.setattr(randomness, "_CHUNK_ENTRIES", chunk_entries)
+        chunks = list(_gaussian_chunks(dim, samples, substream(9, dim)))
+        rows = max(1, chunk_entries // dim)
+        assert [len(z) for z in chunks] == [min(rows, samples - k)
+                                            for k in range(0, samples, rows)]
+        whole = gaussian_rows_reference(dim, samples, substream(9, dim))
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @staticmethod
+    def assert_records_match(streamed, reference):
+        assert streamed.keys() == reference.keys()
+        for key, value in reference.items():
+            if not isinstance(value, dict):
+                assert streamed[key] == value
+                continue
+            got = streamed[key]
+            assert got["pass"] is value["pass"], key
+            for field in ("estimate", "stderr", "target"):
+                assert got[field] == pytest.approx(value[field], rel=1e-12, abs=0), (key, field)
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("dim, rank, samples", LEMMA_CASES)
-    def test_moments_equal_the_whole_batch_reference(self, dim, rank, samples, seed):
-        weights = state_weights_reference(dim, rank, samples, substream(seed, 0))
-        assert (json.dumps(state_weight_statistics(dim, rank, samples, substream(seed, 0)))
-                == json.dumps(_state_record(dim, rank, weights)))
-        coefficients = sphere_coefficients_reference(dim, samples, substream(seed, 1))
-        assert (json.dumps(hypersphere_moments(dim, samples, substream(seed, 1)))
-                == json.dumps(_sphere_record(dim, *coefficients)))
+    def test_records_equal_the_two_pass_reference(self, dim, rank, samples, seed):
+        self.assert_records_match(
+            state_weight_statistics(dim, rank, samples, substream(seed, 0)),
+            state_weights_reference(dim, rank, samples, substream(seed, 0)))
+        self.assert_records_match(hypersphere_moments(dim, samples, substream(seed, 1)),
+                                  hypersphere_reference(dim, samples, substream(seed, 1)))
 
 
 class TestHaarFrame:
@@ -321,19 +314,24 @@ class TestUnitaryBlockStatistics:
             assert stats[key]["estimate"] == pytest.approx(maxima[:, column].mean(), rel=1e-14)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
-    def test_large_dimension_peak_memory(self, tmp_path):
-        # On a 2-core x86-64 VM with BLAS at one thread this run peaks at
-        # 109 MiB; drawing full D × D unitaries it peaked at 240 MiB.
+    @pytest.mark.parametrize("sizes", [
+        ["--dim", "1000", "--rank", "10", "--samples", "20000", "--ensemble", "20"],
+        ["--dim", "8", "--rank", "2", "--samples", "4000000", "--ensemble", "2"],
+    ])
+    def test_large_dimension_peak_memory(self, tmp_path, sizes):
+        # On a 2-core x86-64 VM with BLAS at one thread each run peaks at
+        # about 45 MiB.  Keeping every sample and 4096-row batch buffers, they
+        # peaked at 109 MiB and 257 MiB.
         script = (
+            "import sys\n"
             "from ergolab.cli import main\n"
-            "assert main(['verify-lemmas', '--dim', '1000', '--rank', '10', '--samples',"
-            " '20000', '--ensemble', '20', '--out', 'lemmas.json']) == 0\n"
+            "assert main(['verify-lemmas', *sys.argv[1:], '--out', 'lemmas.json']) == 0\n"
             "print([line.split()[1] for line in open('/proc/self/status')"
             " if line.startswith('VmHWM:')][0])\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, cwd=tmp_path, timeout=120, check=True)
-        assert int(done.stdout.split()[-1]) / 1024 < 160
+        done = subprocess.run([sys.executable, "-c", script, *sizes], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120, check=True)
+        assert int(done.stdout.split()[-1]) / 1024 < 80

@@ -1,5 +1,12 @@
 """The report writer: what it streams equals json.dump(indent=2, sort_keys=True),
-and the dumps it writes equal the line-by-line reference writers."""
+and the dumps it writes equal the line-by-line reference writers.
+
+The writer formats the large arrays itself, so the fixed points here pin it
+at scale: the analyze report of 300 levels and a 10 000-trial run report
+must each be exactly what the stdlib encoder writes for its own content,
+and a 100 000-trial --dump-trials and a 100 000-row --dump-trajectory
+exactly what the line-by-line reference writers in tests/support.py write.
+"""
 
 import io
 import json
