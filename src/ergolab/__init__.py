@@ -34,7 +34,6 @@ from .dynamics import (
     prepare_state,
     shell_overlap_matrix,
     time_fraction_normal,
-    trajectory_weights,
 )
 from .typicality import (
     TheoremParams,

@@ -37,13 +37,6 @@ MAX_ORACLE_GRID = 20_001
 # running time, not its memory.
 MAX_DUMP_POINTS = 10_000_000
 
-# Largest phase E*tau of the trajectory dump, in radians.  A float phase is
-# off by about 2.2e-16 * E*tau (tau and E*tau are rounded before the
-# exponential), so at 2**32 the error reaches 1e-6 rad.  Against the exact
-# times of a 1000-point period it was 1.4e-6 rad at E*tau = 6.3e9 and
-# 1.25 rad at 6.3e15.
-MAX_DUMP_PHASE = 2**32
-
 # verify-lemmas size limits.  Memory is flat in --samples (power sums, not
 # samples, are kept), so the sample limit bounds running time: 4.8 s at
 # 10 000 000 samples and --dim 8 on a 2-core x86-64 VM, about 50 s at the
@@ -213,15 +206,19 @@ def _trial_chunks(experiment: dict):
         yield from _rows(template, table.reshape(len(block), -1))
 
 
-def _trajectory_chunks(energies, coords, dims, span: float, n: int):
-    """The ``--dump-trajectory`` text: a header, then tau and every cell's
-    weight at ``n`` times spread over ``span``, a GRID_SLICE slice of times
-    per chunk, so that memory stays flat."""
+def _trajectory_chunks(phases: dynamics.GridPhases, coords, dims, span: float, periods: int):
+    """The ``--dump-trajectory`` text: a header, then tau = span * j / n and
+    every cell's weight at grid time periods * j mod n, for j < n =
+    ``phases.grid_points``, a GRID_SLICE slice of times per chunk.  Each
+    time is read once, so its phases are formed, not gathered from a table."""
+    n = phases.grid_points
     yield "tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"
     row = "\t".join(["%r"] * (len(dims) + 1)) + "\n"
     for j in range(0, n, dynamics.GRID_SLICE):
-        taus = span * np.arange(j, min(j + dynamics.GRID_SLICE, n)) / n
-        weights = dynamics.trajectory_weights(energies, coords, dims, taus)
+        indices = np.arange(j, min(j + dynamics.GRID_SLICE, n))
+        taus = span * indices / n
+        instants = (periods % n) * indices % n
+        weights = dynamics.evolved_weights(phases.formed(instants), coords, dims)
         yield from _rows(row, np.column_stack([taus, weights]))
 
 
@@ -386,12 +383,12 @@ def cmd_compute_l(args) -> int:
         if value is not None and args.dump_trajectory is None:
             raise ValueError(f"{flag} shapes the trajectory dump and needs --dump-trajectory")
     grid_points = 1000 if args.grid_points is None else args.grid_points
-    periods = 1.0 if args.periods is None else args.periods
+    periods = 1 if args.periods is None else args.periods
     if not 1 <= grid_points <= MAX_DUMP_POINTS:
         raise ValueError(f"--grid-points must be between 1 and {MAX_DUMP_POINTS}, "
                          f"got {grid_points}")
-    if not 0 < periods < math.inf:
-        raise ValueError(f"--periods must be a positive finite number, got {periods}")
+    if periods < 1:
+        raise ValueError(f"--periods must be a positive integer, got {periods}")
     spec = _read_spectrum_file(args.spectrum)
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
@@ -414,26 +411,16 @@ def cmd_compute_l(args) -> int:
     if args.dump_trajectory is not None:
         # Periods of the (rescaled-integer) dynamics in original time units.
         try:
-            span = 2 * math.pi * float(mult) * periods
+            period = 2 * math.pi * float(mult)
         except OverflowError:
             raise ValueError(
                 f"--dump-trajectory: the spectrum's rescaling multiplier "
                 f"({len(str(mult))} digits) is beyond the float range of the time axis"
             ) from None
+        # A --periods beyond the float range overflows the span to inf too.
+        span = period * min(periods, sys.float_info.max)
         if span == math.inf:
             raise ValueError(f"--periods {periods} overflows the dump's time span")
-        # Energies from the lowest level: an offset is only a global phase.
-        try:
-            energies = dynamics.level_energies(spec, origin=spec.energies[0])
-            phase = float(energies.max()) * span
-        except OverflowError:  # an energy beyond the float range
-            phase = math.inf
-        if not phase < MAX_DUMP_PHASE:
-            raise ValueError(
-                f"--dump-trajectory: the phases E*tau of the spectrum's energies over "
-                f"the dump's time span reach {phase:.3g} rad, beyond the float range of "
-                f"the dump: float phases are within 1e-6 rad only below 2**32 rad"
-            )
     spread = int(ispec.spread)
     # (w - d/D)^2 has integer frequencies up to twice the spread.
     grid = dynamics.exact_grid_points(2 * spread)
@@ -493,7 +480,8 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        _write(_trajectory_chunks(energies, coords, dims, span, grid_points),
+        _write(_trajectory_chunks(dynamics.grid_phases(ispec, grid_points), coords, dims,
+                                  span, periods),
                args.dump_trajectory)
     return 0 if all_ok else 1
 
@@ -517,13 +505,14 @@ def cmd_check_theorem(args) -> int:
             f"--precision-bits must be between {MIN_PRECISION_BITS} and "
             f"{MAX_PRECISION_BITS}, got {args.precision_bits}"
         )
-    params = typicality.TheoremParams(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        delta_prime=args.delta_prime,
-        num_cells=args.cells,
-        constant=args.constant,
-    )
+    try:
+        params = typicality.TheoremParams(
+            epsilon=args.epsilon, delta=args.delta, delta_prime=args.delta_prime,
+            num_cells=args.cells, constant=args.constant)
+    except ValueError as exc:  # the refusal names a field: name its flag instead
+        field, _, rule = str(exc).partition(" ")
+        flags = {"delta_prime": "--delta-prime", "num_cells": "--cells"}
+        raise ValueError(f"{flags.get(field, '--' + field)} {rule}") from None
     dim, rank = args.dim, args.rank
     log_base = _log_base(args.log_base)
     condition = typicality.theorem_condition(
@@ -706,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--grid-points", type=int, default=None,
                    help="grid size for the trajectory dump (default 1000)")
-    p.add_argument("--periods", type=float, default=None,
-                   help="how many periods the trajectory dump spans (default 1)")
+    p.add_argument("--periods", type=int, default=None,
+                   help="how many whole periods the trajectory dump spans (default 1)")
     p.add_argument("--dump-trajectory", default=None,
                    help="write columnar (tau, weight per cell) to this path")
     p.add_argument("--out", default=None)

@@ -33,7 +33,8 @@ exp(-i E tau_j) = exp(-2*pi*i (E*j mod N)/N).  :func:`grid_phases` forms
 the phases that way: the residues E mod N are taken on the exact integers
 and the N roots are tabulated once, so a phase is as accurate at E = 10^17
 as at E = 1, and a common energy offset stays an exact global phase.
-:func:`time_phases` forms exp(-i E tau) in floats, for times off the grid.
+Every phase the program evaluates is one of these; compute-l's trajectory
+dump, which reads each grid time once, forms its roots without the table.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 from .spectrum import Spectrum
 
 __all__ = [
-    "level_energies",
     "shell_offsets",
     "prepare_state",
     "unit_rows",
@@ -63,9 +63,7 @@ __all__ = [
     "period_grid",
     "GridPhases",
     "grid_phases",
-    "time_phases",
     "evolved_weights",
-    "trajectory_weights",
     "normal_time_fractions",
     "time_fraction_normal",
 ]
@@ -85,12 +83,6 @@ MAX_PHASE_GRID = math.isqrt(2**63 - 1)
 
 # (-i)^k for k = 0..4: the quarter turns of a root of unity.
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j, 1])
-
-
-def level_energies(spec: Spectrum, origin=0) -> np.ndarray:
-    """Energy of each level, measured from ``origin`` exactly and then
-    converted to floats, for phase evolution off the period grid."""
-    return np.array([float(e - origin) for e in spec.energies])
 
 
 def shell_offsets(spec: Spectrum) -> np.ndarray:
@@ -218,19 +210,32 @@ def _grid_times(indices: np.ndarray, grid_points: int) -> np.ndarray:
 class GridPhases:
     """Evolution phases on the N-point period grid of an integer spectrum.
 
-    ``roots[m]`` is exp(-2*pi*i*m/N) and ``residues`` holds each level's
-    energy mod N, so the phase of level a at tau_j is
-    ``roots[(j * residues[a]) % N]``.
+    ``residues`` holds each level's energy mod N, so the phase of level a
+    at tau_j is the root exp(-2*pi*i*m/N) of exponent m = (j * residues[a])
+    mod N.  ``roots``, the table of all N roots, is built when a row is
+    first gathered.
     """
 
     grid_points: int
-    roots: np.ndarray
     residues: np.ndarray
 
-    def rows(self, indices) -> np.ndarray:
-        """Phase rows of the grid indices j; shape (len(j), D_E)."""
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        return _roots_of_unity(np.arange(self.grid_points, dtype=np.int64), self.grid_points)
+
+    def exponents(self, indices) -> np.ndarray:
+        """The root exponents of the grid indices j; shape (len(j), D_E)."""
         j = np.asarray(indices, dtype=np.int64)
-        return self.roots[np.multiply.outer(j, self.residues) % self.grid_points]
+        return np.multiply.outer(j, self.residues) % self.grid_points
+
+    def rows(self, indices) -> np.ndarray:
+        """Phase rows of the grid indices j, gathered from the table."""
+        return self.roots[self.exponents(indices)]
+
+    def formed(self, indices) -> np.ndarray:
+        """:meth:`rows` bit for bit, each root formed on its own, so no
+        table of N roots is built: for indices read once each."""
+        return _roots_of_unity(self.exponents(indices), self.grid_points)
 
     def at(self, taus) -> np.ndarray:
         """Phase rows at times of this grid, as :func:`period_grid` gives
@@ -251,24 +256,17 @@ def grid_phases(spec: Spectrum, grid_points: int) -> GridPhases:
     if not 1 <= n <= MAX_PHASE_GRID:
         raise ValueError(f"a phase grid has 1 to {MAX_PHASE_GRID} points, got {n}")
     residues = np.array([e.numerator % n for e in spec.energies], dtype=np.int64)
-    return GridPhases(n, _roots_of_unity(n), residues)
+    return GridPhases(n, residues)
 
 
-def _roots_of_unity(n: int) -> np.ndarray:
-    """exp(-2*pi*i*m/n) for m < n.  The angle is split into k quarter turns,
-    whose phase (-i)^k is exact, and a rest of at most pi/4, so each root
-    is within about an ulp of the exact one (float angles up to 2*pi
-    were off by up to 1.2e-15)."""
-    m = np.arange(n, dtype=np.int64)
+def _roots_of_unity(m: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2*pi*i*m/n) for int64 exponents 0 <= m < n.  The angle is split
+    into k quarter turns, whose phase (-i)^k is exact, and a rest of at
+    most pi/4, so each root is within about an ulp of the exact one (float
+    angles up to 2*pi were off by up to 1.2e-15)."""
     k = (8 * m + n) // (2 * n)  # the nearest quarter turn, 0..4
     rest = (math.pi / 2) * ((4 * m - k * n) / n)
     return np.exp(-1j * rest) * _QUARTER_TURNS[k]
-
-
-def time_phases(energies: np.ndarray, taus) -> np.ndarray:
-    """Evolution phases exp(-i E tau) of the levels of :func:`level_energies`,
-    one row per time; shape (times, D_E)."""
-    return np.exp(-1j * np.outer(np.asarray(taus, dtype=float), energies))
 
 
 def evolved_weights(phases: np.ndarray, coords: np.ndarray, ranks) -> np.ndarray:
@@ -295,25 +293,15 @@ def _membership(ranks: tuple[int, ...]) -> np.ndarray:
     return membership
 
 
-def trajectory_weights(
-    energies: np.ndarray, coords: np.ndarray, ranks, taus
-) -> np.ndarray:
-    """Weights along a time grid of the cells that are consecutive column
-    blocks of the shell coordinates ``coords``, with the given ranks, for
-    levels of the float ``energies``; shape (..., times, cells)."""
-    return evolved_weights(time_phases(energies, taus), coords, ranks)
-
-
 def normal_time_fractions(
     phases: np.ndarray, coords: np.ndarray, ranks, epsilon: float
 ) -> np.ndarray:
     """Fraction of the grid times at which every cell weight is near its share.
 
     ``phases`` holds the phase rows of the grid times (from
-    :func:`grid_phases` or :func:`time_phases`); ``coords`` the shell
-    coordinates of complete bases whose consecutive column blocks of the
-    given ranks are the cells, so the ranks sum to D.  One fraction per
-    leading index.
+    :func:`grid_phases`); ``coords`` the shell coordinates of complete bases
+    whose consecutive column blocks of the given ranks are the cells, so the
+    ranks sum to D.  One fraction per leading index.
     """
     ranks = np.asarray(ranks)
     fracs = ranks / ranks.sum()

@@ -122,18 +122,14 @@ def sample_haar_frame(dim: int, cols: int, rng: np.random.Generator) -> np.ndarr
     return haar_from_ginibre(ginibre_matrix(dim, rng, cols))
 
 
-def sample_random_state(dim: int, rng: np.random.Generator, size: int | None = None):
-    """Uniformly random unit vector(s) in a dim-dimensional complex space.
-
-    With ``size=None`` returns one vector of shape (dim,); otherwise an
-    array of shape (size, dim) with unit rows.
-    """
+def sample_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random unit vector of shape (dim,) in a dim-dimensional
+    complex space."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    shape = (dim,) if size is None else (int(size), dim)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / norms
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    # The axis form sums in numpy, not by a BLAS dot: seeded states rely on it.
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def sample_decomposition(dims, rng: np.random.Generator) -> list[np.ndarray]:

@@ -106,17 +106,18 @@ class TheoremParams:
     constant: float = 2.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
-        if not 0 < self.delta_prime <= 1:
-            raise ValueError("delta_prime must lie in (0, 1]")
-        if int(self.num_cells) < 1:
-            raise ValueError("number of cells must be >= 1")
+        # A refusal starts with the field's name, a run config key for which
+        # check-theorem puts its flag, and ends with the refused value.
+        for name, ok, rule in [
+            ("epsilon", self.epsilon > 0, "must be positive"),
+            ("delta", 0 < self.delta <= 1, "must lie in (0, 1]"),
+            ("delta_prime", 0 < self.delta_prime <= 1, "must lie in (0, 1]"),
+            ("num_cells", int(self.num_cells) >= 1, "must be at least 1"),
+            ("constant", self.constant > 1, "must exceed 1"),
+        ]:
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
         self.num_cells = int(self.num_cells)
-        if not self.constant > 1:
-            raise ValueError("the ordering constant must exceed 1")
 
 
 def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:

@@ -29,10 +29,9 @@ from ergolab import (
     substream,
     sum_structure,
     time_fraction_normal,
-    trajectory_weights,
     unitary_block_statistics,
 )
-from ergolab.dynamics import GRID_SLICE
+from ergolab.dynamics import GRID_SLICE, evolved_weights
 from ergolab.randomness import GATE_SIGMA, _block_record, mean_stderr
 
 
@@ -183,6 +182,25 @@ def coordinate_energies(spec: Spectrum) -> np.ndarray:
     return np.repeat([float(e) for e in spec.energies], spec.degeneracies)
 
 
+def level_energies(spec: Spectrum) -> np.ndarray:
+    """Energy of each level as a float, for float phases at any time."""
+    return np.array([float(e) for e in spec.energies])
+
+
+def time_phases(energies: np.ndarray, taus) -> np.ndarray:
+    """Float evolution phases exp(-i E tau) of the levels of
+    :func:`level_energies`, one row per time; shape (times, D_E).  A phase
+    is off by about 2.2e-16 * |E tau| rad, as E tau is rounded before the
+    exponential."""
+    return np.exp(-1j * np.outer(np.asarray(taus, dtype=float), energies))
+
+
+def trajectory_weights(energies: np.ndarray, coords: np.ndarray, ranks, taus) -> np.ndarray:
+    """Cell weights at any times, by the package's kernel on the float
+    phases of :func:`time_phases`; shape (..., times, cells)."""
+    return evolved_weights(time_phases(energies, taus), coords, ranks)
+
+
 def evolve(spec: Spectrum, vector: np.ndarray, tau: float) -> np.ndarray:
     """State vector on ``spec`` after time tau: each coordinate picks up the
     float phase exp(-i E tau) of its energy."""
@@ -278,17 +296,21 @@ def trial_dump_reference(experiment) -> str:
     return "".join(lines)
 
 
-def trajectory_dump_reference(energies, coords, dims, span, n) -> str:
+def trajectory_dump_reference(phases, coords, dims, span, periods) -> str:
     """The ``compute-l --dump-trajectory`` text, written a line at a time:
-    tau and every cell's weight at ``n`` times spread over ``span``.  The
-    weights are evaluated in slices of GRID_SLICE times, as the program
-    evaluates them, since BLAS may round a product of another shape
-    differently."""
+    tau = span * j / n and every cell's weight at grid time periods * j mod n
+    of the n-point grid of ``phases``, its phase rows gathered from the
+    table of roots.  The weights are evaluated in slices of GRID_SLICE
+    times, as the program evaluates them, since BLAS may round a product
+    of another shape differently."""
+    n = phases.grid_points
     lines = ["tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"]
     for j in range(0, n, GRID_SLICE):
-        taus = span * np.arange(j, min(j + GRID_SLICE, n)) / n
-        weights = trajectory_weights(energies, coords, dims, taus)
-        for tau, row in zip(taus.tolist(), weights.tolist()):
+        indices = range(j, min(j + GRID_SLICE, n))
+        taus = [span * i / n for i in indices]
+        weights = evolved_weights(phases.rows([periods * i % n for i in indices]),
+                                  coords, dims)
+        for tau, row in zip(taus, weights.tolist()):
             lines.append("\t".join(repr(x) for x in [tau, *row]) + "\n")
     return "".join(lines)
 

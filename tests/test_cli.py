@@ -3,11 +3,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +35,7 @@ from ergolab import (
     sum_structure,
     typicality,
 )
-from ergolab.cli import MAX_DUMP_PHASE, main
+from ergolab.cli import main
 
 from support import cell_weight, evolve, lemma_statistics_reference
 
@@ -313,8 +319,8 @@ OFFSET_LEVELS = (0, 1, 3, 7)
 class TestOffsetSpectra:
     """A common energy offset is a global phase: it changes no reported
     number.  The grid phases are exact roots of unity on the exact integer
-    energies; float phases lost the oracle at 10^12 and the normality route
-    at 10^17."""
+    energies; float phases lost the oracle at 10^12, the normality route
+    at 10^17 and the trajectory dump a radian at 6.3e15."""
 
     @staticmethod
     def levels(offset):
@@ -359,21 +365,33 @@ class TestOffsetSpectra:
         assert shifted["experiment"]["trial_totals"] == plain["experiment"]["trial_totals"]
 
     def test_trajectory_dump_unchanged_at_1e12(self, tmp_path):
+        # 10^12 is 0 mod 500: every phase of the grid is unchanged
         dumps = []
         for shift in (0, 10**12):
             spec = write_spectrum(tmp_path, self.levels(shift), f"spec-{shift}.json")
             dump = tmp_path / f"traj-{shift}.tsv"
             assert main(["compute-l", spec, "--dims", "2,2,4", "--seed", "3",
-                         "--grid-points", "500", "--periods", "1.5",
+                         "--grid-points", "500", "--periods", "2",
                          "--dump-trajectory", str(dump),
                          "--out", str(tmp_path / f"l-{shift}.json")]) == 0
             lines = dump.read_text().splitlines()
-            assert lines[0] == "tau\tcell_1\tcell_2\tcell_3"
-            dumps.append(np.array([[float(x) for x in ln.split("\t")] for ln in lines[1:]]))
+            assert lines[0] == "tau\tcell_1\tcell_2\tcell_3" and len(lines) == 501
+            dumps.append(dump.read_bytes())
         plain, shifted = dumps
-        assert plain.shape == shifted.shape == (500, 4)
-        assert np.array_equal(plain[:, 0], shifted[:, 0])
-        assert np.max(np.abs(plain - shifted)) <= 1e-12
+        assert plain == shifted
+
+    def test_dump_reads_energies_mod_the_grid(self, tmp_path):
+        # 10^17 + 1 is 1 mod 1000, so the dump is the one of levels {0, 1}
+        dumps = []
+        for top in (1, 10**17 + 1):
+            spec = write_spectrum(tmp_path, [(0, 1), (str(top), 1)], f"spec-{top}.json")
+            dump = tmp_path / f"traj-{top}.tsv"
+            assert main(["compute-l", spec, "--dims", "1,1", "--grid-points", "1000",
+                         "--dump-trajectory", str(dump),
+                         "--out", str(tmp_path / f"l-{top}.json")]) == 0
+            dumps.append(dump.read_bytes())
+        near, far = dumps
+        assert near == far and len(far.splitlines()) == 1001
 
 
 def compute_l_instance(spec_path, dims, seed):
@@ -557,11 +575,11 @@ class TestComputeLPath:
     @pytest.mark.parametrize("flags, fragment", [
         (["--grid-points", "0"], "--grid-points"),
         (["--grid-points", "-4"], "--grid-points"),
-        (["--periods", "nan"], "--periods"),
-        (["--periods", "inf"], "--periods"),
         (["--periods", "0"], "--periods"),
-        (["--periods", "-1.5"], "--periods"),
-        (["--periods", "1e308"], "--periods"),
+        (["--periods=-1"], "--periods"),
+        (["--periods=-" + "9" * 400], "--periods"),
+        (["--periods", "1" + "0" * 309], "--periods"),
+        (["--periods", "1" + "0" * 400], "--periods"),
         (["--grid-points", "10000001"], "--grid-points"),
         (["--grid-points", "1000000000000000"], "--grid-points"),
         (["--dims", "2,,4"], "--dims"),
@@ -576,6 +594,20 @@ class TestComputeLPath:
         assert not out.exists() and not traj.exists()
         assert_one_line_error(capsys, fragment)
 
+    @pytest.mark.parametrize("periods", ["1.5", "nan", "inf", "1e308", "-1.5"])
+    def test_fractional_periods_rejected(self, tmp_path, capsys, periods):
+        # the dump's times are grid times: it spans whole periods
+        spec = write_spectrum(tmp_path, [(0, 1), ("1/2", 1), (2, 1)])
+        out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["compute-l", spec, "--dims", "1,2", "--out", str(out),
+                  "--dump-trajectory", str(traj), f"--periods={periods}"])
+        assert exc.value.code == 2
+        assert not out.exists() and not traj.exists()
+        err = capsys.readouterr().err
+        assert "error: argument --periods: invalid int value" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [["--grid-points", "5"], ["--periods", "2"],
                                        ["--grid-points", "1000", "--periods", "1"]])
     def test_dump_flags_need_the_dump(self, tmp_path, capsys, flags):
@@ -585,20 +617,6 @@ class TestComputeLPath:
         assert main(["compute-l", spec, "--dims", "1,2", "--out", str(out)] + flags) == 1
         assert not out.exists()
         assert_one_line_error(capsys, flags[0], "--dump-trajectory")
-
-    def test_phases_just_below_the_accuracy_limit_accepted(self, tmp_path):
-        out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
-        argv = ["--dims", "1,1", "--grid-points", "1000", "--out", str(out),
-                "--dump-trajectory", str(traj)]
-        # the largest energy whose phases over one period stay below the limit
-        energy = int(MAX_DUMP_PHASE / (2 * math.pi))
-        assert energy * 2 * math.pi < MAX_DUMP_PHASE <= (energy + 1) * 2 * math.pi
-        near = write_spectrum(tmp_path, [(0, 1), (energy, 1)], "near.json")
-        assert main(["compute-l", near] + argv) == 0
-        assert len(traj.read_text().splitlines()) == 1001
-        # an offset is measured away, however large
-        offset = write_spectrum(tmp_path, [(10**17, 1), (10**17 + energy, 1)], "offset.json")
-        assert main(["compute-l", offset] + argv) == 0
 
     def test_multiplier_beyond_float_range_rejected(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path, [(0, 1), ("1/1" + "0" * 309, 1)])
@@ -611,22 +629,71 @@ class TestComputeLPath:
         assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
         assert load(out)["rescaled_to_integer"] == {"multiplier": 10**309}
 
-    # 1e400 is beyond the float range; 1e308 is not, but its phases E*tau
-    # are.  At 1e17 every exact phase of the one-period grid is 1, so the
-    # weights are constant, but the float phases drift by up to a radian.
+    # 1e400 is beyond the float range; 1e308 is not, but float phases E*tau
+    # are; at 1e17 float phases drifted by up to a radian.  Each is 0 mod
+    # 1000, so every phase of the 1000-point grid is 1 and every row of the
+    # dump is its first.
     @pytest.mark.parametrize("energy", ["1e400", "1e308", "1e17"])
-    def test_energy_beyond_float_phases_rejected(self, tmp_path, capsys, energy):
+    def test_energies_past_float_phases_dump(self, tmp_path, energy):
         spec = write_spectrum(tmp_path, [(0, 1), (energy, 1)])
         out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
         assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out),
-                     "--dump-trajectory", str(traj)]) == 1
-        assert not out.exists() and not traj.exists()
-        assert_one_line_error(capsys, "--dump-trajectory", "float range")
+                     "--dump-trajectory", str(traj)]) == 0
+        lines = traj.read_text().splitlines()
+        assert len(lines) == 1001
+        rows = np.array([[float(x) for x in ln.split("\t")] for ln in lines[1:]])
+        assert np.array_equal(rows[:, 1:], np.broadcast_to(rows[0, 1:], (1000, 2)))
+
+    def test_dump_within_1e_15_of_exact_phases(self, tmp_path):
+        # the benchmark's oracle input, over three periods
+        levels = [(f"{125 * k}/2", 2) for k in range(40)]
+        spec, traj = write_spectrum(tmp_path, levels), tmp_path / "traj.tsv"
+        with mock.patch.object(cli, "_trajectory_chunks",
+                               wraps=cli._trajectory_chunks) as spy:
+            assert main(["compute-l", spec, "--dims", "20,20,20,20", "--seed", "3",
+                         "--grid-points", "5000", "--periods", "3",
+                         "--dump-trajectory", str(traj),
+                         "--out", str(tmp_path / "l.json")]) == 0
+        coords = spy.call_args.args[1]
+        lines = traj.read_text().splitlines()
+        with mpmath.workprec(200):
+            x = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in coords])
+            for j in [1, 7, 1249, 2500, 3333, 4999]:
+                row = [float(v) for v in lines[1 + j].split("\t")[1:]]
+                # tau_j = 2 pi * 2 * 3 * j / 5000 in the units of energies 125k/2
+                turns = [Fraction(125 * k, 2) * 2 * 3 * j / 5000 for k in range(40)]
+                phases = [mpmath.expjpi(-2 * mpmath.mpf(t.numerator) / t.denominator)
+                          for t in turns]
+                evolved = [mpmath.fsum(phases[a] * x[a, c] for a in range(40))
+                           for c in range(80)]
+                for k, value in enumerate(row):
+                    exact = mpmath.fsum(abs(z) ** 2 for z in evolved[20 * k:20 * k + 20])
+                    assert abs(value - exact) <= 1e-15
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_dump_memory_flat_in_the_grid(self, tmp_path):
+        # a table of 10^6 roots is 15.3 MiB and takes about 50 MiB to build;
+        # the dump forms its roots a slice at a time instead
+        spec = write_spectrum(tmp_path, [(0, 1), ("1/3", 1), (7, 1)])
+        script = ("import sys; from ergolab.cli import main; "
+                  "assert main(sys.argv[1:]) == 0; "
+                  "print([ln for ln in open('/proc/self/status') if ln.startswith('VmHWM')][0])")
+        peaks = []
+        for points in ("1000", "1000000"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, "compute-l", spec, "--dims", "1,2",
+                 "--grid-points", points, "--dump-trajectory", os.devnull,
+                 "--out", str(tmp_path / "l.json")],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+            peaks.append(int(done.stdout.split()[1]))  # kB
+        small, large = peaks
+        assert large - small < 8 * 1024, peaks
 
     def test_dump_slices_change_no_byte(self, tmp_path, monkeypatch):
         spec = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (2, 1)])
         argv = ["compute-l", spec, "--dims", "2,2", "--grid-points", "300",
-                "--periods", "1.5", "--out", str(tmp_path / "l.json")]
+                "--periods", "2", "--out", str(tmp_path / "l.json")]
         sliced, single = tmp_path / "sliced.tsv", tmp_path / "single.tsv"
         assert dynamics.GRID_SLICE < 300
         assert main(argv + ["--dump-trajectory", str(sliced)]) == 0
@@ -688,8 +755,9 @@ class TestComputeLFuzz:
         ),
         seed=_mostly(st.integers(-1, 2**80).map(str), _WILD, odds=6),
         grid_points=_mostly(st.integers(-3, 40).map(str), _WILD, odds=6),
-        periods=_mostly(st.floats(1e-3, 3).map(repr),
-                        st.one_of(st.floats().map(repr), st.text(max_size=4)), odds=6),
+        periods=_mostly(st.integers(1, 3).map(str),
+                        st.one_of(st.integers().map(str), st.floats().map(repr),
+                                  st.text(max_size=4)), odds=6),
         state=st.sampled_from([None, None, "good", "good", "nan", "short", "not-pairs",
                                "missing"]),
     )
@@ -983,6 +1051,11 @@ class TestCheckTheorem:
         (["--dim", "16", "--delta", "inf"], "--delta must be a finite"),
         (["--dim", "16", "--delta-prime=-inf"], "--delta-prime"),
         (["--dim", "16", "--constant", "inf"], "--constant must be a finite"),
+        (["--dim", "16", "--cells", "0"], "--cells must be at least 1, got 0"),
+        (["--dim", "16", "--epsilon", "0"], "--epsilon must be positive, got 0.0"),
+        (["--dim", "16", "--delta", "2"], "--delta must lie in (0, 1], got 2.0"),
+        (["--dim", "16", "--delta-prime", "0"], "--delta-prime must lie in (0, 1], got 0.0"),
+        (["--dim", "16", "--constant", "1"], "--constant must exceed 1, got 1.0"),
     ])
     def test_degenerate_arguments_rejected(self, capsys, flags, fragment):
         assert main(["check-theorem", "--rank", "1", "--cells", "2"] + flags) == 1

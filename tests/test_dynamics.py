@@ -17,21 +17,26 @@ from ergolab import (
     sample_random_state,
     substream,
     time_fraction_normal,
-    trajectory_weights,
 )
 from ergolab.dynamics import (
     MAX_PHASE_GRID,
     evolved_weights,
     exact_grid_points,
     grid_phases,
-    level_energies,
     period_grid,
     shell_coordinates,
     shell_offsets,
-    time_phases,
 )
 
-from support import cell_weight, evolve, per_point, random_instance
+from support import (
+    cell_weight,
+    evolve,
+    level_energies,
+    per_point,
+    random_instance,
+    time_phases,
+    trajectory_weights,
+)
 
 
 def spec_of(levels):
@@ -96,7 +101,7 @@ class TestPrepareState:
 
 
 class TestEvolve:
-    """The float phases exp(-i E tau) of the package's trajectory kernel."""
+    """The float phases exp(-i E tau) of the tests' reference kernel."""
 
     def test_zero_time_identity(self):
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
@@ -273,6 +278,26 @@ class TestGridPhases:
                 for e, value in zip(energies, row):
                     exact = mpmath.exp(-2j * mpmath.pi * ((e * jj) % n) / n)
                     assert abs(complex(exact) - value) <= 1e-15
+
+    # energies beyond 2^63, negative ones and one beyond the float range
+    PAST_INT64 = [-(2**70) - 3, -7, 0, 1, 2**63 + 5, 3 * 2**64 + 1, 10**400 + 9]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 97, 1000, 19_501, 100_003])
+    def test_formed_rows_are_the_gathered_rows(self, n):
+        # the dump forms each root on its own; the oracle gathers from the table
+        phases = grid_phases(spec_of([(e, 1) for e in self.PAST_INT64]), n)
+        rng = np.random.default_rng(n)
+        for j in [np.arange(min(n, 300)), rng.integers(0, n, 1), rng.integers(0, n, 257)]:
+            formed = phases.formed(j)
+            assert formed.shape == (len(j), len(self.PAST_INT64))
+            assert formed.tobytes() == phases.rows(j).tobytes()
+
+    def test_root_table_built_when_a_row_is_first_gathered(self):
+        phases = grid_phases(spec_of([(0, 1), (3, 2)]), 10**6)
+        phases.formed(np.arange(5))
+        assert "roots" not in vars(phases)
+        phases.rows([0])
+        assert len(vars(phases)["roots"]) == 10**6
 
     def test_small_energies_match_float_phases(self):
         spec = spec_of([(-3, 2), (0, 1), (4, 3), (11, 1)])

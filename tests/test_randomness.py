@@ -112,11 +112,6 @@ class TestRandomState:
         with pytest.raises(ValueError):
             sample_random_state(0, substream(4, 2))
 
-    def test_batched_rows_unit(self):
-        batch = sample_random_state(10, substream(4, 3), size=7)
-        assert batch.shape == (7, 10)
-        np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1, atol=1e-12)
-
 
 class TestProjectionAndDecomposition:
     """Decompositions as lists of (D, d) basis arrays."""

@@ -171,7 +171,7 @@ class TestDumps:
                                                          ("7/4", 1)]]})
         text, want = self.trajectory_dump(tmp_path, [
             "compute-l", spectrum, "--dims", "3,3", "--seed", "7",
-            "--grid-points", "100000", "--periods", "1.5"])
+            "--grid-points", "100000", "--periods", "3"])
         assert len(text.splitlines()) == 1 + 100_000 and text == want
 
     @pytest.mark.parametrize("rows", [1, 3, 5, cli.WRITE_ROWS])
