@@ -38,8 +38,8 @@ MAX_ORACLE_GRID = 20_001
 MAX_DUMP_POINTS = 10_000_000
 
 # verify-lemmas size limits.  Memory is flat in --samples (power sums, not
-# samples, are kept), so the sample limit bounds running time: 4.8 s at
-# 10 000 000 samples and --dim 8 on a 2-core x86-64 VM, about 50 s at the
+# samples, are kept), so the sample limit bounds running time: 3.2 s at
+# 10 000 000 samples and --dim 8 on a 2-core x86-64 VM, about 30 s at the
 # limit, and proportionally more at larger --dim.  The ensemble keeps 16
 # bytes per member, 1.6 GB at its limit.  Larger runs are refused before
 # any thread starts; arrays that cannot be allocated end in main's

@@ -31,14 +31,17 @@ which keeps the false-alarm rate of a seeded check below ~1e-6.
 
 Moment estimates stream their samples: Gaussian vectors are drawn a chunk
 of rows at a time, each entry's real and imaginary parts consecutive in one
-fill, so the draws are the same for any chunk size.  Each chunk adds to
-power sums taken about the exact target mean (the shifted-data algorithm of
-Chan, Golub & LeVeque, Am. Stat. 37, 1983; Pébay, SAND2008-6212, 2008), from
-which the records' central moments follow by the binomial expansion, so
-memory is flat in the sample count.  The chunk never changes the draws, but
-it fixes the order of the sums, and with it the last bits of a record.
-:func:`lemma_statistics` runs the three lemma checks concurrently, each on
-its own substream.
+fill, so the draws are the same for any chunk size.  Each random state is
+drawn once and read by both moment checks, the rank-d weight and the sphere
+coordinates.  Each chunk adds to power sums taken about the exact target
+mean (the shifted-data algorithm of Chan, Golub & LeVeque, Am. Stat. 37,
+1983; Pébay, SAND2008-6212, 2008), from which the records' central moments
+follow by the binomial expansion, so memory is flat in the sample count.
+The chunk never changes the draws, but it fixes the order of the sums, and
+with it the last bits of a record.  Sums about the same shifts merge by
+addition, so :func:`lemma_statistics` draws its states in two halves on
+two threads, each half on its own substream, and the unitary blocks on a
+third.
 """
 
 from __future__ import annotations
@@ -161,7 +164,9 @@ def _record(estimate: float, stderr: float, target: float) -> dict:
 class _PowerSums:
     """Sums of ``u^i v^j`` (i <= 4, j <= 2) over a stream of samples, with
     ``u`` and ``v`` taken about fixed shifts near their means (module
-    docstring), and the moment records they give."""
+    docstring), and the moment records they give.  Without ``v`` only the
+    five sums of ``u^i`` are taken.  ``+=`` merges the sums of two streams
+    about the same shifts."""
 
     def __init__(self, shift_u: float, shift_v: float = 0.0):
         self.shifts = shift_u, shift_v
@@ -170,12 +175,20 @@ class _PowerSums:
 
     def add(self, u: np.ndarray, v: np.ndarray | None = None) -> None:
         u = u - self.shifts[0]
-        v = np.zeros_like(u) if v is None else v - self.shifts[1]
-        one = np.ones_like(u)
+        powers = np.cumprod(np.stack([np.ones_like(u), u, u, u, u]), axis=0)
         # einsum's own loops, not BLAS: the sums do not depend on the BLAS build
-        self.sums += np.einsum("ik,jk->ij", np.cumprod(np.stack([one, u, u, u, u]), axis=0),
-                               np.cumprod(np.stack([one, v, v]), axis=0))
+        if v is None:
+            self.sums[:, 0] += np.einsum("ik->i", powers)
+        else:
+            v = v - self.shifts[1]
+            self.sums += np.einsum("ik,jk->ij", powers,
+                                   np.cumprod(np.stack([np.ones_like(v), v, v]), axis=0))
         self.n += u.size
+
+    def __iadd__(self, other: "_PowerSums") -> "_PowerSums":
+        self.sums += other.sums
+        self.n += other.n
+        return self
 
     def _central(self, i: int, j: int = 0) -> float:
         # mean of (u - ū)^i (v - v̄)^j, by the binomial expansion
@@ -218,14 +231,54 @@ def _check_ensemble(ensemble: int) -> None:
 
 
 def _gaussian_chunks(dim: int, samples: int, rng: np.random.Generator):
-    """Complex Gaussian D-vectors of ``samples`` random states, about
-    _CHUNK_ENTRIES entries at a time.  Each entry's real and imaginary
-    parts are consecutive draws of one fill, so the vectors are the same
-    for any chunk size."""
+    """Complex Gaussian D-vectors of ``samples`` random states as rows of
+    2D reals, each entry's real part then its imaginary part, about
+    _CHUNK_ENTRIES entries at a time.  The parts are consecutive draws of
+    one fill, so the vectors are the same for any chunk size."""
     chunk = max(1, _CHUNK_ENTRIES // dim)
     for done in range(0, samples, chunk):
-        m = min(chunk, samples - done)
-        yield rng.standard_normal((m, dim, 2)).view(np.complex128)[..., 0]
+        yield rng.standard_normal((min(chunk, samples - done), 2 * dim))
+
+
+def _moment_sums(dim: int, rank: int, samples: int, rng: np.random.Generator):
+    """Power sums of ``samples`` random states, each drawn once and read by
+    both moment checks: the weight of the first ``rank`` coordinates, the
+    squared real part x^2 of coefficient 0 and the squared moduli of
+    coefficients 0 and 1 (0 twice at D = 1), each over the state's squared
+    norm.  Returns ``(weight, x2, moduli)``."""
+    weight = _PowerSums(rank / dim)
+    x2, moduli = _PowerSums(1 / (2 * dim)), _PowerSums(1 / dim, 1 / dim)
+    j = 2 * min(1, dim - 1)
+    for z in _gaussian_chunks(dim, samples, rng):
+        z *= z
+        norm2 = z.sum(axis=1)
+        weight.add(z[:, :2 * rank].sum(axis=1) / norm2)
+        x2.add(z[:, 0] / norm2)
+        moduli.add((z[:, 0] + z[:, 1]) / norm2, (z[:, j] + z[:, j + 1]) / norm2)
+    return weight, x2, moduli
+
+
+def _moment_records(dim: int, rank: int, samples: int, sums) -> tuple[dict, dict]:
+    """The state-weight and hypersphere records of :func:`_moment_sums`'
+    ``sums`` (possibly merged over several streams)."""
+    weight, x2, moduli = sums
+    frac = rank / dim
+    state = {
+        "dim": dim,
+        "rank": rank,
+        "samples": samples,
+        "mean": weight.mean(frac),
+        "variance": weight.variance((1 / rank) * frac**2 * (dim - rank) / (dim + 1)),
+    }
+    sphere = {
+        "dim": dim,
+        "samples": samples,
+        "mean": x2.mean(1 / (2 * dim)),
+        "variance": moduli.variance((dim - 1) / (dim**2 * (dim + 1))),
+    }
+    if dim >= 2:
+        sphere["covariance"] = moduli.covariance(-1 / (dim**2 * (dim + 1)))
+    return state, sphere
 
 
 def state_weight_statistics(
@@ -239,18 +292,7 @@ def state_weight_statistics(
     """
     _check_rank(dim, rank)
     _check_samples(samples)
-    frac = rank / dim
-    w = _PowerSums(frac)
-    for z in _gaussian_chunks(dim, samples, rng):
-        z2 = np.abs(z) ** 2
-        w.add(z2[:, :rank].sum(axis=1) / z2.sum(axis=1))
-    return {
-        "dim": dim,
-        "rank": rank,
-        "samples": samples,
-        "mean": w.mean(frac),
-        "variance": w.variance((1 / rank) * frac**2 * (dim - rank) / (dim + 1)),
-    }
+    return _moment_records(dim, rank, samples, _moment_sums(dim, rank, samples, rng))[0]
 
 
 def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dict:
@@ -262,27 +304,13 @@ def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dic
     moduli of complex coefficients, i.e. sums of two sphere coordinates:
     these are the variables whose D-term decomposition reproduces the
     variance of a rank-d cell weight, with targets (D-1)/(D^2 (D+1)) and,
-    between two distinct coefficients, -1/(D^2 (D+1)).  Only the two
-    coefficients read are normalized.  Needs at least two samples.
+    between two distinct coefficients, -1/(D^2 (D+1)).  Needs at least two
+    samples.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     _check_samples(samples)
-    x2, moduli = _PowerSums(1 / (2 * dim)), _PowerSums(1 / dim, 1 / dim)
-    for z in _gaussian_chunks(dim, samples, rng):
-        c = z[:, [0, min(1, dim - 1)]] / np.linalg.norm(z, axis=-1, keepdims=True)
-        x2.add(c[:, 0].real ** 2)
-        m = np.abs(c) ** 2
-        moduli.add(m[:, 0], m[:, 1])
-    out = {
-        "dim": dim,
-        "samples": samples,
-        "mean": x2.mean(1 / (2 * dim)),
-        "variance": moduli.variance((dim - 1) / (dim**2 * (dim + 1))),
-    }
-    if dim >= 2:
-        out["covariance"] = moduli.covariance(-1 / (dim**2 * (dim + 1)))
-    return out
+    return _moment_records(dim, 1, samples, _moment_sums(dim, 1, samples, rng))[1]
 
 
 def unitary_block_statistics(
@@ -367,31 +395,38 @@ class _Call(threading.Thread):
 
 
 def lemma_statistics(dim: int, rank: int, samples: int, ensemble: int, seed: int):
-    """``(state, sphere, blocks)``: :func:`state_weight_statistics` on
-    substream (seed, 0), :func:`hypersphere_moments` on (seed, 1) and, when
-    rank < dim, :func:`unitary_block_statistics` on (seed, 2), else None,
-    each equal to what that function returns on its own.
+    """``(state, sphere, blocks)``: the :func:`state_weight_statistics` and
+    :func:`hypersphere_moments` records of one set of ``samples`` random
+    states, each read by both, and, when rank < dim,
+    :func:`unitary_block_statistics` on substream (seed, 2), else None.
 
-    The three run at once: the hypersphere moments and the unitary blocks
-    on a thread each, the state weights on the calling thread (numpy's
-    Gaussian fills, its array arithmetic and LAPACK's QR release the GIL).
-    Each stream owns its generator and keeps only its power sums or its
-    ensemble's maxima, so no result depends on scheduling or on the number
-    of cores.  The arguments are checked before any thread starts.  Every
-    thread is joined before anything is returned or raised.
+    The states come in two halves: the first ``samples - samples // 2``
+    rows of substream (seed, 0) on the calling thread and the first
+    ``samples // 2`` rows of (seed, 1) on a thread of its own; the unitary
+    blocks run on a third (numpy's Gaussian fills, its array arithmetic and
+    LAPACK's QR release the GIL).  The halves' power sums are taken about
+    the same shifts, so adding them, in that order, gives the sums of the
+    whole set, from which both records are built.  Each stream owns its
+    generator and keeps only its power sums or its ensemble's maxima, so no
+    result depends on scheduling or on the number of cores: the report
+    equals that of the halves and the blocks run one after another.  The
+    arguments are checked before any thread starts.  Every thread is joined
+    before anything is returned or raised.
     """
     _check_rank(dim, rank)
     _check_samples(samples)
     _check_ensemble(int(ensemble))
     workers = []
     try:
-        workers.append(_Call(hypersphere_moments, dim, samples, substream(seed, 1)))
+        workers.append(_Call(_moment_sums, dim, rank, samples // 2, substream(seed, 1)))
         if rank < dim:
             workers.append(_Call(unitary_block_statistics, dim, rank, ensemble,
                                  substream(seed, 2)))
-        state = state_weight_statistics(dim, rank, samples, substream(seed, 0))
+        sums = _moment_sums(dim, rank, samples - samples // 2, substream(seed, 0))
     finally:
         for worker in workers:
             worker.join()
-    sphere, *blocks = [worker.result() for worker in workers]
-    return state, sphere, blocks[0] if blocks else None
+    second, *blocks = [worker.result() for worker in workers]
+    for whole, half in zip(sums, second):
+        whole += half
+    return (*_moment_records(dim, rank, samples, sums), blocks[0] if blocks else None)

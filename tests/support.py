@@ -18,21 +18,25 @@ import numpy as np
 from ergolab import (
     Spectrum,
     deviation_exact,
-    hypersphere_moments,
     integer_rescaled,
     prepare_state,
     resonant_term_bound,
     sample_decomposition,
     sample_haar_unitary,
     sample_random_state,
-    state_weight_statistics,
     substream,
     sum_structure,
     time_fraction_normal,
     unitary_block_statistics,
 )
 from ergolab.dynamics import GRID_SLICE, evolved_weights
-from ergolab.randomness import GATE_SIGMA, _block_record, mean_stderr
+from ergolab.randomness import (
+    GATE_SIGMA,
+    _block_record,
+    _moment_records,
+    _moment_sums,
+    mean_stderr,
+)
 
 
 def brute_max_gap_degeneracy(energies) -> int:
@@ -348,10 +352,20 @@ def _covariance_record(a: np.ndarray, b: np.ndarray, shift: float, target: float
     return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
 
 
-def state_weights_reference(dim: int, rank: int, samples: int, rng) -> dict:
-    """``randomness.state_weight_statistics`` by two passes over every
-    sample's weight, drawn in one fill."""
-    z2 = np.abs(gaussian_rows_reference(dim, samples, rng)) ** 2
+def lemma_rows_reference(dim: int, samples: int, seed: int) -> np.ndarray:
+    """The random states ``randomness.lemma_statistics`` reads, as complex
+    Gaussian rows: the first ``samples - samples // 2`` of substream
+    (seed, 0), then the first ``samples // 2`` of (seed, 1)."""
+    half = samples // 2
+    return np.concatenate([gaussian_rows_reference(dim, samples - half, substream(seed, 0)),
+                           gaussian_rows_reference(dim, half, substream(seed, 1))])
+
+
+def state_weights_reference(rank: int, z: np.ndarray) -> dict:
+    """``randomness.state_weight_statistics`` by two passes over the weight
+    of every row of the complex Gaussian rows ``z``."""
+    samples, dim = z.shape
+    z2 = np.abs(z) ** 2
     w = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
     frac = rank / dim
     return {"dim": dim, "rank": rank, "samples": samples,
@@ -359,15 +373,17 @@ def state_weights_reference(dim: int, rank: int, samples: int, rng) -> dict:
             "variance": _variance_record(w, frac, frac**2 * (dim - rank) / (rank * (dim + 1)))}
 
 
-def hypersphere_reference(dim: int, samples: int, rng) -> dict:
-    """``randomness.hypersphere_moments`` by two passes over every sample:
-    whole states, drawn in one fill and normalized, of which coefficients 0
-    and 1 are read."""
-    z = gaussian_rows_reference(dim, samples, rng)
-    psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-    m0, m1 = np.abs(psi[:, 0]) ** 2, np.abs(psi[:, min(1, dim - 1)]) ** 2
+def hypersphere_reference(z: np.ndarray) -> dict:
+    """``randomness.hypersphere_moments`` by two passes over every row of
+    the complex Gaussian rows ``z``: the squares of coefficients 0 and 1,
+    each over the row's squared norm (which at D = 1 makes |c_0|^2 exactly
+    1, as in the package)."""
+    samples, dim = z.shape
+    z2 = np.abs(z) ** 2
+    norm2 = z2.sum(axis=1)
+    m0, m1 = z2[:, 0] / norm2, z2[:, min(1, dim - 1)] / norm2
     out = {"dim": dim, "samples": samples,
-           "mean": _record(*mean_stderr(psi[:, 0].real ** 2), 1 / (2 * dim)),
+           "mean": _record(*mean_stderr(z[:, 0].real ** 2 / norm2), 1 / (2 * dim)),
            "variance": _variance_record(m0, 1 / dim, (dim - 1) / (dim**2 * (dim + 1)))}
     if dim >= 2:
         out["covariance"] = _covariance_record(m0, m1, 1 / dim, -1 / (dim**2 * (dim + 1)))
@@ -375,13 +391,16 @@ def hypersphere_reference(dim: int, samples: int, rng) -> dict:
 
 
 def lemma_statistics_reference(dim: int, rank: int, samples: int, ensemble: int, seed: int):
-    """``randomness.lemma_statistics`` computed one stream after another on
-    one thread, by the three public functions."""
-    state = state_weight_statistics(dim, rank, samples, substream(seed, 0))
-    sphere = hypersphere_moments(dim, samples, substream(seed, 1))
+    """``randomness.lemma_statistics`` computed on one thread: the two
+    halves of the random states one after another, their power sums merged
+    in the same order, then the unitary blocks."""
+    half = samples // 2
+    sums = _moment_sums(dim, rank, samples - half, substream(seed, 0))
+    for whole, part in zip(sums, _moment_sums(dim, rank, half, substream(seed, 1))):
+        whole += part
     blocks = (unitary_block_statistics(dim, rank, ensemble, substream(seed, 2))
               if rank < dim else None)
-    return state, sphere, blocks
+    return (*_moment_records(dim, rank, samples, sums), blocks)
 
 
 def gram_maxima(v: np.ndarray, frac: float) -> tuple[float, float]:

@@ -207,18 +207,26 @@ class TestVerifyLemmas:
         assert main(argv) == 1
         assert_one_line_error(capsys, fragment)
 
-    @pytest.mark.parametrize("stream", [
-        "state_weight_statistics", "hypersphere_moments", "unitary_block_statistics",
-    ])
+    @pytest.mark.parametrize("stream", ["caller's half", "worker's half", "unitary blocks"])
     @pytest.mark.parametrize("error, message", [
         (MemoryError, "error: out of memory: no room"), (ValueError, "error: no room"),
     ])
     def test_failing_stream_is_one_error_line_and_every_thread_joined(
             self, tmp_path, monkeypatch, capsys, stream, error, message):
+        caller, moment_sums = threading.current_thread(), randomness._moment_sums
+
         def fail(*args):
             raise error("no room")
 
-        monkeypatch.setattr(randomness, stream, fail)
+        def moments(*args):
+            if stream == ("caller's half" if threading.current_thread() is caller
+                          else "worker's half"):
+                fail()
+            return moment_sums(*args)
+
+        monkeypatch.setattr(randomness, "_moment_sums", moments)
+        if stream == "unitary blocks":
+            monkeypatch.setattr(randomness, "unitary_block_statistics", fail)
         before = threading.active_count()
         out = tmp_path / "v.json"
         assert main(["verify-lemmas", "--dim", "12", "--rank", "3", "--samples", "20000",

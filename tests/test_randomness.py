@@ -24,6 +24,7 @@ from ergolab.randomness import (
     _CHUNK_ENTRIES,
     GATE_SIGMA,
     _gaussian_chunks,
+    _PowerSums,
     ginibre_matrix,
     haar_from_ginibre,
     mean_stderr,
@@ -34,6 +35,7 @@ from support import (
     gaussian_rows_reference,
     gram_maxima,
     hypersphere_reference,
+    lemma_rows_reference,
     state_weights_reference,
     unitary_block_reference,
 )
@@ -228,9 +230,39 @@ class TestChunkedDraws:
     def test_records_equal_the_two_pass_reference(self, dim, rank, samples, seed):
         self.assert_records_match(
             state_weight_statistics(dim, rank, samples, substream(seed, 0)),
-            state_weights_reference(dim, rank, samples, substream(seed, 0)))
-        self.assert_records_match(hypersphere_moments(dim, samples, substream(seed, 1)),
-                                  hypersphere_reference(dim, samples, substream(seed, 1)))
+            state_weights_reference(rank, gaussian_rows_reference(dim, samples,
+                                                                  substream(seed, 0))))
+        self.assert_records_match(
+            hypersphere_moments(dim, samples, substream(seed, 1)),
+            hypersphere_reference(gaussian_rows_reference(dim, samples, substream(seed, 1))))
+
+    @pytest.mark.parametrize("dim, rank, samples", LEMMA_CASES)
+    def test_halved_records_equal_the_two_pass_reference(self, dim, rank, samples):
+        # one set of states, half from (seed, 0) and half from (seed, 1),
+        # feeds both records
+        seed = 3
+        state, sphere, _ = randomness.lemma_statistics(dim, rank, samples, 1, seed)
+        rows = lemma_rows_reference(dim, samples, seed)
+        self.assert_records_match(state, state_weights_reference(rank, rows))
+        self.assert_records_match(sphere, hypersphere_reference(rows))
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize("samples", [2, 3, 1001])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_merged_halves_equal_one_pass(self, samples, paired):
+        # values above their shifts, so no sum cancels
+        u, v = substream(10, samples).uniform(1.0, 2.0, size=(2, samples))
+        shifts = (0.5, 0.25) if paired else (0.5,)
+        whole, first, second = (_PowerSums(*shifts) for _ in range(3))
+        half = samples // 2
+        for sums, part in [(whole, slice(None)), (first, slice(half)),
+                           (second, slice(half, None))]:
+            sums.add(u[part], v[part] if paired else None)
+        first += second
+        assert first.n == whole.n == samples
+        assert first.sums == pytest.approx(whole.sums, rel=1e-12, abs=0)
+        assert np.count_nonzero(whole.sums) == (15 if paired else 5)
 
 
 class TestHaarFrame:
