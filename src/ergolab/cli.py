@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -62,10 +61,6 @@ LOG_BASES = {"e": math.e, "10": 10.0}
 MAX_INT_DIGITS = spectrum.MAX_DIGITS
 INT_LIMIT = spectrum.DIGIT_LIMIT
 
-# The encoder of every report value that is not formatted in chunks.
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-
-
 # Rows of a large array formatted at a time.
 WRITE_ROWS = 4096
 
@@ -77,24 +72,60 @@ WRITE_ROWS = 4096
 # writes (the figure moves with heap layout).
 WRITE_CHARS = 1 << 20
 
+# What the report encoder writes in place of each array, and its encoded
+# text.  Only a report string equal to the marker could be taken for one,
+# and report strings are written by the program, never copied from input.
+_ARRAY_MARK = "\0array\0"
+_ENCODED_MARK = json.dumps(_ARRAY_MARK)
+
 
 def _write_output(doc: dict, out: str | None) -> None:
     """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True,
-    allow_nan=False)`` plus a newline would, in pieces.
+    allow_nan=False, default=numpy.ndarray.tolist)`` plus a newline would,
+    in pieces.
 
-    Every other value goes through one shared encoder, a whole dict in
-    one call when it holds neither large part.  The two large parts of a
-    report, a 2-D float array (``run``'s trial totals) and
-    :class:`~ergolab.spectrum.PairClasses` (``analyze``'s gap and sum
-    tables), are formatted in chunks in that same layout, so no nested
-    lists and no whole-report string are built.  Everything is encoded or
-    checked before the first byte is written: an unencodable value ends in
-    a ValueError with nothing written and no ``out`` file created.
+    The stdlib encoder lays out the whole report, with a marker string in
+    place of each 2-D array, at any depth of dicts and lists.  Its text is
+    split at the markers, and each array is formatted in chunks by
+    :func:`_array_chunks` at the indentation of the line its marker ends, so
+    no nested lists of an array are built.  Everything is encoded and
+    checked before the first byte is written: a non-finite array ends in a
+    ValueError, and any other value but an array that json cannot encode in
+    a TypeError, with nothing written and no ``out`` file created.
     """
-    parts: list = []
-    _layout(doc, 0, parts)
-    parts.append(("\n",))
-    _write(itertools.chain.from_iterable(parts), out)
+    arrays = []
+
+    def array_mark(value):
+        if not isinstance(value, np.ndarray) or value.ndim != 2:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        arrays.append(value)
+        return _ARRAY_MARK
+
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False, default=array_mark)
+    # The text between markers, gathered from the encoder's chunks rather
+    # than split from one encoded string: the 300-level analyze report's
+    # 1 198 classes are tens of thousands of chunks, and holding them all,
+    # as encode() does, put 0.6 MiB more on the benchmark's lab-commands
+    # peak resident set on a 2-core x86-64 VM.
+    pieces, text = [], []
+    for chunk in encoder.iterencode(doc):
+        if chunk == _ENCODED_MARK:  # the encoder yields each marker whole
+            pieces.append("".join(text))
+            text = []
+        else:
+            text.append(chunk)
+    pieces.append("".join(text))
+
+    def chunks():
+        for piece, array in zip(pieces, arrays):
+            yield piece
+            line = piece[piece.rfind("\n") + 1:]
+            yield from _array_chunks(array, (len(line) - len(line.lstrip(" "))) // 2)
+        yield pieces[-1] + "\n"
+
+    _write(chunks(), out)
 
 
 def _write(chunks, path: str | None) -> None:
@@ -125,33 +156,6 @@ def _rows(template: str, rows: np.ndarray):
         yield template * len(chunk) % tuple(chunk.ravel().tolist())
 
 
-def _layout(value, level: int, parts: list) -> None:
-    """Append the JSON text of ``value``, nested ``level`` deep, to ``parts``
-    as iterables of strings: the large parts as chunk generators."""
-    if isinstance(value, dict) and _chunked(value):
-        for i, key in enumerate(sorted(value)):
-            parts.append((("," if i else "{") + "\n" + "  " * (level + 1)
-                          + _ENCODER.encode(key) + ": ",))
-            _layout(value[key], level + 1, parts)
-        parts.append(("\n" + "  " * level + "}",))
-    elif isinstance(value, np.ndarray):
-        if not np.isfinite(value).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        parts.append(_array_chunks(value, level))
-    elif isinstance(value, spectrum.PairClasses):
-        parts.append(_class_chunks(value, level))
-    else:
-        parts.append((_ENCODER.encode(value).replace("\n", "\n" + "  " * level),))
-
-
-def _chunked(value) -> bool:
-    """Whether ``value`` holds, at any depth of dicts, a value that
-    :func:`_layout` formats in chunks."""
-    if isinstance(value, dict):
-        return any(_chunked(v) for v in value.values())
-    return isinstance(value, (np.ndarray, spectrum.PairClasses))
-
-
 def _array_chunks(array: np.ndarray, level: int):
     """A 2-D array as nested JSON lists, ``level`` deep, in WRITE_ROWS chunks."""
     if len(array) == 0:
@@ -167,22 +171,6 @@ def _array_chunks(array: np.ndarray, level: int):
     yield "[" + next(chunks)[1:]
     yield from chunks
     yield pad + "]"
-
-
-def _class_chunks(classes: spectrum.PairClasses, level: int):
-    """Pair classes (at least one) as the JSON list of class objects,
-    ``level`` deep, one class per chunk."""
-    pad = ["\n" + "  " * (level + k) for k in range(3)]
-    end = 0
-    for k, (value, count) in enumerate(zip(classes.values, classes.counts.tolist())):
-        start, end = end, end + count
-        yield "".join([
-            ("," if k else "[") + pad[1] + "{" + pad[2] + f'"count": {count},'
-            + pad[2] + '"pairs": ',
-            *_array_chunks(classes.pairs[start:end], level + 2),
-            "," + pad[2] + '"value": ' + json.dumps(value) + pad[1] + "}",
-        ])
-    yield pad[0] + "]"
 
 
 def _trial_chunks(experiment: dict):

@@ -83,6 +83,12 @@ __all__ = [
 # Numerical slack for the per-trial inequality chain.
 CHAIN_SLACK = 1e-12
 
+# Combined standard errors the Markov audit allows (markov_check).
+MARKOV_SIGMA = 3.0
+
+# Normal quantile of the 95% Wilson intervals (wilson_interval).
+WILSON_Z = 1.96
+
 # Bytes of the working arrays of one block of trials (see the module docstring).
 BLOCK_BYTES = 1 << 20
 
@@ -324,12 +330,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {"experiment": experiment, "normality": normality}
 
 
-def markov_check(experiment: dict, threshold: float, sigma: float = 3.0) -> dict:
+def markov_check(experiment: dict, threshold: float) -> dict:
     """Audit the tail bound Prob[X >= B] <= mean(X)/B on the per-trial totals
     of an experiment record (:func:`run_experiment`).
 
     Compares the empirical exceedance probability against the *stored*
-    aggregate mean divided by B, within ``sigma`` combined standard errors.
+    aggregate mean divided by B, within MARKOV_SIGMA combined standard errors.
     The inequality is distribution-free, so a failure beyond noise flags an
     inconsistent report rather than an unlucky draw.
     """
@@ -341,7 +347,7 @@ def markov_check(experiment: dict, threshold: float, sigma: float = 3.0) -> dict
     mean = float(experiment["overall"]["mean"])
     se_prob = math.sqrt(max(prob * (1 - prob), 0.0) / n)
     se_mean = float(experiment["overall"]["stderr"]) / threshold
-    slack = sigma * math.hypot(se_prob, se_mean)
+    slack = MARKOV_SIGMA * math.hypot(se_prob, se_mean)
     bound = mean / threshold
     if not (math.isfinite(bound) and math.isfinite(slack)):
         raise ValueError(
@@ -356,14 +362,15 @@ def markov_check(experiment: dict, threshold: float, sigma: float = 3.0) -> dict
     }
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial fraction."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval, at the normal quantile WILSON_Z, for a
+    binomial fraction."""
     if n < 1:
         raise ValueError("need at least one observation")
     p = successes / n
-    denom = 1 + z**2 / n
-    center = (p + z**2 / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2))
+    denom = 1 + WILSON_Z**2 / n
+    center = (p + WILSON_Z**2 / (2 * n)) / denom
+    half = (WILSON_Z / denom) * math.sqrt(p * (1 - p) / n + WILSON_Z**2 / (4 * n**2))
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 

@@ -12,8 +12,10 @@ Every collision is decided once per spectrum, by :class:`PairIndex`: the
 energies are rescaled to integers by the least common multiple of their
 denominators, and ``np.unique`` over the integer gap and sum tables gives
 each ordered pair the rank of its value.  The degeneracy maxima, the
-classification, the deviation kernel's gap buckets, the report's pair
-classes and the Fraction-keyed tables all derive from that one index.
+classification, the deviation kernel's gap buckets, the report's gap and
+sum tables and the Fraction-keyed tables all derive from that one index.
+The report tables are plain lists of class dicts whose level pairs are
+slices of one integer array, so no per-pair Python object is built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "SpectrumError",
     "Spectrum",
     "PairIndex",
-    "PairClasses",
     "GapStructure",
     "SumStructure",
     "Classification",
@@ -199,45 +200,26 @@ class PairIndex:
     def sum_entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
         return self._entries(self.sum_values, self.sum_ids, self.sum_counts)
 
-    def _report_classes(self, values, ids, counts) -> PairClasses:
-        return PairClasses(
-            [str(Fraction(value, self.scale)) for value in values.tolist()],
-            counts,
-            np.stack(self._ordered_pairs(ids), axis=1) + 1,
-        )
+    def _report_classes(self, values, ids, counts) -> list[dict]:
+        pairs = np.stack(self._ordered_pairs(ids), axis=1) + 1
+        ends = np.cumsum(counts).tolist()
+        return [
+            {"count": end - start, "pairs": pairs[start:end],
+             "value": str(Fraction(value, self.scale))}
+            for value, start, end in zip(values.tolist(), [0] + ends, ends)
+        ]
 
-    def gap_classes(self) -> PairClasses:
+    def gap_classes(self) -> list[dict]:
+        """The report's gap table: per distinct gap, ascending, the dict
+        ``{"count", "pairs", "value"}``.  ``value`` is the exact gap as a
+        string, like ``"-1/2"``; ``pairs`` holds the class's 1-based level
+        pairs ``(a, b)``, ascending, as a ``(count, 2)`` view of one int64
+        array shared by the table, so no per-pair object is built."""
         return self._report_classes(self.gap_values, self.gap_ids, self.gap_counts)
 
-    def sum_classes(self) -> PairClasses:
+    def sum_classes(self) -> list[dict]:
+        """The report's sum table, laid out like :meth:`gap_classes`."""
         return self._report_classes(self.sum_values, self.sum_ids, self.sum_counts)
-
-
-@dataclass(frozen=True, eq=False)
-class PairClasses:
-    """One family of pair classes in report form, held as arrays.
-
-    Class ``k`` has the exact value ``values[k]`` (a string, like ``"-1/2"``)
-    and holds the next ``counts[k]`` rows of ``pairs``, each a 1-based level
-    pair ``(a, b)``; classes ascend by value, pairs ascend within a class.
-    The report writer lays this out as the JSON list
-    ``[{"count": ..., "pairs": [[a, b], ...], "value": ...}, ...]``, which
-    :meth:`tolist` builds as Python objects.
-    """
-
-    values: list[str]
-    counts: np.ndarray
-    pairs: np.ndarray
-
-    def tolist(self) -> list[dict]:
-        """The classes as the report's list of ``{"value", "count",
-        "pairs"}`` dicts, with ``[a, b]`` pair lists."""
-        ends = np.cumsum(self.counts).tolist()
-        return [
-            {"value": value, "count": end - start,
-             "pairs": self.pairs[start:end].tolist()}
-            for value, start, end in zip(self.values, [0] + ends, ends)
-        ]
 
 
 @dataclass
@@ -412,10 +394,10 @@ def structure_report(spec: Spectrum) -> dict:
 
     Pair indices in the report are 1-based, matching the level numbering
     convention used everywhere in user-facing output.  The gap and sum
-    tables are :class:`PairClasses`, which the CLI's report writer formats
-    straight from the index arrays, so the record is not plain JSON data:
-    ``json.dumps(report, default=lambda value: value.tolist())`` encodes
-    it, and ``report["gaps"].tolist()`` gives the list of class dicts.
+    tables are the lists of class dicts of :meth:`PairIndex.gap_classes`
+    and :meth:`PairIndex.sum_classes`, whose ``pairs`` are 2-D integer
+    arrays; ``json.dumps(report, default=numpy.ndarray.tolist)`` encodes
+    the report, as it does every report of the program.
     """
     gaps = gap_structure(spec)
     sums = sum_structure(spec)

@@ -202,10 +202,26 @@ class TestVerifyLemmas:
         def no_thread(*args):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(randomness, "_Call", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         argv = ["verify-lemmas", "--dim", "12", "--rank", "3", "--samples", "100"] + flags
         assert main(argv) == 1
         assert_one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("rank, threads", [("3", 2), ("12", 1)])
+    def test_at_most_two_worker_threads_below_full_rank_and_one_at_it(
+            self, tmp_path, monkeypatch, rank, threads):
+        # A pool thread that is already idle takes the second task, so
+        # below full rank one thread may do both.
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        assert main(["verify-lemmas", "--dim", "12", "--rank", rank, "--samples", "20000",
+                     "--ensemble", "50", "--out", str(tmp_path / "v.json")]) == 0
+        assert 1 <= len(started) <= threads and not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize("stream", ["caller's half", "worker's half", "unitary blocks"])
     @pytest.mark.parametrize("error, message", [

@@ -187,6 +187,16 @@ class TestDumps:
                 assert text == want
 
 
+# Where an array sits in the report: a dict value, a list item, or a value
+# of a dict that is itself a list item.
+PLACEMENTS = {
+    "dict value": lambda array: array,
+    "list item": lambda array: [1, array, "x"],
+    "dict in list": lambda array: [{"a": array, "b": [array]}],
+}
+
+
+@pytest.mark.parametrize("place", PLACEMENTS.values(), ids=PLACEMENTS.keys())
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     array=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
@@ -196,16 +206,34 @@ class TestDumps:
     rows=st.integers(1, 5),
     chars=st.sampled_from([1, 50, cli.WRITE_CHARS]),
 )
-def test_float_arrays_are_written_as_their_lists(tmp_path_factory, array, depth, rows,
-                                                 chars):
+def test_float_arrays_are_written_as_their_lists(tmp_path_factory, place, array, depth,
+                                                 rows, chars):
     doc = {"empty": {}, "list": [1, {"b": None}], "text": "a\nb"}
     inner = doc
     for _ in range(depth):
         inner["nested"] = {"x": -0.0}
         inner = inner["nested"]
-    inner["array"] = array
+    inner["array"] = place(array)
     out = tmp_path_factory.getbasetemp() / "writer-arrays.json"
     with mock.patch.object(cli, "WRITE_ROWS", rows), \
             mock.patch.object(cli, "WRITE_CHARS", chars):
         cli._write_output(doc, str(out))
     assert out.read_text() == stdlib_text(doc)
+
+
+@pytest.mark.parametrize("place", PLACEMENTS.values(), ids=PLACEMENTS.keys())
+def test_non_finite_array_anywhere_is_refused_before_writing(tmp_path, place):
+    doc = {"finite": np.ones((2, 2)), "nested": {"x": place(np.array([[1.0, np.inf]]))}}
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="^Out of range float values"):
+        cli._write_output(doc, str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.float32(1.0), np.int64(1), np.arange(3), {1, 2}],
+                         ids=["float32", "int64", "1-D array", "set"])
+def test_other_values_are_refused_as_json_does(tmp_path, value):
+    out = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._write_output({"a": [np.zeros((1, 1)), value]}, str(out))
+    assert not out.exists()

@@ -274,9 +274,13 @@ def test_structure_report_round_trip():
     # the report's own levels block parses back to the same spectrum
     again = parse_spectrum(json.dumps({"levels": report["levels"]}))
     assert again == spec
-    # the class tables read as lists, through the documented JSON recipe,
-    # give the reference report
-    text = json.dumps(report, default=lambda value: value.tolist())
-    assert json.loads(text) == structure_report_reference(spec)
-    assert report["gaps"].tolist() == structure_report_reference(spec)["gaps"]
-    assert sum(report["sums"].counts) == len(report["sums"].pairs) == spec.num_levels ** 2
+    # the report through the documented JSON recipe, and its class dicts
+    # with their pair arrays as lists, give the reference report
+    reference = structure_report_reference(spec)
+    assert json.loads(json.dumps(report, default=np.ndarray.tolist)) == reference
+    for table in ("gaps", "sums"):
+        assert [{**c, "pairs": c["pairs"].tolist()} for c in report[table]] == reference[table]
+    assert sum(c["count"] for c in report["sums"]) == spec.num_levels ** 2
+    # every class's pairs are a view of one stacked array
+    base = report["gaps"][0]["pairs"].base
+    assert base is not None and all(c["pairs"].base is base for c in report["gaps"])
