@@ -28,7 +28,9 @@ __all__ = ["main", "entry", "DEFAULT_SEED"]
 # Gates in verify-lemmas are skipped below this sample count.
 MIN_GATED_SAMPLES = 10_000
 
-# Oracle cross-checks are skipped above this grid (rescaled spreads over 10 000).
+# Oracle cross-checks are skipped above this grid (rescaled spreads over
+# 10 000).  The oracle holds every grid value of every cell: at most
+# 20 001 x cells floats.
 MAX_ORACLE_GRID = 20_001
 
 # Largest compute-l trajectory dump, in rows (times).  The dump is written
@@ -409,23 +411,26 @@ def cmd_compute_l(args) -> int:
         span = period * min(periods, sys.float_info.max)
         if span == math.inf:
             raise ValueError(f"--periods {periods} overflows the dump's time span")
-    spread = int(ispec.spread)
-    # (w - d/D)^2 has integer frequencies up to twice the spread.
-    grid = dynamics.exact_grid_points(2 * spread)
+    grid = dynamics.deviation_grid_points(ispec)
     oracle_note = None
     if grid > MAX_ORACLE_GRID:
         oracle_note = (
-            f"oracle skipped: rescaled spectral spread {spread} needs a "
+            f"oracle skipped: rescaled spectral spread {ispec.spread} needs a "
             f"{grid}-point grid (limit {MAX_ORACLE_GRID})"
         )
     else:
         phases = dynamics.grid_phases(ispec, grid)
+        shares = np.array(dims) / spec.dim_total
+        # every cell's (w - d/D)^2 at once, a slice of grid indices at a time
+        oracles = dynamics.discrete_time_average(
+            lambda j: (dynamics.evolved_weights(phases.rows(j), coords, dims) - shares) ** 2,
+            ispec,
+            grid - 1,
+        ).tolist()
 
     cell_records = []
-    blocks = np.split(coords, np.cumsum(dims)[:-1], axis=-1)
     cells = montecarlo.evaluate_cells(spec, dims, coords)
-    for k, (rank, columns, (b, bound, gap_ok, resonant_ok)) in enumerate(
-            zip(dims, blocks, cells)):
+    for k, (rank, (b, bound, gap_ok, resonant_ok)) in enumerate(zip(dims, cells)):
         record = {name: float(value) for name, value in b.items() if name != "time_avg_weight"}
         record.update({
             "cell": k + 1,
@@ -435,16 +440,9 @@ def cmd_compute_l(args) -> int:
             "chain_ok": bool(gap_ok and resonant_ok),
         })
         if oracle_note is None:
-            frac = rank / spec.dim_total
-            oracle = dynamics.discrete_time_average(
-                lambda taus: (dynamics.evolved_weights(
-                    phases.at(taus), columns, [rank])[:, 0] - frac) ** 2,
-                ispec,
-                2 * spread,
-            )
-            residual = abs(oracle - record["total"])
+            residual = abs(oracles[k] - record["total"])
             record["oracle"] = {
-                "value": oracle,
+                "value": oracles[k],
                 "residual": residual,
                 "match": residual <= 1e-9,
             }

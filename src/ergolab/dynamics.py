@@ -25,8 +25,10 @@ annihilates every nonzero frequency of magnitude <= max_frequency, none of
 which is a multiple of N; no smaller N does (Trefethen & Weideman, 2014).
 Rational spectra are rescaled to integers first; the rescaling leaves all
 gap and sum collision structure, and hence every time average, unchanged.
-Observables of :func:`discrete_time_average` take slices of GRID_SLICE
-times, so time-grid kernels bound their arrays however long the grid.
+The grid index j is the only time coordinate of the averages: observables
+of :func:`discrete_time_average` take slices of GRID_SLICE indices, so
+time-grid kernels bound their arrays however long the grid, while the
+average holds one row of values per index.
 
 On that grid every evolution phase is an N-th root of unity,
 exp(-i E tau_j) = exp(-2*pi*i (E*j mod N)/N).  :func:`grid_phases` forms
@@ -40,7 +42,6 @@ dump, which reads each grid time once, forms its roots without the table.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -59,8 +60,8 @@ __all__ = [
     "exact_time_avg_weight",
     "discrete_time_average",
     "exact_grid_points",
+    "deviation_grid_points",
     "integer_rescaled",
-    "period_grid",
     "GridPhases",
     "grid_phases",
     "evolved_weights",
@@ -70,10 +71,12 @@ __all__ = [
 
 STATE_NORM_TOL = 1e-10
 
-# Times per observable call of discrete_time_average.  compute-l's oracle on a
-# 19 501-point grid at D = 80 (2-core x86-64 VM; timed when the oracle took
-# 4*spread + 1 points, twice the exact grid) ran fastest with 32..128 and
-# kept its peak RSS; slices of 1024 ran slower and cost 2.8 MiB more.
+# Grid indices per observable call of discrete_time_average, and times per
+# slice of the trajectory dump.  compute-l on levels 125k/2 (k < 40, D = 80;
+# one pass over a 9 751-point grid for 4 cells), in-process on a 2-core
+# x86-64 VM at one BLAS thread, median of four sweeps of 25 runs: slices of
+# 32, 128 and 1024 took 24, 16 and 23 ms at tracemalloc peaks of 926, 929
+# and 2612 KiB.
 GRID_SLICE = 128
 
 # Largest grid of grid_phases.  A grid index and a residue are both below N,
@@ -157,14 +160,17 @@ def exact_time_avg_weight(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) 
 
 def discrete_time_average(
     observable: Callable[[np.ndarray], np.ndarray], spec: Spectrum, max_frequency: int
-) -> float:
+) -> float | np.ndarray:
     """Exact long-time average of a trigonometric polynomial of the trajectory.
 
     Valid for integer spectra and observables whose integer frequencies are
     bounded by ``max_frequency`` (cell weights: the spectral spread; squared
-    deviations: twice the spread), on :func:`exact_grid_points` grid times.
-    ``observable`` maps each slice of at most GRID_SLICE consecutive times
-    to its values, which are summed with one exactly rounded ``math.fsum``.
+    deviations: twice the spread), on the n = :func:`exact_grid_points` grid.
+    ``observable`` maps each slice ``np.arange(j, min(j + GRID_SLICE, n))``
+    of grid indices, index j standing for tau_j = 2*pi*j/n, to its values,
+    times on the first axis.  Each trailing entry is averaged over the n
+    times with one exactly rounded ``math.fsum``: a 1-D observable gives a
+    float, a (times, k) one an array of k means.  All n values are held.
     """
     if not spec.is_integer:
         raise ValueError(
@@ -172,16 +178,26 @@ def discrete_time_average(
             "rescale rational spectra first"
         )
     n = exact_grid_points(max_frequency)
-    taus = period_grid(n)
-    return math.fsum(itertools.chain.from_iterable(
-        observable(taus[j:j + GRID_SLICE]) for j in range(0, n, GRID_SLICE)
-    )) / n
+    first = np.asarray(observable(np.arange(min(GRID_SLICE, n))))
+    values = np.empty((n,) + first.shape[1:])  # filled in place: no second copy
+    values[:GRID_SLICE] = first
+    for j in range(GRID_SLICE, n, GRID_SLICE):
+        values[j:j + GRID_SLICE] = observable(np.arange(j, min(j + GRID_SLICE, n)))
+    means = [math.fsum(column.tolist()) / n for column in values.reshape(n, -1).T]
+    return means[0] if values.ndim == 1 else np.reshape(means, values.shape[1:])
 
 
 def exact_grid_points(max_frequency: int) -> int:
     """The least N whose N-point period grid averages every integer frequency
     up to ``max_frequency`` exactly: N = max_frequency + 1 divides none."""
     return int(max_frequency) + 1
+
+
+def deviation_grid_points(spec: Spectrum) -> int:
+    """The least exact grid for squared cell-weight deviations (w - d/D)^2,
+    whose frequencies reach twice the spread of the integer-rescaled levels:
+    compute-l's oracle grid and the floor of ``run``'s normality grid."""
+    return exact_grid_points(2 * int(integer_rescaled(spec)[0].spread))
 
 
 def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
@@ -195,15 +211,6 @@ def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
     mult = math.lcm(*(e.denominator for e in spec.energies))
     levels = tuple((e * mult, d) for e, d in spec.levels)
     return Spectrum(levels, approximate=spec.approximate), mult
-
-
-def period_grid(grid_points: int) -> np.ndarray:
-    """``grid_points`` equally spaced times covering one period 2*pi."""
-    return _grid_times(np.arange(int(grid_points)), grid_points)
-
-
-def _grid_times(indices: np.ndarray, grid_points: int) -> np.ndarray:
-    return 2 * math.pi * indices / int(grid_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,15 +243,6 @@ class GridPhases:
         """:meth:`rows` bit for bit, each root formed on its own, so no
         table of N roots is built: for indices read once each."""
         return _roots_of_unity(self.exponents(indices), self.grid_points)
-
-    def at(self, taus) -> np.ndarray:
-        """Phase rows at times of this grid, as :func:`period_grid` gives
-        them; any other time is a ValueError."""
-        taus = np.asarray(taus, dtype=float)
-        j = np.rint(taus * (self.grid_points / (2 * math.pi))).astype(np.int64)
-        if not np.array_equal(_grid_times(j, self.grid_points), taus):
-            raise ValueError(f"times off the {self.grid_points}-point period grid")
-        return self.rows(j)
 
 
 def grid_phases(spec: Spectrum, grid_points: int) -> GridPhases:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dynamics import (
     MAX_PHASE_GRID,
-    exact_grid_points,
+    deviation_grid_points,
     grid_phases,
     integer_rescaled,
     normal_time_fractions,
@@ -145,8 +145,11 @@ class ExperimentConfig:
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         least, note = 1, ""
         if self.normality:
-            least = exact_grid_points(2 * int(integer_rescaled(self.spectrum)[0].spread))
+            least = deviation_grid_points(self.spectrum)
             note = " with normality on (2*spread + 1 of the rescaled levels)"
+        if least > MAX_PHASE_GRID:
+            raise ValueError(f"normality needs a grid of at least {least} points (2*spread + 1 "
+                             f"of the rescaled levels), beyond the limit {MAX_PHASE_GRID}")
         if self.grid_points is None:
             self.grid_points = max(1000, least)
         if not least <= int(self.grid_points) <= MAX_PHASE_GRID:
@@ -230,7 +233,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     every cell meets the sufficient-condition threshold and whether the
     one-period time fraction of simultaneous closeness reaches
     1 - delta'.  A trial passing the first route must pass the second (a
-    theorem on a grid of at least exact_grid_points(2 * spread) times), so
+    theorem on a grid of at least deviation_grid_points(spec) times), so
     violations are counted (and indicate a bug, not noise).
     """
     spec = config.spectrum

@@ -29,7 +29,7 @@ from ergolab import (
     time_fraction_normal,
     unitary_block_statistics,
 )
-from ergolab.dynamics import GRID_SLICE, evolved_weights
+from ergolab.dynamics import GRID_SLICE, evolved_weights, exact_grid_points
 from ergolab.randomness import (
     GATE_SIGMA,
     _block_record,
@@ -227,10 +227,18 @@ def random_instance(spec: Spectrum, rng: np.random.Generator, max_cells: int = 4
     return vector, decomposition
 
 
-def per_point(observable):
-    """An array observable for :func:`discrete_time_average` that evaluates
-    ``observable`` one time at a time, as a per-point reference."""
-    return lambda taus: [observable(tau) for tau in taus]
+def grid_times(indices, grid_points: int) -> np.ndarray:
+    """The reference float time axis: tau_j = 2*pi*j/N of the grid indices j
+    of the N-point period grid."""
+    return 2 * math.pi * np.asarray(indices) / int(grid_points)
+
+
+def per_point(observable, max_frequency: int):
+    """An index observable for :func:`discrete_time_average` with this
+    ``max_frequency`` that maps each grid index to its float time and
+    evaluates ``observable`` one time at a time, as a per-point reference."""
+    n = exact_grid_points(max_frequency)
+    return lambda indices: [observable(tau) for tau in grid_times(indices, n)]
 
 
 @dataclass

@@ -69,7 +69,8 @@ def oracle_ensemble():
             breakdown = deviation_exact(spec, vector, cell)
             frac = cell.shape[1] / spec.dim_total
             oracle = discrete_time_average(
-                per_point(lambda tau: (cell_weight(evolve(spec, vector, tau), cell) - frac) ** 2),
+                per_point(lambda tau: (cell_weight(evolve(spec, vector, tau), cell) - frac) ** 2,
+                          2 * spread),
                 spec,
                 2 * spread,
             )
@@ -128,7 +129,9 @@ def test_criterion_3_degenerate_reduction():
         spread = int(spec.spread)
         for cell in decomposition:
             oracle = discrete_time_average(
-                per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell)), spec, spread
+                per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell), spread),
+                spec,
+                spread,
             )
             worst = max(worst, abs(exact_time_avg_weight(spec, vector, cell) - oracle))
     ok = worst <= 1e-10

@@ -493,7 +493,7 @@ class TestComputeLPath:
         spec_path = write_spectrum(tmp_path, levels)
         assert main(["compute-l", spec_path, "--dims", dims,
                      "--out", str(tmp_path / "l.json")]) == 0
-        assert calls == {"discrete_time_average": 3, "prepare_state": 1}
+        assert calls == {"discrete_time_average": 1, "prepare_state": 1}
 
     def test_time_grid_kernels_read_one_column_per_level(self, tmp_path, monkeypatch):
         # run's normality route, the oracle and the dump evolve the D_E x D
@@ -516,13 +516,13 @@ class TestComputeLPath:
             "spectrum": json.loads(Path(spec_path).read_text()), "dims": [4, 4],
             "trials": 3, "state": "haar-per-trial", "normality": True}))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
-        # an oracle slice per cell (15 grid times), 3 dump slices and 1 block
-        # of run trials
-        assert widths == {(3, 3): 2 + 3 + 1}
+        # one oracle slice for all cells (15 grid times), 3 dump slices and 1
+        # block of run trials
+        assert widths == {(3, 3): 1 + 3 + 1}
 
     def test_one_membership_matrix_per_rank_tuple(self, tmp_path):
-        # two cells of rank 3 on a 159-point grid, two slices each, and a
-        # three-slice dump: one matrix for (3,), one for (3, 3)
+        # two cells of rank 3: two oracle slices of a 159-point grid and a
+        # three-slice dump all read the one matrix for (3, 3)
         spec_path = write_spectrum(tmp_path, [(0, 2), ("1/2", 1), (7, 1), ("79/2", 2)])
         assert dynamics.GRID_SLICE < 159 <= 2 * dynamics.GRID_SLICE
         dynamics._membership.cache_clear()
@@ -530,7 +530,7 @@ class TestComputeLPath:
                      "--dump-trajectory", str(tmp_path / "traj.tsv"),
                      "--out", str(tmp_path / "l.json")]) == 0
         info = dynamics._membership.cache_info()
-        assert (info.misses, info.hits) == (2, 5)
+        assert (info.misses, info.hits) == (1, 4)
         assert not dynamics._membership((3, 3)).flags.writeable
 
     def test_slices_of_one_time_change_no_oracle_value(self, tmp_path, monkeypatch):
@@ -551,16 +551,16 @@ class TestComputeLPath:
 
     @staticmethod
     def count_oracle_times(monkeypatch):
-        """Grid times each discrete_time_average call evaluates, in order."""
+        """Grid indices each discrete_time_average call evaluates, in order."""
         counts = []
         average = dynamics.discrete_time_average
 
         def counted(observable, spec, max_frequency):
             counts.append(0)
 
-            def timed(taus):
-                counts[-1] += len(taus)
-                return observable(taus)
+            def timed(indices):
+                counts[-1] += len(indices)
+                return observable(indices)
             return average(timed, spec, max_frequency)
 
         monkeypatch.setattr(dynamics, "discrete_time_average", counted)
@@ -574,7 +574,7 @@ class TestComputeLPath:
         out = tmp_path / "l.json"
         assert main(["compute-l", spec, "--dims", "20,20,20,20", "--seed", "1",
                      "--out", str(out)]) == 0
-        assert counts == [9751] * 4
+        assert counts == [9751]
         assert all(cell["oracle"]["match"] for cell in load(out)["cells"])
 
     def test_oracle_runs_up_to_a_spread_of_ten_thousand(self, tmp_path, monkeypatch):
@@ -583,7 +583,7 @@ class TestComputeLPath:
         out = tmp_path / "l.json"
         assert main(["compute-l", spec, "--dims", "1,1", "--out", str(out)]) == 0
         report = load(out)
-        assert report["oracle_note"] is None and counts == [20_001] * 2
+        assert report["oracle_note"] is None and counts == [20_001]
         assert all(cell["oracle"]["match"] for cell in report["cells"])
 
     def test_oracle_skipped_beyond_the_grid_limit(self, tmp_path, monkeypatch):
@@ -1220,6 +1220,19 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert_one_line_error(capsys, "grid_points must be between 15 and", f"got {grid}")
+
+    @pytest.mark.parametrize("grid", [None, 1000])
+    def test_normality_floor_beyond_the_phase_grid_limit_rejected(self, tmp_path, capsys, grid):
+        # levels {0, 10^10} need 2*10^10 + 1 points, beyond the 3037000499
+        # of a phase grid: the refusal names the floor, not an empty range
+        levels = {"levels": [{"energy": 0, "degeneracy": 4}, {"energy": 10**10, "degeneracy": 4}]}
+        grid_flag = {} if grid is None else {"grid_points": grid}
+        cfg = self.write_config(tmp_path, spectrum=levels, normality=True, **grid_flag)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, "normality needs a grid of at least 20000000001 points",
+                              "beyond the limit 3037000499")
 
     def test_normality_holds_on_the_least_grid(self, tmp_path):
         # on a grid of 2*spread + 1 points the grid mean of (w - d/D)^2 is

@@ -19,11 +19,11 @@ from ergolab import (
     time_fraction_normal,
 )
 from ergolab.dynamics import (
+    GRID_SLICE,
     MAX_PHASE_GRID,
     evolved_weights,
     exact_grid_points,
     grid_phases,
-    period_grid,
     shell_coordinates,
     shell_offsets,
 )
@@ -31,6 +31,7 @@ from ergolab.dynamics import (
 from support import (
     cell_weight,
     evolve,
+    grid_times,
     level_energies,
     per_point,
     random_instance,
@@ -177,7 +178,8 @@ class TestExactTimeAverage:
         vector, dec = random_instance(spec, rng)
         for cell in dec:
             oracle = discrete_time_average(
-                per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell)),
+                per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell),
+                          int(spec.spread)),
                 spec,
                 int(spec.spread),
             )
@@ -217,11 +219,11 @@ class TestExactTimeAverage:
 class TestDiscreteTimeAverage:
     def test_constant(self):
         spec = spec_of([(0, 1), (2, 1)])
-        assert discrete_time_average(lambda taus: np.full(taus.shape, 3.25), spec, 4) == pytest.approx(3.25)
+        assert discrete_time_average(lambda j: np.full(j.shape, 3.25), spec, 4) == pytest.approx(3.25)
 
     def test_pure_oscillation_vanishes(self):
         spec = spec_of([(0, 1), (1, 1)])
-        avg = discrete_time_average(np.cos, spec, 1)
+        avg = discrete_time_average(lambda j: np.cos(grid_times(j, 2)), spec, 1)
         assert abs(avg) < 1e-14
 
     @pytest.mark.parametrize("f", [1, 2, 7, 40, 9750])
@@ -229,8 +231,28 @@ class TestDiscreteTimeAverage:
         # F + 1 points average cos(F tau) to 0; F points alias it to 1
         assert exact_grid_points(f) == f + 1
         spec = spec_of([(0, 1), (f, 1)])
-        assert abs(discrete_time_average(lambda taus: np.cos(f * taus), spec, f)) < 1e-12
-        assert np.mean(np.cos(f * period_grid(f))) == pytest.approx(1.0)
+        assert abs(discrete_time_average(lambda j: np.cos(f * grid_times(j, f + 1)), spec, f)) < 1e-12
+        assert np.mean(np.cos(f * grid_times(np.arange(f), f))) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("f", [0, 5, GRID_SLICE - 1, GRID_SLICE, 3 * GRID_SLICE + 7])
+    def test_observable_reads_consecutive_index_slices(self, f):
+        slices = []
+        discrete_time_average(lambda j: slices.append(j) or np.zeros(len(j)),
+                              spec_of([(0, 1)]), f)
+        assert all(j.dtype == np.int64 and 1 <= len(j) <= GRID_SLICE for j in slices)
+        assert np.concatenate(slices).tolist() == list(range(f + 1))
+
+    def test_columns_average_as_separate_observables(self):
+        # a (times, k) observable gives the k means of its columns, each the
+        # one exactly rounded sum a 1-D observable of that column gives
+        spec = spec_of([(0, 1), (3, 2), (700, 1)])
+        columns = [lambda j: np.sin(grid_times(j, 1401)) ** 2,
+                   lambda j: np.exp(-j / 1000.0),
+                   lambda j: np.full(j.shape, 0.1)]
+        means = discrete_time_average(lambda j: np.column_stack([c(j) for c in columns]),
+                                      spec, 1400)
+        assert means.shape == (3,)
+        assert means.tolist() == [discrete_time_average(c, spec, 1400) for c in columns]
 
     def test_non_integer_rejected(self):
         spec = spec_of([(0, 1), (F(1, 2), 1)])
@@ -244,7 +266,8 @@ class TestDiscreteTimeAverage:
         vector, dec = random_instance(spec, rng)
         cell = dec[0]
         exact = discrete_time_average(
-            per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell)),
+            per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell),
+                      int(spec.spread)),
             spec,
             int(spec.spread),
         )
@@ -303,7 +326,7 @@ class TestGridPhases:
         spec = spec_of([(-3, 2), (0, 1), (4, 3), (11, 1)])
         n = 31
         rows = grid_phases(spec, n).rows(np.arange(n))
-        floats = time_phases(level_energies(spec), period_grid(n))
+        floats = time_phases(level_energies(spec), grid_times(np.arange(n), n))
         # one phase per level, not per coordinate
         assert rows.shape == floats.shape == (n, spec.num_levels)
         # the float phases lose about |E tau| ulps
@@ -317,15 +340,6 @@ class TestGridPhases:
         global_phase = plain.roots[(offset % n) * j % n]
         np.testing.assert_allclose(shifted.rows(j), global_phase[:, None] * plain.rows(j),
                                    rtol=0, atol=1e-15)
-
-    def test_times_give_their_grid_rows(self):
-        phases = grid_phases(spec_of([(0, 1), (2, 1), (9, 2)]), 97)
-        taus = period_grid(97)
-        assert np.array_equal(phases.at(taus[40:60]), phases.rows(np.arange(40, 60)))
-        with pytest.raises(ValueError, match="97-point period grid"):
-            phases.at(taus[40:60] * (1 + 1e-15))
-        with pytest.raises(ValueError, match="97-point period grid"):
-            phases.at(period_grid(98))
 
     def test_grid_bound_keeps_index_products_in_int64(self):
         # indices and residues are below N, so their products below N^2

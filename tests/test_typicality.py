@@ -54,7 +54,8 @@ def spec_of(levels):
 def oracle_deviation(spec, vector, cell):
     frac = cell.shape[1] / spec.dim_total
     return discrete_time_average(
-        per_point(lambda tau: (cell_weight(evolve(spec, vector, tau), cell) - frac) ** 2),
+        per_point(lambda tau: (cell_weight(evolve(spec, vector, tau), cell) - frac) ** 2,
+                  2 * int(spec.spread)),
         spec,
         2 * int(spec.spread),
     )
