@@ -51,7 +51,6 @@ from .typicality import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    markov_check,
     normality_fraction,
     run_experiment,
     wilson_interval,

@@ -29,9 +29,10 @@ __all__ = ["main", "entry", "DEFAULT_SEED"]
 MIN_GATED_SAMPLES = 10_000
 
 # Oracle cross-checks are skipped above this grid (rescaled spreads over
-# 10 000).  The oracle holds every grid value of every cell: at most
-# 20 001 x cells floats.
+# 10 000).  The oracle averages ORACLE_CELLS consecutive cells at a time and
+# holds every grid value of those cells: at most 20 001 x 64 floats, 10 MB.
 MAX_ORACLE_GRID = 20_001
+ORACLE_CELLS = 64
 
 # Largest compute-l trajectory dump, in rows (times).  The dump is written
 # in dynamics.GRID_SLICE slices, so this bounds its size on disk and its
@@ -280,7 +281,10 @@ def _amplitudes(pairs) -> np.ndarray:
         for p in pairs
     ):
         raise ValueError('"amplitudes" must be a list of [re, im] number pairs')
-    return np.array([complex(re, im) for re, im in pairs])
+    try:
+        return np.array([complex(re, im) for re, im in pairs])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError('"amplitudes" holds a number beyond the float range') from None
 
 
 def _read_state_file(path: str) -> np.ndarray:
@@ -421,12 +425,18 @@ def cmd_compute_l(args) -> int:
     else:
         phases = dynamics.grid_phases(ispec, grid)
         shares = np.array(dims) / spec.dim_total
-        # every cell's (w - d/D)^2 at once, a slice of grid indices at a time
-        oracles = dynamics.discrete_time_average(
-            lambda j: (dynamics.evolved_weights(phases.rows(j), coords, dims) - shares) ** 2,
-            ispec,
-            grid - 1,
-        ).tolist()
+        oracles = []
+        # (w - d/D)^2 of up to ORACLE_CELLS consecutive cells at once, from
+        # their block of columns of coords, a slice of grid indices at a time
+        for first in range(0, len(dims), ORACLE_CELLS):
+            group = slice(first, first + ORACLE_CELLS)
+            block = coords[:, sum(dims[:first]):sum(dims[:group.stop])]
+            oracles += dynamics.discrete_time_average(
+                lambda j: (dynamics.evolved_weights(phases.rows(j), block, dims[group])
+                           - shares[group]) ** 2,
+                ispec,
+                grid - 1,
+            ).tolist()
 
     cell_records = []
     cells = montecarlo.evaluate_cells(spec, dims, coords)
@@ -541,7 +551,7 @@ def cmd_check_theorem(args) -> int:
 # Every key a run config may carry; anything else is rejected.
 RUN_CONFIG_KEYS = frozenset({
     "spectrum", "dims", "params", "state", "trials", "seed", "log_base",
-    "grid_points", "normality", "markov_threshold",
+    "grid_points", "normality",
 })
 PARAM_KEYS = frozenset({"epsilon", "delta", "delta_prime", "constant"})
 STATE_KEYS = frozenset({"amplitudes"})
@@ -572,16 +582,16 @@ def _object(value, name: str, keys: frozenset) -> dict:
     return value
 
 
-def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float | None]:
-    """Validate a run config document; returns the config and the Markov threshold."""
+def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
+    """Validate a run config document; returns the experiment config."""
     doc = _object(doc, "run config", RUN_CONFIG_KEYS)
     for key in ("spectrum", "dims"):
         if key not in doc:
             raise ValueError(f'run config needs "{key}"')
     spec = spectrum.parse_spectrum(doc["spectrum"])
     dims = doc["dims"]
-    if not isinstance(dims, list):
-        raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
+    if not isinstance(dims, list) or not dims:
+        raise ValueError(f'"dims" must be a non-empty list of integers, got {dims!r}')
     dims = tuple(_integer(d, "dims") for d in dims)
     raw_params = _object(doc.get("params", {}), '"params"', PARAM_KEYS)
     params = typicality.TheoremParams(
@@ -601,12 +611,9 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
     normality = doc.get("normality", False)
     if not isinstance(normality, bool):
         raise ValueError(f'"normality" must be true or false, got {normality!r}')
-    markov_threshold = doc.get("markov_threshold")
-    if markov_threshold is not None:
-        markov_threshold = _finite(markov_threshold, "markov_threshold")
     trials = args.trials if args.trials is not None else doc.get("trials", 100)
     seed = args.seed if args.seed is not None else _integer(doc.get("seed", DEFAULT_SEED), "seed")
-    config = montecarlo.ExperimentConfig(
+    return montecarlo.ExperimentConfig(
         spectrum=spec,
         dims=dims,
         params=params,
@@ -619,20 +626,14 @@ def _config_from_document(doc, args) -> tuple[montecarlo.ExperimentConfig, float
                      if "grid_points" in doc else None),
         normality=normality,
     )
-    return config, markov_threshold
 
 
 def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_int=spectrum.json_int)
-    config, markov_threshold = _config_from_document(doc, args)
-
-    report = montecarlo.run_experiment(config)
+    report = montecarlo.run_experiment(_config_from_document(doc, args))
     experiment, normality = report["experiment"], report["normality"]
-    if markov_threshold is None:
-        markov_threshold = config.threshold(min(config.dims))
-    report["markov"] = montecarlo.markov_check(experiment, markov_threshold)
-    gates = {"mean_bound_and_chain": experiment["pass"], "markov": report["markov"]["pass"]}
+    gates = {"mean_bound_and_chain": experiment["pass"]}
     if normality is not None:
         gates["normality_implication"] = normality["implication_violations"] == 0
     report["gates"] = gates

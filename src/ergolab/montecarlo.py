@@ -75,16 +75,12 @@ __all__ = [
     "check_ranks",
     "evaluate_cells",
     "run_experiment",
-    "markov_check",
     "normality_fraction",
     "wilson_interval",
 ]
 
 # Numerical slack for the per-trial inequality chain.
 CHAIN_SLACK = 1e-12
-
-# Combined standard errors the Markov audit allows (markov_check).
-MARKOV_SIGMA = 3.0
 
 # Normal quantile of the 95% Wilson intervals (wilson_interval).
 WILSON_Z = 1.96
@@ -331,38 +327,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "implication_violations": implication_violations,
         }
     return {"experiment": experiment, "normality": normality}
-
-
-def markov_check(experiment: dict, threshold: float) -> dict:
-    """Audit the tail bound Prob[X >= B] <= mean(X)/B on the per-trial totals
-    of an experiment record (:func:`run_experiment`).
-
-    Compares the empirical exceedance probability against the *stored*
-    aggregate mean divided by B, within MARKOV_SIGMA combined standard errors.
-    The inequality is distribution-free, so a failure beyond noise flags an
-    inconsistent report rather than an unlucky draw.
-    """
-    if threshold <= 0:
-        raise ValueError(f'"markov_threshold" must be positive, got {threshold!r}')
-    samples = np.asarray(experiment["trial_totals"], dtype=float).ravel()
-    n = samples.size
-    prob = float((samples >= threshold).mean())
-    mean = float(experiment["overall"]["mean"])
-    se_prob = math.sqrt(max(prob * (1 - prob), 0.0) / n)
-    se_mean = float(experiment["overall"]["stderr"]) / threshold
-    slack = MARKOV_SIGMA * math.hypot(se_prob, se_mean)
-    bound = mean / threshold
-    if not (math.isfinite(bound) and math.isfinite(slack)):
-        raise ValueError(
-            f'"markov_threshold" {threshold!r} is too small: the Markov bound '
-            f"mean / threshold ({mean!r} / {threshold!r}) overflows")
-    return {
-        "pass": prob <= bound + slack,
-        "prob_exceed": prob,
-        "markov_bound": bound,
-        "slack": slack,
-        "threshold": threshold,
-    }
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:

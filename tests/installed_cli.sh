@@ -13,7 +13,8 @@
 # and 10^17 on exact grid phases: 10^17 is 0 mod 1000, so every phase of the
 # 1000-point grid is 1 and every row of weights equals the first within
 # 1e-15; run writes the experiment and normality records of a 200-trial
-# ensemble; analyze writes the gap and sum tables of a rational degenerate
+# ensemble, gated on the inequality chain and the normality implication
+# alone; analyze writes the gap and sum tables of a rational degenerate
 # spectrum.  The report writer must be a fixed point of the stdlib encoder:
 # the analyze, run and compute-l reports must each equal
 # json.dumps(json.load(f), indent=2, sort_keys=True) plus a newline.  Any
@@ -35,7 +36,7 @@ ergolab compute-l far.json --dims 1,1 --out far-report.json --dump-trajectory fa
 python -c 'lines = open("far.tsv").read().splitlines(); rows = [[float(x) for x in ln.split("\t")[1:]] for ln in lines[1:]]; assert len(lines) == 1001 and all(abs(a - b) <= 1e-15 for row in rows for a, b in zip(row, rows[0])), rows[:2]'
 python -c 'import json; json.dump({"spectrum": {"levels": [{"energy": e, "degeneracy": 2} for e in range(4)]}, "dims": [2, 2, 2, 2], "state": "haar-per-trial", "trials": 200, "normality": True}, open("run.json", "w"))'
 ergolab run run.json --out run-report.json
-python -c 'import json; doc = json.load(open("run-report.json")); assert doc["pass"] is True and doc["normality"]["implication_violations"] == 0 and len(doc["experiment"]["trial_totals"]) == 200, doc["gates"]'
+python -c 'import json; doc = json.load(open("run-report.json")); assert doc["pass"] is True and doc["normality"]["implication_violations"] == 0 and len(doc["experiment"]["trial_totals"]) == 200 and "markov" not in doc and set(doc["gates"]) == {"mean_bound_and_chain", "normality_implication"}, doc["gates"]'
 python -c 'import json; json.dump({"levels": [{"energy": e, "degeneracy": d} for e, d in [(0, 2), ("1/3", 1), ("1/2", 2), ("7/4", 1), ("-5/6", 3)]]}, open("rational.json", "w"))'
 ergolab analyze rational.json --out analyze.json
 python -c 'import json, sys; bad = [f for f in sys.argv[1:] if json.dumps(json.load(open(f)), indent=2, sort_keys=True) + "\n" != open(f).read()]; assert not bad, bad' analyze.json run-report.json oracle.json

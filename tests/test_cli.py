@@ -323,6 +323,16 @@ class TestComputeL:
         assert not out.exists()
         assert_one_line_error(capsys, "norm")
 
+    def test_amplitude_beyond_the_float_range_rejected(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"amplitudes": [[10**400, 0], [0, 0]]}))
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", "1,1",
+                     "--state", str(state_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, '"amplitudes"')
+
     def test_trajectory_dump(self, tmp_path):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1), (2, 1)])
         traj = tmp_path / "traj.tsv"
@@ -585,6 +595,30 @@ class TestComputeLPath:
         report = load(out)
         assert report["oracle_note"] is None and counts == [20_001]
         assert all(cell["oracle"]["match"] for cell in report["cells"])
+
+    def test_oracle_averages_at_most_64_cells_at_a_time(self, tmp_path, monkeypatch):
+        # 200 rank-1 cells on a 20 001-point grid: four averages of 64, 64,
+        # 64 and 8 cells, each of its own consecutive columns
+        widths = []
+        average = dynamics.discrete_time_average
+
+        def spy(observable, spec, max_frequency):
+            widths.append(0)
+
+            def observed(indices):
+                values = observable(indices)
+                widths[-1] = max(widths[-1], values.shape[1])
+                return values
+            return average(observed, spec, max_frequency)
+
+        monkeypatch.setattr(dynamics, "discrete_time_average", spy)
+        spec = write_spectrum(tmp_path, [(0, 100), (10_000, 100)])
+        out = tmp_path / "l.json"
+        assert main(["compute-l", spec, "--dims", ",".join(["1"] * 200),
+                     "--out", str(out)]) == 0
+        cells = load(out)["cells"]
+        assert widths == [64, 64, 64, 8]
+        assert len(cells) == 200 and all(cell["oracle"]["match"] for cell in cells)
 
     def test_oracle_skipped_beyond_the_grid_limit(self, tmp_path, monkeypatch):
         counts = self.count_oracle_times(monkeypatch)
@@ -938,13 +972,11 @@ class TestRunConfigFuzz:
         grid_points=_mostly(st.integers(1, 40), st.sampled_from([0, -3, 2.5]),
                             required=True),
         normality=_mostly(st.booleans(), st.sampled_from(["no", 1])),
-        markov_threshold=_mostly(st.floats(1e-3, 1), st.one_of(
-            st.floats(), st.sampled_from([0, -1, "x"]))),
         log_base=_mostly(st.sampled_from(["e", "10"]), st.sampled_from([10, "2"])),
     )
     @example(spectrum=_FUZZ_SPECTRUM, dims=[2, 2], params={"epsilon": 1e308},
              state=None, trials=2, seed=None, grid_points=10, normality=None,
-             markov_threshold=None, log_base=None)
+             log_base=None)
     def test_config_ends_in_json_or_one_error_line(self, tmp_path_factory, **doc):
         # None stands for an absent key.
         path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
@@ -1179,20 +1211,18 @@ class TestRun:
         ({"grid_points": None}, "grid_points"),
         ({"dims": 5}, "dims"),
         ({"dims": [4, "4"]}, "dims"),
+        ({"dims": []}, "dims"),
         ({"params": [1]}, "params"),
         ({"params": {"epsilon": None}}, "epsilon"),
         ({"params": {"epsilon": 1.0, "eps": 1.0}}, "eps"),
         ({"normality": "no"}, "normality"),
-        ({"markov_threshold": "0.1"}, "markov_threshold"),
-        ({"markov_threshold": float("nan")}, "markov_threshold"),
-        ({"markov_threshold": 5e-324}, "markov_threshold"),
-        ({"markov_threshold": 0}, '"markov_threshold" must be positive'),
-        ({"markov_threshold": -1}, '"markov_threshold" must be positive'),
+        ({"markov_threshold": 0.1}, "unknown keys ['markov_threshold']"),
         ({"spectrum": {"levels": [{"energy": "1e999999999", "degeneracy": 8}]}},
          "decimal exponent"),
         ({"retain_trials": True}, "retain_trials"),
         ({"state": {"amplitudes": [[float("nan"), 0]] + [[0, 0]] * 7}}, "norm"),
         ({"state": {"amplitudes": [[1e200, 0]] + [[0, 0]] * 7}}, "norm"),
+        ({"state": {"amplitudes": [[10**400, 0]] + [[0, 0]] * 7}}, '"amplitudes"'),
         ({"state": {"amplitudes": [[1, 0]] + [[0, 0]] * 7, "phase": 0}}, "phase"),
         ({"log_base": 10}, "log_base"),
         ([{"dims": [4, 4]}], "JSON object"),
@@ -1207,6 +1237,26 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert_one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("epsilon", [1e-160, 5e-324])
+    def test_tiny_epsilon_reported(self, tmp_path, epsilon):
+        # the sufficient-condition threshold delta' (epsilon/M)^2 d/D
+        # underflows to a subnormal or to 0, and the run still reports
+        cfg = self.write_config(tmp_path, params={"epsilon": epsilon, "delta": 0.5,
+                                                  "delta_prime": 0.5})
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert load(out)["pass"] is True
+
+    @pytest.mark.parametrize("normality, gates", [
+        (False, {"mean_bound_and_chain"}),
+        (True, {"mean_bound_and_chain", "normality_implication"}),
+    ])
+    def test_gates_are_the_chain_and_the_implication(self, tmp_path, normality, gates):
+        cfg = self.write_config(tmp_path, normality=normality)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        assert set(load(out)["gates"]) == gates
 
     # Levels {0, 1, 3, 7}: 2*spread + 1 = 15.  At seed 3 with 20 000 trials a
     # grid of 1 point gave 47 implication violations, 2 points gave 3.

@@ -1,4 +1,4 @@
-"""Ensemble orchestration: determinism, tail bound audit, normality fractions."""
+"""Ensemble orchestration: determinism, normality fractions."""
 
 import json
 from collections import Counter
@@ -11,7 +11,6 @@ from ergolab import (
     ExperimentConfig,
     Spectrum,
     TheoremParams,
-    markov_check,
     normality_fraction,
     run_experiment,
     wilson_interval,
@@ -122,34 +121,6 @@ class TestRunExperiment:
             assert typicality.sufficient_condition(threshold, cfg.params, rank, cfg.dim_total)
             above = float(np.nextafter(threshold, np.inf))
             assert not typicality.sufficient_condition(above, cfg.params, rank, cfg.dim_total)
-
-
-class TestMarkovCheck:
-    def test_threshold_above_max_trivially_passes(self):
-        experiment = run_experiment(make_config())["experiment"]
-        out = markov_check(experiment, experiment["overall"]["max"] * 2)
-        assert out["pass"] and out["prob_exceed"] == 0.0
-
-    def test_vacuous_bound_regime(self):
-        experiment = run_experiment(make_config())["experiment"]
-        out = markov_check(experiment, experiment["overall"]["mean"] / 2)
-        assert out["pass"]
-        assert out["markov_bound"] >= 1.0
-
-    def test_nonpositive_threshold_rejected(self):
-        experiment = run_experiment(make_config())["experiment"]
-        with pytest.raises(ValueError, match="positive"):
-            markov_check(experiment, 0.0)
-
-    def test_adversarial_inconsistency_detected(self):
-        # fabricate a report whose stored mean is far below what its
-        # samples imply: the tail bound cannot hold and the audit must fire
-        base = run_experiment(make_config(trials=10))["experiment"]
-        fake = dict(base,
-                    overall={"mean": 0.01, "stderr": 0.0, "max": 2.0, "min": 2.0},
-                    trial_totals=np.full((10, 2), 2.0))
-        out = markov_check(fake, 1.0)
-        assert not out["pass"]
 
 
 class TestWilson:

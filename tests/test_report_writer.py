@@ -112,7 +112,7 @@ class TestRun:
         # the README's run config, at 10 000 trials
         cfg = run_config(tmp_path / "config.json", trials=10_000, state="haar-fixed")
         code, text = run_main(["run", cfg])
-        assert code == 0 and len(text) == 752_052
+        assert code == 0 and len(text) == 751_857
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
