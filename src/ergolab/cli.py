@@ -440,7 +440,7 @@ def cmd_compute_l(args) -> int:
 
     cell_records = []
     cells = montecarlo.evaluate_cells(spec, dims, coords)
-    for k, (rank, (b, bound, gap_ok, resonant_ok)) in enumerate(zip(dims, cells)):
+    for k, (rank, (b, bound, gap_ok, resonant_ok, _)) in enumerate(zip(dims, cells)):
         record = {name: float(value) for name, value in b.items() if name != "time_avg_weight"}
         record.update({
             "cell": k + 1,
@@ -606,8 +606,11 @@ def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
     if isinstance(state, dict):
         amplitudes = _amplitudes(_object(state, '"state"', STATE_KEYS).get("amplitudes"))
         policy = "explicit"
-    else:
-        policy = str(state)
+    elif isinstance(state, str):
+        policy = state
+    else:  # the JSON type of a decoded value that is neither
+        kind = {type(None): "null", bool: "boolean", list: "array"}.get(type(state), "number")
+        raise ValueError(f'"state" must be a policy name or an object, got a JSON {kind}')
     normality = doc.get("normality", False)
     if not isinstance(normality, bool):
         raise ValueError(f'"normality" must be true or false, got {normality!r}')

@@ -35,8 +35,19 @@ exp(-i E tau_j) = exp(-2*pi*i (E*j mod N)/N).  :func:`grid_phases` forms
 the phases that way: the residues E mod N are taken on the exact integers
 and the N roots are tabulated once, so a phase is as accurate at E = 10^17
 as at E = 1, and a common energy offset stays an exact global phase.
-Every phase the program evaluates is one of these; compute-l's trajectory
-dump, which reads each grid time once, forms its roots without the table.
+compute-l's oracle gathers its phases from the table; its trajectory dump,
+which reads each grid time once, forms its roots without the table.
+
+``run``'s normality audit evolves no coordinates.  The weight of a cell is
+the gap polynomial w(tau) = G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau)) over
+the buckets G_g of its shell overlap matrix (see :mod:`ergolab.typicality`),
+so :func:`normal_time_fractions` needs the phases of the n positive gaps
+only: each gap is reduced mod N on the exact integers, and the phase at
+index j0 + l is the product of the exact roots at j0 and at l, l within a
+slice, so within a few ulp of the exact root.  It walks the grid a slice
+and one cell at a time, a real (trials, 2n) x (2n, times) product per cell
+and slice, and a slice's times are bounded (SLICE_BYTES), so its arrays do
+not grow with the grid.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import PairIndex, Spectrum
 
 __all__ = [
     "shell_offsets",
@@ -65,6 +76,8 @@ __all__ = [
     "GridPhases",
     "grid_phases",
     "evolved_weights",
+    "weight_polynomials",
+    "polynomial_weights",
     "normal_time_fractions",
     "time_fraction_normal",
 ]
@@ -72,12 +85,21 @@ __all__ = [
 STATE_NORM_TOL = 1e-10
 
 # Grid indices per observable call of discrete_time_average, and times per
-# slice of the trajectory dump.  compute-l on levels 125k/2 (k < 40, D = 80;
-# one pass over a 9 751-point grid for 4 cells), in-process on a 2-core
-# x86-64 VM at one BLAS thread, median of four sweeps of 25 runs: slices of
-# 32, 128 and 1024 took 24, 16 and 23 ms at tracemalloc peaks of 926, 929
-# and 2612 KiB.
+# slice of the trajectory dump and of normal_time_fractions.  compute-l on
+# levels 125k/2 (k < 40, D = 80; one pass over a 9 751-point grid for 4
+# cells), in-process on a 2-core x86-64 VM at one BLAS thread, median of
+# four sweeps of 25 runs: slices of 32, 128 and 1024 took 24, 16 and 23 ms
+# at tracemalloc peaks of 926, 929 and 2612 KiB.
 GRID_SLICE = 128
+
+# Bytes of normal_time_fractions' arrays per time of a grid slice: a float
+# deviation and two booleans per trial, and per positive gap three complex
+# or paired real phases.  A slice holds GRID_SLICE times, or more while its
+# arrays stay within SLICE_BYTES: a block of few trials, such as one trial
+# of D = 256, then walks its grid in few slices.
+INSTANT_BYTES = 10
+GAP_PHASE_BYTES = 48
+SLICE_BYTES = 1 << 18
 
 # Largest grid of grid_phases.  A grid index and a residue are both below N,
 # so their int64 product stays below N^2 <= 2^63 - 1 exactly when N is at
@@ -239,6 +261,24 @@ class GridPhases:
         """Phase rows of the grid indices j, gathered from the table."""
         return self.roots[self.exponents(indices)]
 
+    def gap_slices(self, index: PairIndex, times: int):
+        """The phases exp(-i g tau_j) of the positive gaps g of ``index``,
+        ascending, along the whole grid, as real (2 n, times) rows per slice
+        of ``times`` consecutive indices j (the last slice shorter): the real
+        parts for each g, then the imaginary parts.  Each gap is reduced mod
+        N in Python integers, whether the index holds int64 gaps or, past
+        int64, Python ones.  The phase at j0 + l is the product of the exact
+        roots at j0 and at l, the roots at l < ``times`` formed once, so a
+        phase is within a few ulp of the exact one and no table of N roots
+        is built."""
+        n = self.grid_points
+        positive = index.gap_values[index.gap_values.size // 2 + 1:]
+        gaps = np.array([g % n for g in positive.tolist()], dtype=np.int64)
+        first = _roots_of_unity(np.multiply.outer(gaps, np.arange(min(times, n))) % n, n)
+        for j in range(0, n, times):
+            roots = first[:, :n - j] * _roots_of_unity(gaps * j % n, n)[:, None]
+            yield np.concatenate([roots.real, roots.imag])
+
     def formed(self, indices) -> np.ndarray:
         """:meth:`rows` bit for bit, each root formed on its own, so no
         table of N roots is built: for indices read once each."""
@@ -291,23 +331,67 @@ def _membership(ranks: tuple[int, ...]) -> np.ndarray:
     return membership
 
 
+def weight_polynomials(overlaps: np.ndarray, index: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell weight of a stack of shell overlap matrices as its gap
+    polynomial w(tau) = G_0 + 2 sum_{g > 0} Re(G_g exp(-i g tau)).
+
+    ``overlaps`` is (..., D_E, D_E), from :func:`overlap_matrices`, on the
+    spectrum whose pair index is ``index``; G_g sums the entries S[a, b]
+    with E_b - E_a = g, one gather and one segmented sum over the pairs of
+    the gaps g >= 0.  Returns G_0 (...,) and the real coefficients
+    (..., 2 n) of the n positive gaps, ascending: 2 Re G_g for each, then
+    -2 Im G_g, which :func:`polynomial_weights` pairs with the real and
+    imaginary rows of :meth:`GridPhases.gap_slices`.
+    """
+    positions, starts = index.gap_groups
+    zero = index.gap_values.size // 2  # gaps are symmetric about 0
+    first = starts[zero]
+    pairs = np.take(overlaps.reshape(*overlaps.shape[:-2], -1), positions[first:], axis=-1)
+    buckets = np.add.reduceat(pairs, starts[zero:] - first, axis=-1)
+    positive = buckets[..., 1:]
+    return buckets[..., 0].real, np.concatenate([2 * positive.real, -2 * positive.imag], axis=-1)
+
+
+def polynomial_weights(polynomial: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The weights (..., times) of :func:`weight_polynomials` at the grid
+    times of one slice of gap phase rows (:meth:`GridPhases.gap_slices`):
+    G_0 plus one real product."""
+    constant, coefficients = polynomial
+    weights = coefficients @ rows
+    weights += constant[..., None]
+    return weights
+
+
 def normal_time_fractions(
-    phases: np.ndarray, coords: np.ndarray, ranks, epsilon: float
+    overlaps, ranks, epsilon: float, index: PairIndex, phases: GridPhases
 ) -> np.ndarray:
     """Fraction of the grid times at which every cell weight is near its share.
 
-    ``phases`` holds the phase rows of the grid times (from
-    :func:`grid_phases`); ``coords`` the shell coordinates of complete bases
-    whose consecutive column blocks of the given ranks are the cells, so the
-    ranks sum to D.  One fraction per leading index.
+    ``overlaps`` lists each cell's shell overlap matrix, or stack of them,
+    for consecutive column blocks of the given ranks of complete bases, so
+    the ranks sum to D; ``index`` is the pair index of the spectrum and
+    ``phases`` its grid.  Each weight is evaluated from its gap polynomial
+    (:func:`weight_polynomials`), one cell and one slice of grid times at a
+    time (GRID_SLICE times, or more within SLICE_BYTES), and the closeness
+    of every cell is ANDed into one boolean per trial and time of the
+    slice.  One fraction per leading index.
     """
     ranks = np.asarray(ranks)
     fracs = ranks / ranks.sum()
     tol = (epsilon / math.sqrt(ranks.size)) * np.sqrt(fracs)
-    deviations = evolved_weights(phases, coords, ranks)
-    deviations -= fracs
-    np.abs(deviations, out=deviations)
-    return np.all(deviations <= tol, axis=-1).mean(axis=-1)
+    polynomials = [weight_polynomials(s, index) for s in overlaps]
+    inside = np.zeros(np.shape(overlaps[0])[:-2], dtype=np.int64)
+    gaps = index.gap_values.size // 2
+    times = max(GRID_SLICE, SLICE_BYTES // (INSTANT_BYTES * inside.size + GAP_PHASE_BYTES * gaps))
+    for rows in phases.gap_slices(index, times):
+        near = np.ones((*inside.shape, rows.shape[-1]), dtype=bool)
+        for polynomial, frac, bound in zip(polynomials, fracs, tol):
+            deviations = polynomial_weights(polynomial, rows)
+            deviations -= frac
+            np.abs(deviations, out=deviations)
+            near &= deviations <= bound
+        inside += np.count_nonzero(near, axis=-1)
+    return inside / phases.grid_points
 
 
 def time_fraction_normal(
@@ -326,10 +410,12 @@ def time_fraction_normal(
     ``|w_nu - d_nu/D| <= (epsilon/sqrt(M)) * sqrt(d_nu/D)`` simultaneously
     for all cells.  Requires an integer spectrum, for which the trajectory
     has period 2*pi and the long-run fraction equals the one-period
-    fraction; the phases are those of :func:`grid_phases`, as ``run`` takes
-    them.
+    fraction.  It is :func:`normal_time_fractions` on one state, as ``run``
+    evaluates a block of trials.
     """
+    phases = grid_phases(spec, grid_points)
+    offsets = shell_offsets(spec)
+    overlaps = [overlap_matrices(shell_coordinates(cell, vector, offsets))
+                for cell in decomposition]
     ranks = [cell.shape[1] for cell in decomposition]
-    phases = grid_phases(spec, grid_points).rows(np.arange(grid_points))
-    coords = shell_coordinates(np.hstack(decomposition), vector, shell_offsets(spec))
-    return float(normal_time_fractions(phases, coords, ranks, epsilon))
+    return float(normal_time_fractions(overlaps, ranks, epsilon, spec.pair_index, phases))

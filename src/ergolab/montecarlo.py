@@ -6,30 +6,43 @@ index): first the Ginibre matrix of its Haar unitary, then, under
 any execution order, and a report is a pure function of its configuration.
 
 Trials are evaluated in blocks of consecutive indices.  A block draws each
-of its trials from that trial's substream in the order above, factors all
-of its Ginibre matrices in one stacked QR, checks all of its state norms at
-once, and then evaluates every trial once, with array operations over the
-block: the per-cell deviations and their inequality chain
-(:func:`evaluate_cells`, which ``compute-l`` runs on its one state) and,
-when ``normality`` is on, both normality routes.  A trial's cells are the
-consecutive column blocks of its Haar unitary, as
-:func:`~ergolab.randomness.sample_decomposition` cuts them; the blocks are
-never copied out, the kernels read them as columns of the whole unitary.
-Every per-trial deviation is kept in a (trials, cells) array.
+of its trials from that trial's substream in the order above, filling the
+block's Ginibre matrices and states in place, factors all of its Ginibre
+matrices in one stacked QR, checks all of its state norms at once, and
+then evaluates every trial once, with array operations over the block: the
+per-cell deviations and their inequality chain (:func:`evaluate_cells`,
+which ``compute-l`` runs on its one state) and, when ``normality`` is on,
+both normality routes.  Each cell's shell overlap matrices are formed once,
+for the deviation kernel and for the direct normality route, which sums
+them into gap buckets and evaluates every cell weight on the grid as the
+gap polynomial G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau))
+(:func:`~ergolab.dynamics.normal_time_fractions`): no trial's coordinates
+are evolved.  A trial's cells are the consecutive column blocks of its Haar
+unitary, as :func:`~ergolab.randomness.sample_decomposition` cuts them; the
+blocks are never copied out, the kernels read them as columns of the whole
+unitary.  Every per-trial deviation is kept in a (trials, cells) array.
 
 The block size only trades speed for memory; it changes no result, since
 every kernel works trial by trial along the leading axis.  A block gets
 BLOCK_BYTES for its working arrays, counted per trial as the complex D x D
 matrices alive while it is drawn and factored (_MATRICES_PER_TRIAL of
-them; the D_E x D shell coordinates and overlap matrices are smaller) or,
-with ``normality``, the complex (grid_points, D) evolved coordinates,
-whichever is larger.  The budget was read off the benchmark's
-ensemble-small workload (D = 8, 1000 grid points, 500 trials, normality
-on) on a 2-core x86-64 VM with one BLAS thread, where the peak resident
-set is 42.55 MiB trial by trial.  Blocks of 4, 8 and 16 trials (budgets
-of 512 KiB, 1 MiB and 2 MiB) ran in 1.80, 1.59 and 1.40 reference units
-against 6.45, and raised that peak by 0.2, 0.8 and 2.1 MiB; 1 MiB is the
-largest budget that keeps the peak well inside 5% of it.
+them) or, with ``normality``, the arrays the normality route holds per
+trial, whichever is larger: the shell coordinates, each cell's overlap
+matrix and its gap polynomial, and INSTANT_BYTES per time of a slice of
+GRID_SLICE grid times.  The grid is walked in slices, so no array grows
+with ``grid_points``: a slice's gap phases, shared by the block, take
+GAP_PHASE_BYTES per positive gap and time, and the longer slices of a
+small block stay within SLICE_BYTES (all in :mod:`ergolab.dynamics`).  The
+draws' arrays die before the block is evaluated, and the block's before
+the next is drawn.
+Measured on the benchmark's ensemble-small workload (D = 8, 1000 grid
+points, 500 trials, normality on; 170-trial blocks) in-process on a 2-core
+x86-64 VM with one BLAS thread: the tracemalloc peak of a run is 1053 KiB,
+BLOCK_BYTES and 29 KiB; budgets of 512 KiB, 1 MiB and 2 MiB raised the
+peak resident set by about 0.1, 0.5 and 1.5 MiB over blocks of one trial
+(42.5 MiB), while a run took 26, 22 and 27 ms (medians of 21) against
+540 ms.  1 MiB is the largest budget that keeps the peak well inside 5% of
+it.
 """
 
 from __future__ import annotations
@@ -40,6 +53,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    GRID_SLICE,
+    INSTANT_BYTES,
     MAX_PHASE_GRID,
     deviation_grid_points,
     grid_phases,
@@ -53,9 +68,10 @@ from .dynamics import (
 )
 from .randomness import (
     DEFAULT_SEED,
-    ginibre_matrix,
+    ginibre_matrices,
     haar_from_ginibre,
     mean_stderr,
+    random_states,
     sample_random_state,
     substream,
 )
@@ -169,22 +185,25 @@ class ExperimentConfig:
 
 
 def evaluate_cells(spec: Spectrum, ranks, coords: np.ndarray):
-    """Yield ``(record, bound, gap_ok, resonant_ok)`` for every cell, in order.
+    """Yield ``(record, bound, gap_ok, resonant_ok, overlaps)`` for every
+    cell, in order.
 
     ``coords`` is the shell coordinates
     (:func:`~ergolab.dynamics.shell_coordinates`) of one state, or a stack of
     them, on complete bases whose consecutive column blocks of the given
-    ranks are the cells.  Each cell's overlap matrices go through
+    ranks are the cells.  Each cell's overlap matrices, formed once and
+    yielded as ``overlaps``, go through
     :func:`~ergolab.typicality.deviation_breakdowns`.  The two links of the
     inequality chain, each within CHAIN_SLACK and broken by NaN: the
     ergodicity gap stays below the total, the resonant term below ``bound``.
     """
     index = spec.pair_index
     for rank, columns in zip(ranks, np.split(coords, np.cumsum(ranks)[:-1], axis=-1)):
-        b = deviation_breakdowns(overlap_matrices(columns), rank / spec.dim_total, index)
+        s = overlap_matrices(columns)
+        b = deviation_breakdowns(s, rank / spec.dim_total, index)
         bound = resonant_term_bound(b["time_avg_weight"], index.max_sum_degeneracy)
         yield (b, bound, b["diag_dev_sq"] <= b["total"] + CHAIN_SLACK,
-               b["resonant_term"] <= bound + CHAIN_SLACK)
+               b["resonant_term"] <= bound + CHAIN_SLACK, s)
 
 
 def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
@@ -204,10 +223,51 @@ def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
 def _block_trials(config: ExperimentConfig) -> int:
     """Trials per block: as many as keep one block's arrays within BLOCK_BYTES."""
     dim = config.dim_total
-    width = _MATRICES_PER_TRIAL * dim
+    per_trial = 16 * _MATRICES_PER_TRIAL * dim * dim
     if config.normality:
-        width = max(width, config.grid_points)
-    return max(1, min(config.trials, BLOCK_BYTES // (16 * dim * width)))
+        levels = config.spectrum.num_levels
+        kept = 16 * levels * dim + 24 * len(config.dims) * levels * levels
+        per_trial = max(per_trial, kept + INSTANT_BYTES * min(config.grid_points, GRID_SLICE))
+    return max(1, min(config.trials, BLOCK_BYTES // per_trial))
+
+
+def _block_coordinates(config: ExperimentConfig, trials: range, fixed, offsets) -> np.ndarray:
+    """The shell coordinates of the Haar unitaries of a block of trials,
+    each trial's drawn from its substream: the Ginibre matrix, then, when
+    ``fixed`` is None, the state.  The D x D arrays die on return."""
+    dim = config.dim_total
+    rngs = [substream(config.seed, 1, t) for t in trials]
+    ginibre = ginibre_matrices(dim, rngs)
+    states = unit_rows(random_states(dim, rngs)) if fixed is None else fixed
+    return shell_coordinates(haar_from_ginibre(ginibre), states, offsets)
+
+
+def _evaluate_block(config: ExperimentConfig, trials: range, fixed, offsets, phases,
+                    block_totals: np.ndarray) -> tuple[int, int, int, int]:
+    """Draw and evaluate a block of trials, writing their deviations into
+    ``block_totals``.  Returns the block's chain violations and, with
+    normality (``phases`` not None), its sufficient, direct and
+    implication-violating trials.  The block's arrays die on return, before
+    the next block is drawn."""
+    spec, p, dim = config.spectrum, config.params, config.dim_total
+    coords = _block_coordinates(config, trials, fixed, offsets)
+    chain_violations = 0
+    overlaps = []  # kept for the normality route only
+    for k, (b, _, gap_ok, resonant_ok, s) in enumerate(evaluate_cells(spec, config.dims, coords)):
+        block_totals[:, k] = b["total"]
+        chain_violations += int(np.sum(~gap_ok) + np.sum(~resonant_ok))
+        if phases is not None:
+            overlaps.append(s)
+    if phases is None:
+        return chain_violations, 0, 0, 0
+    ok_sufficient = np.all([
+        sufficient_condition(block_totals[:, k], p, rank, dim)
+        for k, rank in enumerate(config.dims)
+    ], axis=0)
+    fractions = normal_time_fractions(overlaps, config.dims, p.epsilon, spec.pair_index, phases)
+    ok_direct = fractions >= 1 - p.delta_prime
+    return (chain_violations, int(np.sum(ok_sufficient)), int(np.sum(ok_direct)),
+            int(np.sum(ok_sufficient & ~ok_direct)))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -235,44 +295,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     spec = config.spectrum
     d_f = spec.pair_index.max_sum_degeneracy
     dim = config.dim_total
-    p = config.params
     fixed = _fixed_state(config)
     offsets = shell_offsets(spec)
     phases = None
     if config.normality:
-        grid = config.grid_points
-        phases = grid_phases(integer_rescaled(spec)[0], grid).rows(np.arange(grid))
+        phases = grid_phases(integer_rescaled(spec)[0], config.grid_points)
 
     totals = np.empty((config.trials, len(config.dims)))
-    chain_violations = 0
-    sufficient_count = direct_count = implication_violations = 0
+    tallies = [0, 0, 0, 0]
     block = _block_trials(config)
     for first in range(0, config.trials, block):
         trials = range(first, min(first + block, config.trials))
-        ginibre = np.empty((len(trials), dim, dim), dtype=complex)
-        states = np.empty((len(trials), dim), dtype=complex)
-        for i, t in enumerate(trials):
-            rng = substream(config.seed, 1, t)
-            ginibre[i] = ginibre_matrix(dim, rng)
-            if fixed is None:
-                states[i] = sample_random_state(dim, rng)
-        states = unit_rows(states) if fixed is None else fixed
-        coords = shell_coordinates(haar_from_ginibre(ginibre), states, offsets)
-        block_totals = totals[trials.start:trials.stop]
-        cells = evaluate_cells(spec, config.dims, coords)
-        for k, (b, _, gap_ok, resonant_ok) in enumerate(cells):
-            block_totals[:, k] = b["total"]
-            chain_violations += int(np.sum(~gap_ok) + np.sum(~resonant_ok))
-        if config.normality:
-            ok_sufficient = np.all([
-                sufficient_condition(block_totals[:, k], p, rank, dim)
-                for k, rank in enumerate(config.dims)
-            ], axis=0)
-            fractions = normal_time_fractions(phases, coords, config.dims, p.epsilon)
-            ok_direct = fractions >= 1 - p.delta_prime
-            sufficient_count += int(np.sum(ok_sufficient))
-            direct_count += int(np.sum(ok_direct))
-            implication_violations += int(np.sum(ok_sufficient & ~ok_direct))
+        tallies = [a + b for a, b in zip(tallies, _evaluate_block(
+            config, trials, fixed, offsets, phases, totals[trials.start:trials.stop]))]
+    chain_violations, sufficient_count, direct_count, implication_violations = tallies
 
     cells = []
     for k, rank in enumerate(config.dims):

@@ -54,10 +54,12 @@ __all__ = [
     "DEFAULT_SEED",
     "substream",
     "ginibre_matrix",
+    "ginibre_matrices",
     "haar_from_ginibre",
     "sample_haar_unitary",
     "sample_haar_frame",
     "sample_random_state",
+    "random_states",
     "sample_decomposition",
     "GATE_SIGMA",
     "mean_stderr",
@@ -84,19 +86,30 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     Trials seeded this way are reproducible regardless of execution order,
     so concurrent callers can draw their own substreams and still aggregate
-    deterministically.
+    deterministically.  It is ``np.random.default_rng`` of the same seed
+    list, built without that function's argument checks, which took a third
+    of the time of a trial's draws at D = 8.
     """
-    return np.random.default_rng([int(seed), *(int(p) for p in path)])
+    return np.random.Generator(np.random.PCG64([int(seed), *(int(p) for p in path)]))
 
 
 def ginibre_matrix(dim: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
     """Complex Ginibre matrix with entries of unit mean squared modulus:
     ``dim`` rows and ``cols`` columns (``dim`` when None), real parts
     drawn first."""
+    return ginibre_matrices(dim, [rng], cols)[0]
+
+
+def ginibre_matrices(dim: int, rngs, cols: int | None = None) -> np.ndarray:
+    """One :func:`ginibre_matrix` from each generator, stacked: each draw
+    fills its matrix's real and imaginary parts in place."""
     shape = (dim, dim if cols is None else cols)
     if min(shape) < 1:
         raise ValueError(f"dimensions must be >= 1, got {shape}")
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z = np.empty((len(rngs), *shape), dtype=complex)
+    for matrix, rng in zip(z, rngs):
+        matrix.real = rng.standard_normal(shape)
+        matrix.imag = rng.standard_normal(shape)
     z /= math.sqrt(2.0)
     return z
 
@@ -127,9 +140,19 @@ def sample_haar_frame(dim: int, cols: int, rng: np.random.Generator) -> np.ndarr
 def sample_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random unit vector of shape (dim,) in a dim-dimensional
     complex space."""
+    return random_states(dim, [rng])[0]
+
+
+def random_states(dim: int, rngs) -> np.ndarray:
+    """One :func:`sample_random_state` from each generator, as the rows of
+    one array: each draw fills its row's real and imaginary parts in place,
+    and each row is divided by its norm."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    z = np.empty((len(rngs), dim), dtype=complex)
+    for row, rng in zip(z, rngs):
+        row.real = rng.standard_normal(dim)
+        row.imag = rng.standard_normal(dim)
     # The axis form sums in numpy, not by a BLAS dot: seeded states rely on it.
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 

@@ -50,6 +50,11 @@ real by construction.  The buckets come from the spectrum's integer
 :class:`~ergolab.spectrum.PairIndex`, so each cell costs one gather and one
 segmented sum over D_E^2 entries instead of a loop over sum classes.
 
+The same buckets give the weight at every time, w(tau) = G_0 +
+2 sum_{g>0} Re(G_g exp(-i g tau)): ``run``'s normality audit evaluates it
+on its time grid from the overlap matrices the deviation kernel reads
+(:func:`ergolab.dynamics.weight_polynomials`).
+
 The kernel (:func:`deviation_breakdowns`) takes a stack of overlap
 matrices and returns a dict of every piece as an array over the stack,
 which is how ``run`` and ``compute-l`` evaluate every cell (through

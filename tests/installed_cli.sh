@@ -14,7 +14,10 @@
 # 1000-point grid is 1 and every row of weights equals the first within
 # 1e-15; run writes the experiment and normality records of a 200-trial
 # ensemble, gated on the inequality chain and the normality implication
-# alone; analyze writes the gap and sum tables of a rational degenerate
+# alone; run with normality on levels 10^19 + {0, 1, 3, 4}, past int64, where
+# the pair index holds Python integers, and on {0, 1, 3, 4} at the same seed
+# must give equal normality records and equal trial totals, the offset being
+# a global phase; analyze writes the gap and sum tables of a rational degenerate
 # spectrum.  The report writer must be a fixed point of the stdlib encoder:
 # the analyze, run and compute-l reports must each equal
 # json.dumps(json.load(f), indent=2, sort_keys=True) plus a newline.  Any
@@ -37,6 +40,10 @@ python -c 'lines = open("far.tsv").read().splitlines(); rows = [[float(x) for x 
 python -c 'import json; json.dump({"spectrum": {"levels": [{"energy": e, "degeneracy": 2} for e in range(4)]}, "dims": [2, 2, 2, 2], "state": "haar-per-trial", "trials": 200, "normality": True}, open("run.json", "w"))'
 ergolab run run.json --out run-report.json
 python -c 'import json; doc = json.load(open("run-report.json")); assert doc["pass"] is True and doc["normality"]["implication_violations"] == 0 and len(doc["experiment"]["trial_totals"]) == 200 and "markov" not in doc and set(doc["gates"]) == {"mean_bound_and_chain", "normality_implication"}, doc["gates"]'
+python -c 'import json; [json.dump({"spectrum": {"levels": [{"energy": shift + e, "degeneracy": 2} for e in (0, 1, 3, 4)]}, "dims": [2, 2, 2, 2], "state": "haar-per-trial", "trials": 100, "params": {"epsilon": 0.8, "delta": 0.5, "delta_prime": 0.5}, "normality": True}, open(name, "w")) for shift, name in [(10**19, "far-run.json"), (0, "near-run.json")]]'
+ergolab run far-run.json --out far-run-report.json
+ergolab run near-run.json --out near-run-report.json
+python -c 'import json; far, near = (json.load(open(f)) for f in ("far-run-report.json", "near-run-report.json")); assert far["normality"] == near["normality"] and 0 < far["normality"]["direct_fraction"] < 1 and far["experiment"]["trial_totals"] == near["experiment"]["trial_totals"], (far["normality"], near["normality"])'
 python -c 'import json; json.dump({"levels": [{"energy": e, "degeneracy": d} for e, d in [(0, 2), ("1/3", 1), ("1/2", 2), ("7/4", 1), ("-5/6", 3)]]}, open("rational.json", "w"))'
 ergolab analyze rational.json --out analyze.json
 python -c 'import json, sys; bad = [f for f in sys.argv[1:] if json.dumps(json.load(open(f)), indent=2, sort_keys=True) + "\n" != open(f).read()]; assert not bad, bad' analyze.json run-report.json oracle.json

@@ -4,7 +4,9 @@ The oracles here deliberately use different algorithms from the package
 (quadruple loops and pairwise counting instead of value grouping, dense
 projectors instead of shell coordinates) so that agreement is evidence, not
 tautology.  The ensemble reference evaluates one trial at a time through the
-public single-state functions, where the package evaluates blocks of trials.
+public single-state functions, where the package evaluates blocks of trials,
+and takes its normality fractions from evolved coordinates, where the package
+evaluates gap polynomials.
 A cell is a (D, d) array of orthonormal basis columns, as the package takes
 it.
 """
@@ -26,10 +28,16 @@ from ergolab import (
     sample_random_state,
     substream,
     sum_structure,
-    time_fraction_normal,
     unitary_block_statistics,
 )
-from ergolab.dynamics import GRID_SLICE, evolved_weights, exact_grid_points
+from ergolab.dynamics import (
+    GRID_SLICE,
+    evolved_weights,
+    exact_grid_points,
+    grid_phases,
+    shell_coordinates,
+    shell_offsets,
+)
 from ergolab.randomness import (
     GATE_SIGMA,
     _block_record,
@@ -205,6 +213,21 @@ def trajectory_weights(energies: np.ndarray, coords: np.ndarray, ranks, taus) ->
     return evolved_weights(time_phases(energies, taus), coords, ranks)
 
 
+def evolved_time_fraction(spec: Spectrum, vector, decomposition, epsilon: float,
+                          grid_points: int) -> float:
+    """``time_fraction_normal`` by the evolved-coordinate route: every cell
+    weight at every time of the integer spectrum's grid, from
+    ``evolved_weights`` on the phase rows of the whole grid, then the share
+    of times at which every weight is within its tolerance."""
+    ranks = [cell.shape[1] for cell in decomposition]
+    fracs = np.array(ranks) / spec.dim_total
+    tol = (epsilon / math.sqrt(len(ranks))) * np.sqrt(fracs)
+    coords = shell_coordinates(np.hstack(decomposition), vector, shell_offsets(spec))
+    rows = grid_phases(spec, grid_points).rows(np.arange(grid_points))
+    deviations = np.abs(evolved_weights(rows, coords, ranks) - fracs)
+    return float(np.all(deviations <= tol, axis=-1).mean())
+
+
 def evolve(spec: Spectrum, vector: np.ndarray, tau: float) -> np.ndarray:
     """State vector on ``spec`` after time tau: each coordinate picks up the
     float phase exp(-i E tau) of its energy."""
@@ -259,7 +282,7 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
     (``haar-per-trial`` only) a state; fixed states come from the policy
     alone.  Each cell goes through :func:`deviation_exact`, the chain is
     checked on the breakdown, and the direct normality route runs
-    :func:`time_fraction_normal` on the integer-rescaled spectrum.
+    :func:`evolved_time_fraction` on the integer-rescaled spectrum.
     """
     spec, dim, p = config.spectrum, config.dim_total, config.params
     d_f = sum_structure(spec).max_sum_degeneracy
@@ -286,7 +309,7 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
             chain += not b["resonant_term"] <= bound + chain_slack
             ok_sufficient = ok_sufficient and b["total"] <= config.threshold(cell.shape[1])
         if config.normality:
-            fraction = time_fraction_normal(
+            fraction = evolved_time_fraction(
                 ispec, vector, decomposition, p.epsilon, config.grid_points)
             ok_direct = fraction >= 1 - p.delta_prime
             sufficient += ok_sufficient

@@ -506,8 +506,9 @@ class TestComputeLPath:
         assert calls == {"discrete_time_average": 1, "prepare_state": 1}
 
     def test_time_grid_kernels_read_one_column_per_level(self, tmp_path, monkeypatch):
-        # run's normality route, the oracle and the dump evolve the D_E x D
-        # shell coordinates with one phase per level, never a D-wide array
+        # the oracle and the dump evolve the D_E x D shell coordinates with
+        # one phase per level, never a D-wide array; run's normality route
+        # reads gap polynomials and evolves no coordinates
         widths = Counter()
         evolved = dynamics.evolved_weights
 
@@ -526,9 +527,8 @@ class TestComputeLPath:
             "spectrum": json.loads(Path(spec_path).read_text()), "dims": [4, 4],
             "trials": 3, "state": "haar-per-trial", "normality": True}))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
-        # one oracle slice for all cells (15 grid times), 3 dump slices and 1
-        # block of run trials
-        assert widths == {(3, 3): 1 + 3 + 1}
+        # one oracle slice for all cells (15 grid times) and 3 dump slices
+        assert widths == {(3, 3): 1 + 3}
 
     def test_one_membership_matrix_per_rank_tuple(self, tmp_path):
         # two cells of rank 3: two oracle slices of a 159-point grid and a
@@ -1226,6 +1226,10 @@ class TestRun:
         ({"state": {"amplitudes": [[1, 0]] + [[0, 0]] * 7, "phase": 0}}, "phase"),
         ({"log_base": 10}, "log_base"),
         ([{"dims": [4, 4]}], "JSON object"),
+        ({"state": 3}, '"state" must be a policy name or an object, got a JSON number'),
+        ({"state": True}, '"state" must be a policy name or an object, got a JSON boolean'),
+        ({"state": None}, '"state" must be a policy name or an object, got a JSON null'),
+        ({"state": [1]}, '"state" must be a policy name or an object, got a JSON array'),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, overrides, fragment):
         if isinstance(overrides, dict):

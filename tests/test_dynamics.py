@@ -24,13 +24,17 @@ from ergolab.dynamics import (
     evolved_weights,
     exact_grid_points,
     grid_phases,
+    overlap_matrices,
+    polynomial_weights,
     shell_coordinates,
     shell_offsets,
+    weight_polynomials,
 )
 
 from support import (
     cell_weight,
     evolve,
+    evolved_time_fraction,
     grid_times,
     level_energies,
     per_point,
@@ -433,3 +437,66 @@ class TestTimeFractionNormal:
         dec = sample_decomposition([1, 1], substream(6, 2))
         with pytest.raises(ValueError, match="integer"):
             time_fraction_normal(spec, vector, dec, 0.5)
+
+
+class TestGapPolynomialKernel:
+    """The normality kernel's gap polynomials against the evolved-coordinate
+    route: every weight at every grid time, and the fraction of times."""
+
+    # (levels, cell ranks, grid points, epsilon); every fraction lies
+    # strictly between 0 and 1, so both sides of each tolerance are hit
+    SHAPES = {
+        "4x2 equally spaced": ([(e, 2) for e in range(4)], [2, 2, 2, 2], 300, 0.8),
+        "8x32": ([(e, 32) for e in range(8)], [64, 64, 64, 64], 300, 0.05),
+        "powers of 2 x4": ([(2**k, 4) for k in range(6)], [6, 6, 6, 6], 300, 0.4),
+        "thirds": ([(F(k, 3), 2) for k in range(6)], [3, 3, 3, 3], 300, 0.6),
+        "offset 2^63": ([(2**63, 2), (2**63 + 1, 1), (2**63 + 3, 3)], [3, 3], 300, 0.3),
+        "16 rank-1 cells": ([(e, 1) for e in range(16)], [1] * 16, 300, 3.0),
+        # 11 points, below 2*spread + 1 = 33: mod 11 the gaps 13 and 15 alias
+        # the gaps 2 and 4
+        "aliased gaps": ([(0, 2), (1, 1), (3, 2), (7, 1), (16, 2)], [4, 4], 11, 0.5),
+    }
+
+    def instance(self, name):
+        levels, ranks, n, epsilon = self.SHAPES[name]
+        spec = integer_rescaled(spec_of(levels))[0]
+        rng = substream(17, list(self.SHAPES).index(name))
+        dec = sample_decomposition(ranks, rng)
+        vector = prepare_state(sample_random_state(spec.dim_total, rng), spec)
+        return spec, vector, dec, n, epsilon
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_weights_match_evolved_coordinates(self, name):
+        spec, vector, dec, n, _ = self.instance(name)
+        phases = grid_phases(spec, n)
+        index = spec.pair_index
+        offsets = shell_offsets(spec)
+        expected = evolved_weights(phases.rows(np.arange(n)),
+                                   shell_coordinates(np.hstack(dec), vector, offsets),
+                                   [cell.shape[1] for cell in dec])
+        slices = list(phases.gap_slices(index, GRID_SLICE))
+        assert len(slices) == -(-n // GRID_SLICE)
+        for k, cell in enumerate(dec):
+            polynomial = weight_polynomials(
+                overlap_matrices(shell_coordinates(cell, vector, offsets)), index)
+            weights = np.concatenate([polynomial_weights(polynomial, rows) for rows in slices])
+            np.testing.assert_allclose(weights, expected[:, k], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_fractions_equal_the_evolved_route(self, name):
+        spec, vector, dec, n, epsilon = self.instance(name)
+        fraction = time_fraction_normal(spec, vector, dec, epsilon, grid_points=n)
+        assert fraction == evolved_time_fraction(spec, vector, dec, epsilon, n)
+        assert 0 < fraction < 1
+
+    def test_gap_phases_reduce_exactly_past_int64(self):
+        # the shifted index holds Python integers; its gaps, reduced mod 7,
+        # give the unshifted spectrum's phases bit for bit
+        offset = 2**63
+        shifted = spec_of([(offset, 1), (offset + 1, 1), (offset + 3, 1)])
+        plain = spec_of([(0, 1), (1, 1), (3, 1)])
+        assert shifted.pair_index.gap_values.dtype == object
+        far, near = (list(grid_phases(spec, 7).gap_slices(spec.pair_index, 5))
+                     for spec in (shifted, plain))
+        assert [rows.shape for rows in far] == [(6, 5), (6, 2)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(far, near))

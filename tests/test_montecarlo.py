@@ -1,7 +1,9 @@
 """Ensemble orchestration: determinism, normality fractions."""
 
 import json
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -40,6 +42,28 @@ def make_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+class TestBlockBudget:
+    # Beyond BLOCK_BYTES a run holds its (trials, cells) deviations (16 KiB
+    # at 500 trials of 4 cells) and numpy's temporary buffers.
+    SLACK = 128 << 10
+
+    @pytest.mark.parametrize("grid_points, trials", [(1000, 500), (2_000_000, 2)],
+                             ids=["ensemble-small", "long-grid"])
+    def test_traced_peak_stays_within_the_block_budget(self, grid_points, trials):
+        config = ExperimentConfig(
+            spectrum=RES_SPEC, dims=(2, 2, 2, 2), params=TheoremParams(0.8, 0.5, 0.5, 4),
+            trials=trials, seed=1, state_policy="haar-per-trial",
+            grid_points=grid_points, normality=True)
+        run_experiment(replace(config, trials=1, grid_points=1000))  # first-call caches
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo.BLOCK_BYTES + self.SLACK
 
 
 class TestConfigValidation:

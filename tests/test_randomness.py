@@ -25,9 +25,11 @@ from ergolab.randomness import (
     GATE_SIGMA,
     _gaussian_chunks,
     _PowerSums,
+    ginibre_matrices,
     ginibre_matrix,
     haar_from_ginibre,
     mean_stderr,
+    random_states,
     sample_haar_frame,
 )
 
@@ -57,6 +59,35 @@ class TestSubstream:
         a = substream(7, 3).standard_normal(5)
         b = substream(7, 4).standard_normal(5)
         assert not np.allclose(a, b)
+
+    def test_default_rng_of_the_seed_list(self):
+        a = substream(7, 1, 2**40).standard_normal(5)
+        np.testing.assert_array_equal(a, np.random.default_rng([7, 1, 2**40]).standard_normal(5))
+
+
+class TestBlockDraws:
+    """The stacked draws ``run`` fills in place, bit for bit the complex
+    arrays formed from one generator's parts at a time, each generator's
+    Ginibre matrix before its state."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 17, 64])
+    def test_stacks_equal_one_draw_at_a_time(self, dim):
+        rngs = [substream(5, 1, t) for t in range(9)]
+        ginibre, states = ginibre_matrices(dim, rngs), random_states(dim, rngs)
+        for t in range(9):
+            rng = substream(5, 1, t)
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            z /= math.sqrt(2.0)
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            assert ginibre[t].tobytes() == z.tobytes()
+            assert states[t].tobytes() == v.tobytes()
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            ginibre_matrices(0, [substream(5, 0)])
+        with pytest.raises(ValueError):
+            random_states(0, [substream(5, 0)])
 
 
 class TestHaarUnitary:
