@@ -40,12 +40,14 @@ ORACLE_CELLS = 64
 MAX_DUMP_POINTS = 10_000_000
 
 # verify-lemmas size limits.  Memory is flat in --samples (power sums, not
-# samples, are kept), so the sample limit bounds running time: 3.2 s at
-# 10 000 000 samples and --dim 8 on a 2-core x86-64 VM, about 30 s at the
-# limit, and proportionally more at larger --dim.  The ensemble keeps 16
-# bytes per member, 1.6 GB at its limit.  Larger runs are refused before
-# any thread starts; arrays that cannot be allocated end in main's
-# out-of-memory line.
+# samples, are kept), so the sample limit bounds running time.  A state
+# draws max(--rank, 2) complex coordinates and one gamma variate, so the
+# time grows with --rank, not --dim: on a 2-core x86-64 VM with BLAS at one
+# thread, 10 000 000 samples took 2.1 s at --dim 8 --rank 2, 2.2 s at --dim
+# 1000 --rank 2 and 21 s at --dim 100 --rank 100, about ten times as long
+# at the limit.  The ensemble keeps 16 bytes per member, 1.6 GB at its
+# limit.  Larger runs are refused before any thread starts; arrays that
+# cannot be allocated end in main's out-of-memory line.
 MAX_LEMMA_SAMPLES = 100_000_000
 MAX_LEMMA_ENSEMBLE = 100_000_000
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -242,11 +242,13 @@ class GridPhases:
     ``residues`` holds each level's energy mod N, so the phase of level a
     at tau_j is the root exp(-2*pi*i*m/N) of exponent m = (j * residues[a])
     mod N.  ``roots``, the table of all N roots, is built when a row is
-    first gathered.
+    first gathered.  The first-slice roots of :meth:`gap_slices` are kept
+    per pair index and slice length, so a run's blocks form them once.
     """
 
     grid_points: int
     residues: np.ndarray
+    _gap_roots: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def roots(self) -> np.ndarray:
@@ -270,11 +272,16 @@ class GridPhases:
         int64, Python ones.  The phase at j0 + l is the product of the exact
         roots at j0 and at l, the roots at l < ``times`` formed once, so a
         phase is within a few ulp of the exact one and no table of N roots
-        is built."""
+        is built.  The gaps mod N and the roots at l are formed on the first
+        call for ``index`` and ``times`` and kept."""
         n = self.grid_points
-        positive = index.gap_values[index.gap_values.size // 2 + 1:]
-        gaps = np.array([g % n for g in positive.tolist()], dtype=np.int64)
-        first = _roots_of_unity(np.multiply.outer(gaps, np.arange(min(times, n))) % n, n)
+        if (index, times) not in self._gap_roots:
+            positive = index.gap_values[index.gap_values.size // 2 + 1:]
+            gaps = np.array([g % n for g in positive.tolist()], dtype=np.int64)
+            first = _roots_of_unity(np.multiply.outer(gaps, np.arange(min(times, n))) % n, n)
+            first.flags.writeable = False
+            self._gap_roots[index, times] = gaps, first
+        gaps, first = self._gap_roots[index, times]
         for j in range(0, n, times):
             roots = first[:, :n - j] * _roots_of_unity(gaps * j % n, n)[:, None]
             yield np.concatenate([roots.real, roots.imag])

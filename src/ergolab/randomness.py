@@ -29,13 +29,25 @@ Statistical reports follow one record shape per estimated quantity:
 ``{"estimate", "stderr", "target", "pass"}`` with 5-standard-error gates,
 which keeps the false-alarm rate of a seeded check below ~1e-6.
 
-Moment estimates stream their samples: Gaussian vectors are drawn a chunk
-of rows at a time, each entry's real and imaginary parts consecutive in one
-fill, so the draws are the same for any chunk size.  Each random state is
-drawn once and read by both moment checks, the rank-d weight and the sphere
-coordinates.  Each chunk adds to power sums taken about the exact target
-mean (the shifted-data algorithm of Chan, Golub & LeVeque, Am. Stat. 37,
-1983; Pébay, SAND2008-6212, 2008), from which the records' central moments
+Moment estimates draw only the coordinates they read.  Each random state
+is the normalized complex Gaussian vector z / |z|, and both moment checks
+read at most its first r = min(D, max(d, 2)) complex coordinates: the
+first d for the rank-d weight and the first two for the sphere records.
+Those 2r real coordinates are drawn; the other 2D - 2r enter only through
+the squared norm, as a sum of squares of independent standard normals,
+whose law is chi-square with 2(D - r) degrees of freedom, 2 Gamma(D - r).
+One ``standard_gamma`` draw per state replaces them, so each state has
+exactly the law of the full draw: its weight is Beta(d, D - d), and its
+squared moduli are the Dirichlet(1, ..., 1) shares of a uniform point on
+the sphere (Życzkowski & Sommers, J. Phys. A 34, 7111, 2001).  At r = D
+nothing is unread and no gamma is drawn.  The read coordinates are drawn a
+chunk of rows at a time from the stream's generator, each entry's real and
+imaginary parts consecutive in one fill, and the tails from a child
+generator spawned from it (``Generator.spawn``), so both are the same for
+any chunk size.  Each random state is drawn once and read by both moment
+checks.  Each chunk adds to power sums taken about the exact target mean
+(the shifted-data algorithm of Chan, Golub & LeVeque, Am. Stat. 37, 1983;
+Pébay, SAND2008-6212, 2008), from which the records' central moments
 follow by the binomial expansion, so memory is flat in the sample count.
 The chunk never changes the draws, but it fixes the order of the sums, and
 with it the last bits of a record.  Sums about the same shifts merge by
@@ -75,9 +87,11 @@ DEFAULT_SEED = 12345
 # fails (see the module docstring).
 GATE_SIGMA = 5
 
-# Complex entries per chunk of the moment estimates' Gaussian rows and of
-# the unitary blocks' Gram rows.  The chunk bounds their working memory (a
-# few hundred KiB whatever the dimension) and changes no draw.
+# Complex entries per chunk of the moment estimates' read coordinates and
+# of the unitary blocks' Gram rows.  The chunk bounds their working memory
+# whatever the dimension and changes no draw.  A moment stream's traced
+# peak is about 1.1 MiB, and 2.4 MiB at two read coordinates a state, whose
+# chunks hold the most states.
 _CHUNK_ENTRIES = 2**15
 
 
@@ -252,14 +266,23 @@ def _check_ensemble(ensemble: int) -> None:
         raise ValueError("ensemble size must be >= 1")
 
 
-def _gaussian_chunks(dim: int, samples: int, rng: np.random.Generator):
-    """Complex Gaussian D-vectors of ``samples`` random states as rows of
-    2D reals, each entry's real part then its imaginary part, about
-    _CHUNK_ENTRIES entries at a time.  The parts are consecutive draws of
-    one fill, so the vectors are the same for any chunk size."""
-    chunk = max(1, _CHUNK_ENTRIES // dim)
+def _state_chunks(dim: int, rank: int, samples: int, rng: np.random.Generator):
+    """The draws of ``samples`` random states, about _CHUNK_ENTRIES read
+    entries at a time, as pairs ``(z, tail)``: rows of the 2r real Gaussian
+    coordinates the moment checks read, r = min(D, max(d, 2)), each
+    entry's real part then its imaginary part, and the chi-square sums
+    2 Gamma(D - r) of the unread squares, zeros at r = D (module
+    docstring).  The rows are consecutive draws of one fill of ``rng`` and
+    the tails of one fill of its first spawned child, so both are the same
+    for any chunk size."""
+    read = min(dim, max(rank, 2))  # the weight's rank, the sphere's two
+    unread = rng.spawn(1)[0] if read < dim else None
+    chunk = max(1, _CHUNK_ENTRIES // read)
     for done in range(0, samples, chunk):
-        yield rng.standard_normal((min(chunk, samples - done), 2 * dim))
+        rows = min(chunk, samples - done)
+        z = rng.standard_normal((rows, 2 * read))
+        yield z, (np.zeros(rows) if unread is None
+                  else 2 * unread.standard_gamma(dim - read, rows))
 
 
 def _moment_sums(dim: int, rank: int, samples: int, rng: np.random.Generator):
@@ -267,13 +290,15 @@ def _moment_sums(dim: int, rank: int, samples: int, rng: np.random.Generator):
     both moment checks: the weight of the first ``rank`` coordinates, the
     squared real part x^2 of coefficient 0 and the squared moduli of
     coefficients 0 and 1 (0 twice at D = 1), each over the state's squared
-    norm.  Returns ``(weight, x2, moduli)``."""
+    norm, the read squares plus the chi-square tail.  Returns
+    ``(weight, x2, moduli)``."""
     weight = _PowerSums(rank / dim)
     x2, moduli = _PowerSums(1 / (2 * dim)), _PowerSums(1 / dim, 1 / dim)
     j = 2 * min(1, dim - 1)
-    for z in _gaussian_chunks(dim, samples, rng):
+    for z, tail in _state_chunks(dim, rank, samples, rng):
         z *= z
         norm2 = z.sum(axis=1)
+        norm2 += tail
         weight.add(z[:, :2 * rank].sum(axis=1) / norm2)
         x2.add(z[:, 0] / norm2)
         moduli.add((z[:, 0] + z[:, 1]) / norm2, (z[:, j] + z[:, j + 1]) / norm2)
@@ -309,8 +334,12 @@ def state_weight_statistics(
     """Empirical mean and variance of the weight of a rank-d cell on random states.
 
     The projection is taken on the first ``rank`` coordinates; by unitary
-    invariance of the state distribution this loses no generality.  Targets
-    are d/D and (1/d)(d/D)^2 (D-d)/(D+1).  Needs at least two samples.
+    invariance of the state distribution this loses no generality.  Each
+    state draws its first max(d, 2) coordinates (at most D) and the
+    chi-square sum of its other squares (module docstring), so the weight
+    has the Beta(d, D - d) law of a full draw at O(d) draws a state.
+    Targets are d/D and (1/d)(d/D)^2 (D-d)/(D+1).  Needs at least two
+    samples.
     """
     _check_rank(dim, rank)
     _check_samples(samples)
@@ -326,7 +355,10 @@ def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dic
     moduli of complex coefficients, i.e. sums of two sphere coordinates:
     these are the variables whose D-term decomposition reproduces the
     variance of a rank-d cell weight, with targets (D-1)/(D^2 (D+1)) and,
-    between two distinct coefficients, -1/(D^2 (D+1)).  Needs at least two
+    between two distinct coefficients, -1/(D^2 (D+1)).  Each point draws
+    the four coordinates of coefficients 0 and 1 (two at D = 1) and the
+    chi-square sum of the other 2D - 4 squares (module docstring), which
+    gives the uniform law on the sphere exactly.  Needs at least two
     samples.
     """
     if dim < 1:

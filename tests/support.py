@@ -351,10 +351,25 @@ def trajectory_dump_reference(phases, coords, dims, span, periods) -> str:
 
 
 def gaussian_rows_reference(dim: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """The complex Gaussian rows of the moment estimates, all in one fill:
-    each entry's real part, then its imaginary part."""
+    """Whole complex Gaussian D-vectors, all in one fill: each entry's real
+    part, then its imaginary part.  Read with no tail, they are the full
+    route to the moment estimates' random states, which agrees with the
+    package's read-coordinates draw in law, not in bits."""
     pairs = rng.standard_normal((samples, dim, 2))
     return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def read_rows_reference(dim: int, rank: int, samples: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of the moment estimates, each kind in one fill: the complex
+    Gaussian rows of the first min(D, max(d, 2)) coordinates, and the
+    chi-square tails 2 Gamma(D - r) of the unread squares from the
+    generator's first spawned child (zeros when nothing is unread)."""
+    read = min(dim, max(rank, 2))
+    z = gaussian_rows_reference(read, samples, rng)
+    if read == dim:
+        return z, np.zeros(samples)
+    return z, 2 * rng.spawn(1)[0].standard_gamma(dim - read, samples)
 
 
 def _record(estimate: float, stderr: float, target: float) -> dict:
@@ -383,35 +398,40 @@ def _covariance_record(a: np.ndarray, b: np.ndarray, shift: float, target: float
     return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
 
 
-def lemma_rows_reference(dim: int, samples: int, seed: int) -> np.ndarray:
-    """The random states ``randomness.lemma_statistics`` reads, as complex
-    Gaussian rows: the first ``samples - samples // 2`` of substream
-    (seed, 0), then the first ``samples // 2`` of (seed, 1)."""
+def lemma_rows_reference(dim: int, rank: int, samples: int,
+                         seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random states ``randomness.lemma_statistics`` reads, as the
+    :func:`read_rows_reference` rows and tails of the first
+    ``samples - samples // 2`` states of substream (seed, 0), then of the
+    first ``samples // 2`` of (seed, 1)."""
     half = samples // 2
-    return np.concatenate([gaussian_rows_reference(dim, samples - half, substream(seed, 0)),
-                           gaussian_rows_reference(dim, half, substream(seed, 1))])
+    parts = [read_rows_reference(dim, rank, samples - half, substream(seed, 0)),
+             read_rows_reference(dim, rank, half, substream(seed, 1))]
+    return tuple(np.concatenate(kind) for kind in zip(*parts))
 
 
-def state_weights_reference(rank: int, z: np.ndarray) -> dict:
+def state_weights_reference(dim: int, rank: int, z: np.ndarray, tail=0.0) -> dict:
     """``randomness.state_weight_statistics`` by two passes over the weight
-    of every row of the complex Gaussian rows ``z``."""
-    samples, dim = z.shape
+    of every row of the complex Gaussian rows ``z``, whose squared norm is
+    that of the row plus ``tail``, the sum of the squares not drawn."""
+    samples = len(z)
     z2 = np.abs(z) ** 2
-    w = z2[:, :rank].sum(axis=1) / z2.sum(axis=1)
+    w = z2[:, :rank].sum(axis=1) / (z2.sum(axis=1) + tail)
     frac = rank / dim
     return {"dim": dim, "rank": rank, "samples": samples,
             "mean": _record(*mean_stderr(w), frac),
             "variance": _variance_record(w, frac, frac**2 * (dim - rank) / (rank * (dim + 1)))}
 
 
-def hypersphere_reference(z: np.ndarray) -> dict:
+def hypersphere_reference(dim: int, z: np.ndarray, tail=0.0) -> dict:
     """``randomness.hypersphere_moments`` by two passes over every row of
-    the complex Gaussian rows ``z``: the squares of coefficients 0 and 1,
-    each over the row's squared norm (which at D = 1 makes |c_0|^2 exactly
-    1, as in the package)."""
-    samples, dim = z.shape
+    the complex Gaussian rows ``z``, squared norms as in
+    :func:`state_weights_reference`: the squares of coefficients 0 and 1,
+    each over the squared norm (which at D = 1 makes |c_0|^2 exactly 1, as
+    in the package)."""
+    samples = len(z)
     z2 = np.abs(z) ** 2
-    norm2 = z2.sum(axis=1)
+    norm2 = z2.sum(axis=1) + tail
     m0, m1 = z2[:, 0] / norm2, z2[:, min(1, dim - 1)] / norm2
     out = {"dim": dim, "samples": samples,
            "mean": _record(*mean_stderr(z[:, 0].real ** 2 / norm2), 1 / (2 * dim)),

@@ -167,8 +167,10 @@ class TestVerifyLemmas:
         (["--samples", "1000000000000000"], ["--samples", "at most"]),
         (["--samples", "100000001"], ["--samples", "at most"]),
         (["--samples", "10", "--ensemble", "100000001"], ["--ensemble", "at most"]),
-        # 10 states of 2^50 amplitudes cannot be allocated on any machine
+        # a Haar frame of 2^50 rows cannot be allocated on any machine; the
+        # states draw only the coordinates they read, all 2^50 at full rank
         (["--samples", "10", "--dim", "2^50"], ["out of memory"]),
+        (["--samples", "10", "--dim", "2^50", "--rank", "2^50"], ["out of memory"]),
     ])
     def test_sizes_beyond_memory_rejected(self, tmp_path, capsys, flags, fragments):
         out = tmp_path / "v.json"

@@ -17,7 +17,7 @@ from ergolab import (
     run_experiment,
     wilson_interval,
 )
-from ergolab import montecarlo, typicality
+from ergolab import dynamics, montecarlo, typicality
 from ergolab.cli import main
 from ergolab.montecarlo import _block_trials
 
@@ -321,6 +321,22 @@ class TestSinglePass:
         count = run_experiment(cfg)["experiment"]["chain_violations"]
         assert count == per_trial_reference(cfg, chain_slack=-0.02).chain_violations
         assert 0 < count < 2 * cfg.trials * len(cfg.dims)
+
+    def test_gap_roots_are_formed_once_across_blocks(self, monkeypatch):
+        # one-trial blocks, as at D above 104: the first slice's roots, the
+        # one two-dimensional call, are formed for the first block only
+        tables, roots = Counter(), dynamics._roots_of_unity
+
+        def counted(m, n):
+            tables[np.ndim(m)] += 1
+            return roots(m, n)
+
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(dynamics, "_roots_of_unity", counted)
+        cfg = rational_config("haar-per-trial", normality=True)
+        assert _block_trials(cfg) == 1
+        run_experiment(cfg)
+        assert tables[2] == 1
 
     def test_block_size_changes_no_result(self, monkeypatch):
         cfg = rational_config("haar-per-trial", normality=True)

@@ -23,8 +23,9 @@ from ergolab.montecarlo import check_ranks
 from ergolab.randomness import (
     _CHUNK_ENTRIES,
     GATE_SIGMA,
-    _gaussian_chunks,
+    _moment_sums,
     _PowerSums,
+    _state_chunks,
     ginibre_matrices,
     ginibre_matrix,
     haar_from_ginibre,
@@ -38,15 +39,39 @@ from support import (
     gram_maxima,
     hypersphere_reference,
     lemma_rows_reference,
+    read_rows_reference,
     state_weights_reference,
     unitary_block_reference,
 )
 
 # (dim, rank, samples) of the streamed-moment checks: D = 1, rank = dim,
-# D = 2, D = 257 (chunks of 127 rows), sample counts that are not multiples
-# of the chunk, and 100 000 samples at D = 100 (306 chunks).
+# D = 2, D = 257 with 3 of its coordinates read, sample counts that are not
+# multiples of the chunk, and 200 000 samples at D = 8 and 100 000 at
+# D = 100 (13 and 31 chunks).
 LEMMA_CASES = [(1, 1, 10001), (1, 1, 5000), (6, 6, 4099), (2, 1, 4097), (257, 3, 5003),
                (8, 2, 20000), (8, 2, 200_000), (100, 10, 9000), (100, 10, 100_000)]
+
+
+class CountingGenerator:
+    """A generator that counts the entries of its Gaussian and gamma fills,
+    together with those of the children it spawns; it has no other draw."""
+
+    def __init__(self, rng, counts=None):
+        self.rng = rng
+        self.counts = {"normal": 0, "gamma": 0} if counts is None else counts
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        self.counts["normal"] += out.size
+        return out
+
+    def standard_gamma(self, shape, size):
+        out = self.rng.standard_gamma(shape, size)
+        self.counts["gamma"] += out.size
+        return out
+
+    def spawn(self, n):
+        return [CountingGenerator(child, self.counts) for child in self.rng.spawn(n)]
 
 
 class TestSubstream:
@@ -230,19 +255,31 @@ class TestHypersphereMoments:
 
 class TestChunkedDraws:
     """The moment estimates draw and sum a chunk of rows at a time: the
-    draws must be one whole fill's to the bit, and the records those of two
-    passes over every sample."""
+    read coordinates and the chi-square tails must each be one whole fill's
+    to the bit, and the records those of two passes over every sample."""
 
     @pytest.mark.parametrize("chunk_entries", [_CHUNK_ENTRIES, 1000])
-    @pytest.mark.parametrize("dim, samples", [(1, 10001), (3, 4097), (100, 9000), (257, 5003)])
-    def test_chunks_are_one_whole_fill(self, monkeypatch, chunk_entries, dim, samples):
+    @pytest.mark.parametrize("dim, rank, samples", [
+        (1, 1, 10001), (3, 1, 4097), (6, 6, 4099), (100, 10, 9000), (257, 3, 5003)])
+    def test_chunks_are_one_whole_fill(self, monkeypatch, chunk_entries, dim, rank, samples):
         monkeypatch.setattr(randomness, "_CHUNK_ENTRIES", chunk_entries)
-        chunks = list(_gaussian_chunks(dim, samples, substream(9, dim)))
-        rows = max(1, chunk_entries // dim)
-        assert [len(z) for z in chunks] == [min(rows, samples - k)
-                                            for k in range(0, samples, rows)]
-        whole = gaussian_rows_reference(dim, samples, substream(9, dim))
-        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        chunks = list(_state_chunks(dim, rank, samples, substream(9, dim)))
+        rows = max(1, chunk_entries // min(dim, max(rank, 2)))
+        assert [len(z) for z, _ in chunks] == [min(rows, samples - k)
+                                               for k in range(0, samples, rows)]
+        whole, tail = read_rows_reference(dim, rank, samples, substream(9, dim))
+        assert np.concatenate([z for z, _ in chunks]).tobytes() == whole.tobytes()
+        assert np.concatenate([t for _, t in chunks]).tobytes() == tail.tobytes()
+
+    @pytest.mark.parametrize("dim, rank, samples", [(257, 3, 5003), (100, 10, 9000),
+                                                    (12, 12, 4099), (2, 1, 4097)])
+    def test_draws_only_the_read_coordinates(self, dim, rank, samples):
+        # a return to whole D-vectors fails here: 2D normals a state
+        rng = CountingGenerator(substream(9, 1))
+        _moment_sums(dim, rank, samples, rng)
+        read = min(dim, max(rank, 2))
+        assert rng.counts == {"normal": samples * 2 * read,
+                              "gamma": samples if read < dim else 0}
 
     @staticmethod
     def assert_records_match(streamed, reference):
@@ -261,11 +298,12 @@ class TestChunkedDraws:
     def test_records_equal_the_two_pass_reference(self, dim, rank, samples, seed):
         self.assert_records_match(
             state_weight_statistics(dim, rank, samples, substream(seed, 0)),
-            state_weights_reference(rank, gaussian_rows_reference(dim, samples,
-                                                                  substream(seed, 0))))
+            state_weights_reference(dim, rank, *read_rows_reference(dim, rank, samples,
+                                                                    substream(seed, 0))))
         self.assert_records_match(
             hypersphere_moments(dim, samples, substream(seed, 1)),
-            hypersphere_reference(gaussian_rows_reference(dim, samples, substream(seed, 1))))
+            hypersphere_reference(dim, *read_rows_reference(dim, 1, samples,
+                                                            substream(seed, 1))))
 
     @pytest.mark.parametrize("dim, rank, samples", LEMMA_CASES)
     def test_halved_records_equal_the_two_pass_reference(self, dim, rank, samples):
@@ -273,9 +311,30 @@ class TestChunkedDraws:
         # feeds both records
         seed = 3
         state, sphere, _ = randomness.lemma_statistics(dim, rank, samples, 1, seed)
-        rows = lemma_rows_reference(dim, samples, seed)
-        self.assert_records_match(state, state_weights_reference(rank, rows))
-        self.assert_records_match(sphere, hypersphere_reference(rows))
+        rows = lemma_rows_reference(dim, rank, samples, seed)
+        self.assert_records_match(state, state_weights_reference(dim, rank, *rows))
+        self.assert_records_match(sphere, hypersphere_reference(dim, *rows))
+
+    @pytest.mark.parametrize("dim, rank, samples", [(12, 3, 20000), (3, 1, 20000),
+                                                    (100, 10, 10000), (8, 2, 20000)])
+    def test_read_coordinates_agree_with_the_full_vector_route(self, dim, rank, samples):
+        # the chi-square tail stands for the unread squares in law: every
+        # record of the package's draw sits within 5 pooled standard errors
+        # of the same record over whole Gaussian D-vectors, on another
+        # substream
+        full = gaussian_rows_reference(dim, samples, substream(11, 1))
+        pairs = [(state_weight_statistics(dim, rank, samples, substream(11, 0)),
+                  state_weights_reference(dim, rank, full)),
+                 (hypersphere_moments(dim, samples, substream(11, 2)),
+                  hypersphere_reference(dim, full))]
+        for thin, whole in pairs:
+            for key in ("mean", "variance", "covariance"):
+                if key not in whole:
+                    continue
+                a, b = thin[key], whole[key]
+                assert a["target"] == pytest.approx(b["target"], rel=1e-15)
+                pooled = math.hypot(a["stderr"], b["stderr"])
+                assert abs(a["estimate"] - b["estimate"]) <= GATE_SIGMA * pooled, key
 
 
 class TestPowerSums:
