@@ -30,6 +30,7 @@ from .randomness import (
 from .dynamics import (
     discrete_time_average,
     exact_time_avg_weight,
+    gap_buckets,
     integer_rescaled,
     prepare_state,
     shell_overlap_matrix,

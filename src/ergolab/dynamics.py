@@ -38,10 +38,13 @@ as at E = 1, and a common energy offset stays an exact global phase.
 compute-l's oracle gathers its phases from the table; its trajectory dump,
 which reads each grid time once, forms its roots without the table.
 
-``run``'s normality audit evolves no coordinates.  The weight of a cell is
-the gap polynomial w(tau) = G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau)) over
-the buckets G_g of its shell overlap matrix (see :mod:`ergolab.typicality`),
-so :func:`normal_time_fractions` needs the phases of the n positive gaps
+``run``'s normality audit evolves no coordinates.  :func:`gap_buckets`
+gathers each cell's shell overlap matrix once into its gap buckets, the
+sums G_g of the entries of gap g >= 0 and the sums Q_g of their squared
+moduli.  The deviation functional reads both (:mod:`ergolab.typicality`);
+the audit reads G_g alone, as the gap polynomial
+w(tau) = G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau)) of the cell weight, so
+:func:`normal_time_fractions` needs the phases of the n positive gaps
 only: each gap is reduced mod N on the exact integers, and the phase at
 index j0 + l is the product of the exact roots at j0 and at l, l within a
 slice, so within a few ulp of the exact root.  It walks the grid a slice
@@ -64,9 +67,9 @@ from .spectrum import PairIndex, Spectrum
 __all__ = [
     "shell_offsets",
     "prepare_state",
-    "unit_rows",
     "shell_coordinates",
     "overlap_matrices",
+    "gap_buckets",
     "shell_overlap_matrix",
     "exact_time_avg_weight",
     "discrete_time_average",
@@ -115,13 +118,6 @@ def shell_offsets(spec: Spectrum) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(spec.degeneracies)])
 
 
-def _check_unit_norms(norms) -> None:
-    bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)  # also rejects NaN
-    if bad.any():
-        norm = np.asarray(norms)[bad].flat[0]
-        raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
-
-
 def prepare_state(amplitudes, spec: Spectrum) -> np.ndarray:
     """The amplitudes as a unit complex vector of length D; their norm must
     be 1 within STATE_NORM_TOL."""
@@ -132,17 +128,9 @@ def prepare_state(amplitudes, spec: Spectrum) -> np.ndarray:
         )
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm = np.linalg.norm(vector)
-    _check_unit_norms(norm)
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects NaN
+        raise ValueError(f"state norm {norm} is not 1 within {STATE_NORM_TOL}")
     return vector / norm
-
-
-def unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """State vectors stacked as rows, each divided by its norm; every norm
-    must be 1 within the tolerance of :func:`prepare_state`."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    _check_unit_norms(norms)
-    return vectors / norms
 
 
 def shell_coordinates(bases: np.ndarray, vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -158,6 +146,25 @@ def shell_coordinates(bases: np.ndarray, vectors: np.ndarray, offsets: np.ndarra
 def overlap_matrices(coords: np.ndarray) -> np.ndarray:
     """S[a, b] = sum_j conj(coords[a, j]) coords[b, j], on the last two axes."""
     return coords.conj() @ np.swapaxes(coords, -1, -2)
+
+
+def gap_buckets(overlaps: np.ndarray, index: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The gap buckets of a stack of shell overlap matrices: the one gather
+    that the deviation functional and the normality audit both read.
+
+    ``overlaps`` is (..., D_E, D_E), from :func:`overlap_matrices`, on the
+    spectrum whose pair index is ``index``.  The entries S[a, b] of the
+    pairs of gap g = E_b - E_a >= 0 (:attr:`PairIndex.gap_groups`) are
+    taken once, and two segmented sums give, per gap, ascending from g = 0,
+    G_g = sum S[a, b] (complex) and Q_g = sum |S[a, b]|^2 (real); each is
+    (..., n + 1) for the n positive gaps.
+    """
+    positions, starts = index.gap_groups
+    # np.take keeps the gathered pairs contiguous per matrix, so the sums
+    # run in the same order for a stack as for one matrix.
+    pairs = np.take(overlaps.reshape(*overlaps.shape[:-2], -1), positions, axis=-1)
+    return (np.add.reduceat(pairs, starts, axis=-1),
+            np.add.reduceat(pairs.real**2 + pairs.imag**2, starts, axis=-1))
 
 
 def shell_overlap_matrix(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -338,25 +345,16 @@ def _membership(ranks: tuple[int, ...]) -> np.ndarray:
     return membership
 
 
-def weight_polynomials(overlaps: np.ndarray, index: PairIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell weight of a stack of shell overlap matrices as its gap
-    polynomial w(tau) = G_0 + 2 sum_{g > 0} Re(G_g exp(-i g tau)).
-
-    ``overlaps`` is (..., D_E, D_E), from :func:`overlap_matrices`, on the
-    spectrum whose pair index is ``index``; G_g sums the entries S[a, b]
-    with E_b - E_a = g, one gather and one segmented sum over the pairs of
-    the gaps g >= 0.  Returns G_0 (...,) and the real coefficients
-    (..., 2 n) of the n positive gaps, ascending: 2 Re G_g for each, then
-    -2 Im G_g, which :func:`polynomial_weights` pairs with the real and
-    imaginary rows of :meth:`GridPhases.gap_slices`.
+def weight_polynomials(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell weight as its gap polynomial
+    w(tau) = G_0 + 2 sum_{g > 0} Re(G_g exp(-i g tau)), from the bucket
+    sums G_g (..., n + 1) of :func:`gap_buckets`.  Returns G_0 (...,) and
+    the real coefficients (..., 2 n) of the n positive gaps, ascending:
+    2 Re G_g for each, then -2 Im G_g, which :func:`polynomial_weights`
+    pairs with the real and imaginary rows of :meth:`GridPhases.gap_slices`.
     """
-    positions, starts = index.gap_groups
-    zero = index.gap_values.size // 2  # gaps are symmetric about 0
-    first = starts[zero]
-    pairs = np.take(overlaps.reshape(*overlaps.shape[:-2], -1), positions[first:], axis=-1)
-    buckets = np.add.reduceat(pairs, starts[zero:] - first, axis=-1)
-    positive = buckets[..., 1:]
-    return buckets[..., 0].real, np.concatenate([2 * positive.real, -2 * positive.imag], axis=-1)
+    positive = sums[..., 1:]
+    return sums[..., 0].real, np.concatenate([2 * positive.real, -2 * positive.imag], axis=-1)
 
 
 def polynomial_weights(polynomial: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
@@ -370,24 +368,24 @@ def polynomial_weights(polynomial: tuple[np.ndarray, np.ndarray], rows: np.ndarr
 
 
 def normal_time_fractions(
-    overlaps, ranks, epsilon: float, index: PairIndex, phases: GridPhases
+    sums, ranks, epsilon: float, index: PairIndex, phases: GridPhases
 ) -> np.ndarray:
     """Fraction of the grid times at which every cell weight is near its share.
 
-    ``overlaps`` lists each cell's shell overlap matrix, or stack of them,
-    for consecutive column blocks of the given ranks of complete bases, so
-    the ranks sum to D; ``index`` is the pair index of the spectrum and
-    ``phases`` its grid.  Each weight is evaluated from its gap polynomial
-    (:func:`weight_polynomials`), one cell and one slice of grid times at a
-    time (GRID_SLICE times, or more within SLICE_BYTES), and the closeness
-    of every cell is ANDed into one boolean per trial and time of the
-    slice.  One fraction per leading index.
+    ``sums`` lists each cell's bucket sums G_g (:func:`gap_buckets`), one
+    array or a stack, for consecutive column blocks of the given ranks of
+    complete bases, so the ranks sum to D; ``index`` is the pair index of
+    the spectrum and ``phases`` its grid.  Each weight is evaluated from
+    its gap polynomial (:func:`weight_polynomials`), one cell and one slice
+    of grid times at a time (GRID_SLICE times, or more within SLICE_BYTES),
+    and the closeness of every cell is ANDed into one boolean per trial and
+    time of the slice.  One fraction per leading index.
     """
     ranks = np.asarray(ranks)
     fracs = ranks / ranks.sum()
     tol = (epsilon / math.sqrt(ranks.size)) * np.sqrt(fracs)
-    polynomials = [weight_polynomials(s, index) for s in overlaps]
-    inside = np.zeros(np.shape(overlaps[0])[:-2], dtype=np.int64)
+    polynomials = [weight_polynomials(g) for g in sums]
+    inside = np.zeros(np.shape(sums[0])[:-1], dtype=np.int64)
     gaps = index.gap_values.size // 2
     times = max(GRID_SLICE, SLICE_BYTES // (INSTANT_BYTES * inside.size + GAP_PHASE_BYTES * gaps))
     for rows in phases.gap_slices(index, times):
@@ -422,7 +420,8 @@ def time_fraction_normal(
     """
     phases = grid_phases(spec, grid_points)
     offsets = shell_offsets(spec)
-    overlaps = [overlap_matrices(shell_coordinates(cell, vector, offsets))
-                for cell in decomposition]
+    index = spec.pair_index
+    sums = [gap_buckets(overlap_matrices(shell_coordinates(cell, vector, offsets)), index)[0]
+            for cell in decomposition]
     ranks = [cell.shape[1] for cell in decomposition]
-    return float(normal_time_fractions(overlaps, ranks, epsilon, spec.pair_index, phases))
+    return float(normal_time_fractions(sums, ranks, epsilon, index, phases))

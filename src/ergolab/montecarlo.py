@@ -8,41 +8,44 @@ any execution order, and a report is a pure function of its configuration.
 Trials are evaluated in blocks of consecutive indices.  A block draws each
 of its trials from that trial's substream in the order above, filling the
 block's Ginibre matrices and states in place, factors all of its Ginibre
-matrices in one stacked QR, checks all of its state norms at once, and
-then evaluates every trial once, with array operations over the block: the
-per-cell deviations and their inequality chain (:func:`evaluate_cells`,
-which ``compute-l`` runs on its one state) and, when ``normality`` is on,
-both normality routes.  Each cell's shell overlap matrices are formed once,
-for the deviation kernel and for the direct normality route, which sums
-them into gap buckets and evaluates every cell weight on the grid as the
-gap polynomial G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau))
+matrices in one stacked QR, and then evaluates every trial once, with
+array operations over the block: the per-cell deviations and their
+inequality chain (:func:`evaluate_cells`, which ``compute-l`` runs on its
+one state) and, when ``normality`` is on, both normality routes.  Each
+cell's shell overlap matrices live only until they are gathered into
+their gap buckets (:func:`~ergolab.dynamics.gap_buckets`), which the
+deviation kernel reads, and from which the direct normality route
+evaluates every cell weight on the grid as the gap polynomial
+G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau))
 (:func:`~ergolab.dynamics.normal_time_fractions`): no trial's coordinates
-are evolved.  A trial's cells are the consecutive column blocks of its Haar
-unitary, as :func:`~ergolab.randomness.sample_decomposition` cuts them; the
-blocks are never copied out, the kernels read them as columns of the whole
-unitary.  Every per-trial deviation is kept in a (trials, cells) array.
+are evolved.  A drawn state is divided by its norm once, as it is drawn.
+A trial's cells are the consecutive column blocks of its Haar unitary, as
+:func:`~ergolab.randomness.sample_decomposition` cuts them; the blocks are
+never copied out, the kernels read them as columns of the whole unitary.
+Every per-trial deviation is kept in a (trials, cells) array.
 
 The block size only trades speed for memory; it changes no result, since
 every kernel works trial by trial along the leading axis.  A block gets
 BLOCK_BYTES for its working arrays, counted per trial as the complex D x D
 matrices alive while it is drawn and factored (_MATRICES_PER_TRIAL of
 them) or, with ``normality``, the arrays the normality route holds per
-trial, whichever is larger: the shell coordinates, each cell's overlap
-matrix and its gap polynomial, and INSTANT_BYTES per time of a slice of
-GRID_SLICE grid times.  The grid is walked in slices, so no array grows
-with ``grid_points``: a slice's gap phases, shared by the block, take
-GAP_PHASE_BYTES per positive gap and time, and the longer slices of a
-small block stay within SLICE_BYTES (all in :mod:`ergolab.dynamics`).  The
+trial, whichever is larger: the shell coordinates, one cell's overlap
+matrix and its gathered pairs, each cell's bucket sums and gap polynomial,
+and INSTANT_BYTES per time of a slice of GRID_SLICE grid times.  The grid
+is walked in slices, so no array grows with ``grid_points``: a slice's gap
+phases, shared by the block, take GAP_PHASE_BYTES per positive gap and
+time, and the longer slices of a small block stay within SLICE_BYTES (all
+in :mod:`ergolab.dynamics`).  The
 draws' arrays die before the block is evaluated, and the block's before
 the next is drawn.
 Measured on the benchmark's ensemble-small workload (D = 8, 1000 grid
 points, 500 trials, normality on; 170-trial blocks) in-process on a 2-core
-x86-64 VM with one BLAS thread: the tracemalloc peak of a run is 1053 KiB,
-BLOCK_BYTES and 29 KiB; budgets of 512 KiB, 1 MiB and 2 MiB raised the
-peak resident set by about 0.1, 0.5 and 1.5 MiB over blocks of one trial
-(42.5 MiB), while a run took 26, 22 and 27 ms (medians of 21) against
-540 ms.  1 MiB is the largest budget that keeps the peak well inside 5% of
-it.
+x86-64 VM with one BLAS thread: the tracemalloc peak of a run is 1060 KiB,
+BLOCK_BYTES and 36 KiB, reached while a block is drawn; budgets of
+512 KiB, 1 MiB and 2 MiB raised the peak resident set by about 0.1, 0.5
+and 1.5 MiB over blocks of one trial (42.5 MiB), while a run took 26, 22
+and 27 ms (medians of 21) against 540 ms.  1 MiB is the largest budget
+that keeps the peak well inside 5% of it.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .dynamics import (
     INSTANT_BYTES,
     MAX_PHASE_GRID,
     deviation_grid_points,
+    gap_buckets,
     grid_phases,
     integer_rescaled,
     normal_time_fractions,
@@ -64,7 +68,6 @@ from .dynamics import (
     prepare_state,
     shell_coordinates,
     shell_offsets,
-    unit_rows,
 )
 from .randomness import (
     DEFAULT_SEED,
@@ -185,25 +188,26 @@ class ExperimentConfig:
 
 
 def evaluate_cells(spec: Spectrum, ranks, coords: np.ndarray):
-    """Yield ``(record, bound, gap_ok, resonant_ok, overlaps)`` for every
+    """Yield ``(record, bound, gap_ok, resonant_ok, buckets)`` for every
     cell, in order.
 
     ``coords`` is the shell coordinates
     (:func:`~ergolab.dynamics.shell_coordinates`) of one state, or a stack of
     them, on complete bases whose consecutive column blocks of the given
-    ranks are the cells.  Each cell's overlap matrices, formed once and
-    yielded as ``overlaps``, go through
+    ranks are the cells.  Each cell's overlap matrices are gathered into
+    their gap buckets (:func:`~ergolab.dynamics.gap_buckets`) and dropped;
+    the buckets, yielded, go through
     :func:`~ergolab.typicality.deviation_breakdowns`.  The two links of the
     inequality chain, each within CHAIN_SLACK and broken by NaN: the
     ergodicity gap stays below the total, the resonant term below ``bound``.
     """
     index = spec.pair_index
     for rank, columns in zip(ranks, np.split(coords, np.cumsum(ranks)[:-1], axis=-1)):
-        s = overlap_matrices(columns)
-        b = deviation_breakdowns(s, rank / spec.dim_total, index)
+        buckets = gap_buckets(overlap_matrices(columns), index)
+        b = deviation_breakdowns(buckets, rank / spec.dim_total)
         bound = resonant_term_bound(b["time_avg_weight"], index.max_sum_degeneracy)
         yield (b, bound, b["diag_dev_sq"] <= b["total"] + CHAIN_SLACK,
-               b["resonant_term"] <= bound + CHAIN_SLACK, s)
+               b["resonant_term"] <= bound + CHAIN_SLACK, buckets)
 
 
 def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
@@ -226,7 +230,11 @@ def _block_trials(config: ExperimentConfig) -> int:
     per_trial = 16 * _MATRICES_PER_TRIAL * dim * dim
     if config.normality:
         levels = config.spectrum.num_levels
-        kept = 16 * levels * dim + 24 * len(config.dims) * levels * levels
+        gaps = config.spectrum.pair_index.gap_values.size // 2 + 1
+        # the coordinates; one cell's overlap matrix, gathered pairs and
+        # their squares (no more than 40 D_E^2 bytes); every cell's bucket
+        # sums and gap polynomial
+        kept = 16 * levels * dim + 40 * levels * levels + 32 * len(config.dims) * gaps
         per_trial = max(per_trial, kept + INSTANT_BYTES * min(config.grid_points, GRID_SLICE))
     return max(1, min(config.trials, BLOCK_BYTES // per_trial))
 
@@ -238,7 +246,7 @@ def _block_coordinates(config: ExperimentConfig, trials: range, fixed, offsets) 
     dim = config.dim_total
     rngs = [substream(config.seed, 1, t) for t in trials]
     ginibre = ginibre_matrices(dim, rngs)
-    states = unit_rows(random_states(dim, rngs)) if fixed is None else fixed
+    states = random_states(dim, rngs) if fixed is None else fixed
     return shell_coordinates(haar_from_ginibre(ginibre), states, offsets)
 
 
@@ -252,19 +260,20 @@ def _evaluate_block(config: ExperimentConfig, trials: range, fixed, offsets, pha
     spec, p, dim = config.spectrum, config.params, config.dim_total
     coords = _block_coordinates(config, trials, fixed, offsets)
     chain_violations = 0
-    overlaps = []  # kept for the normality route only
-    for k, (b, _, gap_ok, resonant_ok, s) in enumerate(evaluate_cells(spec, config.dims, coords)):
+    sums = []  # kept for the normality route only
+    for k, (b, _, gap_ok, resonant_ok, buckets) in enumerate(
+            evaluate_cells(spec, config.dims, coords)):
         block_totals[:, k] = b["total"]
         chain_violations += int(np.sum(~gap_ok) + np.sum(~resonant_ok))
         if phases is not None:
-            overlaps.append(s)
+            sums.append(buckets[0])
     if phases is None:
         return chain_violations, 0, 0, 0
     ok_sufficient = np.all([
         sufficient_condition(block_totals[:, k], p, rank, dim)
         for k, rank in enumerate(config.dims)
     ], axis=0)
-    fractions = normal_time_fractions(overlaps, config.dims, p.epsilon, spec.pair_index, phases)
+    fractions = normal_time_fractions(sums, config.dims, p.epsilon, spec.pair_index, phases)
     ok_direct = fractions >= 1 - p.delta_prime
     return (chain_violations, int(np.sum(ok_sufficient)), int(np.sum(ok_direct)),
             int(np.sum(ok_sufficient & ~ok_direct)))
@@ -283,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Per-cell means are compared against the decomposition-average bound; a
     per-trial inequality chain (ergodicity gap below the total, resonant
     term below its sum-degeneracy bound) is audited with tiny slack.  Both
-    chain quantities come from the breakdown's shell overlap matrix.
+    chain quantities come from the breakdown's gap buckets.
 
     With ``config.normality`` the same pass also asks of each trial whether
     every cell meets the sufficient-condition threshold and whether the

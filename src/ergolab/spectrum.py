@@ -172,21 +172,14 @@ class PairIndex:
 
     @cached_property
     def gap_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair grouped by gap, gaps ascending: flat positions, each
-        group's pairs ascending, and the offset of each group.  The groups
-        of the gaps ``g >= 0`` are the tail from the zero gap's offset on."""
-        sizes = self.gap_counts
-        return np.argsort(self.gap_ids, kind="stable"), np.cumsum(sizes) - sizes
-
-    @cached_property
-    def shared_gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The groups of :attr:`gap_groups` whose nonzero gap recurs: flat
-        positions and the offset of each group.  Empty for a non-resonant
-        spectrum."""
-        shared = (self.gap_counts >= 2) & (self.gap_values != 0)
-        sizes = self.gap_counts[shared]
-        return (self.gap_groups[0][np.repeat(shared, self.gap_counts)],
-                np.cumsum(sizes) - sizes)
+        """The pairs of gap ``g >= 0``, which are the pairs ``a <= b`` since
+        levels ascend, grouped by gap, gaps ascending from the zero gap's
+        diagonal pairs: flat positions, each group's pairs ascending, and
+        the offset of each group."""
+        zero = self.gap_values.size // 2  # gaps are symmetric about 0
+        sizes = self.gap_counts[zero:]
+        order = np.argsort(self.gap_ids, kind="stable")
+        return order[order.size - sizes.sum():], np.cumsum(sizes) - sizes
 
     def _ordered_pairs(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """First and second level of every pair, class by class.  A stable

@@ -22,42 +22,44 @@ finite.
 R is computed over gap buckets.  Let g range over the distinct gaps
 E_b - E_a of ordered level pairs (a, b) and put
 
-    G_g = sum_{E_b - E_a = g} S[a, b].
+    G_g = sum_{E_b - E_a = g} S[a, b],    Q_g = sum_{E_b - E_a = g} |S[a, b]|^2.
 
 Shell a evolves with phase exp(-i E_a tau), so the weight is
 w(tau) = sum_g G_g exp(-i g tau).  Its time average keeps g = 0, which
 only the diagonal pairs carry (levels are distinct): G_0 = trace(S).  The
 time average of w^2 keeps the products with g + h = 0, and S is Hermitian,
-so G_{-g} = conj(G_g) and
+so G_{-g} = conj(G_g), Q_{-g} = Q_g and
 
     time-average of w^2 = sum_g G_g G_{-g} = sum_g |G_g|^2,
     L = sum_g |G_g|^2 - 2 (d/D) trace(S) + (d/D)^2
-      = (trace(S) - d/D)^2 + sum_{g != 0} |G_g|^2.
+      = (G_0 - d/D)^2 + 2 sum_{g>0} |G_g|^2.
 
-Splitting each |G_g|^2 into its squared moduli and its cross terms gives
+Splitting each |G_g|^2 into its squared moduli Q_g and its cross terms
+gives offdiag_sum = 2 sum_{g>0} Q_g and
 
-    R = sum_{g != 0} ( |G_g|^2 - sum_{E_b - E_a = g} |S[a, b]|^2 ),
+    R = 2 sum_{g>0} ( |G_g|^2 - Q_g ),
 
 the sum of S[a, b] conj(S[c, d]) over distinct pairs with
 E_b - E_a = E_d - E_c.  That condition is E_a + E_d = E_b + E_c, and
 conj(S[c, d]) = S[d, c]: these are exactly the sum-class cross terms
-above.  A bucket holding one pair contributes |S[a, b]|^2 - |S[a, b]|^2 = 0,
-so only gaps carried by two or more pairs are summed.  Skipping the
-singletons saves work, and it makes R exactly 0.0, not a rounding residue,
-when no nonzero gap repeats: the non-resonant case, where every sum value
-is carried by at most a pair and its swap.  Each |G_g|^2 is real, so R is
-real by construction.  The buckets come from the spectrum's integer
-:class:`~ergolab.spectrum.PairIndex`, so each cell costs one gather and one
-segmented sum over D_E^2 entries instead of a loop over sum classes.
+above.  A bucket holding one pair has G_g = S[a, b], and |G_g|^2 and Q_g
+are the same float expression of it, so the bucket gives exactly 0.0: R
+is exactly 0.0, not a rounding residue, when no nonzero gap repeats, the
+non-resonant case, where every sum value is carried by at most a pair and
+its swap.  Each
+|G_g|^2 is real, so R is real by construction.
 
-The same buckets give the weight at every time, w(tau) = G_0 +
-2 sum_{g>0} Re(G_g exp(-i g tau)): ``run``'s normality audit evaluates it
-on its time grid from the overlap matrices the deviation kernel reads
-(:func:`ergolab.dynamics.weight_polynomials`).
+Every piece thus reads the buckets of the gaps g >= 0 alone, which
+:func:`ergolab.dynamics.gap_buckets` takes from each overlap matrix in one
+gather and two segmented sums over the spectrum's integer
+:class:`~ergolab.spectrum.PairIndex`.  The same buckets give the weight at
+every time, w(tau) = G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau)): ``run``'s
+normality audit evaluates it on its time grid
+(:func:`ergolab.dynamics.normal_time_fractions`).
 
-The kernel (:func:`deviation_breakdowns`) takes a stack of overlap
-matrices and returns a dict of every piece as an array over the stack,
-which is how ``run`` and ``compute-l`` evaluate every cell (through
+The kernel (:func:`deviation_breakdowns`) takes the buckets of a stack of
+overlap matrices and returns a dict of every piece as an array over the
+stack, which is how ``run`` and ``compute-l`` evaluate every cell (through
 :func:`ergolab.montecarlo.evaluate_cells`); :func:`deviation_exact` is the
 same kernel on one state and one cell, a (D, d) basis array.
 Its finiteness check, like every gate here, is written so that NaN fails it.
@@ -75,8 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .dynamics import exact_time_avg_weight, shell_overlap_matrix
-from .spectrum import PairIndex, Spectrum
+from .dynamics import exact_time_avg_weight, gap_buckets, shell_overlap_matrix
+from .spectrum import Spectrum
 
 __all__ = [
     "TheoremParams",
@@ -125,38 +127,25 @@ class TheoremParams:
         self.num_cells = int(self.num_cells)
 
 
-def _resonant_sums(s: np.ndarray, index: PairIndex) -> np.ndarray:
-    """R = sum over shared nonzero gaps of |G_g|^2 minus the bucket's own
-    |S[a, b]|^2 (see the module docstring), per matrix of the stack."""
-    positions, starts = index.shared_gaps
-    if positions.size == 0:
-        return np.zeros(s.shape[:-2])  # no gap recurs: every bucket is a singleton
-    # np.take keeps the gathered pairs contiguous per matrix, so the sums
-    # below run in the same order for a stack as for one matrix.
-    z = np.take(s.reshape(*s.shape[:-2], -1), positions, axis=-1)
-    buckets = np.add.reduceat(z, starts, axis=-1)
-    return (np.sum(buckets.real**2 + buckets.imag**2, axis=-1)
-            - np.sum(z.real**2 + z.imag**2, axis=-1))
+def deviation_breakdowns(buckets: tuple[np.ndarray, np.ndarray], frac: float) -> dict:
+    """The deviation functional of every cell in a stack, from its gap buckets.
 
-
-def deviation_breakdowns(s: np.ndarray, frac: float, index: PairIndex) -> dict:
-    """The deviation functional of every shell overlap matrix in a stack.
-
-    ``s`` is (..., D_E, D_E), each matrix built for a cell of share
-    ``frac`` = d/D on the spectrum whose pair index is ``index``.  Returns
-    the two regroupings of the same quantity,
+    ``buckets`` is the pair (G, Q) of :func:`~ergolab.dynamics.gap_buckets`
+    for the shell overlap matrices of cells of share ``frac`` = d/D.
+    Returns the two regroupings of the same quantity,
     ``total = cell_fraction_sq + degeneracy_term + nonresonant_term + resonant_term``
     and ``total = offdiag_sum + diag_dev_sq + resonant_term``, plus
-    ``time_avg_weight``, trace(S), the exact time-averaged cell weight, of
-    which ``diag_dev_sq`` is the ergodicity gap.  Every value except
-    ``cell_fraction_sq`` is an array over the leading axes.  Raises
+    ``time_avg_weight``, G_0 = trace(S), the exact time-averaged cell
+    weight, of which ``diag_dev_sq`` is the ergodicity gap.  Every value
+    except ``cell_fraction_sq`` is an array over the leading axes.  Raises
     ArithmeticError unless every total is finite.
     """
-    diag = np.diagonal(s, axis1=-2, axis2=-1).real
-    trace = diag.sum(axis=-1)
-    offdiag_sum = np.sum(np.abs(s) ** 2, axis=(-2, -1)) - np.sum(diag**2, axis=-1)
+    sums, squares = buckets
+    trace = sums[..., 0].real
+    positive = sums[..., 1:]
+    offdiag_sum = 2 * np.sum(squares[..., 1:], axis=-1)
+    res = 2 * np.sum(positive.real**2 + positive.imag**2 - squares[..., 1:], axis=-1)
     diag_dev_sq = (trace - frac) ** 2
-    res = _resonant_sums(s, index)
     total = offdiag_sum + diag_dev_sq + res
     if not np.all(np.isfinite(total)):
         raise ArithmeticError("deviation functional is not finite")
@@ -176,8 +165,8 @@ def deviation_breakdowns(s: np.ndarray, frac: float, index: PairIndex) -> dict:
 def deviation_exact(spec: Spectrum, vector: np.ndarray, cell: np.ndarray) -> dict:
     """The record of :func:`deviation_breakdowns`, in floats, for the state
     ``vector`` on ``spec`` and one cell, a (D, d) basis array."""
-    s = shell_overlap_matrix(spec, vector, cell)
-    b = deviation_breakdowns(s, cell.shape[1] / spec.dim_total, spec.pair_index)
+    buckets = gap_buckets(shell_overlap_matrix(spec, vector, cell), spec.pair_index)
+    b = deviation_breakdowns(buckets, cell.shape[1] / spec.dim_total)
     return {name: float(value) for name, value in b.items()}
 
 

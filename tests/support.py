@@ -142,6 +142,39 @@ def brute_resonant_cross_terms(s: np.ndarray, energies) -> float:
     return float(acc.real)
 
 
+def shared_gap_breakdowns(s: np.ndarray, frac: float, index) -> dict:
+    """The record of ``deviation_breakdowns`` by the both-sign shared-gap
+    formula, from a stack of shell overlap matrices ``s`` (..., D_E, D_E)
+    rather than its gap buckets: trace(S) and the off-diagonal squares read
+    off the whole matrix, and R summed over the nonzero gaps of either sign
+    that two or more pairs carry, each bucket's |G_g|^2 less its pairs'
+    |S[a, b]|^2.  A gap carried by one pair is skipped, so R is 0.0 when no
+    gap recurs."""
+    shared = (index.gap_counts >= 2) & (index.gap_values != 0)
+    positions = np.argsort(index.gap_ids, kind="stable")[np.repeat(shared, index.gap_counts)]
+    sizes = index.gap_counts[shared]
+    diag = np.diagonal(s, axis1=-2, axis2=-1).real
+    trace = diag.sum(axis=-1)
+    offdiag_sum = np.sum(np.abs(s) ** 2, axis=(-2, -1)) - np.sum(diag**2, axis=-1)
+    res = np.zeros(s.shape[:-2])
+    if positions.size:
+        z = np.take(s.reshape(*s.shape[:-2], -1), positions, axis=-1)
+        buckets = np.add.reduceat(z, np.cumsum(sizes) - sizes, axis=-1)
+        res = (np.sum(buckets.real**2 + buckets.imag**2, axis=-1)
+               - np.sum(z.real**2 + z.imag**2, axis=-1))
+    diag_dev_sq = (trace - frac) ** 2
+    return {
+        "total": offdiag_sum + diag_dev_sq + res,
+        "cell_fraction_sq": frac**2,
+        "degeneracy_term": -2.0 * frac * trace,
+        "nonresonant_term": offdiag_sum + trace**2,
+        "resonant_term": res,
+        "offdiag_sum": offdiag_sum,
+        "diag_dev_sq": diag_dev_sq,
+        "time_avg_weight": trace,
+    }
+
+
 def random_composition(rng: np.random.Generator, total: int, parts: int) -> list[int]:
     """Uniform composition of ``total`` into ``parts`` positive integers."""
     if parts == 1:

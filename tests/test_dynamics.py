@@ -23,6 +23,7 @@ from ergolab.dynamics import (
     MAX_PHASE_GRID,
     evolved_weights,
     exact_grid_points,
+    gap_buckets,
     grid_phases,
     overlap_matrices,
     polynomial_weights,
@@ -477,8 +478,8 @@ class TestGapPolynomialKernel:
         slices = list(phases.gap_slices(index, GRID_SLICE))
         assert len(slices) == -(-n // GRID_SLICE)
         for k, cell in enumerate(dec):
-            polynomial = weight_polynomials(
-                overlap_matrices(shell_coordinates(cell, vector, offsets)), index)
+            polynomial = weight_polynomials(gap_buckets(
+                overlap_matrices(shell_coordinates(cell, vector, offsets)), index)[0])
             weights = np.concatenate([polynomial_weights(polynomial, rows) for rows in slices])
             np.testing.assert_allclose(weights, expected[:, k], rtol=0, atol=1e-14)
 

@@ -262,9 +262,9 @@ class TestSinglePass:
             draws[path] += 1
             return substream(seed, *path)
 
-        def counted_kernel(s, frac, index):
-            calls["matrices"] += s.shape[0]
-            return kernel(s, frac, index)
+        def counted_kernel(buckets, frac):
+            calls["matrices"] += buckets[0].shape[0]
+            return kernel(buckets, frac)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):

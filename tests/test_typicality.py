@@ -16,6 +16,7 @@ from ergolab import (
     ergodicity_gap,
     exact_time_avg_weight,
     find_admissible_constant,
+    gap_buckets,
     gap_structure,
     integer_rescaled,
     mean_deviation_bound,
@@ -42,6 +43,7 @@ from support import (
     random_instance,
     random_integer_spectrum,
     random_nonresonant_levels,
+    shared_gap_breakdowns,
 )
 
 SPIN_CHAIN_SCALE = dict(dim=2**100, rank=10**8, cells=10**22)
@@ -111,14 +113,14 @@ class TestDeviationExact:
             deviation_exact(spec, vector, cell)
 
     def test_stack_equals_single_cells(self):
-        # one kernel: a stack of overlap matrices gives, matrix by matrix,
-        # exactly the breakdown of deviation_exact
+        # one kernel: the buckets of a stack of overlap matrices give,
+        # matrix by matrix, exactly the breakdown of deviation_exact
         spec = spec_of([(0, 2), (1, 2), (2, 1), (3, 2)])
         rng = substream(1, 9)
         vectors = [prepare_state(sample_random_state(7, rng), spec) for _ in range(5)]
         cells = [sample_decomposition([2, 5], rng)[0] for _ in range(5)]
         stack = np.stack([shell_overlap_matrix(spec, v, c) for v, c in zip(vectors, cells)])
-        b = deviation_breakdowns(stack, 2 / 7, spec.pair_index)
+        b = deviation_breakdowns(gap_buckets(stack, spec.pair_index), 2 / 7)
         assert b["resonant_term"].shape == (5,)
         for i, (vector, cell) in enumerate(zip(vectors, cells)):
             one = deviation_exact(spec, vector, cell)
@@ -243,6 +245,64 @@ class TestGapBucketKernel:
             vector, dec = random_instance(spec, rng)
             for cell in dec:
                 assert deviation_exact(spec, vector, cell)["resonant_term"] == 0.0
+
+
+def resonant_levels(rng):
+    """n = 5 to 8 simple levels among the integers 0..n+2: their
+    n(n - 1)/2 positive gaps take at most n + 2 values, fewer once n > 4,
+    so some gap recurs."""
+    n = int(rng.integers(5, 9))
+    return spec_of([(int(e), 1) for e in np.sort(rng.choice(n + 3, size=n, replace=False))])
+
+
+def nonresonant_levels(rng):
+    levels = random_nonresonant_levels(rng, int(rng.integers(2, 7)))
+    degens = random_composition(rng, len(levels) + 3, len(levels))
+    return spec_of(list(zip(levels, degens)))
+
+
+class TestBucketKernelAgainstReference:
+    """Every breakdown key of the bucket kernel, on stacks and on single
+    matrices, against the both-sign shared-gap formula it replaced, and its
+    resonant term against the quadruple-loop cross terms."""
+
+    SPECTRA = {
+        "resonant": resonant_levels,
+        "degenerate": lambda rng: random_integer_spectrum(rng, dim_range=(4, 10)),
+        "nonresonant": nonresonant_levels,
+    }
+
+    @pytest.mark.parametrize("kind", SPECTRA)
+    def test_every_key_matches_the_shared_gap_formula(self, kind):
+        rng = substream(8, list(self.SPECTRA).index(kind))
+        for _ in range(8):
+            spec = self.SPECTRA[kind](rng)
+            index, dim, levels = spec.pair_index, spec.dim_total, spec.num_levels
+            rank = int(rng.integers(1, dim + 1))
+            stack = np.stack([
+                shell_overlap_matrix(spec, prepare_state(sample_random_state(dim, rng), spec),
+                                     sample_decomposition([dim], rng)[0][:, :rank])
+                for _ in range(4)])
+            # |S[a, b]| <= n_a n_b for the shell norms n, whose squares sum
+            # to 1, so every key sums at most D_E^2 terms whose moduli sum
+            # to at most D_E^2: a rounding error below D_E^4 ulp of 1
+            tol = levels**4 * np.finfo(float).eps
+            got = deviation_breakdowns(gap_buckets(stack, index), rank / dim)
+            want = shared_gap_breakdowns(stack, rank / dim, index)
+            assert got.keys() == want.keys()
+            for name in want:
+                np.testing.assert_allclose(got[name], want[name], rtol=0, atol=tol, err_msg=name)
+            for i, s in enumerate(stack):
+                one = deviation_breakdowns(gap_buckets(s, index), rank / dim)
+                for name, value in one.items():
+                    assert np.broadcast_to(got[name], (4,))[i] == value, name
+                expected = brute_resonant_cross_terms(s, spec.energies)
+                assert abs(one["resonant_term"] - expected) <= tol
+            if kind == "nonresonant":
+                assert np.all(got["resonant_term"] == 0.0)
+                assert np.all(want["resonant_term"] == 0.0)
+            if kind == "resonant":
+                assert index.max_gap_degeneracy >= 2
 
 
 class TestSufficientAndErgodicity:
