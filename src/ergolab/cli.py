@@ -1,9 +1,14 @@
 """Command-line surface: analyze, verify-lemmas, compute-l, check-theorem, run.
 
 Every command emits a single JSON document (to --out or stdout) whose keys
-are sorted, so identical invocations are byte-identical; no timestamps are
-ever embedded.  Exit status is 0 exactly when every verification gate the
-command evaluated has passed; data and usage problems exit nonzero with a
+are sorted, and no timestamps are ever embedded.  Identical invocations are
+byte-identical for one BLAS build and thread count: analyze and
+check-theorem call no BLAS, while run, compute-l and verify-lemmas draw
+Haar unitaries through QR and matrix products whose last bits may change
+with the BLAS build, the CPU and its thread count (see the README).
+
+Exit status is 0 exactly when every verification gate the command
+evaluated has passed; data and usage problems exit nonzero with a
 diagnostic on stderr.  Human-readable tables are deliberately absent: the
 JSON is the source of truth and columnar dumps serve external plotters.
 """
@@ -199,20 +204,17 @@ def _trial_chunks(experiment: dict):
         yield from _rows(template, table.reshape(len(block), -1))
 
 
-def _trajectory_chunks(phases: dynamics.GridPhases, coords, dims, span: float, periods: int):
+def _trajectory_chunks(phases: dynamics.GridPhases, coords, dims, span: float):
     """The ``--dump-trajectory`` text: a header, then tau = span * j / n and
-    every cell's weight at grid time periods * j mod n, for j < n =
-    ``phases.grid_points``, a GRID_SLICE slice of times per chunk.  Each
-    time is read once, so its phases are formed, not gathered from a table."""
+    every cell's weight at grid index j < n = ``phases.grid_points``, a
+    GRID_SLICE slice of times per chunk."""
     n = phases.grid_points
     yield "tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"
     row = "\t".join(["%r"] * (len(dims) + 1)) + "\n"
     for j in range(0, n, dynamics.GRID_SLICE):
-        indices = np.arange(j, min(j + dynamics.GRID_SLICE, n))
-        taus = span * indices / n
-        instants = (periods % n) * indices % n
-        weights = dynamics.evolved_weights(phases.formed(instants), coords, dims)
-        yield from _rows(row, np.column_stack([taus, weights]))
+        stop = min(j + dynamics.GRID_SLICE, n)
+        weights = dynamics.evolved_weights(phases.at(j, stop), coords, dims)
+        yield from _rows(row, np.column_stack([span * np.arange(j, stop) / n, weights]))
 
 
 def _parse_big_int(text: str) -> int:
@@ -270,9 +272,18 @@ def _log_base(arg: str) -> float:
     return LOG_BASES[arg]
 
 
-def _read_spectrum_file(path: str, snap_denominator: int | None = None):
+def _read_json(path: str):
+    """The JSON document in a file, its integers of at most MAX_INT_DIGITS
+    digits; a file that does not decode ends in an error naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return spectrum.parse_spectrum(fh.read(), snap_denominator)
+        try:
+            return json.load(fh, parse_int=spectrum.json_int)
+        except ValueError as exc:  # bad JSON, a long integer or bad UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_spectrum_file(path: str, snap_denominator: int | None = None):
+    return spectrum.parse_spectrum(_read_json(path), snap_denominator)
 
 
 def _amplitudes(pairs) -> np.ndarray:
@@ -291,8 +302,7 @@ def _amplitudes(pairs) -> np.ndarray:
 
 def _read_state_file(path: str) -> np.ndarray:
     """State schema: {"amplitudes": [[re, im], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_int=spectrum.json_int)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ValueError('state document must contain an "amplitudes" list')
     return _amplitudes(doc["amplitudes"])
@@ -434,8 +444,8 @@ def cmd_compute_l(args) -> int:
             group = slice(first, first + ORACLE_CELLS)
             block = coords[:, sum(dims[:first]):sum(dims[:group.stop])]
             oracles += dynamics.discrete_time_average(
-                lambda j: (dynamics.evolved_weights(phases.rows(j), block, dims[group])
-                           - shares[group]) ** 2,
+                lambda j: (dynamics.evolved_weights(phases.at(j[0], j[-1] + 1), block,
+                                                    dims[group]) - shares[group]) ** 2,
                 ispec,
                 grid - 1,
             ).tolist()
@@ -478,8 +488,8 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        _write(_trajectory_chunks(dynamics.grid_phases(ispec, grid_points), coords, dims,
-                                  span, periods),
+        _write(_trajectory_chunks(dynamics.grid_phases(ispec, grid_points, periods), coords,
+                                  dims, span),
                args.dump_trajectory)
     return 0 if all_ok else 1
 
@@ -634,9 +644,7 @@ def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
 
 
 def cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_int=spectrum.json_int)
-    report = montecarlo.run_experiment(_config_from_document(doc, args))
+    report = montecarlo.run_experiment(_config_from_document(_read_json(args.config), args))
     experiment, normality = report["experiment"], report["normality"]
     gates = {"mean_bound_and_chain": experiment["pass"]}
     if normality is not None:
@@ -727,7 +735,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

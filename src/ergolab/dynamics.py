@@ -30,13 +30,16 @@ of :func:`discrete_time_average` take slices of GRID_SLICE indices, so
 time-grid kernels bound their arrays however long the grid, while the
 average holds one row of values per index.
 
-On that grid every evolution phase is an N-th root of unity,
-exp(-i E tau_j) = exp(-2*pi*i (E*j mod N)/N).  :func:`grid_phases` forms
-the phases that way: the residues E mod N are taken on the exact integers
-and the N roots are tabulated once, so a phase is as accurate at E = 10^17
-as at E = 1, and a common energy offset stays an exact global phase.
-compute-l's oracle gathers its phases from the table; its trajectory dump,
-which reads each grid time once, forms its roots without the table.
+On that grid every phase is an N-th root of unity,
+exp(-i f tau_j) = exp(-2*pi*i (f*j mod N)/N) for an integer frequency f,
+and :class:`GridPhases` is the one route to it: f is reduced mod N on the
+exact integers, and the phase at index j is the product of the exact roots
+at f*(j - j mod PHASE_STEP) and at f*(j mod PHASE_STEP).  So a phase is
+within a few ulp of the exact root at f = 10^400 as at f = 1, its bits
+depend on f mod N and j alone, and no table of N roots is built.  The
+oracle reads the levels' phases (:func:`grid_phases`), the trajectory dump
+those of the levels times --periods, the normality audit those of the
+positive gaps (:func:`gap_phases`).
 
 ``run``'s normality audit evolves no coordinates.  :func:`gap_buckets`
 gathers each cell's shell overlap matrix once into its gap buckets, the
@@ -45,19 +48,16 @@ moduli.  The deviation functional reads both (:mod:`ergolab.typicality`);
 the audit reads G_g alone, as the gap polynomial
 w(tau) = G_0 + 2 sum_{g>0} Re(G_g exp(-i g tau)) of the cell weight, so
 :func:`normal_time_fractions` needs the phases of the n positive gaps
-only: each gap is reduced mod N on the exact integers, and the phase at
-index j0 + l is the product of the exact roots at j0 and at l, l within a
-slice, so within a few ulp of the exact root.  It walks the grid a slice
-and one cell at a time, a real (trials, 2n) x (2n, times) product per cell
-and slice, and a slice's times are bounded (SLICE_BYTES), so its arrays do
-not grow with the grid.
+only.  It walks the grid a slice and one cell at a time, a real
+(trials, 2n) x (2n, times) product per cell and slice (each complex phase
+read as its real and imaginary parts), and a slice's times
+are bounded (SLICE_BYTES), so its arrays do not grow with the grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,6 +78,7 @@ __all__ = [
     "integer_rescaled",
     "GridPhases",
     "grid_phases",
+    "gap_phases",
     "evolved_weights",
     "weight_polynomials",
     "polynomial_weights",
@@ -96,15 +97,23 @@ STATE_NORM_TOL = 1e-10
 GRID_SLICE = 128
 
 # Bytes of normal_time_fractions' arrays per time of a grid slice: a float
-# deviation and two booleans per trial, and per positive gap three complex
-# or paired real phases.  A slice holds GRID_SLICE times, or more while its
+# deviation and two booleans per trial, and per positive gap the complex
+# phases formed for the whole PHASE_STEP blocks the slice touches, at most
+# 2.5 per time since a slice holds at least GRID_SLICE times.  A slice holds GRID_SLICE times, or more while its
 # arrays stay within SLICE_BYTES: a block of few trials, such as one trial
 # of D = 256, then walks its grid in few slices.
 INSTANT_BYTES = 10
 GAP_PHASE_BYTES = 48
 SLICE_BYTES = 1 << 18
 
-# Largest grid of grid_phases.  A grid index and a residue are both below N,
+# Grid indices per step of GridPhases, a constant of its own so that no
+# slice length reaches a phase's bits.  Its small-step roots take
+# 16*PHASE_STEP bytes per frequency.  Any step is within a few ulp of the
+# exact roots; at 96, unlike 64 or 128, the benchmark's compute-l reports
+# at seeds 1 and 2 keep the bytes of the earlier table of roots.
+PHASE_STEP = 96
+
+# Largest grid of GridPhases.  A grid index and a residue are both below N,
 # so their int64 product stays below N^2 <= 2^63 - 1 exactly when N is at
 # most isqrt(2^63 - 1) = 3 037 000 499.
 MAX_PHASE_GRID = math.isqrt(2**63 - 1)
@@ -242,73 +251,49 @@ def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
     return Spectrum(levels, approximate=spec.approximate), mult
 
 
-@dataclass(frozen=True, eq=False)
 class GridPhases:
-    """Evolution phases on the N-point period grid of an integer spectrum.
+    """The phases exp(-2*pi*i*(f*j mod N)/N) of exact integer frequencies
+    f, Python or NumPy integers of any size, on the N-point period grid:
+    the one route described in the module docstring.  ``frequencies``
+    holds each f mod N; ``steps``, the roots at f*l for l < PHASE_STEP,
+    is formed on first use and kept."""
 
-    ``residues`` holds each level's energy mod N, so the phase of level a
-    at tau_j is the root exp(-2*pi*i*m/N) of exponent m = (j * residues[a])
-    mod N.  ``roots``, the table of all N roots, is built when a row is
-    first gathered.  The first-slice roots of :meth:`gap_slices` are kept
-    per pair index and slice length, so a run's blocks form them once.
-    """
-
-    grid_points: int
-    residues: np.ndarray
-    _gap_roots: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, frequencies, grid_points: int):
+        n = int(grid_points)
+        if not 1 <= n <= MAX_PHASE_GRID:
+            raise ValueError(f"a phase grid has 1 to {MAX_PHASE_GRID} points, got {n}")
+        self.grid_points = n
+        self.frequencies = np.array([int(f) % n for f in frequencies], dtype=np.int64)
 
     @functools.cached_property
-    def roots(self) -> np.ndarray:
-        return _roots_of_unity(np.arange(self.grid_points, dtype=np.int64), self.grid_points)
-
-    def exponents(self, indices) -> np.ndarray:
-        """The root exponents of the grid indices j; shape (len(j), D_E)."""
-        j = np.asarray(indices, dtype=np.int64)
-        return np.multiply.outer(j, self.residues) % self.grid_points
-
-    def rows(self, indices) -> np.ndarray:
-        """Phase rows of the grid indices j, gathered from the table."""
-        return self.roots[self.exponents(indices)]
-
-    def gap_slices(self, index: PairIndex, times: int):
-        """The phases exp(-i g tau_j) of the positive gaps g of ``index``,
-        ascending, along the whole grid, as real (2 n, times) rows per slice
-        of ``times`` consecutive indices j (the last slice shorter): the real
-        parts for each g, then the imaginary parts.  Each gap is reduced mod
-        N in Python integers, whether the index holds int64 gaps or, past
-        int64, Python ones.  The phase at j0 + l is the product of the exact
-        roots at j0 and at l, the roots at l < ``times`` formed once, so a
-        phase is within a few ulp of the exact one and no table of N roots
-        is built.  The gaps mod N and the roots at l are formed on the first
-        call for ``index`` and ``times`` and kept."""
+    def steps(self) -> np.ndarray:
         n = self.grid_points
-        if (index, times) not in self._gap_roots:
-            positive = index.gap_values[index.gap_values.size // 2 + 1:]
-            gaps = np.array([g % n for g in positive.tolist()], dtype=np.int64)
-            first = _roots_of_unity(np.multiply.outer(gaps, np.arange(min(times, n))) % n, n)
-            first.flags.writeable = False
-            self._gap_roots[index, times] = gaps, first
-        gaps, first = self._gap_roots[index, times]
-        for j in range(0, n, times):
-            roots = first[:, :n - j] * _roots_of_unity(gaps * j % n, n)[:, None]
-            yield np.concatenate([roots.real, roots.imag])
+        steps = _roots_of_unity(np.multiply.outer(np.arange(PHASE_STEP), self.frequencies) % n, n)
+        steps.flags.writeable = False
+        return steps
 
-    def formed(self, indices) -> np.ndarray:
-        """:meth:`rows` bit for bit, each root formed on its own, so no
-        table of N roots is built: for indices read once each."""
-        return _roots_of_unity(self.exponents(indices), self.grid_points)
+    def at(self, start: int, stop: int) -> np.ndarray:
+        """The phases of grid indices start <= j < stop; (stop - start, F)."""
+        n, first = self.grid_points, start - start % PHASE_STEP
+        blocks = np.arange(first, stop, PHASE_STEP)
+        coarse = _roots_of_unity(np.multiply.outer(blocks, self.frequencies) % n, n)
+        phases = coarse[:, None] * self.steps
+        phases = phases.reshape(blocks.size * PHASE_STEP, self.frequencies.size)
+        return phases[start - first:stop - first]
 
 
-def grid_phases(spec: Spectrum, grid_points: int) -> GridPhases:
-    """The phases of an integer spectrum on its ``grid_points``-point period
-    grid, exact roots of unity whatever the size of the energies."""
+def grid_phases(spec: Spectrum, grid_points: int, periods: int = 1) -> GridPhases:
+    """The phases of the levels of an integer spectrum times ``periods`` P,
+    so that index j reads the level phases at grid time P*j mod N."""
     if not spec.is_integer:
         raise ValueError("grid phases need an integer spectrum; rescale rational spectra first")
-    n = int(grid_points)
-    if not 1 <= n <= MAX_PHASE_GRID:
-        raise ValueError(f"a phase grid has 1 to {MAX_PHASE_GRID} points, got {n}")
-    residues = np.array([e.numerator % n for e in spec.energies], dtype=np.int64)
-    return GridPhases(n, residues)
+    return GridPhases([e.numerator * periods for e in spec.energies], grid_points)
+
+
+def gap_phases(index: PairIndex, grid_points: int) -> GridPhases:
+    """The phases of the positive gaps of ``index``, ascending: the
+    frequencies of :func:`weight_polynomials`."""
+    return GridPhases(index.gap_values[index.gap_values.size // 2 + 1:].tolist(), grid_points)
 
 
 def _roots_of_unity(m: np.ndarray, n: int) -> np.ndarray:
@@ -350,53 +335,53 @@ def weight_polynomials(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w(tau) = G_0 + 2 sum_{g > 0} Re(G_g exp(-i g tau)), from the bucket
     sums G_g (..., n + 1) of :func:`gap_buckets`.  Returns G_0 (...,) and
     the real coefficients (..., 2 n) of the n positive gaps, ascending:
-    2 Re G_g for each, then -2 Im G_g, which :func:`polynomial_weights`
-    pairs with the real and imaginary rows of :meth:`GridPhases.gap_slices`.
+    2 Re G_g, -2 Im G_g for each, which :func:`polynomial_weights` pairs
+    with the real and imaginary parts of the gap's phase.
     """
-    positive = sums[..., 1:]
-    return sums[..., 0].real, np.concatenate([2 * positive.real, -2 * positive.imag], axis=-1)
+    return sums[..., 0].real, (2 * sums[..., 1:].conj()).view(np.float64)
 
 
-def polynomial_weights(polynomial: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+def polynomial_weights(polynomial: tuple[np.ndarray, np.ndarray], phases: np.ndarray) -> np.ndarray:
     """The weights (..., times) of :func:`weight_polynomials` at the grid
-    times of one slice of gap phase rows (:meth:`GridPhases.gap_slices`):
+    times of a slice of gap phases (times, n) (:meth:`GridPhases.at`):
     G_0 plus one real product."""
     constant, coefficients = polynomial
-    weights = coefficients @ rows
+    weights = coefficients @ phases.view(np.float64).T
     weights += constant[..., None]
     return weights
 
 
-def normal_time_fractions(
-    sums, ranks, epsilon: float, index: PairIndex, phases: GridPhases
-) -> np.ndarray:
+def normal_time_fractions(sums, ranks, epsilon: float, phases: GridPhases) -> np.ndarray:
     """Fraction of the grid times at which every cell weight is near its share.
 
     ``sums`` lists each cell's bucket sums G_g (:func:`gap_buckets`), one
     array or a stack, for consecutive column blocks of the given ranks of
-    complete bases, so the ranks sum to D; ``index`` is the pair index of
-    the spectrum and ``phases`` its grid.  Each weight is evaluated from
-    its gap polynomial (:func:`weight_polynomials`), one cell and one slice
-    of grid times at a time (GRID_SLICE times, or more within SLICE_BYTES),
-    and the closeness of every cell is ANDed into one boolean per trial and
-    time of the slice.  One fraction per leading index.
+    complete bases, so the ranks sum to D; ``phases`` are the gap phases
+    (:func:`gap_phases`) of the spectrum's pair index.  Each weight is
+    evaluated from its gap polynomial (:func:`weight_polynomials`), one
+    cell and one slice of grid times at a time (GRID_SLICE times, or more
+    within SLICE_BYTES), and the closeness of every cell is ANDed into one
+    boolean per trial and time of the slice.  One fraction per leading
+    index.
     """
     ranks = np.asarray(ranks)
     fracs = ranks / ranks.sum()
     tol = (epsilon / math.sqrt(ranks.size)) * np.sqrt(fracs)
     polynomials = [weight_polynomials(g) for g in sums]
     inside = np.zeros(np.shape(sums[0])[:-1], dtype=np.int64)
-    gaps = index.gap_values.size // 2
+    n = phases.grid_points
+    gaps = phases.frequencies.size
     times = max(GRID_SLICE, SLICE_BYTES // (INSTANT_BYTES * inside.size + GAP_PHASE_BYTES * gaps))
-    for rows in phases.gap_slices(index, times):
-        near = np.ones((*inside.shape, rows.shape[-1]), dtype=bool)
+    for start in range(0, n, times):
+        roots = phases.at(start, min(start + times, n))
+        near = np.ones((*inside.shape, len(roots)), dtype=bool)
         for polynomial, frac, bound in zip(polynomials, fracs, tol):
-            deviations = polynomial_weights(polynomial, rows)
+            deviations = polynomial_weights(polynomial, roots)
             deviations -= frac
             np.abs(deviations, out=deviations)
             near &= deviations <= bound
         inside += np.count_nonzero(near, axis=-1)
-    return inside / phases.grid_points
+    return inside / n
 
 
 def time_fraction_normal(
@@ -418,10 +403,11 @@ def time_fraction_normal(
     fraction.  It is :func:`normal_time_fractions` on one state, as ``run``
     evaluates a block of trials.
     """
-    phases = grid_phases(spec, grid_points)
+    if not spec.is_integer:
+        raise ValueError("time fractions need an integer spectrum; rescale rational spectra first")
     offsets = shell_offsets(spec)
     index = spec.pair_index
     sums = [gap_buckets(overlap_matrices(shell_coordinates(cell, vector, offsets)), index)[0]
             for cell in decomposition]
     ranks = [cell.shape[1] for cell in decomposition]
-    return float(normal_time_fractions(sums, ranks, epsilon, index, phases))
+    return float(normal_time_fractions(sums, ranks, epsilon, gap_phases(index, grid_points)))

@@ -35,9 +35,12 @@ and INSTANT_BYTES per time of a slice of GRID_SLICE grid times.  The grid
 is walked in slices, so no array grows with ``grid_points``: a slice's gap
 phases, shared by the block, take GAP_PHASE_BYTES per positive gap and
 time, and the longer slices of a small block stay within SLICE_BYTES (all
-in :mod:`ergolab.dynamics`).  The
-draws' arrays die before the block is evaluated, and the block's before
-the next is drawn.
+in :mod:`ergolab.dynamics`).  A run builds its gap phases
+(:func:`~ergolab.dynamics.gap_phases`) once, so their small-step roots are
+formed once whatever the block size, and a phase's bits depend on its gap
+and grid index alone, not on the slice that reads it.  The draws' arrays
+die before the block is evaluated, and the block's before the next is
+drawn.
 Measured on the benchmark's ensemble-small workload (D = 8, 1000 grid
 points, 500 trials, normality on; 170-trial blocks) in-process on a 2-core
 x86-64 VM with one BLAS thread: the tracemalloc peak of a run is 1060 KiB,
@@ -61,8 +64,7 @@ from .dynamics import (
     MAX_PHASE_GRID,
     deviation_grid_points,
     gap_buckets,
-    grid_phases,
-    integer_rescaled,
+    gap_phases,
     normal_time_fractions,
     overlap_matrices,
     prepare_state,
@@ -273,7 +275,7 @@ def _evaluate_block(config: ExperimentConfig, trials: range, fixed, offsets, pha
         sufficient_condition(block_totals[:, k], p, rank, dim)
         for k, rank in enumerate(config.dims)
     ], axis=0)
-    fractions = normal_time_fractions(sums, config.dims, p.epsilon, spec.pair_index, phases)
+    fractions = normal_time_fractions(sums, config.dims, p.epsilon, phases)
     ok_direct = fractions >= 1 - p.delta_prime
     return (chain_violations, int(np.sum(ok_sufficient)), int(np.sum(ok_direct)),
             int(np.sum(ok_sufficient & ~ok_direct)))
@@ -308,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     offsets = shell_offsets(spec)
     phases = None
     if config.normality:
-        phases = grid_phases(integer_rescaled(spec)[0], config.grid_points)
+        phases = gap_phases(spec.pair_index, config.grid_points)
 
     totals = np.empty((config.trials, len(config.dims)))
     tallies = [0, 0, 0, 0]

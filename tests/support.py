@@ -256,7 +256,7 @@ def evolved_time_fraction(spec: Spectrum, vector, decomposition, epsilon: float,
     fracs = np.array(ranks) / spec.dim_total
     tol = (epsilon / math.sqrt(len(ranks))) * np.sqrt(fracs)
     coords = shell_coordinates(np.hstack(decomposition), vector, shell_offsets(spec))
-    rows = grid_phases(spec, grid_points).rows(np.arange(grid_points))
+    rows = grid_phases(spec, grid_points).at(0, grid_points)
     deviations = np.abs(evolved_weights(rows, coords, ranks) - fracs)
     return float(np.all(deviations <= tol, axis=-1).mean())
 
@@ -364,20 +364,18 @@ def trial_dump_reference(experiment) -> str:
     return "".join(lines)
 
 
-def trajectory_dump_reference(phases, coords, dims, span, periods) -> str:
+def trajectory_dump_reference(phases, coords, dims, span) -> str:
     """The ``compute-l --dump-trajectory`` text, written a line at a time:
-    tau = span * j / n and every cell's weight at grid time periods * j mod n
-    of the n-point grid of ``phases``, its phase rows gathered from the
-    table of roots.  The weights are evaluated in slices of GRID_SLICE
-    times, as the program evaluates them, since BLAS may round a product
-    of another shape differently."""
+    tau = span * j / n and every cell's weight at grid index j of the
+    n-point grid of ``phases``.  The weights are evaluated in slices of
+    GRID_SLICE times, as the program evaluates them, since BLAS may round a
+    product of another shape differently."""
     n = phases.grid_points
     lines = ["tau\t" + "\t".join(f"cell_{k + 1}" for k in range(len(dims))) + "\n"]
     for j in range(0, n, GRID_SLICE):
         indices = range(j, min(j + GRID_SLICE, n))
         taus = [span * i / n for i in indices]
-        weights = evolved_weights(phases.rows([periods * i % n for i in indices]),
-                                  coords, dims)
+        weights = evolved_weights(phases.at(j, indices.stop), coords, dims)
         for tau, row in zip(taus, weights.tolist()):
             lines.append("\t".join(repr(x) for x in [tau, *row]) + "\n")
     return "".join(lines)

@@ -1018,8 +1018,9 @@ class TestBigIntFlags:
 
 class TestLongJsonIntegers:
     """An integer of more than 4300 digits in any JSON document the program
-    reads ends in one error line with its digit count and the limit, not in
-    Python's integer-conversion message."""
+    reads ends in one error line with the file's path, its digit count and
+    the limit, not in Python's integer-conversion message; a document that
+    does not decode ends in one line with the path too."""
 
     LONG = "-1" + "0" * 4300  # 4301 digits
 
@@ -1027,21 +1028,35 @@ class TestLongJsonIntegers:
         path = tmp_path / "spec.json"
         path.write_text('{"levels": [{"energy": %s, "degeneracy": 1}]}' % self.LONG)
         assert main(["analyze", str(path)]) == 1
-        assert_one_line_error(capsys, "4301 digits", "limit of 4300")
+        assert_one_line_error(capsys, str(path), "4301 digits", "limit of 4300")
 
     def test_run_trials(self, tmp_path, capsys):
         cfg = Path(TestRun.write_config(tmp_path))
         cfg.write_text(cfg.read_text().replace('"trials": 5', '"trials": ' + self.LONG[1:]))
         assert main(["run", str(cfg), "--out", str(tmp_path / "report.json")]) == 1
         assert not (tmp_path / "report.json").exists()
-        assert_one_line_error(capsys, "4301 digits", "limit of 4300")
+        assert_one_line_error(capsys, str(cfg), "4301 digits", "limit of 4300")
 
     def test_state_amplitude(self, tmp_path, capsys):
         spec_path = write_spectrum(tmp_path, [(0, 1), (1, 1)])
         state = tmp_path / "state.json"
         state.write_text('{"amplitudes": [[%s, 0], [0, 0]]}' % self.LONG)
         assert main(["compute-l", spec_path, "--dims", "1,1", "--state", str(state)]) == 1
-        assert_one_line_error(capsys, "4301 digits", "limit of 4300")
+        assert_one_line_error(capsys, str(state), "4301 digits", "limit of 4300")
+
+    def test_truncated_run_config(self, tmp_path, capsys):
+        cfg = Path(TestRun.write_config(tmp_path))
+        cfg.write_text(cfg.read_text()[:13])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "report.json")]) == 1
+        assert not (tmp_path / "report.json").exists()
+        assert_one_line_error(capsys, str(cfg), "line 1 column")
+
+    def test_truncated_state(self, tmp_path, capsys):
+        spec_path = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        state = tmp_path / "state.json"
+        state.write_text('{"amplitudes": [[1, 0], [0')
+        assert main(["compute-l", spec_path, "--dims", "1,1", "--state", str(state)]) == 1
+        assert_one_line_error(capsys, str(state), "line 1 column")
 
 
 class TestParser:
@@ -1305,9 +1320,9 @@ class TestRun:
         # spread 700: the default grid is 1401 points, not 1000, and an
         # explicit 1000 is refused
         grids = []
-        phases = montecarlo.grid_phases
-        monkeypatch.setattr(montecarlo, "grid_phases",
-                            lambda spec, n: grids.append(n) or phases(spec, n))
+        phases = montecarlo.gap_phases
+        monkeypatch.setattr(montecarlo, "gap_phases",
+                            lambda index, n: grids.append(n) or phases(index, n))
         spectrum = {"levels": [{"energy": e, "degeneracy": 1} for e in (0, 1, 3, 700)]}
         cfg = self.write_config(tmp_path, spectrum=spectrum, dims=[2, 2], normality=True)
         assert main(["run", cfg, "--out", str(tmp_path / "report.json")]) == 0

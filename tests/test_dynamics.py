@@ -21,9 +21,11 @@ from ergolab import (
 from ergolab.dynamics import (
     GRID_SLICE,
     MAX_PHASE_GRID,
+    PHASE_STEP,
     evolved_weights,
     exact_grid_points,
     gap_buckets,
+    gap_phases,
     grid_phases,
     overlap_matrices,
     polynomial_weights,
@@ -285,9 +287,10 @@ class TestDiscreteTimeAverage:
 
 class TestGridPhases:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 1000, 19_501])
-    def test_root_table_within_an_ulp_or_two(self, n):
-        # float angles 2*pi*m/n up to 2*pi gave errors up to 1.2e-15
-        roots = grid_phases(spec_of([(0, 1)]), n).roots
+    def test_every_root_within_an_ulp_or_two(self, n):
+        # frequency 1 reads every root once; float angles 2*pi*m/n up to
+        # 2*pi gave errors up to 1.2e-15
+        roots = grid_phases(spec_of([(1, 1)]), n).at(0, n)[:, 0]
         with mpmath.workprec(100):
             exact = np.array([complex(mpmath.expjpi(mpmath.mpf(-2 * m) / n))
                               for m in range(n)])
@@ -300,7 +303,7 @@ class TestGridPhases:
         spec = spec_of([(e, 1) for e in energies])
         phases = grid_phases(spec, n)
         j = sorted(x for x in {0, 1, 2, n // 4, n // 2, n - 2, n - 1} if x >= 0)
-        rows = phases.rows(j)
+        rows = [phases.at(jj, jj + 1)[0] for jj in j]
         with mpmath.workprec(200):
             for jj, row in zip(j, rows):
                 for e, value in zip(energies, row):
@@ -310,27 +313,39 @@ class TestGridPhases:
     # energies beyond 2^63, negative ones and one beyond the float range
     PAST_INT64 = [-(2**70) - 3, -7, 0, 1, 2**63 + 5, 3 * 2**64 + 1, 10**400 + 9]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 97, 1000, 19_501, 100_003])
-    def test_formed_rows_are_the_gathered_rows(self, n):
-        # the dump forms each root on its own; the oracle gathers from the table
-        phases = grid_phases(spec_of([(e, 1) for e in self.PAST_INT64]), n)
-        rng = np.random.default_rng(n)
-        for j in [np.arange(min(n, 300)), rng.integers(0, n, 1), rng.integers(0, n, 257)]:
-            formed = phases.formed(j)
-            assert formed.shape == (len(j), len(self.PAST_INT64))
-            assert formed.tobytes() == phases.rows(j).tobytes()
+    WALKED = {
+        # run's normality audit on ensemble-small's levels 0..3
+        "gaps of 4 levels": lambda n: gap_phases(
+            spec_of([(e, 2) for e in range(4)]).pair_index, n),
+        "past int64": lambda n: grid_phases(
+            spec_of([(e, 1) for e in TestGridPhases.PAST_INT64]), n),
+    }
 
-    def test_root_table_built_when_a_row_is_first_gathered(self):
+    @pytest.mark.parametrize("n", [1, 7, 97, 1000, 19_501])
+    @pytest.mark.parametrize("name", WALKED)
+    def test_phase_bits_do_not_depend_on_the_walk(self, name, n):
+        # slices of 142 and 150 are those of ensemble-small's 170- and
+        # 160-trial blocks, 1702 that of a one-trial block; the audit's
+        # per-slice roots gave 142- and 150-slices 3 110 differing entries
+        phases = self.WALKED[name](n)
+        whole = phases.at(0, n)
+        assert whole.shape == (n, phases.frequencies.size)
+        for length in (1, 5, 128, 142, 150, 1702):
+            walked = np.concatenate([phases.at(j, min(j + length, n))
+                                     for j in range(0, n, length)])
+            assert walked.tobytes() == whole.tobytes(), length
+
+    def test_no_table_of_grid_roots(self):
+        # a million-point grid keeps its PHASE_STEP small-step roots only
         phases = grid_phases(spec_of([(0, 1), (3, 2)]), 10**6)
-        phases.formed(np.arange(5))
-        assert "roots" not in vars(phases)
-        phases.rows([0])
-        assert len(vars(phases)["roots"]) == 10**6
+        assert phases.at(10**6 - 5, 10**6).shape == (5, 2)
+        assert vars(phases).keys() == {"grid_points", "frequencies", "steps"}
+        assert phases.steps.shape == (PHASE_STEP, 2)
 
     def test_small_energies_match_float_phases(self):
         spec = spec_of([(-3, 2), (0, 1), (4, 3), (11, 1)])
         n = 31
-        rows = grid_phases(spec, n).rows(np.arange(n))
+        rows = grid_phases(spec, n).at(0, n)
         floats = time_phases(level_energies(spec), grid_times(np.arange(n), n))
         # one phase per level, not per coordinate
         assert rows.shape == floats.shape == (n, spec.num_levels)
@@ -339,11 +354,10 @@ class TestGridPhases:
 
     def test_offset_is_a_global_phase(self):
         n, offset = 257, 10**40 + 3
-        plain = grid_phases(spec_of([(0, 1), (1, 2), (5, 1)]), n)
+        plain = grid_phases(spec_of([(0, 1), (1, 2), (5, 1)]), n).at(0, n)
         shifted = grid_phases(spec_of([(offset, 1), (offset + 1, 2), (offset + 5, 1)]), n)
-        j = np.arange(n)
-        global_phase = plain.roots[(offset % n) * j % n]
-        np.testing.assert_allclose(shifted.rows(j), global_phase[:, None] * plain.rows(j),
+        global_phase = grid_phases(spec_of([(offset, 1)]), n).at(0, n)
+        np.testing.assert_allclose(shifted.at(0, n), global_phase * plain,
                                    rtol=0, atol=1e-15)
 
     def test_grid_bound_keeps_index_products_in_int64(self):
@@ -393,7 +407,7 @@ class TestTrajectoryKernel:
         vector = prepare_state(sample_random_state(10, rng), spec)
         dec = sample_decomposition([3, 3, 4], rng)
         ranks = [3, 3, 4]
-        phases = grid_phases(big, n).rows(np.arange(n))
+        phases = grid_phases(big, n).at(0, n)
         assert phases.shape == (n, 3)
         coords = shell_coordinates(np.hstack(dec), vector, shell_offsets(spec))
         weights = evolved_weights(phases, coords, ranks)
@@ -469,14 +483,13 @@ class TestGapPolynomialKernel:
     @pytest.mark.parametrize("name", SHAPES)
     def test_weights_match_evolved_coordinates(self, name):
         spec, vector, dec, n, _ = self.instance(name)
-        phases = grid_phases(spec, n)
         index = spec.pair_index
         offsets = shell_offsets(spec)
-        expected = evolved_weights(phases.rows(np.arange(n)),
+        expected = evolved_weights(grid_phases(spec, n).at(0, n),
                                    shell_coordinates(np.hstack(dec), vector, offsets),
                                    [cell.shape[1] for cell in dec])
-        slices = list(phases.gap_slices(index, GRID_SLICE))
-        assert len(slices) == -(-n // GRID_SLICE)
+        gaps = gap_phases(index, n)
+        slices = [gaps.at(j, min(j + GRID_SLICE, n)) for j in range(0, n, GRID_SLICE)]
         for k, cell in enumerate(dec):
             polynomial = weight_polynomials(gap_buckets(
                 overlap_matrices(shell_coordinates(cell, vector, offsets)), index)[0])
@@ -497,7 +510,6 @@ class TestGapPolynomialKernel:
         shifted = spec_of([(offset, 1), (offset + 1, 1), (offset + 3, 1)])
         plain = spec_of([(0, 1), (1, 1), (3, 1)])
         assert shifted.pair_index.gap_values.dtype == object
-        far, near = (list(grid_phases(spec, 7).gap_slices(spec.pair_index, 5))
-                     for spec in (shifted, plain))
-        assert [rows.shape for rows in far] == [(6, 5), (6, 2)]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(far, near))
+        far, near = (gap_phases(spec.pair_index, 7).at(0, 7) for spec in (shifted, plain))
+        assert far.shape == (7, 3)
+        assert far.tobytes() == near.tobytes()

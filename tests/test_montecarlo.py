@@ -17,7 +17,7 @@ from ergolab import (
     run_experiment,
     wilson_interval,
 )
-from ergolab import dynamics, montecarlo, typicality
+from ergolab import montecarlo, typicality
 from ergolab.cli import main
 from ergolab.montecarlo import _block_trials
 
@@ -256,7 +256,7 @@ class TestSinglePass:
         # the per-cell time average.
         draws, calls = Counter(), Counter()
         substream, kernel = montecarlo.substream, montecarlo.deviation_breakdowns
-        phases, time_avg = montecarlo.grid_phases, typicality.exact_time_avg_weight
+        phases, time_avg = montecarlo.gap_phases, typicality.exact_time_avg_weight
 
         def counted_substream(seed, *path):
             draws[path] += 1
@@ -274,7 +274,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(montecarlo, "substream", counted_substream)
         monkeypatch.setattr(montecarlo, "deviation_breakdowns", counted_kernel)
-        monkeypatch.setattr(montecarlo, "grid_phases", counted("grid_phases", phases))
+        monkeypatch.setattr(montecarlo, "gap_phases", counted("gap_phases", phases))
         monkeypatch.setattr(typicality, "exact_time_avg_weight",
                             counted("exact_time_avg_weight", time_avg))
         config = tmp_path / "config.json"
@@ -289,7 +289,7 @@ class TestSinglePass:
         }))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
         assert draws == {(1, t): 1 for t in range(20)}
-        assert calls == {"matrices": 20 * 4, "grid_phases": 1}
+        assert calls == {"matrices": 20 * 4, "gap_phases": 1}
 
     @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
     def test_normality_counts_match_per_trial_recomputation(self, policy):
@@ -323,20 +323,22 @@ class TestSinglePass:
         assert 0 < count < 2 * cfg.trials * len(cfg.dims)
 
     def test_gap_roots_are_formed_once_across_blocks(self, monkeypatch):
-        # one-trial blocks, as at D above 104: the first slice's roots, the
-        # one two-dimensional call, are formed for the first block only
-        tables, roots = Counter(), dynamics._roots_of_unity
+        # one-trial blocks, as at D above 104: every block reads the run's
+        # one gap phases, whose small-step roots are formed once
+        seen, fractions = [], montecarlo.normal_time_fractions
 
-        def counted(m, n):
-            tables[np.ndim(m)] += 1
-            return roots(m, n)
+        def spy(sums, ranks, epsilon, phases):
+            seen.append((phases, "steps" in vars(phases)))
+            return fractions(sums, ranks, epsilon, phases)
 
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(dynamics, "_roots_of_unity", counted)
+        monkeypatch.setattr(montecarlo, "normal_time_fractions", spy)
         cfg = rational_config("haar-per-trial", normality=True)
         assert _block_trials(cfg) == 1
         run_experiment(cfg)
-        assert tables[2] == 1
+        assert len(seen) == cfg.trials > 1
+        assert {id(phases) for phases, _ in seen} == {id(seen[0][0])}
+        assert [cached for _, cached in seen] == [False] + [True] * (cfg.trials - 1)
 
     def test_block_size_changes_no_result(self, monkeypatch):
         cfg = rational_config("haar-per-trial", normality=True)
