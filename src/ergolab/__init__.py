@@ -31,7 +31,6 @@ from .dynamics import (
     discrete_time_average,
     exact_time_avg_weight,
     gap_buckets,
-    integer_rescaled,
     prepare_state,
     shell_overlap_matrix,
     time_fraction_normal,

@@ -272,18 +272,20 @@ def _log_base(arg: str) -> float:
     return LOG_BASES[arg]
 
 
-def _read_json(path: str):
-    """The JSON document in a file, its integers of at most MAX_INT_DIGITS
-    digits; a file that does not decode ends in an error naming it."""
+def _read_json(path: str, read):
+    """``read`` of the JSON document in a file, its integers of at most
+    MAX_INT_DIGITS digits.  Every input file is read here: a refusal of its
+    decoding (bad JSON, a long integer or bad UTF-8) or of its content by
+    ``read`` ends in an error naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_int=spectrum.json_int)
-        except ValueError as exc:  # bad JSON, a long integer or bad UTF-8
+            return read(json.load(fh, parse_int=spectrum.json_int))
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_spectrum_file(path: str, snap_denominator: int | None = None):
-    return spectrum.parse_spectrum(_read_json(path), snap_denominator)
+    return _read_json(path, lambda doc: spectrum.parse_spectrum(doc, snap_denominator))
 
 
 def _amplitudes(pairs) -> np.ndarray:
@@ -300,9 +302,8 @@ def _amplitudes(pairs) -> np.ndarray:
         raise ValueError('"amplitudes" holds a number beyond the float range') from None
 
 
-def _read_state_file(path: str) -> np.ndarray:
+def _state_amplitudes(doc) -> np.ndarray:
     """State schema: {"amplitudes": [[re, im], ...]}."""
-    doc = _read_json(path)
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ValueError('state document must contain an "amplitudes" list')
     return _amplitudes(doc["amplitudes"])
@@ -404,7 +405,7 @@ def cmd_compute_l(args) -> int:
     # The unitary of randomness.sample_decomposition(dims, substream(seed, 0)).
     unitary = randomness.sample_haar_unitary(spec.dim_total, randomness.substream(args.seed, 0))
     if args.state is not None:
-        amplitudes, state_source = _read_state_file(args.state), "file"
+        amplitudes, state_source = _read_json(args.state, _state_amplitudes), "file"
     else:
         amplitudes = randomness.sample_random_state(
             spec.dim_total, randomness.substream(args.seed, 1))
@@ -412,10 +413,11 @@ def cmd_compute_l(args) -> int:
     vector = dynamics.prepare_state(amplitudes, spec)
     coords = dynamics.shell_coordinates(unitary, vector, dynamics.shell_offsets(spec))
 
-    # The oracle evolves the shell coordinates on the integer spectrum.
-    ispec, mult = dynamics.integer_rescaled(spec)
+    # The oracle and the dump evolve the shell coordinates on the spectrum's
+    # integer levels, its energies times mult.
+    mult = spec.pair_index.scale
     if args.dump_trajectory is not None:
-        # Periods of the (rescaled-integer) dynamics in original time units.
+        # Periods of the integer-level dynamics in original time units.
         try:
             period = 2 * math.pi * float(mult)
         except OverflowError:
@@ -427,15 +429,15 @@ def cmd_compute_l(args) -> int:
         span = period * min(periods, sys.float_info.max)
         if span == math.inf:
             raise ValueError(f"--periods {periods} overflows the dump's time span")
-    grid = dynamics.deviation_grid_points(ispec)
+    grid = dynamics.deviation_grid_points(spec)
     oracle_note = None
     if grid > MAX_ORACLE_GRID:
         oracle_note = (
-            f"oracle skipped: rescaled spectral spread {ispec.spread} needs a "
+            f"oracle skipped: rescaled spectral spread {(grid - 1) // 2} needs a "
             f"{grid}-point grid (limit {MAX_ORACLE_GRID})"
         )
     else:
-        phases = dynamics.grid_phases(ispec, grid)
+        phases = dynamics.grid_phases(spec, grid)
         shares = np.array(dims) / spec.dim_total
         oracles = []
         # (w - d/D)^2 of up to ORACLE_CELLS consecutive cells at once, from
@@ -446,7 +448,7 @@ def cmd_compute_l(args) -> int:
             oracles += dynamics.discrete_time_average(
                 lambda j: (dynamics.evolved_weights(phases.at(j[0], j[-1] + 1), block,
                                                     dims[group]) - shares[group]) ** 2,
-                ispec,
+                spec,
                 grid - 1,
             ).tolist()
 
@@ -488,7 +490,7 @@ def cmd_compute_l(args) -> int:
     _write_output(doc, args.out)
 
     if args.dump_trajectory is not None:
-        _write(_trajectory_chunks(dynamics.grid_phases(ispec, grid_points, periods), coords,
+        _write(_trajectory_chunks(dynamics.grid_phases(spec, grid_points, periods), coords,
                                   dims, span),
                args.dump_trajectory)
     return 0 if all_ok else 1
@@ -565,7 +567,7 @@ RUN_CONFIG_KEYS = frozenset({
     "spectrum", "dims", "params", "state", "trials", "seed", "log_base",
     "grid_points", "normality",
 })
-PARAM_KEYS = frozenset({"epsilon", "delta", "delta_prime", "constant"})
+PARAM_KEYS = frozenset(typicality.DEFAULT_PARAMS)
 STATE_KEYS = frozenset({"amplitudes"})
 
 
@@ -607,11 +609,9 @@ def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
     dims = tuple(_integer(d, "dims") for d in dims)
     raw_params = _object(doc.get("params", {}), '"params"', PARAM_KEYS)
     params = typicality.TheoremParams(
-        epsilon=_finite(raw_params.get("epsilon", 1.0), "epsilon"),
-        delta=_finite(raw_params.get("delta", 0.1), "delta"),
-        delta_prime=_finite(raw_params.get("delta_prime", 0.1), "delta_prime"),
         num_cells=len(dims),
-        constant=_finite(raw_params.get("constant", 2.0), "constant"),
+        **{name: _finite(raw_params.get(name, default), name)
+           for name, default in typicality.DEFAULT_PARAMS.items()},
     )
     state = doc.get("state", "uniform")
     amplitudes = None
@@ -644,7 +644,8 @@ def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
 
 
 def cmd_run(args) -> int:
-    report = montecarlo.run_experiment(_config_from_document(_read_json(args.config), args))
+    report = montecarlo.run_experiment(
+        _read_json(args.config, lambda doc: _config_from_document(doc, args)))
     experiment, normality = report["experiment"], report["normality"]
     gates = {"mean_bound_and_chain": experiment["pass"]}
     if normality is not None:
@@ -707,10 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=_parse_big_int, required=True)
     p.add_argument("--cells", type=_parse_big_int, required=True)
     p.add_argument("--sum-degeneracy", type=_parse_big_int, default=2)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--delta-prime", type=float, default=0.1)
-    p.add_argument("--constant", type=float, default=2.0)
+    for name, default in typicality.DEFAULT_PARAMS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=default)
     p.add_argument("--margin", type=float, default=10.0)
     p.add_argument("--precision-bits", type=int, default=typicality.DEFAULT_PRECISION_BITS)
     p.add_argument("--log-base", choices=list(LOG_BASES), default="e",

@@ -17,14 +17,18 @@ Every kernel also accepts stacks of these arrays on leading axes, which is
 how an ensemble evaluates a block of trials at once; the single-state
 functions are the same code on an array without a leading axis.
 
-For integer spectra every trajectory observable used here is a
-trigonometric polynomial with integer frequencies, which turns the
-infinite-time average into an exact finite sum: averaging over
-tau_j = 2*pi*j/N with N = max_frequency + 1 (:func:`exact_grid_points`)
-annihilates every nonzero frequency of magnitude <= max_frequency, none of
-which is a multiple of N; no smaller N does (Trefethen & Weideman, 2014).
-Rational spectra are rescaled to integers first; the rescaling leaves all
-gap and sum collision structure, and hence every time average, unchanged.
+Time runs on the integer view of the spectrum: the levels rescaled by the
+least common multiple of their denominators, which the spectrum's
+:class:`~ergolab.spectrum.PairIndex` keeps (``integer_levels``, ``scale``).
+The rescaling leaves all gap and sum collision structure, and hence every
+time average, unchanged, and every grid route below reads those integers,
+so a rational spectrum takes the same routes as an integer one.  On them
+every trajectory observable used here is a trigonometric polynomial with
+integer frequencies, which turns the infinite-time average into an exact
+finite sum: averaging over tau_j = 2*pi*j/N with N = max_frequency + 1
+(:func:`exact_grid_points`) annihilates every nonzero frequency of
+magnitude <= max_frequency, none of which is a multiple of N; no smaller N
+does (Trefethen & Weideman, 2014).
 The grid index j is the only time coordinate of the averages: observables
 of :func:`discrete_time_average` take slices of GRID_SLICE indices, so
 time-grid kernels bound their arrays however long the grid, while the
@@ -75,7 +79,6 @@ __all__ = [
     "discrete_time_average",
     "exact_grid_points",
     "deviation_grid_points",
-    "integer_rescaled",
     "GridPhases",
     "grid_phases",
     "gap_phases",
@@ -201,20 +204,17 @@ def discrete_time_average(
 ) -> float | np.ndarray:
     """Exact long-time average of a trigonometric polynomial of the trajectory.
 
-    Valid for integer spectra and observables whose integer frequencies are
-    bounded by ``max_frequency`` (cell weights: the spectral spread; squared
-    deviations: twice the spread), on the n = :func:`exact_grid_points` grid.
+    Valid for observables whose integer frequencies, on the spectrum's
+    integer levels, are bounded by ``max_frequency`` (cell weights: the
+    spectral spread; squared deviations: twice the spread), on the
+    n = :func:`exact_grid_points` grid.  ``spec`` is not read: it stays in
+    the positional signature that perfbench's oracle count hook receives.
     ``observable`` maps each slice ``np.arange(j, min(j + GRID_SLICE, n))``
     of grid indices, index j standing for tau_j = 2*pi*j/n, to its values,
     times on the first axis.  Each trailing entry is averaged over the n
     times with one exactly rounded ``math.fsum``: a 1-D observable gives a
     float, a (times, k) one an array of k means.  All n values are held.
     """
-    if not spec.is_integer:
-        raise ValueError(
-            "discrete time averaging is exact only for integer spectra; "
-            "rescale rational spectra first"
-        )
     n = exact_grid_points(max_frequency)
     first = np.asarray(observable(np.arange(min(GRID_SLICE, n))))
     values = np.empty((n,) + first.shape[1:])  # filled in place: no second copy
@@ -233,22 +233,11 @@ def exact_grid_points(max_frequency: int) -> int:
 
 def deviation_grid_points(spec: Spectrum) -> int:
     """The least exact grid for squared cell-weight deviations (w - d/D)^2,
-    whose frequencies reach twice the spread of the integer-rescaled levels:
-    compute-l's oracle grid and the floor of ``run``'s normality grid."""
-    return exact_grid_points(2 * int(integer_rescaled(spec)[0].spread))
-
-
-def integer_rescaled(spec: Spectrum) -> tuple[Spectrum, int]:
-    """Scale a rational spectrum to integers by the least common denominator.
-
-    Returns the scaled spectrum and the multiplier.  Scaling leaves the gap
-    and sum collision structure (hence every long-time average) unchanged.
-    """
-    if spec.is_integer:
-        return spec, 1
-    mult = math.lcm(*(e.denominator for e in spec.energies))
-    levels = tuple((e * mult, d) for e, d in spec.levels)
-    return Spectrum(levels, approximate=spec.approximate), mult
+    whose frequencies reach twice the spread of the spectrum's integer
+    levels: compute-l's oracle grid and the floor of ``run``'s normality
+    grid."""
+    levels = spec.pair_index.integer_levels
+    return exact_grid_points(2 * (levels[-1] - levels[0]))
 
 
 class GridPhases:
@@ -283,11 +272,10 @@ class GridPhases:
 
 
 def grid_phases(spec: Spectrum, grid_points: int, periods: int = 1) -> GridPhases:
-    """The phases of the levels of an integer spectrum times ``periods`` P,
-    so that index j reads the level phases at grid time P*j mod N."""
-    if not spec.is_integer:
-        raise ValueError("grid phases need an integer spectrum; rescale rational spectra first")
-    return GridPhases([e.numerator * periods for e in spec.energies], grid_points)
+    """The phases of the spectrum's integer levels times ``periods`` P, so
+    that index j reads the level phases at grid time P*j mod N.  The
+    products are Python integers, exact at any size."""
+    return GridPhases([k * periods for k in spec.pair_index.integer_levels], grid_points)
 
 
 def gap_phases(index: PairIndex, grid_points: int) -> GridPhases:
@@ -398,13 +386,11 @@ def time_fraction_normal(
 
     At each sampled time the weight of cell ``nu`` must satisfy
     ``|w_nu - d_nu/D| <= (epsilon/sqrt(M)) * sqrt(d_nu/D)`` simultaneously
-    for all cells.  Requires an integer spectrum, for which the trajectory
-    has period 2*pi and the long-run fraction equals the one-period
-    fraction.  It is :func:`normal_time_fractions` on one state, as ``run``
-    evaluates a block of trials.
+    for all cells.  Time runs on the spectrum's integer levels, whose
+    trajectory has period 2*pi, so the long-run fraction equals the
+    one-period fraction.  It is :func:`normal_time_fractions` on one state,
+    as ``run`` evaluates a block of trials.
     """
-    if not spec.is_integer:
-        raise ValueError("time fractions need an integer spectrum; rescale rational spectra first")
     offsets = shell_offsets(spec)
     index = spec.pair_index
     sums = [gap_buckets(overlap_matrices(shell_coordinates(cell, vector, offsets)), index)[0]

@@ -8,19 +8,20 @@ is exact throughout; equality of gap or sum values is never decided by a
 floating-point tolerance, because the downstream time-averaging identities
 require exact value collisions.
 
-Every collision is decided once per spectrum, by :class:`PairIndex`: the
-energies are rescaled to integers by the least common multiple of their
-denominators, and ``np.unique`` over the integer gap and sum tables gives
-each ordered pair the rank of its value.  The degeneracy maxima, the
+Every collision is decided once per spectrum, by :class:`PairIndex`, the
+one integer view of a spectrum: the energies are rescaled to integers by
+the least common multiple of their denominators, the index keeps those
+integer levels, and ``np.unique`` over the integer gap and sum tables
+gives each ordered pair the rank of its value.  The degeneracy maxima, the
 classification, the deviation kernel's gap buckets, the report's gap and
-sum tables and the Fraction-keyed tables all derive from that one index.
+sum tables, the Fraction-keyed tables and every phase of the period grid
+(:mod:`ergolab.dynamics`) all derive from that one index.
 The report tables are plain lists of class dicts whose level pairs are
 slices of one integer array, so no per-pair Python object is built.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,15 +114,6 @@ class Spectrum:
         """Full Hilbert-space dimension (degeneracies included)."""
         return sum(d for _, d in self.levels)
 
-    @property
-    def is_integer(self) -> bool:
-        return all(e.denominator == 1 for e, _ in self.levels)
-
-    @property
-    def spread(self) -> Fraction:
-        """Largest minus smallest energy."""
-        return self.levels[-1][0] - self.levels[0][0]
-
     @cached_property
     def pair_index(self) -> PairIndex:
         """Integer gap and sum classes of the level pairs, built on first use."""
@@ -143,19 +135,20 @@ class PairIndex:
 
     Energies are multiplied by ``scale``, the least common multiple of their
     denominators, which maps equal gaps (sums) to equal integers and keeps
-    their order.  Pair ``(a, b)`` sits at flat position ``a * D_E + b``;
-    ``gap_ids[p]`` is the rank of its gap ``E_b - E_a`` among the sorted
-    distinct scaled gaps ``gap_values``, each carried by ``gap_counts``
-    pairs.  ``sum_ids``/``sum_values``/``sum_counts`` do the same for the
+    their order; ``integer_levels`` lists the rescaled energies, ascending,
+    as Python integers of any size.  Pair ``(a, b)`` sits at flat position
+    ``a * D_E + b``; ``gap_ids[p]`` is the rank of its gap ``E_b - E_a``
+    among the sorted distinct scaled gaps ``gap_values``, each carried by
+    ``gap_counts`` pairs.  ``sum_ids``/``sum_values``/``sum_counts`` do the same for the
     sum ``E_a + E_b``.
     """
 
     def __init__(self, energies):
         self.num_levels = len(energies)
         self.scale = math.lcm(*(e.denominator for e in energies))
-        scaled = [e.numerator * (self.scale // e.denominator) for e in energies]
-        dtype = np.int64 if max(map(abs, scaled)) < _INT64_SAFE else object
-        k = np.array(scaled, dtype=dtype)
+        self.integer_levels = [e.numerator * (self.scale // e.denominator) for e in energies]
+        dtype = np.int64 if max(map(abs, self.integer_levels)) < _INT64_SAFE else object
+        k = np.array(self.integer_levels, dtype=dtype)
         self.gap_values, self.gap_ids, self.gap_counts = _classes(
             np.subtract.outer(k, k).T
         )
@@ -314,8 +307,9 @@ def _as_fraction(value: Any, snap_denominator: int | None) -> tuple[Fraction, bo
 def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
     """Parse the spectrum schema into a canonical :class:`Spectrum`.
 
-    ``document`` is either a JSON string or an already-decoded mapping of
-    the form ``{"levels": [{"energy": <int or "p/q">, "degeneracy": n}]}``.
+    ``document`` is a decoded JSON document (the program decodes its files
+    with :func:`json_int` as ``parse_int``), a mapping of the form
+    ``{"levels": [{"energy": <int or "p/q">, "degeneracy": n}]}``.
     Exact rationals are preserved without rounding.  Float energies are
     rejected unless ``snap_denominator`` is given, in which case they are
     snapped to the nearest multiple of ``1/snap_denominator`` and the
@@ -325,11 +319,6 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
         snap_denominator = int(snap_denominator)
         if snap_denominator < 1:
             raise SpectrumError(f"snap denominator must be positive, got {snap_denominator}")
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document, parse_int=json_int)
-        except json.JSONDecodeError as exc:
-            raise SpectrumError(f"invalid spectrum document: {exc}") from exc
     if not isinstance(document, dict) or "levels" not in document:
         raise SpectrumError('spectrum document must contain a "levels" list')
     raw_levels = document["levels"]

@@ -97,6 +97,11 @@ __all__ = [
 
 DEFAULT_PRECISION_BITS = 256
 
+# The one table of defaults of the normality condition's tolerances and
+# constant: TheoremParams' constant, a run config's "params" and
+# check-theorem's flags read it.
+DEFAULT_PARAMS = {"epsilon": 1.0, "delta": 0.1, "delta_prime": 0.1, "constant": 2.0}
+
 # find_admissible_constant searches the geometric grid of ratio
 # 1 + ADMISSIBLE_RESOLUTION.
 ADMISSIBLE_RESOLUTION = 0.01
@@ -110,7 +115,7 @@ class TheoremParams:
     delta: float
     delta_prime: float
     num_cells: int
-    constant: float = 2.0
+    constant: float = DEFAULT_PARAMS["constant"]
 
     def __post_init__(self):
         # A refusal starts with the field's name, a run config key for which

@@ -18,7 +18,11 @@
 # the pair index holds Python integers, and on {0, 1, 3, 4} at the same seed
 # must give equal normality records and equal trial totals, the offset being
 # a global phase; analyze writes the gap and sum tables of a rational degenerate
-# spectrum.  The report writer must be a fixed point of the stdlib encoder:
+# spectrum; compute-l on that spectrum and on its integer copy, its levels
+# times their common denominator 12, at one seed must give equal cell
+# records, every oracle match true, since both read the same integer levels
+# from the pair index, and rescaled_to_integer {"multiplier": 12} against
+# null.  The report writer must be a fixed point of the stdlib encoder:
 # the analyze, run and compute-l reports must each equal
 # json.dumps(json.load(f), indent=2, sort_keys=True) plus a newline.  Any
 # other nonzero exit fails the script.
@@ -46,4 +50,8 @@ ergolab run near-run.json --out near-run-report.json
 python -c 'import json; far, near = (json.load(open(f)) for f in ("far-run-report.json", "near-run-report.json")); assert far["normality"] == near["normality"] and 0 < far["normality"]["direct_fraction"] < 1 and far["experiment"]["trial_totals"] == near["experiment"]["trial_totals"], (far["normality"], near["normality"])'
 python -c 'import json; json.dump({"levels": [{"energy": e, "degeneracy": d} for e, d in [(0, 2), ("1/3", 1), ("1/2", 2), ("7/4", 1), ("-5/6", 3)]]}, open("rational.json", "w"))'
 ergolab analyze rational.json --out analyze.json
-python -c 'import json, sys; bad = [f for f in sys.argv[1:] if json.dumps(json.load(open(f)), indent=2, sort_keys=True) + "\n" != open(f).read()]; assert not bad, bad' analyze.json run-report.json oracle.json
+python -c 'import json; json.dump({"levels": [{"energy": e, "degeneracy": d} for e, d in [(0, 2), (4, 1), (6, 2), (21, 1), (-10, 3)]]}, open("rational-x12.json", "w"))'
+ergolab compute-l rational.json --dims 3,3,3 --seed 4 --out rational-l.json
+ergolab compute-l rational-x12.json --dims 3,3,3 --seed 4 --out rational-x12-l.json
+python -c 'import json; rat, whole = (json.load(open(f)) for f in ("rational-l.json", "rational-x12-l.json")); assert rat["cells"] == whole["cells"] and all(c["oracle"]["match"] is True for c in rat["cells"]) and rat["rescaled_to_integer"] == {"multiplier": 12} and whole["rescaled_to_integer"] is None, (rat, whole)'
+python -c 'import json, sys; bad = [f for f in sys.argv[1:] if json.dumps(json.load(open(f)), indent=2, sort_keys=True) + "\n" != open(f).read()]; assert not bad, bad' analyze.json run-report.json oracle.json rational-l.json

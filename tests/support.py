@@ -20,7 +20,6 @@ import numpy as np
 from ergolab import (
     Spectrum,
     deviation_exact,
-    integer_rescaled,
     prepare_state,
     resonant_term_bound,
     sample_decomposition,
@@ -227,6 +226,13 @@ def coordinate_energies(spec: Spectrum) -> np.ndarray:
     return np.repeat([float(e) for e in spec.energies], spec.degeneracies)
 
 
+def integer_spread(spec: Spectrum) -> int:
+    """Largest minus smallest of the spectrum's integer levels, which its
+    pair index keeps: the spread of an integer spectrum itself."""
+    levels = spec.pair_index.integer_levels
+    return levels[-1] - levels[0]
+
+
 def level_energies(spec: Spectrum) -> np.ndarray:
     """Energy of each level as a float, for float phases at any time."""
     return np.array([float(e) for e in spec.energies])
@@ -249,7 +255,7 @@ def trajectory_weights(energies: np.ndarray, coords: np.ndarray, ranks, taus) ->
 def evolved_time_fraction(spec: Spectrum, vector, decomposition, epsilon: float,
                           grid_points: int) -> float:
     """``time_fraction_normal`` by the evolved-coordinate route: every cell
-    weight at every time of the integer spectrum's grid, from
+    weight at every time of the grid of the spectrum's integer levels, from
     ``evolved_weights`` on the phase rows of the whole grid, then the share
     of times at which every weight is within its tolerance."""
     ranks = [cell.shape[1] for cell in decomposition]
@@ -315,11 +321,11 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
     (``haar-per-trial`` only) a state; fixed states come from the policy
     alone.  Each cell goes through :func:`deviation_exact`, the chain is
     checked on the breakdown, and the direct normality route runs
-    :func:`evolved_time_fraction` on the integer-rescaled spectrum.
+    :func:`evolved_time_fraction`, whose grid phases read the spectrum's
+    integer levels from its pair index.
     """
     spec, dim, p = config.spectrum, config.dim_total, config.params
     d_f = sum_structure(spec).max_sum_degeneracy
-    ispec = integer_rescaled(spec)[0]
     fixed = {
         "uniform": np.ones(dim, dtype=complex) / math.sqrt(dim),
         "haar-fixed": sample_random_state(dim, substream(config.seed, 0)),
@@ -343,7 +349,7 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
             ok_sufficient = ok_sufficient and b["total"] <= config.threshold(cell.shape[1])
         if config.normality:
             fraction = evolved_time_fraction(
-                ispec, vector, decomposition, p.epsilon, config.grid_points)
+                spec, vector, decomposition, p.epsilon, config.grid_points)
             ok_direct = fraction >= 1 - p.delta_prime
             sufficient += ok_sufficient
             direct += ok_direct

@@ -36,6 +36,7 @@ from support import (
     cell_weight,
     evolve,
     greedy_nonresonant_levels,
+    integer_spread,
     per_point,
     random_instance,
     random_integer_spectrum,
@@ -64,7 +65,7 @@ def oracle_ensemble():
         spec = random_integer_spectrum(rng, dim_range=(4, 12), spread=12)
         vector, decomposition = random_instance(spec, rng)
         d_f = sum_structure(spec).max_sum_degeneracy
-        spread = int(spec.spread)
+        spread = integer_spread(spec)
         for cell in decomposition:
             breakdown = deviation_exact(spec, vector, cell)
             frac = cell.shape[1] / spec.dim_total
@@ -126,7 +127,7 @@ def test_criterion_3_degenerate_reduction():
             (F(int(e)), d) for e, d in zip(energies, degens)
         ))
         vector, decomposition = random_instance(spec, rng, max_cells=3)
-        spread = int(spec.spread)
+        spread = integer_spread(spec)
         for cell in decomposition:
             oracle = discrete_time_average(
                 per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell), spread),

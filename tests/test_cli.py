@@ -23,7 +23,6 @@ from ergolab import (
     cli,
     deviation_exact,
     dynamics,
-    integer_rescaled,
     montecarlo,
     parse_spectrum,
     prepare_state,
@@ -37,7 +36,7 @@ from ergolab import (
 )
 from ergolab.cli import main
 
-from support import cell_weight, evolve, lemma_statistics_reference
+from support import cell_weight, evolve, integer_spread, lemma_statistics_reference
 
 
 def write_spectrum(tmp_path, levels, name="spec.json"):
@@ -82,7 +81,7 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         main(["analyze", spec_path, "--out", str(out)])
         report = load(out)
-        again = parse_spectrum(json.dumps({"levels": report["levels"]}))
+        again = parse_spectrum({"levels": report["levels"]})
         assert again.dim_total == report["D"]
 
     def test_empty_file_fails(self, tmp_path, capsys):
@@ -111,7 +110,7 @@ class TestAnalyze:
         # refused before the power of ten is formed, which took minutes
         spec = write_spectrum(tmp_path, [(energy, 1), (0, 1)])
         assert main(["analyze", spec]) == 1
-        assert_one_line_error(capsys, repr(energy), "decimal exponent")
+        assert_one_line_error(capsys, f"error: {spec}: ", repr(energy), "decimal exponent")
 
     def test_decimal_exponents_below_the_bound(self, tmp_path):
         spec = write_spectrum(tmp_path, [("9e4000", 1), ("25e-1", 1)])
@@ -313,7 +312,7 @@ class TestComputeL:
         state_path.write_text(json.dumps({"amplitudes": [1, 2]}))
         assert main(["compute-l", spec, "--dims", "1,1",
                      "--state", str(state_path)]) == 1
-        assert_one_line_error(capsys, "amplitudes")
+        assert_one_line_error(capsys, f"error: {state_path}: ", "amplitudes")
 
     def test_nan_state_rejected(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
@@ -432,7 +431,7 @@ class TestOffsetSpectra:
 
 def compute_l_instance(spec_path, dims, seed):
     """The decomposition and prepared state vector compute-l draws for ``seed``."""
-    spec = parse_spectrum(Path(spec_path).read_text())
+    spec = parse_spectrum(load(spec_path))
     decomposition = sample_decomposition([int(d) for d in dims.split(",")],
                                          substream(seed, 0))
     vector = prepare_state(sample_random_state(spec.dim_total, substream(seed, 1)), spec)
@@ -472,6 +471,28 @@ class TestComputeLPath:
         if name == "integer-resonant":
             assert any(record["resonant_term"] != 0.0 for record in records)
 
+    def test_rational_equals_its_integer_copy(self, tmp_path):
+        # a rational spectrum and its levels times 12 read the same integer
+        # levels from their pair indices: the same cells, oracle values and
+        # dump weights; the multiplier and the dump's times tell them apart
+        rational = [(0, 2), ("1/3", 1), ("1/2", 3), ("7/4", 1), ("-5/6", 2)]
+        integer = [(int(12 * Fraction(e)), d) for e, d in rational]
+        reports, weights = [], []
+        for name, levels in (("rational", rational), ("integer", integer)):
+            spec = write_spectrum(tmp_path, levels, f"{name}.json")
+            out, dump = tmp_path / f"{name}-l.json", tmp_path / f"{name}.tsv"
+            assert main(["compute-l", spec, "--dims", "3,3,3", "--seed", "6",
+                         "--grid-points", "777", "--periods", "2",
+                         "--dump-trajectory", str(dump), "--out", str(out)]) == 0
+            reports.append(load(out))
+            weights.append([row.split("\t", 1)[1] for row in dump.read_text().splitlines()])
+        scaled, whole = reports
+        assert all(cell["oracle"]["match"] for cell in scaled["cells"])
+        assert scaled.pop("rescaled_to_integer") == {"multiplier": 12}
+        assert whole.pop("rescaled_to_integer") is None
+        assert scaled == whole
+        assert len(weights[0]) == 778 and weights[0] == weights[1]
+
     @pytest.mark.parametrize("name", SPECTRA)
     def test_oracle_matches_the_per_point_average(self, tmp_path, name):
         levels, dims = SPECTRA[name]
@@ -480,14 +501,15 @@ class TestComputeLPath:
         assert main(["compute-l", spec_path, "--dims", dims, "--seed", "5",
                      "--out", str(out)]) == 0
         spec, decomposition, vector = compute_l_instance(spec_path, dims, 5)
-        ispec, _ = integer_rescaled(spec)
-        # twice the oracle's 2*spread + 1 points: every exact grid gives the
-        # same average
-        n = 4 * int(ispec.spread) + 1
+        # twice the oracle's 2*spread + 1 points of the integer levels:
+        # every exact grid gives the same average; their period is 2*pi
+        # times the scale of the index in the spectrum's own time
+        n = 4 * integer_spread(spec) + 1
+        period = 2 * math.pi * spec.pair_index.scale
         for record, cell in zip(load(out)["cells"], decomposition):
             frac = cell.shape[1] / spec.dim_total
             expected = math.fsum(
-                (cell_weight(evolve(ispec, vector, 2 * math.pi * j / n), cell) - frac) ** 2
+                (cell_weight(evolve(spec, vector, period * j / n), cell) - frac) ** 2
                 for j in range(n)) / n
             assert abs(record["oracle"]["value"] - expected) <= 1e-13
 
@@ -1044,6 +1066,12 @@ class TestLongJsonIntegers:
         assert main(["compute-l", spec_path, "--dims", "1,1", "--state", str(state)]) == 1
         assert_one_line_error(capsys, str(state), "4301 digits", "limit of 4300")
 
+    def test_truncated_spectrum(self, tmp_path, capsys):
+        path = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        Path(path).write_text(Path(path).read_text()[:20])
+        assert main(["analyze", path]) == 1
+        assert_one_line_error(capsys, path, "line 1 column")
+
     def test_truncated_run_config(self, tmp_path, capsys):
         cfg = Path(TestRun.write_config(tmp_path))
         cfg.write_text(cfg.read_text()[:13])
@@ -1257,7 +1285,10 @@ class TestRun:
         out = tmp_path / "report.json"
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
-        assert_one_line_error(capsys, fragment)
+        # an explicit state's norm is refused when run prepares the state,
+        # after the config is read, so that refusal does not name the file
+        named = () if fragment == "norm" else (f"error: {cfg}: ",)
+        assert_one_line_error(capsys, fragment, *named)
 
     @pytest.mark.parametrize("epsilon", [1e-160, 5e-324])
     def test_tiny_epsilon_reported(self, tmp_path, epsilon):

@@ -11,7 +11,6 @@ from ergolab import (
     Spectrum,
     discrete_time_average,
     exact_time_avg_weight,
-    integer_rescaled,
     prepare_state,
     sample_decomposition,
     sample_random_state,
@@ -22,6 +21,7 @@ from ergolab.dynamics import (
     GRID_SLICE,
     MAX_PHASE_GRID,
     PHASE_STEP,
+    deviation_grid_points,
     evolved_weights,
     exact_grid_points,
     gap_buckets,
@@ -39,6 +39,7 @@ from support import (
     evolve,
     evolved_time_fraction,
     grid_times,
+    integer_spread,
     level_energies,
     per_point,
     random_instance,
@@ -186,9 +187,9 @@ class TestExactTimeAverage:
         for cell in dec:
             oracle = discrete_time_average(
                 per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell),
-                          int(spec.spread)),
+                          integer_spread(spec)),
                 spec,
-                int(spec.spread),
+                integer_spread(spec),
             )
             assert abs(exact_time_avg_weight(spec, vector, cell) - oracle) < 1e-10
 
@@ -261,11 +262,6 @@ class TestDiscreteTimeAverage:
         assert means.shape == (3,)
         assert means.tolist() == [discrete_time_average(c, spec, 1400) for c in columns]
 
-    def test_non_integer_rejected(self):
-        spec = spec_of([(0, 1), (F(1, 2), 1)])
-        with pytest.raises(ValueError, match="integer"):
-            discrete_time_average(np.ones_like, spec, 2)
-
     def test_agrees_with_dense_quadrature(self):
         # independent numeric check: trapezoid rule over one full period
         spec = spec_of([(0, 1), (1, 1), (3, 1)])
@@ -274,9 +270,9 @@ class TestDiscreteTimeAverage:
         cell = dec[0]
         exact = discrete_time_average(
             per_point(lambda tau: cell_weight(evolve(spec, vector, tau), cell),
-                      int(spec.spread)),
+                      integer_spread(spec)),
             spec,
-            int(spec.spread),
+            integer_spread(spec),
         )
         taus = np.linspace(0, 2 * math.pi, 20001)
         dense = np.trapezoid(
@@ -367,21 +363,48 @@ class TestGridPhases:
         for n in (0, MAX_PHASE_GRID + 1):
             with pytest.raises(ValueError, match="phase grid"):
                 grid_phases(spec, n)
-        with pytest.raises(ValueError, match="integer"):
-            grid_phases(spec_of([(0, 1), (F(1, 2), 1)]), 5)
 
 
-class TestIntegerRescale:
-    def test_rational_scaled(self):
-        spec = spec_of([(0, 1), (F(1, 2), 1), (2, 1)])
-        scaled, mult = integer_rescaled(spec)
-        assert mult == 2
-        assert scaled.energies == (F(0), F(1), F(4))
+class TestRationalEqualsIntegerCopy:
+    """A rational spectrum R and its integer copy L*R, L the least common
+    denominator, read the same integer levels from their pair indices, so
+    every grid route gives them the same bits."""
 
-    def test_integer_untouched(self):
-        spec = spec_of([(0, 1), (3, 2)])
-        scaled, mult = integer_rescaled(spec)
-        assert mult == 1 and scaled == spec
+    RATIONAL = [(0, 2), (F(1, 3), 1), (F(1, 2), 3), (F(7, 4), 1), (F(-5, 6), 2)]
+    L = 12
+
+    def pair(self):
+        return (spec_of(self.RATIONAL),
+                spec_of([(self.L * e, d) for e, d in self.RATIONAL]))
+
+    def test_indices_hold_the_same_integer_levels(self):
+        rational, integer = self.pair()
+        assert rational.pair_index.scale == self.L and integer.pair_index.scale == 1
+        assert rational.pair_index.integer_levels == integer.pair_index.integer_levels
+        assert rational.pair_index.integer_levels == [-10, 0, 4, 6, 21]
+
+    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_grid_phases_agree_bit_for_bit(self, n, periods):
+        rational, integer = self.pair()
+        assert (grid_phases(rational, n, periods).at(0, n).tobytes()
+                == grid_phases(integer, n, periods).at(0, n).tobytes())
+
+    def test_deviation_grid_points_agree(self):
+        rational, integer = self.pair()
+        assert deviation_grid_points(rational) == deviation_grid_points(integer) == 63
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_time_fractions_agree(self, n):
+        rational, integer = self.pair()
+        rng = substream(8, n)
+        dec = sample_decomposition([3, 3, 3], rng)
+        vector = sample_random_state(9, rng)
+        fractions = [time_fraction_normal(spec, prepare_state(vector, spec), dec, 0.6,
+                                          grid_points=n)
+                     for spec in (rational, integer)]
+        assert fractions[0] == fractions[1]
+        assert 0 < fractions[0] < 1
 
 
 class TestTrajectoryKernel:
@@ -446,13 +469,6 @@ class TestTimeFractionNormal:
         vector, dec = random_instance(spec, rng)
         assert time_fraction_normal(spec, vector, dec, 1e6, grid_points=128) == 1.0
 
-    def test_non_integer_rejected(self):
-        spec = spec_of([(0, 1), (F(1, 3), 1)])
-        vector = prepare_state(sample_random_state(2, substream(6, 1)), spec)
-        dec = sample_decomposition([1, 1], substream(6, 2))
-        with pytest.raises(ValueError, match="integer"):
-            time_fraction_normal(spec, vector, dec, 0.5)
-
 
 class TestGapPolynomialKernel:
     """The normality kernel's gap polynomials against the evolved-coordinate
@@ -474,7 +490,7 @@ class TestGapPolynomialKernel:
 
     def instance(self, name):
         levels, ranks, n, epsilon = self.SHAPES[name]
-        spec = integer_rescaled(spec_of(levels))[0]
+        spec = spec_of(levels)
         rng = substream(17, list(self.SHAPES).index(name))
         dec = sample_decomposition(ranks, rng)
         vector = prepare_state(sample_random_state(spec.dim_total, rng), spec)

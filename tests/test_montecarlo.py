@@ -291,6 +291,18 @@ class TestSinglePass:
         assert draws == {(1, t): 1 for t in range(20)}
         assert calls == {"matrices": 20 * 4, "gap_phases": 1}
 
+    def test_rational_equals_its_integer_copy(self):
+        # RATIONAL_SPEC and its levels times 2 read the same integer levels
+        # from their pair indices: the same grid, phases and buckets
+        integer = spec_of([(2 * e, d) for e, d in RATIONAL_SPEC.levels])
+        rational, whole = (
+            run_experiment(ensemble_config(spec, "explicit", trials=40))
+            for spec in (RATIONAL_SPEC, integer))
+        assert rational["normality"] == whole["normality"]
+        assert 0 < rational["normality"]["direct_fraction"] < 1
+        assert (rational["experiment"]["trial_totals"].tobytes()
+                == whole["experiment"]["trial_totals"].tobytes())
+
     @pytest.mark.parametrize("policy", ["uniform", "haar-fixed", "haar-per-trial", "explicit"])
     def test_normality_counts_match_per_trial_recomputation(self, policy):
         cfg = rational_config(policy, normality=True)

@@ -33,9 +33,7 @@ def simple(*energies):
 
 
 def doc(levels):
-    return json.dumps(
-        {"levels": [{"energy": e, "degeneracy": d} for e, d in levels]}
-    )
+    return {"levels": [{"energy": e, "degeneracy": d} for e, d in levels]}
 
 
 class TestParse:
@@ -88,11 +86,9 @@ class TestParse:
 
     def test_empty_and_missing(self):
         with pytest.raises(SpectrumError):
-            parse_spectrum("{}")
+            parse_spectrum({})
         with pytest.raises(SpectrumError):
-            parse_spectrum('{"levels": []}')
-        with pytest.raises(SpectrumError):
-            parse_spectrum("not json")
+            parse_spectrum({"levels": []})
 
 
 class TestStructures:
@@ -272,7 +268,7 @@ def test_structure_report_round_trip():
                            "non_resonant", "gaps", "sums"}
     assert report["D"] == 4 and report["D_E"] == 3
     # the report's own levels block parses back to the same spectrum
-    again = parse_spectrum(json.dumps({"levels": report["levels"]}))
+    again = parse_spectrum({"levels": report["levels"]})
     assert again == spec
     # the report through the documented JSON recipe, and its class dicts
     # with their pair arrays as lists, give the reference report

@@ -18,7 +18,6 @@ from ergolab import (
     find_admissible_constant,
     gap_buckets,
     gap_structure,
-    integer_rescaled,
     mean_deviation_bound,
     prepare_state,
     resonance_impact,
@@ -38,6 +37,7 @@ from support import (
     brute_resonant_cross_terms,
     cell_weight,
     evolve,
+    integer_spread,
     per_point,
     random_composition,
     random_instance,
@@ -54,12 +54,15 @@ def spec_of(levels):
 
 
 def oracle_deviation(spec, vector, cell):
+    """The trajectory oracle on the spectrum's integer levels, whose time
+    tau is the spectrum's own time scale * tau, scale its pair index's."""
     frac = cell.shape[1] / spec.dim_total
+    scale = spec.pair_index.scale
     return discrete_time_average(
-        per_point(lambda tau: (cell_weight(evolve(spec, vector, tau), cell) - frac) ** 2,
-                  2 * int(spec.spread)),
+        per_point(lambda tau: (cell_weight(evolve(spec, vector, scale * tau), cell) - frac) ** 2,
+                  2 * integer_spread(spec)),
         spec,
-        2 * int(spec.spread),
+        2 * integer_spread(spec),
     )
 
 
@@ -203,7 +206,6 @@ class TestGapBucketKernel:
         assert gaps.max_gap_degeneracy == (
             brute_max_gap_degeneracy(energies) if spec.num_levels > 1 else 0)
         assert sums.max_sum_degeneracy == brute_max_sum_degeneracy(energies)
-        ispec, _ = integer_rescaled(spec)
         vector, dec = random_instance(spec, rng)
         for cell in dec:
             expected = brute_resonant_cross_terms(
@@ -211,7 +213,7 @@ class TestGapBucketKernel:
             b = deviation_exact(spec, vector, cell)
             assert b["resonant_term"] == pytest.approx(expected, abs=1e-12)
             if with_oracle:
-                assert abs(b["total"] - oracle_deviation(ispec, vector, cell)) < 1e-10
+                assert abs(b["total"] - oracle_deviation(spec, vector, cell)) < 1e-10
 
     def test_integer_and_degenerate_spectra(self):
         rng = substream(6, 0)
