@@ -16,6 +16,7 @@ JSON is the source of truth and columnar dumps serve external plotters.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -63,8 +64,6 @@ MIN_PRECISION_BITS = 53
 # 2-core x86-64 VM, 0.54 s at 2^16 bits, 6.1 s at 2^18 and 69 s at 10^6);
 # the exact d/D of two 4300-digit integers needs about 14 300 bits.
 MAX_PRECISION_BITS = 2**16
-
-LOG_BASES = {"e": math.e, "10": 10.0}
 
 # Most digits of an integer flag (every integer flag is written into the
 # JSON report), and the least integer with more.
@@ -255,21 +254,18 @@ def _parse_big_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """A generator seed: numpy takes only non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
-    return value
-
-
-def _log_base(arg: str) -> float:
-    if not isinstance(arg, str) or arg not in LOG_BASES:
-        raise ValueError(f'log_base must be "e" or "10", got {arg!r}')
-    return LOG_BASES[arg]
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``, so that a flag's
+    refusal names the flag (argparse's usage error, exit 2), not a file."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
 
 
 def _read_json(path: str, read):
@@ -405,12 +401,13 @@ def cmd_compute_l(args) -> int:
     # The unitary of randomness.sample_decomposition(dims, substream(seed, 0)).
     unitary = randomness.sample_haar_unitary(spec.dim_total, randomness.substream(args.seed, 0))
     if args.state is not None:
-        amplitudes, state_source = _read_json(args.state, _state_amplitudes), "file"
+        vector = _read_json(args.state, lambda doc: dynamics.prepare_state(
+            _state_amplitudes(doc), spec))
+        state_source = "file"
     else:
-        amplitudes = randomness.sample_random_state(
-            spec.dim_total, randomness.substream(args.seed, 1))
+        vector = dynamics.prepare_state(randomness.sample_random_state(
+            spec.dim_total, randomness.substream(args.seed, 1)), spec)
         state_source = "sampled"
-    vector = dynamics.prepare_state(amplitudes, spec)
     coords = dynamics.shell_coordinates(unitary, vector, dynamics.shell_offsets(spec))
 
     # The oracle and the dump evolve the shell coordinates on the spectrum's
@@ -524,10 +521,9 @@ def cmd_check_theorem(args) -> int:
         flags = {"delta_prime": "--delta-prime", "num_cells": "--cells"}
         raise ValueError(f"{flags.get(field, '--' + field)} {rule}") from None
     dim, rank = args.dim, args.rank
-    log_base = _log_base(args.log_base)
     condition = typicality.theorem_condition(
         params, rank, dim, args.sum_degeneracy,
-        precision_bits=args.precision_bits, log_base=log_base,
+        precision_bits=args.precision_bits, log_base=typicality.LOG_BASES[args.log_base],
     )
     with mp.workprec(args.precision_bits):
         log_ratio = mp.nstr(mp.log(mp.mpf(dim)) / mp.mpf(dim), 12)
@@ -562,11 +558,8 @@ def cmd_check_theorem(args) -> int:
     return 0
 
 
-# Every key a run config may carry; anything else is rejected.
-RUN_CONFIG_KEYS = frozenset({
-    "spectrum", "dims", "params", "state", "trials", "seed", "log_base",
-    "grid_points", "normality",
-})
+# Every key a run config may carry (ExperimentConfig's fields); no other.
+RUN_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(montecarlo.ExperimentConfig))
 PARAM_KEYS = frozenset(typicality.DEFAULT_PARAMS)
 STATE_KEYS = frozenset({"amplitudes"})
 
@@ -597,50 +590,41 @@ def _object(value, name: str, keys: frozenset) -> dict:
 
 
 def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
-    """Validate a run config document; returns the experiment config."""
-    doc = _object(doc, "run config", RUN_CONFIG_KEYS)
+    """The experiment config of a run config document, with ``--trials``
+    and ``--seed`` in place of the document's.  The JSON types are checked
+    here and the values by ExperimentConfig, which also sets the absent
+    keys' defaults."""
+    config = dict(_object(doc, "run config", RUN_CONFIG_KEYS))
     for key in ("spectrum", "dims"):
-        if key not in doc:
+        if key not in config:
             raise ValueError(f'run config needs "{key}"')
-    spec = spectrum.parse_spectrum(doc["spectrum"])
-    dims = doc["dims"]
+    config["spectrum"] = spectrum.parse_spectrum(config["spectrum"])
+    dims = config["dims"]
     if not isinstance(dims, list) or not dims:
         raise ValueError(f'"dims" must be a non-empty list of integers, got {dims!r}')
-    dims = tuple(_integer(d, "dims") for d in dims)
-    raw_params = _object(doc.get("params", {}), '"params"', PARAM_KEYS)
-    params = typicality.TheoremParams(
+    config["dims"] = tuple(_integer(d, "dims") for d in dims)
+    raw_params = _object(config.get("params", {}), '"params"', PARAM_KEYS)
+    config["params"] = typicality.TheoremParams(
         num_cells=len(dims),
         **{name: _finite(raw_params.get(name, default), name)
            for name, default in typicality.DEFAULT_PARAMS.items()},
     )
-    state = doc.get("state", "uniform")
-    amplitudes = None
+    state = config.get("state")
     if isinstance(state, dict):
-        amplitudes = _amplitudes(_object(state, '"state"', STATE_KEYS).get("amplitudes"))
-        policy = "explicit"
-    elif isinstance(state, str):
-        policy = state
-    else:  # the JSON type of a decoded value that is neither
+        config["state"] = _amplitudes(_object(state, '"state"', STATE_KEYS).get("amplitudes"))
+    elif "state" in config and not isinstance(state, str):
+        # the JSON type of a decoded value that is neither
         kind = {type(None): "null", bool: "boolean", list: "array"}.get(type(state), "number")
         raise ValueError(f'"state" must be a policy name or an object, got a JSON {kind}')
-    normality = doc.get("normality", False)
-    if not isinstance(normality, bool):
-        raise ValueError(f'"normality" must be true or false, got {normality!r}')
-    trials = args.trials if args.trials is not None else doc.get("trials", 100)
-    seed = args.seed if args.seed is not None else _integer(doc.get("seed", DEFAULT_SEED), "seed")
-    return montecarlo.ExperimentConfig(
-        spectrum=spec,
-        dims=dims,
-        params=params,
-        trials=_integer(trials, "trials"),
-        seed=seed,
-        state_policy=policy,
-        amplitudes=amplitudes,
-        log_base=_log_base(doc.get("log_base", "e")),
-        grid_points=(_integer(doc["grid_points"], "grid_points")
-                     if "grid_points" in doc else None),
-        normality=normality,
-    )
+    if "normality" in config and not isinstance(config["normality"], bool):
+        raise ValueError(f'"normality" must be true or false, got {config["normality"]!r}')
+    for key in ("trials", "seed"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    for key in ("trials", "seed", "grid_points"):
+        if key in config:
+            _integer(config[key], key)
+    return montecarlo.ExperimentConfig(**config)
 
 
 def cmd_run(args) -> int:
@@ -673,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="gap/sum structure report for a spectrum file")
     p.add_argument("spectrum", help="path to a spectrum JSON document")
-    p.add_argument("--snap-denominator", type=int, default=None,
+    p.add_argument("--snap-denominator", type=_at_least(1), default=None,
                    help="admit float energies by snapping to multiples of 1/q")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
@@ -684,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--ensemble", type=int, default=200,
                    help="unitary ensemble size for block statistics")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lemmas)
 
@@ -693,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma-separated cell ranks")
     p.add_argument("--state", default=None,
                    help='path to a state JSON document {"amplitudes": [[re, im], ...]}')
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--grid-points", type=int, default=None,
                    help="grid size for the trajectory dump (default 1000)")
     p.add_argument("--periods", type=int, default=None,
@@ -712,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + name.replace("_", "-"), type=float, default=default)
     p.add_argument("--margin", type=float, default=10.0)
     p.add_argument("--precision-bits", type=int, default=typicality.DEFAULT_PRECISION_BITS)
-    p.add_argument("--log-base", choices=list(LOG_BASES), default="e",
+    p.add_argument("--log-base", choices=list(typicality.LOG_BASES), default="e",
                    help="base of log D in the condition's lhs only; every other "
                         "reported logarithm is natural")
     p.add_argument("--out", default=None)
@@ -720,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="seeded ensemble experiment from a config file")
     p.add_argument("config", help="path to an experiment config JSON document")
-    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
-    p.add_argument("--trials", type=int, default=None, help="override the trial count")
+    p.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
+    p.add_argument("--trials", type=_at_least(1), default=None, help="override the trial count")
     p.add_argument("--dump-trials", default=None,
                    help="write columnar per-trial values to this path")
     p.add_argument("--out", default=None)

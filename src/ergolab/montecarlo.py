@@ -4,6 +4,9 @@ Each trial draws its own generator substream from (master seed, trial
 index): first the Ginibre matrix of its Haar unitary, then, under
 ``haar-per-trial``, its state.  Results are therefore reproducible under
 any execution order, and a report is a pure function of its configuration.
+That configuration, :class:`ExperimentConfig`, is the schema of ``run``'s
+config document: its fields are the document's nine keys, with their
+defaults, and it checks every value as it is built.
 
 Trials are evaluated in blocks of consecutive indices.  A block draws each
 of its trials from that trial's substream in the order above, filling the
@@ -54,6 +57,7 @@ that keeps the peak well inside 5% of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +86,7 @@ from .randomness import (
 )
 from .spectrum import Spectrum
 from .typicality import (
+    LOG_BASES,
     TheoremParams,
     deviation_breakdowns,
     mean_deviation_bound,
@@ -114,7 +119,7 @@ BLOCK_BYTES = 1 << 20
 # the product conj(U) * psi that shell_coordinates sums over each shell.
 _MATRICES_PER_TRIAL = 6
 
-_POLICIES = ("uniform", "haar-fixed", "haar-per-trial", "explicit")
+_POLICIES = ("uniform", "haar-fixed", "haar-per-trial")
 
 
 def check_ranks(ranks: tuple[int, ...], dim: int) -> None:
@@ -127,39 +132,48 @@ def check_ranks(ranks: tuple[int, ...], dim: int) -> None:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Everything a reproducible ensemble run depends on."""
+    """Everything a reproducible ensemble run depends on: the nine keys of
+    a run config document, under their names and with their defaults, each
+    checked as the config is built (``dataclasses.replace`` checks again).
+
+    ``state`` is a policy name (``uniform``, ``haar-fixed``,
+    ``haar-per-trial``) or the amplitudes every trial starts from, whose
+    length and norm :func:`~ergolab.dynamics.prepare_state` checks; the
+    report calls them policy ``explicit``.  ``log_base`` is a key of
+    ``typicality.LOG_BASES``.  Integers go through ``operator.index``: a
+    float is refused (TypeError), not truncated.
+    """
 
     spectrum: Spectrum
     dims: tuple[int, ...]
     params: TheoremParams
+    state: str | np.ndarray = "uniform"
     trials: int = 100
     seed: int = DEFAULT_SEED
-    state_policy: str = "uniform"
-    amplitudes: np.ndarray | None = None
-    log_base: float = math.e
+    log_base: str = "e"
     grid_points: int | None = None  # None: max(1000, the least grid allowed)
     normality: bool = False
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = tuple(map(operator.index, self.dims))
         check_ranks(self.dims, self.spectrum.dim_total)
         if self.params.num_cells != len(self.dims):
-            raise ValueError(
-                f"params expect {self.params.num_cells} cells, got {len(self.dims)}"
-            )
-        if int(self.trials) < 1:
+            raise ValueError(f"params expect {self.params.num_cells} cells, got {len(self.dims)}")
+        self.trials = operator.index(self.trials)
+        if self.trials < 1:
             raise ValueError("trial count must be >= 1")
-        self.trials = int(self.trials)
-        if int(self.seed) < 0:
+        self.seed = operator.index(self.seed)
+        if self.seed < 0:
             raise ValueError(f'"seed" must be a non-negative integer, got {self.seed}')
-        if self.state_policy not in _POLICIES:
-            raise ValueError(
-                f"state policy must be one of {_POLICIES}, got {self.state_policy!r}"
-            )
-        if self.state_policy == "explicit":
-            if self.amplitudes is None:
-                raise ValueError("explicit state policy needs amplitudes")
-            self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        # Not a field: ``state`` keeps the caller's amplitudes, and a
+        # replace prepares the same vector from them again.
+        self._vector = None
+        if not isinstance(self.state, str):
+            self._vector = prepare_state(self.state, self.spectrum)
+        elif self.state not in _POLICIES:
+            raise ValueError(f"state policy must be one of {_POLICIES}, got {self.state!r}")
+        if not isinstance(self.log_base, str) or self.log_base not in LOG_BASES:
+            raise ValueError(f'log_base must be "e" or "10", got {self.log_base!r}')
         least, note = 1, ""
         if self.normality:
             least = deviation_grid_points(self.spectrum)
@@ -167,18 +181,16 @@ class ExperimentConfig:
         if least > MAX_PHASE_GRID:
             raise ValueError(f"normality needs a grid of at least {least} points (2*spread + 1 "
                              f"of the rescaled levels), beyond the limit {MAX_PHASE_GRID}")
-        if self.grid_points is None:
-            self.grid_points = max(1000, least)
-        if not least <= int(self.grid_points) <= MAX_PHASE_GRID:
+        self.grid_points = (max(1000, least) if self.grid_points is None
+                            else operator.index(self.grid_points))
+        if not least <= self.grid_points <= MAX_PHASE_GRID:
             raise ValueError(f"grid_points must be between {least} and {MAX_PHASE_GRID}{note}, "
                              f"got {self.grid_points}")
         try:
             self.threshold(self.dims[0])
         except OverflowError:
-            raise ValueError(
-                f"epsilon {self.params.epsilon} overflows the sufficient-condition "
-                f"threshold delta' (epsilon/M)^2 d/D"
-            ) from None
+            raise ValueError(f"epsilon {self.params.epsilon} overflows the sufficient-condition "
+                             f"threshold delta' (epsilon/M)^2 d/D") from None
 
     @property
     def dim_total(self) -> int:
@@ -215,14 +227,12 @@ def evaluate_cells(spec: Spectrum, ranks, coords: np.ndarray):
 def _fixed_state(config: ExperimentConfig) -> np.ndarray | None:
     """The prepared state every trial shares, or None under haar-per-trial."""
     dim = config.dim_total
-    if config.state_policy == "uniform":
-        vector = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    elif config.state_policy == "haar-fixed":
-        vector = sample_random_state(dim, substream(config.seed, 0))
-    elif config.state_policy == "explicit":
-        vector = config.amplitudes
-    else:
+    if not isinstance(config.state, str):
+        return config._vector
+    if config.state == "haar-per-trial":
         return None
+    vector = (sample_random_state(dim, substream(config.seed, 0)) if config.state == "haar-fixed"
+              else np.ones(dim, dtype=complex) / math.sqrt(dim))
     return prepare_state(vector, config.spectrum)
 
 
@@ -326,7 +336,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         col = totals[:, k]
         mean, stderr = mean_stderr(col)
         threshold = config.threshold(rank)
-        bound = mean_deviation_bound(config.dim_total, rank, d_f, config.log_base)
+        bound = mean_deviation_bound(config.dim_total, rank, d_f,
+                                     LOG_BASES[config.log_base])
         cells.append({
             "cell": k + 1,
             "rank": rank,
@@ -347,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "dims": list(config.dims),
         "trials": config.trials,
         "seed": config.seed,
-        "state_policy": config.state_policy,
+        "state_policy": config.state if isinstance(config.state, str) else "explicit",
         "D": dim,
         "D_E": spec.num_levels,
         "D_G": spec.pair_index.max_gap_degeneracy,

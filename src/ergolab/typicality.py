@@ -102,6 +102,9 @@ DEFAULT_PRECISION_BITS = 256
 # check-theorem's flags read it.
 DEFAULT_PARAMS = {"epsilon": 1.0, "delta": 0.1, "delta_prime": 0.1, "constant": 2.0}
 
+# The bases of log D, by their names in a run config and in check-theorem.
+LOG_BASES = {"e": math.e, "10": 10.0}
+
 # find_admissible_constant searches the geometric grid of ratio
 # 1 + ADMISSIBLE_RESOLUTION.
 ADMISSIBLE_RESOLUTION = 0.01

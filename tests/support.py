@@ -318,20 +318,21 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
     """Redraw and evaluate every trial of ``config`` on its own.
 
     Trial t draws from ``substream(seed, 1, t)`` a Haar decomposition, then
-    (``haar-per-trial`` only) a state; fixed states come from the policy
-    alone.  Each cell goes through :func:`deviation_exact`, the chain is
+    (``haar-per-trial`` only) a state; a fixed state is the config's
+    amplitudes or comes from its policy alone.  Each cell goes through :func:`deviation_exact`, the chain is
     checked on the breakdown, and the direct normality route runs
     :func:`evolved_time_fraction`, whose grid phases read the spectrum's
     integer levels from its pair index.
     """
     spec, dim, p = config.spectrum, config.dim_total, config.params
     d_f = sum_structure(spec).max_sum_degeneracy
-    fixed = {
-        "uniform": np.ones(dim, dtype=complex) / math.sqrt(dim),
-        "haar-fixed": sample_random_state(dim, substream(config.seed, 0)),
-        "explicit": config.amplitudes,
-        "haar-per-trial": None,
-    }[config.state_policy]
+    fixed = config.state
+    if isinstance(fixed, str):
+        fixed = {
+            "uniform": np.ones(dim, dtype=complex) / math.sqrt(dim),
+            "haar-fixed": sample_random_state(dim, substream(config.seed, 0)),
+            "haar-per-trial": None,
+        }[fixed]
     totals = np.empty((config.trials, len(config.dims)))
     chain = sufficient = direct = violations = 0
     for t in range(config.trials):

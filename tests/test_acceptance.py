@@ -183,7 +183,7 @@ def test_criterion_7_mean_deviation_bound():
             params=TheoremParams(1.0, 0.1, 0.1, 8),
             trials=200,
             seed=MASTER_SEED,
-            state_policy="haar-fixed",
+            state="haar-fixed",
         )
         experiment = run_experiment(config)["experiment"]
         bound = mean_deviation_bound(64, 8, experiment["D_F"])
@@ -203,7 +203,7 @@ def test_criterion_8_sufficient_condition_implication():
         params=TheoremParams(0.8, 0.5, 0.5, 2),
         trials=150,
         seed=20,
-        state_policy="haar-per-trial",
+        state="haar-per-trial",
     )
     out = normality_fraction(config)
     nonvacuous = 0 < out["sufficient_fraction"]

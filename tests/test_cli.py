@@ -9,6 +9,7 @@ import sys
 import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -322,7 +323,18 @@ class TestComputeL:
         assert main(["compute-l", spec, "--dims", "1,1",
                      "--state", str(state_path), "--out", str(out)]) == 1
         assert not out.exists()
-        assert_one_line_error(capsys, "norm")
+        assert_one_line_error(capsys, f"error: {state_path}: ", "norm")
+
+    @pytest.mark.parametrize("amplitudes, fragment", [
+        ([[1, 0]] * 3, "state must have length 4, got shape (3,)"),
+        ([[2, 0], [0, 0], [0, 0], [0, 0]], "state norm 2.0 is not 1 within 1e-10"),
+    ], ids=["short", "norm-2"])
+    def test_state_refusal_names_the_file(self, tmp_path, capsys, amplitudes, fragment):
+        spec = write_spectrum(tmp_path, [(0, 2), (1, 2)])
+        state_path = tmp_path / "st.json"
+        state_path.write_text(json.dumps({"amplitudes": amplitudes}))
+        assert main(["compute-l", spec, "--dims", "2,2", "--state", str(state_path)]) == 1
+        assert_one_line_error(capsys, f"error: {state_path}: {fragment}")
 
     def test_amplitude_beyond_the_float_range_rejected(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
@@ -1194,6 +1206,24 @@ class TestSeeds:
         assert "error: argument --seed:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "CONFIG", "--trials", "0"], "--trials"),
+        (["run", "CONFIG", "--trials=-2"], "--trials"),
+        (["run", "CONFIG", "--trials", "2.5"], "--trials"),
+        (["analyze", "SPEC", "--snap-denominator", "0"], "--snap-denominator"),
+    ], ids=["trials-0", "trials-negative", "trials-float", "snap-denominator-0"])
+    def test_bad_count_flag_names_the_flag_not_the_file(self, tmp_path, capsys, argv, flag):
+        # refused by argparse before any file is opened, not by the reader
+        # of the file, which would put the file's path on the line
+        paths = {"SPEC": write_spectrum(tmp_path, [(0, 1), (1, 1)]),
+                 "CONFIG": TestRun.write_config(tmp_path)}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}:" in err
+        assert str(tmp_path) not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus-one", "below-int64"])
     def test_negative_config_seed_names_the_key(self, tmp_path, capsys, seed):
         cfg = TestRun.write_config(tmp_path, seed=seed)
@@ -1269,6 +1299,9 @@ class TestRun:
         ({"state": {"amplitudes": [[1e200, 0]] + [[0, 0]] * 7}}, "norm"),
         ({"state": {"amplitudes": [[10**400, 0]] + [[0, 0]] * 7}}, '"amplitudes"'),
         ({"state": {"amplitudes": [[1, 0]] + [[0, 0]] * 7, "phase": 0}}, "phase"),
+        ({"state": {"amplitudes": [[2, 0]] + [[0, 0]] * 7}}, "state norm 2.0 is not 1"),
+        ({"state": {"amplitudes": [[1, 0]] * 3}}, "state must have length 8"),
+        ({"state": "explicit"}, "state policy must be one of"),
         ({"log_base": 10}, "log_base"),
         ([{"dims": [4, 4]}], "JSON object"),
         ({"state": 3}, '"state" must be a policy name or an object, got a JSON number'),
@@ -1285,10 +1318,10 @@ class TestRun:
         out = tmp_path / "report.json"
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
-        # an explicit state's norm is refused when run prepares the state,
-        # after the config is read, so that refusal does not name the file
-        named = () if fragment == "norm" else (f"error: {cfg}: ",)
-        assert_one_line_error(capsys, fragment, *named)
+        assert_one_line_error(capsys, f"error: {cfg}: ", fragment)
+
+    def test_config_keys_are_the_config_fields(self):
+        assert cli.RUN_CONFIG_KEYS == {f.name for f in fields(montecarlo.ExperimentConfig)}
 
     @pytest.mark.parametrize("epsilon", [1e-160, 5e-324])
     def test_tiny_epsilon_reported(self, tmp_path, epsilon):

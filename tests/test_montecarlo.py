@@ -1,6 +1,7 @@
 """Ensemble orchestration: determinism, normality fractions."""
 
 import json
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -38,7 +39,7 @@ def make_config(**kw):
         params=TheoremParams(1.0, 0.5, 0.5, 2),
         trials=25,
         seed=99,
-        state_policy="haar-fixed",
+        state="haar-fixed",
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -54,7 +55,7 @@ class TestBlockBudget:
     def test_traced_peak_stays_within_the_block_budget(self, grid_points, trials):
         config = ExperimentConfig(
             spectrum=RES_SPEC, dims=(2, 2, 2, 2), params=TheoremParams(0.8, 0.5, 0.5, 4),
-            trials=trials, seed=1, state_policy="haar-per-trial",
+            trials=trials, seed=1, state="haar-per-trial",
             grid_points=grid_points, normality=True)
         run_experiment(replace(config, trials=1, grid_points=1000))  # first-call caches
         tracemalloc.start()
@@ -81,21 +82,64 @@ class TestConfigValidation:
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            make_config(state_policy="psychic")
+            make_config(state="psychic")
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus-one", "below-int64"])
     def test_negative_seed_names_the_field(self, seed):
         with pytest.raises(ValueError, match='"seed" must be a non-negative integer'):
             make_config(seed=seed)
 
-    def test_explicit_needs_amplitudes(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            make_config(state_policy="explicit")
+    def test_explicit_is_not_a_policy_name(self):
+        with pytest.raises(ValueError, match="state policy must be one of"):
+            make_config(state="explicit")
+
+    @pytest.mark.parametrize("amplitudes, fragment", [
+        ([0.5] * 4, "state must have length 8"),
+        ([1.0] + [0.0] * 8, "state must have length 8"),
+        ([2.0] + [0.0] * 7, "state norm 2.0"),
+        ([float("nan")] + [0.0] * 7, "state norm nan"),
+    ], ids=["short", "long", "norm-2", "nan"])
+    def test_amplitude_state_checked_when_built(self, amplitudes, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            make_config(state=np.array(amplitudes, dtype=complex))
+
+    def test_replace_prepares_the_callers_amplitudes_again(self):
+        # the amplitudes are kept as given (norm 1 within the tolerance, not
+        # exactly), so a replace, as normality_fraction makes, runs the same
+        # state bit for bit
+        amplitudes = np.full(8, (1 + 1e-12) / np.sqrt(8), dtype=complex)
+        cfg = make_config(state=amplitudes, trials=5)
+        again = replace(cfg, normality=True)
+        assert again.state is amplitudes
+        first, second = (run_experiment(c)["experiment"] for c in (cfg, again))
+        assert first["trial_totals"].tobytes() == second["trial_totals"].tobytes()
+        assert second["state_policy"] == "explicit"
+
+    @pytest.mark.parametrize("field, value", [
+        ("dims", (4.5, 3.5)), ("dims", (4.0, 4.0)), ("trials", 2.5), ("seed", 3.7),
+        ("grid_points", 1000.0),
+    ], ids=["dims", "integral-float-dims", "trials", "seed", "grid_points"])
+    def test_non_integral_integers_refused(self, field, value):
+        # int() would truncate: dims (4.5, 3.5) would run as (4, 3), and
+        # seed 3.7 draw from seed 3 while the report said 3.7
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            make_config(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = make_config(dims=np.array([4, 4]), trials=np.int64(3), seed=np.uint8(7),
+                          grid_points=np.int32(500))
+        assert (cfg.dims, cfg.trials, cfg.seed, cfg.grid_points) == ((4, 4), 3, 7, 500)
+        assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.seed, cfg.grid_points))
+
+    @pytest.mark.parametrize("log_base", ["2", 10, math.e, ["e"]])
+    def test_log_base_is_a_name(self, log_base):
+        with pytest.raises(ValueError, match='log_base must be "e" or "10"'):
+            make_config(log_base=log_base)
 
 
 class TestRunExperiment:
     def test_single_trial_equals_breakdown(self):
-        cfg = make_config(trials=1, state_policy="uniform")
+        cfg = make_config(trials=1, state="uniform")
         cells = run_experiment(cfg)["experiment"]["cells"]
         for k, expected in enumerate(per_trial_reference(cfg).totals[0]):
             assert cells[k]["mean"] == expected
@@ -120,7 +164,7 @@ class TestRunExperiment:
         assert main(["run", str(config), "--out", str(out)]) == 0
         # the same run: RES_SPEC, cells (4, 4)
         cfg = make_config(params=TheoremParams(0.8, 0.5, 0.5, 2), trials=5, seed=7,
-                          state_policy="haar-per-trial")
+                          state="haar-per-trial")
         experiment = run_experiment(cfg)["experiment"]
         totals = experiment["trial_totals"]
         assert totals.shape == (5, 2) and not totals.flags.writeable
@@ -130,7 +174,7 @@ class TestRunExperiment:
         assert json.loads(json.dumps(experiment, default=np.ndarray.tolist)) == written
 
     def test_chain_clean_and_bounded(self):
-        cfg = make_config(trials=40, state_policy="haar-per-trial")
+        cfg = make_config(trials=40, state="haar-per-trial")
         experiment = run_experiment(cfg)["experiment"]
         assert experiment["chain_violations"] == 0
         for cell in experiment["cells"]:
@@ -180,7 +224,7 @@ class TestNormalityFraction:
         cfg = make_config(
             params=TheoremParams(0.8, 0.5, 0.5, 2),
             trials=60,
-            state_policy="haar-per-trial",
+            state="haar-per-trial",
             seed=20,
         )
         out = normality_fraction(cfg)
@@ -209,7 +253,7 @@ EXPLICIT_AMPLITUDES = np.zeros(8, dtype=complex)
 EXPLICIT_AMPLITUDES[:4] = [0.5, 0.5j, 0.5, 0.5j]
 
 
-def ensemble_config(spectrum, state_policy, trials, normality=True):
+def ensemble_config(spectrum, policy, trials, normality=True):
     return ExperimentConfig(
         spectrum=spectrum,
         dims=(3, 5),
@@ -217,8 +261,7 @@ def ensemble_config(spectrum, state_policy, trials, normality=True):
         # sufficient threshold, and the explicit state also of the direct one
         params=TheoremParams(0.5, 0.5, 0.5, 2),
         seed=5,
-        state_policy=state_policy,
-        amplitudes=EXPLICIT_AMPLITUDES if state_policy == "explicit" else None,
+        state=EXPLICIT_AMPLITUDES if policy == "explicit" else policy,
         trials=trials,
         grid_points=400,
         normality=normality,
@@ -234,8 +277,8 @@ def assert_normality_matches(out, ref):
         ref.implication_violations)
 
 
-def rational_config(state_policy, normality=False):
-    return ensemble_config(RATIONAL_SPEC, state_policy, trials=40, normality=normality)
+def rational_config(policy, normality=False):
+    return ensemble_config(RATIONAL_SPEC, policy, trials=40, normality=normality)
 
 
 # Trial counts around the block size of the engine.
