@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from . import dynamics, montecarlo, randomness, spectrum, typicality
 from .randomness import DEFAULT_SEED
@@ -298,11 +297,10 @@ def _amplitudes(pairs) -> np.ndarray:
         raise ValueError('"amplitudes" holds a number beyond the float range') from None
 
 
-def _state_amplitudes(doc) -> np.ndarray:
-    """State schema: {"amplitudes": [[re, im], ...]}."""
-    if not isinstance(doc, dict) or "amplitudes" not in doc:
-        raise ValueError('state document must contain an "amplitudes" list')
-    return _amplitudes(doc["amplitudes"])
+def _state_amplitudes(doc, name: str) -> np.ndarray:
+    """State schema: {"amplitudes": [[re, im], ...]} and no other key, for
+    compute-l's --state document and a run config's "state" object alike."""
+    return _amplitudes(_object(doc, name, STATE_KEYS).get("amplitudes"))
 
 
 def cmd_analyze(args) -> int:
@@ -402,7 +400,7 @@ def cmd_compute_l(args) -> int:
     unitary = randomness.sample_haar_unitary(spec.dim_total, randomness.substream(args.seed, 0))
     if args.state is not None:
         vector = _read_json(args.state, lambda doc: dynamics.prepare_state(
-            _state_amplitudes(doc), spec))
+            _state_amplitudes(doc, "state document"), spec))
         state_source = "file"
     else:
         vector = dynamics.prepare_state(randomness.sample_random_state(
@@ -494,6 +492,8 @@ def cmd_compute_l(args) -> int:
 
 
 def cmd_check_theorem(args) -> int:
+    from mpmath import mp  # only the admissibility commands load mpmath
+
     if args.dim < 2:
         raise ValueError(f"--dim must be at least 2 so that log D > 0, got {args.dim}")
     if not 1 <= args.rank <= args.dim:
@@ -525,8 +525,9 @@ def cmd_check_theorem(args) -> int:
         params, rank, dim, args.sum_degeneracy,
         precision_bits=args.precision_bits, log_base=typicality.LOG_BASES[args.log_base],
     )
+    dim_mp, log_dim = typicality.dim_and_log(dim, args.precision_bits)
     with mp.workprec(args.precision_bits):
-        log_ratio = mp.nstr(mp.log(mp.mpf(dim)) / mp.mpf(dim), 12)
+        log_ratio = mp.nstr(log_dim / dim_mp, 12)
     crossover = typicality.admissible_constant_crossover(
         dim, rank, args.precision_bits
     )
@@ -611,19 +612,20 @@ def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
     )
     state = config.get("state")
     if isinstance(state, dict):
-        config["state"] = _amplitudes(_object(state, '"state"', STATE_KEYS).get("amplitudes"))
+        config["state"] = _state_amplitudes(state, '"state"')
     elif "state" in config and not isinstance(state, str):
         # the JSON type of a decoded value that is neither
         kind = {type(None): "null", bool: "boolean", list: "array"}.get(type(state), "number")
         raise ValueError(f'"state" must be a policy name or an object, got a JSON {kind}')
     if "normality" in config and not isinstance(config["normality"], bool):
         raise ValueError(f'"normality" must be true or false, got {config["normality"]!r}')
-    for key in ("trials", "seed"):
-        if getattr(args, key) is not None:
-            config[key] = getattr(args, key)
+    # The document's own values are checked even where a flag replaces them.
     for key in ("trials", "seed", "grid_points"):
         if key in config:
             _integer(config[key], key)
+    for key in ("trials", "seed"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     return montecarlo.ExperimentConfig(**config)
 
 

@@ -141,7 +141,9 @@ class ExperimentConfig:
     length and norm :func:`~ergolab.dynamics.prepare_state` checks; the
     report calls them policy ``explicit``.  ``log_base`` is a key of
     ``typicality.LOG_BASES``.  Integers go through ``operator.index``: a
-    float is refused (TypeError), not truncated.
+    float is refused (TypeError), not truncated.  ``grid`` is the time grid
+    the normality audit walks: ``grid_points``, or by default the larger of
+    1000 and the least grid allowed.
     """
 
     spectrum: Spectrum
@@ -181,11 +183,15 @@ class ExperimentConfig:
         if least > MAX_PHASE_GRID:
             raise ValueError(f"normality needs a grid of at least {least} points (2*spread + 1 "
                              f"of the rescaled levels), beyond the limit {MAX_PHASE_GRID}")
-        self.grid_points = (max(1000, least) if self.grid_points is None
-                            else operator.index(self.grid_points))
-        if not least <= self.grid_points <= MAX_PHASE_GRID:
+        # Not a field either: the grid the audit walks.  ``grid_points``
+        # keeps the caller's None, so a replace that turns normality on
+        # resolves the default against the larger least grid again.
+        if self.grid_points is not None:
+            self.grid_points = operator.index(self.grid_points)
+        self.grid = max(1000, least) if self.grid_points is None else self.grid_points
+        if not least <= self.grid <= MAX_PHASE_GRID:
             raise ValueError(f"grid_points must be between {least} and {MAX_PHASE_GRID}{note}, "
-                             f"got {self.grid_points}")
+                             f"got {self.grid}")
         try:
             self.threshold(self.dims[0])
         except OverflowError:
@@ -247,7 +253,7 @@ def _block_trials(config: ExperimentConfig) -> int:
         # their squares (no more than 40 D_E^2 bytes); every cell's bucket
         # sums and gap polynomial
         kept = 16 * levels * dim + 40 * levels * levels + 32 * len(config.dims) * gaps
-        per_trial = max(per_trial, kept + INSTANT_BYTES * min(config.grid_points, GRID_SLICE))
+        per_trial = max(per_trial, kept + INSTANT_BYTES * min(config.grid, GRID_SLICE))
     return max(1, min(config.trials, BLOCK_BYTES // per_trial))
 
 
@@ -320,7 +326,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     offsets = shell_offsets(spec)
     phases = None
     if config.normality:
-        phases = gap_phases(spec.pair_index, config.grid_points)
+        phases = gap_phases(spec.pair_index, config.grid)
 
     totals = np.empty((config.trials, len(config.dims)))
     tallies = [0, 0, 0, 0]

@@ -66,19 +66,29 @@ Its finiteness check, like every gate here, is written so that NaN fails it.
 
 Everything here is a plain float computation except the asymptotic-regime
 condition checks, which run in arbitrary precision because they must
-survive dimensions like 2**100.
+survive dimensions like 2**100.  Only they import mpmath, on their first
+call (:func:`theorem_condition`, :func:`resonance_impact`,
+:func:`admissible_constant_crossover`, :func:`find_admissible_constant` and
+:func:`dim_and_log`, the D and ln D they share): ``check-theorem`` and the
+unitary-block gate of ``verify-lemmas`` load it, while importing ergolab,
+``run``, ``analyze`` and ``compute-l`` never do.  A ``check-theorem``
+command takes the logarithm of D once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .dynamics import exact_time_avg_weight, gap_buckets, shell_overlap_matrix
 from .spectrum import Spectrum
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "TheoremParams",
@@ -89,6 +99,7 @@ __all__ = [
     "sufficient_threshold",
     "ergodicity_gap",
     "mean_deviation_bound",
+    "dim_and_log",
     "theorem_condition",
     "resonance_impact",
     "admissible_constant_crossover",
@@ -230,6 +241,22 @@ def mean_deviation_bound(
     return 10 * log_dim / dim + correction
 
 
+@functools.lru_cache(maxsize=1)
+def dim_and_log(dim: int, precision_bits: int) -> tuple[mpf, mpf]:
+    """D and ln D as mpf at ``precision_bits`` bits.
+
+    Every admissibility quantity of one dimension reads them, and a
+    ``check-theorem`` command evaluates them all at one precision, so the
+    one entry kept takes the logarithm once per command.  mpf values are
+    immutable, so sharing them changes no result.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workprec(precision_bits):
+        dim_mp = mpf(dim)
+        return dim_mp, mp.log(dim_mp)
+
+
 def theorem_condition(
     params: TheoremParams,
     rank: int,
@@ -247,10 +274,11 @@ def theorem_condition(
     Returns the ``condition`` record of ``check-theorem``: ``holds`` and the
     three sides ``lhs``, ``d_over_D`` and ``one_over_C`` as 12-digit strings.
     """
+    from mpmath import mp, mpf
+
+    dim_mp, log_dim = dim_and_log(dim, int(precision_bits))
     with mp.workprec(int(precision_bits)):
         d = mpf(rank)
-        dim_mp = mpf(dim)
-        log_dim = mp.log(dim_mp)
         if log_base != math.e:
             log_dim /= mp.log(log_base)
         bracket = 1 + max(int(max_sum_degeneracy) - 2, 0) * d**2 / (10 * dim_mp * log_dim)
@@ -281,8 +309,11 @@ def resonance_impact(
     Implements "much smaller than (10 log(D)/D) M^2" as a strict inequality
     with a configurable margin factor on the left-hand side.
     """
+    from mpmath import mp, mpf
+
+    dim_mp, log_dim = dim_and_log(dim, int(precision_bits))
     with mp.workprec(int(precision_bits)):
-        rhs = 10 * mp.log(mpf(dim)) / mpf(dim) * mpf(num_cells) ** 2
+        rhs = 10 * log_dim / dim_mp * mpf(num_cells) ** 2
         lhs = mpf(max_sum_degeneracy) * mpf(margin)
         return {
             "small": bool(lhs < rhs),
@@ -292,6 +323,7 @@ def resonance_impact(
         }
 
 
+@functools.lru_cache(maxsize=1)
 def admissible_constant_crossover(
     dim: int, rank: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpf:
@@ -299,10 +331,16 @@ def admissible_constant_crossover(
 
     The ordering C log(D)/D < d/D < 1/C caps C at min(d/log D, D/d); the
     two residual power conditions it implies (1/C^2 and 9/C^3) are strictly
-    weaker, so this is the exact crossover.
+    weaker, so this is the exact crossover.  ``check-theorem`` asks for it
+    directly and through :func:`find_admissible_constant`; the one entry
+    kept serves the second call.
     """
+    from mpmath import mp, mpf
+
+    dim_mp, log_dim = dim_and_log(dim, int(precision_bits))
     with mp.workprec(int(precision_bits)):
-        return min(mpf(rank) / mp.log(mpf(dim)), mpf(dim) / mpf(rank))
+        d = mpf(rank)
+        return min(d / log_dim, dim_mp / d)
 
 
 def find_admissible_constant(
@@ -313,6 +351,8 @@ def find_admissible_constant(
     Searches the geometric grid (1 + ADMISSIBLE_RESOLUTION)**j from below
     the analytic crossover; ties resolve toward smaller C.
     """
+    from mpmath import mp, mpf
+
     with mp.workprec(int(precision_bits)):
         crossover = admissible_constant_crossover(dim, rank, precision_bits)
         if crossover <= 1:

@@ -24,8 +24,12 @@
 # from the pair index, and rescaled_to_integer {"multiplier": 12} against
 # null.  The report writer must be a fixed point of the stdlib encoder:
 # the analyze, run and compute-l reports must each equal
-# json.dumps(json.load(f), indent=2, sort_keys=True) plus a newline.  A
-# refusal names its source: run on a config whose state has norm 2 exits 1
+# json.dumps(json.load(f), indent=2, sort_keys=True) plus a newline.  Only
+# the admissibility commands load mpmath: in one interpreter, importing
+# ergolab and ergolab.cli and then running analyze, compute-l and run
+# through ergolab.cli.main must leave mpmath out of sys.modules, and
+# check-theorem must then exit 0 having loaded it.  A refusal names its
+# source: run on a config whose state has norm 2 exits 1
 # with one error line naming the config file, and run --trials 0 exits 2
 # with argparse's error naming the flag and not the file.  Any other nonzero
 # exit fails the script.
@@ -57,6 +61,12 @@ python -c 'import json; json.dump({"levels": [{"energy": e, "degeneracy": d} for
 ergolab compute-l rational.json --dims 3,3,3 --seed 4 --out rational-l.json
 ergolab compute-l rational-x12.json --dims 3,3,3 --seed 4 --out rational-x12-l.json
 python -c 'import json; rat, whole = (json.load(open(f)) for f in ("rational-l.json", "rational-x12-l.json")); assert rat["cells"] == whole["cells"] and all(c["oracle"]["match"] is True for c in rat["cells"]) and rat["rescaled_to_integer"] == {"multiplier": 12} and whole["rescaled_to_integer"] is None, (rat, whole)'
+python -c 'import sys, ergolab, ergolab.cli
+for argv in (["analyze", "rational.json"], ["compute-l", "rational.json", "--dims", "3,3,3"], ["run", "run.json", "--trials", "2"]):
+    assert "mpmath" not in sys.modules, argv
+    assert ergolab.cli.main(argv + ["--out", "lazy.json"]) == 0, argv
+assert "mpmath" not in sys.modules
+assert ergolab.cli.main(["check-theorem", "--dim", "2^100", "--rank", "2^60", "--cells", "4", "--out", "lazy.json"]) == 0 and "mpmath" in sys.modules'
 python -c 'import json, sys; bad = [f for f in sys.argv[1:] if json.dumps(json.load(open(f)), indent=2, sort_keys=True) + "\n" != open(f).read()]; assert not bad, bad' analyze.json run-report.json oracle.json rational-l.json
 python -c 'import json; json.dump({"spectrum": {"levels": [{"energy": e, "degeneracy": 2} for e in range(4)]}, "dims": [4, 4], "state": {"amplitudes": [[2, 0]] + [[0, 0]] * 7}}, open("norm2-run.json", "w"))'
 code=0; ergolab run norm2-run.json > norm2.out 2> norm2.err || code=$?

@@ -350,7 +350,7 @@ def per_trial_reference(config, chain_slack: float = 1e-12) -> EnsembleReference
             ok_sufficient = ok_sufficient and b["total"] <= config.threshold(cell.shape[1])
         if config.normality:
             fraction = evolved_time_fraction(
-                spec, vector, decomposition, p.epsilon, config.grid_points)
+                spec, vector, decomposition, p.epsilon, config.grid)
             ok_direct = fraction >= 1 - p.delta_prime
             sufficient += ok_sufficient
             direct += ok_direct

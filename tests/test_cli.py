@@ -336,6 +336,19 @@ class TestComputeL:
         assert main(["compute-l", spec, "--dims", "2,2", "--state", str(state_path)]) == 1
         assert_one_line_error(capsys, f"error: {state_path}: {fragment}")
 
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"amplitudes": [[1, 0], [0, 0]], "phase": 3},
+         "state document has unknown keys ['phase']; allowed: ['amplitudes']"),
+        ([[1, 0], [0, 0]], "state document must be a JSON object"),
+        ({}, '"amplitudes" must be a list of [re, im] number pairs'),
+    ], ids=["unknown-key", "array", "no-amplitudes"])
+    def test_state_document_schema_checked(self, tmp_path, capsys, doc, fragment):
+        spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc))
+        assert main(["compute-l", spec, "--dims", "1,1", "--state", str(state_path)]) == 1
+        assert_one_line_error(capsys, f"error: {state_path}: {fragment}")
+
     def test_amplitude_beyond_the_float_range_rejected(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path, [(0, 1), (1, 1)])
         state_path = tmp_path / "state.json"
@@ -1319,6 +1332,18 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert_one_line_error(capsys, f"error: {cfg}: ", fragment)
+
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"trials": "x", "seed": "y"}, "\"trials\" must be an integer, got 'x'"),
+        ({"seed": "y"}, "\"seed\" must be an integer, got 'y'"),
+    ], ids=["trials", "seed"])
+    def test_document_types_checked_where_flags_replace_them(self, tmp_path, capsys,
+                                                            overrides, fragment):
+        cfg = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "report.json"
+        assert main(["run", cfg, "--trials", "2", "--seed", "3", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys, f"error: {cfg}: {fragment}")
 
     def test_config_keys_are_the_config_fields(self):
         assert cli.RUN_CONFIG_KEYS == {f.name for f in fields(montecarlo.ExperimentConfig)}

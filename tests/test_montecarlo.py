@@ -245,6 +245,15 @@ class TestNormalityFraction:
         out = normality_fraction(cfg)
         assert out["direct_fraction"] == 1.0
 
+    def test_default_grid_is_resolved_again_when_normality_turns_on(self):
+        # Levels {0, 600}: the audit needs 2*600 + 1 grid points, more than
+        # the default 1000 that a run without it walks.
+        cfg = ExperimentConfig(spectrum=spec_of([(0, 2), (600, 2)]), dims=(2, 2),
+                               params=TheoremParams(1e6, 0.5, 0.5, 2), trials=3, seed=1)
+        assert (cfg.grid_points, cfg.grid) == (None, 1000)
+        assert replace(cfg, normality=True).grid == 1201
+        assert normality_fraction(cfg)["direct_fraction"] == 1.0
+
 
 RATIONAL_SPEC = spec_of([(0, 2), (F(1, 2), 3), (F(3, 2), 1), (2, 2)])
 
