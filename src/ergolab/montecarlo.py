@@ -1,6 +1,6 @@
 """Seeded ensembles over random decompositions of a fixed spectrum.
 
-Each trial draws its own generator substream from (master seed, trial
+Each trial draws its own generator substream from (master seed, 1, trial
 index): first the Ginibre matrix of its Haar unitary, then, under
 ``haar-per-trial``, its state.  Results are therefore reproducible under
 any execution order, and a report is a pure function of its configuration.
@@ -8,10 +8,14 @@ That configuration, :class:`ExperimentConfig`, is the schema of ``run``'s
 config document: its fields are the document's nine keys, with their
 defaults, and it checks every value as it is built.
 
-Trials are evaluated in blocks of consecutive indices.  A block draws each
-of its trials from that trial's substream in the order above, filling the
-block's Ginibre matrices and states in place, factors all of its Ginibre
-matrices in one stacked QR, and then evaluates every trial once, with
+Trials are evaluated in blocks of consecutive indices.  A block is seeded
+in one pass (:func:`~ergolab.randomness.substreams` hashes the seed lists
+of a block of ``randomness._BATCH_INDICES`` or more trials at once and
+re-seeds one generator in place per trial), and its draws are
+trial-major: each trial's normals, in the order above, come from one fill
+into a row the block reuses, and are copied into the block's
+Ginibre matrices and states.  The block then factors all of its Ginibre
+matrices in one stacked QR and evaluates every trial once, with
 array operations over the block: the per-cell deviations and their
 inequality chain (:func:`evaluate_cells`, which ``compute-l`` runs on its
 one state) and, when ``normality`` is on, both normality routes.  Each
@@ -31,10 +35,12 @@ The block size only trades speed for memory; it changes no result, since
 every kernel works trial by trial along the leading axis.  A block gets
 BLOCK_BYTES for its working arrays, counted per trial as the complex D x D
 matrices alive while it is drawn and factored (_MATRICES_PER_TRIAL of
-them) or, with ``normality``, the arrays the normality route holds per
-trial, whichever is larger: the shell coordinates, one cell's overlap
-matrix and its gathered pairs, each cell's bucket sums and gap polynomial,
-and INSTANT_BYTES per time of a slice of GRID_SLICE grid times.  The grid
+them; the draws' one row of 2 D^2 + 2 D floats is the block's, smaller
+than one trial's matrices, and is not counted) or, with ``normality``,
+the arrays the normality route holds per trial, whichever is larger: the
+shell coordinates, one cell's overlap matrix and its gathered pairs, each
+cell's bucket sums and gap polynomial, and INSTANT_BYTES per time of a
+slice of GRID_SLICE grid times.  The grid
 is walked in slices, so no array grows with ``grid_points``: a slice's gap
 phases, shared by the block, take GAP_PHASE_BYTES per positive gap and
 time, and the longer slices of a small block stay within SLICE_BYTES (all
@@ -46,8 +52,8 @@ die before the block is evaluated, and the block's before the next is
 drawn.
 Measured on the benchmark's ensemble-small workload (D = 8, 1000 grid
 points, 500 trials, normality on; 170-trial blocks) in-process on a 2-core
-x86-64 VM with one BLAS thread: the tracemalloc peak of a run is 1060 KiB,
-BLOCK_BYTES and 36 KiB, reached while a block is drawn; budgets of
+x86-64 VM with one BLAS thread: the tracemalloc peak of a run is 903 KiB,
+below BLOCK_BYTES (1 MiB), reached while a block is drawn; budgets of
 512 KiB, 1 MiB and 2 MiB raised the peak resident set by about 0.1, 0.5
 and 1.5 MiB over blocks of one trial (42.5 MiB), while a run took 26, 22
 and 27 ms (medians of 21) against 540 ms.  1 MiB is the largest budget
@@ -77,12 +83,11 @@ from .dynamics import (
 )
 from .randomness import (
     DEFAULT_SEED,
-    ginibre_matrices,
     haar_from_ginibre,
     mean_stderr,
-    random_states,
     sample_random_state,
     substream,
+    substreams,
 )
 from .spectrum import Spectrum
 from .typicality import (
@@ -257,15 +262,42 @@ def _block_trials(config: ExperimentConfig) -> int:
     return max(1, min(config.trials, BLOCK_BYTES // per_trial))
 
 
+def _block_draws(seed: int, trials: range, dim: int, states: bool):
+    """``(ginibre, states)``: the Ginibre matrices of a block of trials and,
+    when ``states``, their random states (else None), each trial's drawn
+    from ``substream(seed, 1, t)`` in one fill of its 2 D^2 (+ 2 D) normals:
+    the matrix's real then imaginary parts, then the state's.  The fill
+    goes into one row that each trial reuses and is copied into the
+    block's complex arrays, so the draws are bit for bit those of
+    ``ginibre_matrix`` and ``sample_random_state`` on that substream."""
+    square = dim * dim
+    ginibre = np.empty((len(trials), dim, dim), dtype=complex)
+    vectors = np.empty((len(trials), dim), dtype=complex) if states else None
+    row = np.empty(2 * square + (2 * dim if states else 0))
+    # (real, imaginary) pairs of the row's entries, in the complex arrays' layout
+    matrix_pairs = row[:2 * square].reshape(2, square).T
+    vector_pairs = row[2 * square:].reshape(2, -1).T
+    matrix_slots = ginibre.view(np.float64).reshape(len(trials), square, 2)
+    vector_slots = None if vectors is None else vectors.view(np.float64).reshape(-1, dim, 2)
+    for t, rng in enumerate(substreams(trials, seed, 1)):
+        rng.standard_normal(out=row)
+        matrix_slots[t] = matrix_pairs
+        if vector_slots is not None:
+            vector_slots[t] = vector_pairs
+    ginibre /= math.sqrt(2.0)
+    if vectors is not None:
+        # The axis form sums in numpy, not by a BLAS dot: seeded states rely on it.
+        vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return ginibre, vectors
+
+
 def _block_coordinates(config: ExperimentConfig, trials: range, fixed, offsets) -> np.ndarray:
-    """The shell coordinates of the Haar unitaries of a block of trials,
-    each trial's drawn from its substream: the Ginibre matrix, then, when
-    ``fixed`` is None, the state.  The D x D arrays die on return."""
-    dim = config.dim_total
-    rngs = [substream(config.seed, 1, t) for t in trials]
-    ginibre = ginibre_matrices(dim, rngs)
-    states = random_states(dim, rngs) if fixed is None else fixed
-    return shell_coordinates(haar_from_ginibre(ginibre), states, offsets)
+    """The shell coordinates of the Haar unitaries of a block of trials
+    (:func:`_block_draws`), each trial's state its own draw when ``fixed``
+    is None.  The D x D arrays die on return."""
+    ginibre, states = _block_draws(config.seed, trials, config.dim_total, fixed is None)
+    return shell_coordinates(haar_from_ginibre(ginibre), fixed if states is None else states,
+                             offsets)
 
 
 def _evaluate_block(config: ExperimentConfig, trials: range, fixed, offsets, phases,

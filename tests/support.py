@@ -480,9 +480,10 @@ def hypersphere_reference(dim: int, z: np.ndarray, tail=0.0) -> dict:
 
 
 def lemma_statistics_reference(dim: int, rank: int, samples: int, ensemble: int, seed: int):
-    """``randomness.lemma_statistics`` computed on one thread: the two
-    halves of the random states one after another, their power sums merged
-    in the same order, then the unitary blocks."""
+    """``randomness.lemma_statistics`` restated from its documented stream
+    layout: the two halves of the random states on substreams (seed, 0)
+    and (seed, 1), their power sums merged in that order, then the unitary
+    blocks on (seed, 2)."""
     half = samples // 2
     sums = _moment_sums(dim, rank, samples - half, substream(seed, 0))
     for whole, part in zip(sums, _moment_sums(dim, rank, half, substream(seed, 1))):

@@ -18,7 +18,7 @@ from ergolab import (
     run_experiment,
     wilson_interval,
 )
-from ergolab import montecarlo, typicality
+from ergolab import montecarlo, randomness, typicality
 from ergolab.cli import main
 from ergolab.montecarlo import _block_trials
 
@@ -302,17 +302,22 @@ TRIAL_COUNTS = {
 
 class TestSinglePass:
     def test_cli_run_draws_and_evaluates_each_trial_once(self, tmp_path, monkeypatch):
-        # The blocked engine draws each trial from its own substream exactly
-        # once, evaluates trials x cells overlap matrices in the deviation
-        # kernel, builds the time-grid phases once, and never goes back to
-        # the per-cell time average.
-        draws, calls = Counter(), Counter()
-        substream, kernel = montecarlo.substream, montecarlo.deviation_breakdowns
+        # The blocked engine seeds each trial's substream exactly once,
+        # hashed with its block or built by numpy, evaluates trials x cells
+        # overlap matrices in the deviation kernel, builds the time-grid
+        # phases once, and never goes back to the per-cell time average.
+        seeded, calls = Counter(), Counter()
+        states, built = randomness._pcg64_states, randomness.substream
+        kernel = montecarlo.deviation_breakdowns
         phases, time_avg = montecarlo.gap_phases, typicality.exact_time_avg_weight
 
+        def counted_states(seed, path, indices):
+            seeded.update((seed, *path, t) for t in indices)
+            return states(seed, path, indices)
+
         def counted_substream(seed, *path):
-            draws[path] += 1
-            return substream(seed, *path)
+            seeded[(seed, *path)] += 1
+            return built(seed, *path)
 
         def counted_kernel(buckets, frac):
             calls["matrices"] += buckets[0].shape[0]
@@ -324,7 +329,9 @@ class TestSinglePass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(montecarlo, "substream", counted_substream)
+        monkeypatch.setattr(randomness, "_pcg64_states", counted_states)
+        monkeypatch.setattr(randomness, "substream", counted_substream)
+        monkeypatch.setattr(montecarlo, "substream", counted("substream", montecarlo.substream))
         monkeypatch.setattr(montecarlo, "deviation_breakdowns", counted_kernel)
         monkeypatch.setattr(montecarlo, "gap_phases", counted("gap_phases", phases))
         monkeypatch.setattr(typicality, "exact_time_avg_weight",
@@ -340,7 +347,7 @@ class TestSinglePass:
             "normality": True,
         }))
         assert main(["run", str(config), "--out", str(tmp_path / "report.json")]) == 0
-        assert draws == {(1, t): 1 for t in range(20)}
+        assert seeded == {(1, 1, t): 1 for t in range(20)}
         assert calls == {"matrices": 20 * 4, "gap_phases": 1}
 
     def test_rational_equals_its_integer_copy(self):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import (
     hypersphere_moments,
@@ -19,19 +21,18 @@ from ergolab import (
     substream,
     unitary_block_statistics,
 )
-from ergolab.montecarlo import check_ranks
+from ergolab.montecarlo import _block_draws, check_ranks
 from ergolab.randomness import (
     _CHUNK_ENTRIES,
     GATE_SIGMA,
     _moment_sums,
     _PowerSums,
     _state_chunks,
-    ginibre_matrices,
     ginibre_matrix,
     haar_from_ginibre,
     mean_stderr,
-    random_states,
     sample_haar_frame,
+    substreams,
 )
 
 from support import (
@@ -90,29 +91,88 @@ class TestSubstream:
         np.testing.assert_array_equal(a, np.random.default_rng([7, 1, 2**40]).standard_normal(5))
 
 
+# Seeds of the substream kernel's checks: small, at and across one and two
+# 32-bit words, and 4300 decimal digits (447 words).
+KERNEL_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 3, int("9" * 4300)]
+# Trial indices: one word, the last one-word index, two words.  A check
+# takes a run of indices from one of them on, so 2^32 - 1 spans the split
+# at 2^32.
+KERNEL_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40]
+# Run lengths: numpy's own construction per index, and hashed as arrays.
+KERNEL_RUNS = [2, randomness._BATCH_INDICES + 2]
+
+
+def assert_same_generators(indices, seed, *path):
+    """Every generator :func:`substreams` yields is in the state of
+    numpy's own ``default_rng([seed, *path, t])``, and draws like it."""
+    for t, rng in zip(indices, substreams(indices, seed, *path), strict=True):
+        reference = np.random.default_rng([seed, *path, t])
+        assert rng.bit_generator.state == reference.bit_generator.state, t
+        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
+
+
+class TestSubstreams:
+    """The batched seeding kernel against numpy's own construction."""
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS, ids=lambda s: f"{s.bit_length()}bits")
+    @pytest.mark.parametrize("index", KERNEL_INDICES)
+    @pytest.mark.parametrize("run", KERNEL_RUNS)
+    def test_states_equal_default_rng(self, seed, index, run):
+        assert_same_generators(range(index, index + run), seed, 1)
+
+    @pytest.mark.parametrize("path", [(), (0, 0), (0, 0, 0, 0), (7, 2**64)])
+    @pytest.mark.parametrize("run", KERNEL_RUNS)
+    def test_any_path_length(self, path, run):
+        # the index's words fill the pool's first four, straddle its end or
+        # are mixed in after the pool is full
+        assert_same_generators(range(2**32 - run, 2**32 + run), 3, *path)
+
+    def test_empty_range_yields_nothing(self):
+        assert list(substreams(range(4, 4), 1, 1)) == []
+
+    def test_seeding_drift_raises(self, monkeypatch):
+        # a numpy whose PCG64 seeding differed is caught before any draw
+        monkeypatch.setattr(randomness, "_PCG64_MULT", randomness._PCG64_MULT + 2)
+        with pytest.raises(RuntimeError, match="seeds PCG64 differently"):
+            next(substreams(range(randomness._BATCH_INDICES), 1, 1))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**200), index=st.integers(0, 2**70),
+           path=st.lists(st.integers(0, 2**40), max_size=5),
+           run=st.integers(1, 2 * randomness._BATCH_INDICES))
+    def test_random_seed_lists(self, seed, index, path, run):
+        assert_same_generators(range(index, index + run), seed, *path)
+
+
 class TestBlockDraws:
-    """The stacked draws ``run`` fills in place, bit for bit the complex
-    arrays formed from one generator's parts at a time, each generator's
-    Ginibre matrix before its state."""
+    """The block draws ``run`` fills one trial at a time, bit for bit the
+    complex arrays formed from one substream's parts at a time, each
+    trial's Ginibre matrix before its state."""
 
     @pytest.mark.parametrize("dim", [1, 2, 8, 17, 64])
-    def test_stacks_equal_one_draw_at_a_time(self, dim):
-        rngs = [substream(5, 1, t) for t in range(9)]
-        ginibre, states = ginibre_matrices(dim, rngs), random_states(dim, rngs)
-        for t in range(9):
+    def test_fills_equal_one_draw_at_a_time(self, dim):
+        # one run hashed as arrays, one built by numpy index by index
+        trials = range(2**32 - randomness._BATCH_INDICES - 2, 2**32 + 3)
+        ginibre, states = _block_draws(5, trials, dim, states=True)
+        alone, none = _block_draws(5, trials, dim, states=False)
+        assert none is None and alone.tobytes() == ginibre.tobytes()
+        for k, t in enumerate(trials):
             rng = substream(5, 1, t)
             z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             z /= math.sqrt(2.0)
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v /= np.linalg.norm(v, axis=-1, keepdims=True)
-            assert ginibre[t].tobytes() == z.tobytes()
-            assert states[t].tobytes() == v.tobytes()
+            assert ginibre[k].tobytes() == z.tobytes()
+            assert states[k].tobytes() == v.tobytes()
+            rng = substream(5, 1, t)
+            assert ginibre[k].tobytes() == ginibre_matrix(dim, rng).tobytes()
+            assert states[k].tobytes() == sample_random_state(dim, rng).tobytes()
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            ginibre_matrices(0, [substream(5, 0)])
+            ginibre_matrix(0, substream(5, 0))
         with pytest.raises(ValueError):
-            random_states(0, [substream(5, 0)])
+            sample_random_state(0, substream(5, 0))
 
 
 class TestHaarUnitary:

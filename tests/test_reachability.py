@@ -6,10 +6,10 @@ compute-l with its oracle, verify-lemmas, check-theorem, and ``run`` on a
 resonant spectrum and, with normality on, a degenerate one), plus the
 ``--state``, ``--dump-trials``, ``--dump-trajectory`` and ``--out``
 routes.  It runs in this process under ``sys.setprofile`` and
-``threading.setprofile``, so verify-lemmas' worker threads are seen too,
-and both hooks are restored afterwards.  A kernel that no command calls
-any more fails this test until it is deleted, so a replaced kernel cannot
-linger beside its replacement.
+``threading.setprofile``, so a function run on a worker thread would be
+seen too, and both hooks are restored afterwards.  A kernel that no
+command calls any more fails this test until it is deleted, so a replaced
+kernel cannot linger beside its replacement.
 """
 
 import contextlib
