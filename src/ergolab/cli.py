@@ -8,8 +8,8 @@ Haar unitaries through QR and matrix products whose last bits may change
 with the BLAS build, the CPU and its thread count (see the README).
 
 Exit status is 0 exactly when every verification gate the command
-evaluated has passed; data and usage problems exit nonzero with a
-diagnostic on stderr.  Human-readable tables are deliberately absent: the
+evaluated has passed.  A flag's refused value exits 2 naming the flag
+(:func:`_flag`); file content, rules of two inputs and failed gates exit 1.  Human-readable tables are deliberately absent: the
 JSON is the source of truth and columnar dumps serve external plotters.
 """
 
@@ -43,18 +43,24 @@ ORACLE_CELLS = 64
 # in dynamics.GRID_SLICE slices, so this bounds its size on disk and its
 # running time, not its memory.
 MAX_DUMP_POINTS = 10_000_000
+# The rule of --periods: more would put a dump's time span 2π·m·periods
+# beyond the float range even at the rescaling multiplier m = 1.
+DUMP_PERIODS_RULE = (lambda periods: periods <= sys.float_info.max / (2 * math.pi),
+                     "must keep the dump's time span 2π·m·periods within the float range")
 
-# verify-lemmas size limits.  Memory is flat in --samples (power sums, not
-# samples, are kept), so the sample limit bounds running time.  A state
-# draws max(--rank, 2) complex coordinates and one gamma variate, so the
-# time grows with --rank, not --dim: on a 2-core x86-64 VM with BLAS at one
-# thread, 10 000 000 samples took 2.1 s at --dim 8 --rank 2, 2.2 s at --dim
-# 1000 --rank 2 and 21 s at --dim 100 --rank 100, about ten times as long
-# at the limit.  The ensemble keeps 16 bytes per member, 1.6 GB at its
-# limit.  Larger runs are refused before any thread starts; arrays that
-# cannot be allocated end in main's out-of-memory line.
+# verify-lemmas size limits, refused before anything is drawn; timed on a
+# 2-core x86-64 VM, BLAS at one thread.  A state draws r = min(--dim,
+# max(--rank, 2)) coordinates, 300 ns a state at r <= 2 and 30-50 ns a
+# coordinate from r = 10 up: MAX_LEMMA_DRAWS bounds --samples × r (about a
+# minute), MAX_LEMMA_RANK a one-state chunk (64 MiB).  A unitary block costs
+# 37 µs at --dim 2 plus 0.24-1.1 ns a unit of D² × max(--rank, 10) for its
+# Gram (0.24 s at --dim 10 000 --rank 2, 12 s at --dim 3000 --rank 2999):
+# MAX_LEMMA_GRAM bounds the ensemble's units (a minute or two).
 MAX_LEMMA_SAMPLES = 100_000_000
-MAX_LEMMA_ENSEMBLE = 100_000_000
+MAX_LEMMA_DRAWS = 2 * 10**9
+MAX_LEMMA_RANK = 2**22
+MAX_LEMMA_ENSEMBLE = 1_000_000
+MAX_LEMMA_GRAM = 10**11
 
 # The float parameters carry 53 bits; the mpmath checks get at least that.
 # (Below 7 bits the admissible-constant grid step 1.01 rounds to 1.)
@@ -253,18 +259,43 @@ def _parse_big_int(text: str) -> int:
     return value
 
 
-def _at_least(least: int):
-    """An argparse type: an integer of at least ``least``, so that a flag's
-    refusal names the flag (argparse's usage error, exit 2), not a file."""
-    def integer(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-    return integer
+def _flag(parse, least=None, most=None, rule=None):
+    """An argparse type: ``parse`` (int, float or _parse_big_int) of a flag,
+    finite if a float, within ``least`` and ``most`` and passing a ``rule``
+    (test, text) such as those of ``typicality.PARAM_RULES``.  Every numeric
+    flag's range is checked here only: a refusal is argparse's usage error
+    (exit 2) naming the flag, before any file is read or anything drawn."""
+    def value(text: str):
+        number = parse(text)  # a ValueError is argparse's "invalid <parse> value"
+        if parse is float and not math.isfinite(number):
+            refusal = "must be a finite number"
+        elif least is not None and number < least:
+            refusal = f"must be at least {least}"
+        elif most is not None and number > most:
+            refusal = f"must be at most {most}"
+        elif rule is not None and not rule[0](number):
+            refusal = rule[1]
+        else:
+            return number
+        raise argparse.ArgumentTypeError(f"{refusal}, got {number!r}")
+    value.__name__ = parse.__name__
+    return value
+
+
+def _ranks(text: str) -> tuple[int, ...]:
+    """compute-l's --dims: comma-separated cell ranks, each at least 1."""
+    try:
+        ranks = tuple(int(rank) for rank in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+    if min(ranks) < 1:
+        raise argparse.ArgumentTypeError(f"every rank must be at least 1, got {text!r}")
+    return ranks
+
+
+def _rank_within_dim(args) -> None:
+    if args.rank > args.dim:
+        raise ValueError(f"--rank must be between 1 and --dim {args.dim}, got {args.rank}")
 
 
 def _read_json(path: str, read):
@@ -311,14 +342,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     dim, rank, samples = args.dim, args.rank, args.samples
-    if samples < 2:
-        raise ValueError(f"--samples must be at least 2 for a standard error, got {samples}")
-    if args.ensemble < 1:
-        raise ValueError(f"--ensemble must be at least 1, got {args.ensemble}")
-    for flag, value, limit in [("--samples", samples, MAX_LEMMA_SAMPLES),
-                               ("--ensemble", args.ensemble, MAX_LEMMA_ENSEMBLE)]:
-        if value > limit:
-            raise ValueError(f"{flag} must be at most {limit}, got {value}")
+    _rank_within_dim(args)
+    if samples * min(dim, max(rank, 2)) > MAX_LEMMA_DRAWS:
+        raise ValueError(f"--samples × min(--dim, max(--rank, 2)) must be at most "
+                         f"{MAX_LEMMA_DRAWS}, got {samples} × {min(dim, max(rank, 2))}")
+    if rank < dim and args.ensemble * dim**2 * max(rank, 10) > MAX_LEMMA_GRAM:
+        raise ValueError(f"--ensemble × --dim² × max(--rank, 10) must be at most "
+                         f"{MAX_LEMMA_GRAM}, got {args.ensemble} × {dim}² × {max(rank, 10)}")
     warnings = []
     gated = samples >= MIN_GATED_SAMPLES
     if not gated:
@@ -385,16 +415,8 @@ def cmd_compute_l(args) -> int:
             raise ValueError(f"{flag} shapes the trajectory dump and needs --dump-trajectory")
     grid_points = 1000 if args.grid_points is None else args.grid_points
     periods = 1 if args.periods is None else args.periods
-    if not 1 <= grid_points <= MAX_DUMP_POINTS:
-        raise ValueError(f"--grid-points must be between 1 and {MAX_DUMP_POINTS}, "
-                         f"got {grid_points}")
-    if periods < 1:
-        raise ValueError(f"--periods must be a positive integer, got {periods}")
     spec = _read_spectrum_file(args.spectrum)
-    try:
-        dims = tuple(int(x) for x in args.dims.split(","))
-    except ValueError:
-        raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
+    dims = args.dims
     montecarlo.check_ranks(dims, spec.dim_total)
     # The unitary of randomness.sample_decomposition(dims, substream(seed, 0)).
     unitary = randomness.sample_haar_unitary(spec.dim_total, randomness.substream(args.seed, 0))
@@ -420,10 +442,10 @@ def cmd_compute_l(args) -> int:
                 f"--dump-trajectory: the spectrum's rescaling multiplier "
                 f"({len(str(mult))} digits) is beyond the float range of the time axis"
             ) from None
-        # A --periods beyond the float range overflows the span to inf too.
-        span = period * min(periods, sys.float_info.max)
+        span = period * periods
         if span == math.inf:
-            raise ValueError(f"--periods {periods} overflows the dump's time span")
+            raise ValueError(f"--periods {periods} times the spectrum's rescaling multiplier "
+                             f"{mult} overflows the dump's time span")
     grid = dynamics.deviation_grid_points(spec)
     oracle_note = None
     if grid > MAX_ORACLE_GRID:
@@ -494,32 +516,10 @@ def cmd_compute_l(args) -> int:
 def cmd_check_theorem(args) -> int:
     from mpmath import mp  # only the admissibility commands load mpmath
 
-    if args.dim < 2:
-        raise ValueError(f"--dim must be at least 2 so that log D > 0, got {args.dim}")
-    if not 1 <= args.rank <= args.dim:
-        raise ValueError(f"--rank must be between 1 and --dim {args.dim}, got {args.rank}")
-    if args.sum_degeneracy < 1:
-        raise ValueError(f"--sum-degeneracy must be at least 1 (every spectrum has "
-                         f"D_F >= 1), got {args.sum_degeneracy}")
-    for flag, value in [("--epsilon", args.epsilon), ("--delta", args.delta),
-                        ("--delta-prime", args.delta_prime), ("--constant", args.constant)]:
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value}")
-    if not 0 < args.margin < math.inf:
-        raise ValueError(f"--margin must be a positive finite number, got {args.margin}")
-    if not MIN_PRECISION_BITS <= args.precision_bits <= MAX_PRECISION_BITS:
-        raise ValueError(
-            f"--precision-bits must be between {MIN_PRECISION_BITS} and "
-            f"{MAX_PRECISION_BITS}, got {args.precision_bits}"
-        )
-    try:
-        params = typicality.TheoremParams(
-            epsilon=args.epsilon, delta=args.delta, delta_prime=args.delta_prime,
-            num_cells=args.cells, constant=args.constant)
-    except ValueError as exc:  # the refusal names a field: name its flag instead
-        field, _, rule = str(exc).partition(" ")
-        flags = {"delta_prime": "--delta-prime", "num_cells": "--cells"}
-        raise ValueError(f"{flags.get(field, '--' + field)} {rule}") from None
+    _rank_within_dim(args)
+    params = typicality.TheoremParams(
+        epsilon=args.epsilon, delta=args.delta, delta_prime=args.delta_prime,
+        num_cells=args.cells, constant=args.constant)
     dim, rank = args.dim, args.rank
     condition = typicality.theorem_condition(
         params, rank, dim, args.sum_degeneracy,
@@ -528,12 +528,9 @@ def cmd_check_theorem(args) -> int:
     dim_mp, log_dim = typicality.dim_and_log(dim, args.precision_bits)
     with mp.workprec(args.precision_bits):
         log_ratio = mp.nstr(log_dim / dim_mp, 12)
-    crossover = typicality.admissible_constant_crossover(
-        dim, rank, args.precision_bits
-    )
-    admissible = typicality.find_admissible_constant(
-        dim, rank, precision_bits=args.precision_bits
-    )
+    crossover = typicality.admissible_constant_crossover(dim, rank, args.precision_bits)
+    admissible = typicality.find_admissible_constant(dim, rank,
+                                                     precision_bits=args.precision_bits)
     impact = typicality.resonance_impact(
         dim, args.cells, args.sum_degeneracy,
         margin=args.margin, precision_bits=args.precision_bits,
@@ -659,30 +656,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="gap/sum structure report for a spectrum file")
     p.add_argument("spectrum", help="path to a spectrum JSON document")
-    p.add_argument("--snap-denominator", type=_at_least(1), default=None,
+    p.add_argument("--snap-denominator", type=_flag(int, least=1), default=None,
                    help="admit float energies by snapping to multiples of 1/q")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-lemmas", help="moment statistics of Haar sampling")
-    p.add_argument("--dim", type=_parse_big_int, required=True)
-    p.add_argument("--rank", type=_parse_big_int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--ensemble", type=int, default=200,
-                   help="unitary ensemble size for block statistics")
-    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    p.add_argument("--dim", type=_flag(_parse_big_int, least=1), required=True)
+    p.add_argument("--rank", type=_flag(_parse_big_int, least=1, most=MAX_LEMMA_RANK),
+                   required=True)
+    p.add_argument("--samples", type=_flag(int, least=2, most=MAX_LEMMA_SAMPLES),
+                   default=100_000)
+    p.add_argument("--ensemble", type=_flag(int, least=1, most=MAX_LEMMA_ENSEMBLE),
+                   default=200, help="unitary ensemble size for block statistics")
+    p.add_argument("--seed", type=_flag(int, least=0), default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("compute-l", help="deviation breakdown with oracle cross-check")
     p.add_argument("spectrum", help="path to a spectrum JSON document")
-    p.add_argument("--dims", required=True, help="comma-separated cell ranks")
+    p.add_argument("--dims", type=_ranks, required=True, help="comma-separated cell ranks")
     p.add_argument("--state", default=None,
                    help='path to a state JSON document {"amplitudes": [[re, im], ...]}')
-    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
-    p.add_argument("--grid-points", type=int, default=None,
-                   help="grid size for the trajectory dump (default 1000)")
-    p.add_argument("--periods", type=int, default=None,
+    p.add_argument("--seed", type=_flag(int, least=0), default=DEFAULT_SEED)
+    p.add_argument("--grid-points", type=_flag(int, least=1, most=MAX_DUMP_POINTS),
+                   default=None, help="grid size for the trajectory dump (default 1000)")
+    p.add_argument("--periods", type=_flag(int, least=1, rule=DUMP_PERIODS_RULE), default=None,
                    help="how many whole periods the trajectory dump spans (default 1)")
     p.add_argument("--dump-trajectory", default=None,
                    help="write columnar (tau, weight per cell) to this path")
@@ -690,14 +689,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute_l)
 
     p = sub.add_parser("check-theorem", help="evaluate the admissibility ordering")
-    p.add_argument("--dim", type=_parse_big_int, required=True)
-    p.add_argument("--rank", type=_parse_big_int, required=True)
-    p.add_argument("--cells", type=_parse_big_int, required=True)
-    p.add_argument("--sum-degeneracy", type=_parse_big_int, default=2)
+    p.add_argument("--dim", type=_flag(_parse_big_int, least=2), required=True)
+    p.add_argument("--rank", type=_flag(_parse_big_int, least=1), required=True)
+    p.add_argument("--cells", required=True,
+                   type=_flag(_parse_big_int, rule=typicality.PARAM_RULES["num_cells"]))
+    p.add_argument("--sum-degeneracy", type=_flag(_parse_big_int, least=1), default=2)
     for name, default in typicality.DEFAULT_PARAMS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=float, default=default)
-    p.add_argument("--margin", type=float, default=10.0)
-    p.add_argument("--precision-bits", type=int, default=typicality.DEFAULT_PRECISION_BITS)
+        p.add_argument("--" + name.replace("_", "-"), default=default,
+                       type=_flag(float, rule=typicality.PARAM_RULES[name]))
+    p.add_argument("--margin", type=_flag(float, rule=(lambda m: m > 0, "must be positive")),
+                   default=10.0)
+    p.add_argument("--precision-bits", default=typicality.DEFAULT_PRECISION_BITS,
+                   type=_flag(int, least=MIN_PRECISION_BITS, most=MAX_PRECISION_BITS))
     p.add_argument("--log-base", choices=list(typicality.LOG_BASES), default="e",
                    help="base of log D in the condition's lhs only; every other "
                         "reported logarithm is natural")
@@ -706,8 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="seeded ensemble experiment from a config file")
     p.add_argument("config", help="path to an experiment config JSON document")
-    p.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
-    p.add_argument("--trials", type=_at_least(1), default=None, help="override the trial count")
+    p.add_argument("--seed", type=_flag(int, least=0), default=None,
+                   help="override the config seed")
+    p.add_argument("--trials", type=_flag(int, least=1), default=None,
+                   help="override the trial count")
     p.add_argument("--dump-trials", default=None,
                    help="write columnar per-trial values to this path")
     p.add_argument("--out", default=None)

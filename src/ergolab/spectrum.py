@@ -174,28 +174,10 @@ class PairIndex:
         order = np.argsort(self.gap_ids, kind="stable")
         return order[order.size - sizes.sum():], np.cumsum(sizes) - sizes
 
-    def _ordered_pairs(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """First and second level of every pair, class by class.  A stable
-        sort keeps each class's pairs in ascending (a, b) order."""
-        return np.divmod(np.argsort(ids, kind="stable"), self.num_levels)
-
-    def _entries(self, values, ids, counts) -> dict[Fraction, tuple[tuple[int, int], ...]]:
-        first, second = self._ordered_pairs(ids)
-        pairs = list(zip(first.tolist(), second.tolist()))
-        ends = np.cumsum(counts).tolist()
-        return {
-            Fraction(value, self.scale): tuple(pairs[end - count:end])
-            for value, count, end in zip(values.tolist(), counts.tolist(), ends)
-        }
-
-    def gap_entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
-        return self._entries(self.gap_values, self.gap_ids, self.gap_counts)
-
-    def sum_entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
-        return self._entries(self.sum_values, self.sum_ids, self.sum_counts)
-
     def _report_classes(self, values, ids, counts) -> list[dict]:
-        pairs = np.stack(self._ordered_pairs(ids), axis=1) + 1
+        # Every pair's first and second level, class by class; a stable
+        # sort keeps each class's pairs in ascending (a, b) order.
+        pairs = np.stack(np.divmod(np.argsort(ids, kind="stable"), self.num_levels), axis=1) + 1
         ends = np.cumsum(counts).tolist()
         return [
             {"count": end - start, "pairs": pairs[start:end],
@@ -216,6 +198,13 @@ class PairIndex:
         return self._report_classes(self.sum_values, self.sum_ids, self.sum_counts)
 
 
+def _pair_table(classes) -> dict[Fraction, tuple[tuple[int, int], ...]]:
+    """The report's gap or sum table keyed by exact value, each class's
+    pairs 0-based."""
+    return {Fraction(c["value"]): tuple(map(tuple, (c["pairs"] - 1).tolist()))
+            for c in classes}
+
+
 @dataclass
 class GapStructure:
     """Ordered level pairs ``(a, b)`` grouped by the exact gap ``E_b - E_a``.
@@ -230,7 +219,7 @@ class GapStructure:
 
     @cached_property
     def entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
-        return self.spec.pair_index.gap_entries()
+        return _pair_table(self.spec.pair_index.gap_classes())
 
     @property
     def max_gap_degeneracy(self) -> int:
@@ -251,7 +240,7 @@ class SumStructure:
 
     @cached_property
     def entries(self) -> dict[Fraction, tuple[tuple[int, int], ...]]:
-        return self.spec.pair_index.sum_entries()
+        return _pair_table(self.spec.pair_index.sum_classes())
 
     @property
     def max_sum_degeneracy(self) -> int:

@@ -121,6 +121,17 @@ LOG_BASES = {"e": math.e, "10": 10.0}
 ADMISSIBLE_RESOLUTION = 0.01
 
 
+# The one table of the rules of TheoremParams' fields, each a test and the
+# refusal's text: TheoremParams and check-theorem's flags read it.
+PARAM_RULES = {
+    "epsilon": (lambda x: x > 0, "must be positive"),
+    "delta": (lambda x: 0 < x <= 1, "must lie in (0, 1]"),
+    "delta_prime": (lambda x: 0 < x <= 1, "must lie in (0, 1]"),
+    "num_cells": (lambda n: n >= 1, "must be at least 1"),
+    "constant": (lambda x: x > 1, "must exceed 1"),
+}
+
+
 @dataclass
 class TheoremParams:
     """Tolerances and ensemble parameters of the normality condition."""
@@ -132,16 +143,10 @@ class TheoremParams:
     constant: float = DEFAULT_PARAMS["constant"]
 
     def __post_init__(self):
-        # A refusal starts with the field's name, a run config key for which
-        # check-theorem puts its flag, and ends with the refused value.
-        for name, ok, rule in [
-            ("epsilon", self.epsilon > 0, "must be positive"),
-            ("delta", 0 < self.delta <= 1, "must lie in (0, 1]"),
-            ("delta_prime", 0 < self.delta_prime <= 1, "must lie in (0, 1]"),
-            ("num_cells", int(self.num_cells) >= 1, "must be at least 1"),
-            ("constant", self.constant > 1, "must exceed 1"),
-        ]:
-            if not ok:
+        # A refusal starts with the field's name, a run config key, and ends
+        # with the refused value.
+        for name, (holds, rule) in PARAM_RULES.items():
+            if not holds(getattr(self, name)):
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
         self.num_cells = int(self.num_cells)
 

@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -58,6 +59,17 @@ def assert_one_line_error(capsys, *fragments):
     assert err.startswith("error:") and err.count("\n") == 1, err
     for fragment in fragments:
         assert fragment in err
+
+
+def flag_refusal(capsys, argv, flag) -> str:
+    """The stderr of ``main(argv)``, asserted to be argparse's usage error
+    (exit 2) naming ``flag``, without a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"error: argument {flag}: " in err, err
+    assert "Traceback" not in err
+    return err
 
 
 class TestAnalyze:
@@ -158,26 +170,73 @@ class TestVerifyLemmas:
     def test_single_sample_rejected(self, tmp_path, capsys):
         # one sample has no standard error: the report would carry NaN
         out = tmp_path / "v.json"
-        assert main(["verify-lemmas", "--dim", "4", "--rank", "2",
-                     "--samples", "1", "--out", str(out)]) == 1
+        flag_refusal(capsys, ["verify-lemmas", "--dim", "4", "--rank", "2",
+                              "--samples", "1", "--out", str(out)], "--samples")
         assert not out.exists()
-        assert_one_line_error(capsys, "--samples")
 
+    # The flag limits (exit 2) and the limits on products of flags, checked
+    # in the command (exit 1); without them a Haar frame of 2^50 rows would
+    # not fit any machine's memory, and at full rank a state would draw all
+    # 2^50 coordinates.
     @pytest.mark.parametrize("flags, fragments", [
-        (["--samples", "1000000000000000"], ["--samples", "at most"]),
-        (["--samples", "100000001"], ["--samples", "at most"]),
-        (["--samples", "10", "--ensemble", "100000001"], ["--ensemble", "at most"]),
-        # a Haar frame of 2^50 rows cannot be allocated on any machine; the
-        # states draw only the coordinates they read, all 2^50 at full rank
-        (["--samples", "10", "--dim", "2^50"], ["out of memory"]),
-        (["--samples", "10", "--dim", "2^50", "--rank", "2^50"], ["out of memory"]),
+        (["--samples", "1000000000000000"], ["argument --samples: must be at most"]),
+        (["--samples", "100000001"], ["argument --samples: must be at most 100000000"]),
+        (["--samples", "10", "--ensemble", "1000001"],
+         ["argument --ensemble: must be at most 1000000"]),
+        (["--samples", "10", "--dim", "2^50"],
+         ["--ensemble × --dim² × max(--rank, 10) must be at most", "200 × 1125899906842624²"]),
+        (["--samples", "10", "--dim", "2^50", "--rank", "2^50"],
+         ["argument --rank: must be at most 4194304"]),
     ])
     def test_sizes_beyond_memory_rejected(self, tmp_path, capsys, flags, fragments):
         out = tmp_path / "v.json"
         argv = ["verify-lemmas", "--dim", "10", "--rank", "2", "--out", str(out)] + flags
-        assert main(argv) == 1
+        if fragments[0].startswith("argument "):  # a flag's own range
+            flag = fragments[0].partition(":")[0].removeprefix("argument ")
+            assert fragments[0] in flag_refusal(capsys, argv, flag)
+        else:
+            assert main(argv) == 1
+            assert_one_line_error(capsys, *fragments)
         assert not out.exists()
-        assert_one_line_error(capsys, *fragments)
+
+    @pytest.mark.parametrize("flags, fragment", [
+        # 477 states of 2^22 coordinates, and 20 000 001 states of 100
+        (["--dim", "2^22", "--rank", "2^22", "--samples", "477"],
+         "--samples × min(--dim, max(--rank, 2)) must be at most 2000000000, got 477 × 4194304"),
+        (["--dim", "1000", "--rank", "100", "--samples", "20000001"], "got 20000001 × 100"),
+        # 200 Grams of 100 001 rows (a row at a time past 32 768 rows)
+        (["--dim", "100001"],
+         "--ensemble × --dim² × max(--rank, 10) must be at most 100000000000, "
+         "got 200 × 100001² × 10"),
+        (["--dim", "10000", "--rank", "11", "--ensemble", "91"], "got 91 × 10000² × 11"),
+        # numpy refused its frame only after every moment sum was taken
+        (["--dim", "2^100"], "got 200 × 1267650600228229401496703205376² × 10"),
+        (["--dim", "12", "--rank", "13"], "--rank must be between 1 and --dim 12, got 13"),
+    ])
+    def test_sizes_beyond_the_time_limits_refused_before_any_draw(self, monkeypatch, capsys,
+                                                                  flags, fragment):
+        def no_draw(*args):
+            raise AssertionError("lemma_statistics was called")
+
+        monkeypatch.setattr(randomness, "lemma_statistics", no_draw)
+        argv = ["verify-lemmas", "--dim", "10", "--rank", "2", "--samples", "10"] + flags
+        assert main(argv) == 1
+        assert_one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "2^22", "--rank", "2^22", "--samples", "476"],
+        ["--dim", "1000", "--rank", "100", "--samples", "20000000"],
+        ["--dim", "100000", "--ensemble", "1"],
+        ["--dim", "10000", "--rank", "11", "--ensemble", "90"],
+    ])
+    def test_sizes_at_the_time_limits_accepted(self, monkeypatch, capsys, flags):
+        def reached(*args):
+            raise ValueError("reached the draws")
+
+        monkeypatch.setattr(randomness, "lemma_statistics", reached)
+        argv = ["verify-lemmas", "--dim", "10", "--rank", "2", "--samples", "10"] + flags
+        assert main(argv) == 1
+        assert_one_line_error(capsys, "error: reached the draws")
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     @pytest.mark.parametrize("dim, rank, samples, ensemble", [
@@ -206,8 +265,11 @@ class TestVerifyLemmas:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         argv = ["verify-lemmas", "--dim", "12", "--rank", "3", "--samples", "100"] + flags
-        assert main(argv) == 1
-        assert_one_line_error(capsys, fragment)
+        if "--ensemble" in flags:  # a flag's own range
+            assert "must be at least 1" in flag_refusal(capsys, argv, "--ensemble")
+        else:  # --rank above --dim, a rule of two flags
+            assert main(argv) == 1
+            assert_one_line_error(capsys, "--rank must be between 1 and --dim 12, got 13")
 
     @pytest.mark.parametrize("rank, threads", [("3", 2), ("12", 1)])
     def test_at_most_two_worker_threads_below_full_rank_and_one_at_it(
@@ -696,10 +758,9 @@ class TestComputeLPath:
     def test_bad_flags_rejected(self, tmp_path, capsys, flags, fragment):
         spec = write_spectrum(tmp_path, [(0, 1), ("1/2", 1), (2, 1)])
         out, traj = tmp_path / "l.json", tmp_path / "traj.tsv"
-        assert main(["compute-l", spec, "--dims", "1,2", "--out", str(out),
-                     "--dump-trajectory", str(traj)] + flags) == 1
+        flag_refusal(capsys, ["compute-l", spec, "--dims", "1,2", "--out", str(out),
+                              "--dump-trajectory", str(traj)] + flags, fragment)
         assert not out.exists() and not traj.exists()
-        assert_one_line_error(capsys, fragment)
 
     @pytest.mark.parametrize("periods", ["1.5", "nan", "inf", "1e308", "-1.5"])
     def test_fractional_periods_rejected(self, tmp_path, capsys, periods):
@@ -1127,6 +1188,18 @@ class TestParser:
         assert load(second)["epsilon"] == 1.0  # the default, not a leftover
 
 
+    def test_every_numeric_flag_is_range_checked_by_its_type(self):
+        # A bare int or float type would let a flag skip cli._flag, whose
+        # refusal is the usage error that names the flag.
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert sorted(commands) == ["analyze", "check-theorem", "compute-l", "run",
+                                    "verify-lemmas"]
+        bare = [(name, action.dest) for name, command in commands.items()
+                for action in command._actions if action.type in (int, float)]
+        assert bare == []
+
+
 class TestCheckTheorem:
     def test_asymptotic_instance(self, tmp_path):
         out = tmp_path / "t.json"
@@ -1184,8 +1257,13 @@ class TestCheckTheorem:
         (["--dim", "16", "--constant", "1"], "--constant must exceed 1, got 1.0"),
     ])
     def test_degenerate_arguments_rejected(self, capsys, flags, fragment):
-        assert main(["check-theorem", "--rank", "1", "--cells", "2"] + flags) == 1
-        assert_one_line_error(capsys, fragment)
+        argv = ["check-theorem", "--rank", "1", "--cells", "2"] + flags
+        flag, _, rule = fragment.partition(" ")
+        if flag == "--rank":  # --rank above --dim, a rule of two flags
+            assert main(argv) == 1
+            assert_one_line_error(capsys, fragment)
+        else:
+            assert rule in flag_refusal(capsys, argv, flag)
 
     def test_rank_equal_to_dim_and_one_sum_collision_accepted(self, tmp_path):
         out = tmp_path / "t.json"

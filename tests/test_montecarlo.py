@@ -182,6 +182,21 @@ class TestRunExperiment:
             assert cell["min"] <= cell["mean"] <= cell["max"]
             assert 0.0 <= cell["prob_exceed"] <= 1.0
 
+    def test_an_injected_chain_violation_is_counted(self, monkeypatch):
+        # An ergodicity gap 1e-6 above the total in every trial and cell:
+        # each breaks the chain, which allows only CHAIN_SLACK.
+        kernel = montecarlo.deviation_breakdowns
+
+        def broken(buckets, frac):
+            b = kernel(buckets, frac)
+            b["diag_dev_sq"] = b["total"] + 1e-6
+            return b
+
+        monkeypatch.setattr(montecarlo, "deviation_breakdowns", broken)
+        experiment = run_experiment(make_config(trials=7, state="haar-per-trial"))["experiment"]
+        assert experiment["chain_violations"] == 7 * 2
+        assert experiment["pass"] is False
+
     def test_cell_threshold_is_the_sufficient_condition_boundary(self):
         cfg = make_config(dims=(2, 6), trials=2)
         for cell in run_experiment(cfg)["experiment"]["cells"]:
@@ -197,6 +212,13 @@ class TestWilson:
         assert lo == 0.0 and hi > 0.0
         lo, hi = wilson_interval(50, 50)
         assert lo < 1.0 and hi == 1.0
+
+    @pytest.mark.parametrize("successes, interval", [(0, (0.0, 0.2775)),
+                                                     (5, (0.2366, 0.7634))])
+    def test_closed_form_at_the_95_percent_quantile(self, successes, interval):
+        # p~ = (p + z^2/2n) / (1 + z^2/n) ± z/(1 + z^2/n) sqrt(p(1-p)/n + z^2/4n^2)
+        # at z = 1.96 and n = 10
+        assert wilson_interval(successes, 10) == pytest.approx(interval, abs=5e-5)
 
     def test_contains_point_estimate(self):
         lo, hi = wilson_interval(30, 100)

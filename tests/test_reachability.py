@@ -39,9 +39,7 @@ ALLOWED = {
     "randomness.hypersphere_moments": PERFBENCH_LAYER,
     "spectrum.GapStructure.entries": "the table perfbench/spans.py's _table_pairs counts",
     "spectrum.SumStructure.entries": "the table perfbench/spans.py's _table_pairs counts",
-    "spectrum.PairIndex._entries": "builds the entries tables that _table_pairs counts",
-    "spectrum.PairIndex.gap_entries": "builds GapStructure.entries",
-    "spectrum.PairIndex.sum_entries": "builds SumStructure.entries",
+    "spectrum._pair_table": "builds the entries tables that _table_pairs counts",
     "cli.entry": "the console script; tests/installed_cli.sh runs it",
 }
 
