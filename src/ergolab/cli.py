@@ -7,10 +7,10 @@ check-theorem call no BLAS, while run, compute-l and verify-lemmas draw
 Haar unitaries through QR and matrix products whose last bits may change
 with the BLAS build, the CPU and its thread count (see the README).
 
-Exit status is 0 exactly when every verification gate the command
-evaluated has passed.  A flag's refused value exits 2 naming the flag
-(:func:`_flag`); file content, rules of two inputs and failed gates exit 1.  Human-readable tables are deliberately absent: the
-JSON is the source of truth and columnar dumps serve external plotters.
+Exit status is 0 when every gate the command evaluated passed.  A flag's
+refused value exits 2 naming the flag (:func:`_flag`); file content, rules
+of two inputs and failed gates exit 1.  Human-readable tables are absent:
+the JSON is the source of truth and columnar dumps serve external plotters.
 """
 
 from __future__ import annotations
