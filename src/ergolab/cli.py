@@ -70,11 +70,6 @@ MIN_PRECISION_BITS = 53
 # the exact d/D of two 4300-digit integers needs about 14 300 bits.
 MAX_PRECISION_BITS = 2**16
 
-# Most digits of an integer flag (every integer flag is written into the
-# JSON report), and the least integer with more.
-MAX_INT_DIGITS = spectrum.MAX_DIGITS
-INT_LIMIT = spectrum.DIGIT_LIMIT
-
 # Rows of a large array formatted at a time.
 WRITE_ROWS = 4096
 
@@ -223,30 +218,26 @@ def _trajectory_chunks(phases: dynamics.GridPhases, coords, dims, span: float):
 
 def _parse_big_int(text: str) -> int:
     """Integer with power notation: 123, 2^100, 10^22, or 1e8 (if exact),
-    of at most MAX_INT_DIGITS digits.  A longer power is refused before it
-    is formed."""
+    of at most spectrum.MAX_DIGITS digits, as every integer flag is written
+    into the JSON report.  A longer power is refused before it is formed."""
     text = text.strip().replace("_", "")
     invalid = argparse.ArgumentTypeError(
-        f"{text!r} is not an integer of at most {MAX_INT_DIGITS} digits")
+        f"{text!r} is not an integer of at most {spectrum.MAX_DIGITS} digits")
     if "^" in text:
         base, _, exponent = text.partition("^")
         base, power = int(base), int(exponent)
         if power < 0:
             raise argparse.ArgumentTypeError(f"{text!r} has a negative exponent")
         # An int compared with a float, so that no huge power overflows.
-        if abs(base) > 1 and power > (MAX_INT_DIGITS + 1) / math.log10(abs(base)):
+        if abs(base) > 1 and power > (spectrum.MAX_DIGITS + 1) / math.log10(abs(base)):
             raise invalid
         value = base ** power
     elif "e" in text.lower():
-        mantissa, _, exponent = text.lower().partition("e")
-        power = int(exponent)
-        # A nonzero mantissa of n characters lies within a factor 10^n of 1,
-        # so beyond this power the value is too long or not an integer (a
-        # zero mantissa is refused there too).
-        if abs(power) > MAX_INT_DIGITS + len(mantissa):
+        if spectrum.long_decimal_exponent(text):  # too long or not an integer
             raise invalid
+        mantissa, _, exponent = text.lower().partition("e")
         try:
-            value = Fraction(mantissa) * Fraction(10) ** power
+            value = Fraction(mantissa) * Fraction(10) ** int(exponent)
         except ZeroDivisionError:  # a mantissa such as 1/0
             raise invalid from None
         if value.denominator != 1:
@@ -254,7 +245,7 @@ def _parse_big_int(text: str) -> int:
         value = value.numerator
     else:
         value = int(text)
-    if abs(value) >= INT_LIMIT:
+    if abs(value) >= spectrum.DIGIT_LIMIT:
         raise invalid
     return value
 
@@ -300,7 +291,7 @@ def _rank_within_dim(args) -> None:
 
 def _read_json(path: str, read):
     """``read`` of the JSON document in a file, its integers of at most
-    MAX_INT_DIGITS digits.  Every input file is read here: a refusal of its
+    spectrum.MAX_DIGITS digits.  Every input file is read here: a refusal of its
     decoding (bad JSON, a long integer or bad UTF-8) or of its content by
     ``read`` ends in an error naming the file."""
     with open(path, "r", encoding="utf-8") as fh:

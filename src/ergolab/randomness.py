@@ -72,6 +72,7 @@ first of each hashed run against numpy's own construction.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -510,7 +511,7 @@ def unitary_block_statistics(
     """
     if not 1 <= rank < dim:
         raise ValueError(f"need 1 <= rank < dim, got rank={rank}, dim={dim}")
-    ensemble = int(ensemble)
+    ensemble = operator.index(ensemble)  # a float is refused, not truncated
     _check_ensemble(ensemble)
     frac = rank / dim
     chunk = max(1, _CHUNK_ENTRIES // dim)
@@ -570,7 +571,7 @@ def lemma_statistics(dim: int, rank: int, samples: int, ensemble: int, seed: int
 
     _check_rank(dim, rank)
     _check_samples(samples)
-    _check_ensemble(int(ensemble))
+    _check_ensemble(operator.index(ensemble))
     with ThreadPoolExecutor(max_workers=2 if rank < dim else 1) as pool:
         second = pool.submit(_moment_sums, dim, rank, samples // 2, substream(seed, 1))
         blocks = None

@@ -8,6 +8,10 @@ is exact throughout; equality of gap or sum values is never decided by a
 floating-point tolerance, because the downstream time-averaging identities
 require exact value collisions.
 
+A document is read in two layers: :func:`parse_spectrum` reads its shape and
+converts its energies, and :class:`Spectrum` checks every level's values,
+for documents and library callers alike.
+
 Every collision is decided once per spectrum, by :class:`PairIndex`, the
 one integer view of a spectrum: the energies are rescaled to integers by
 the least common multiple of their denominators, the index keeps those
@@ -23,6 +27,8 @@ slices of one integer array, so no per-pair Python object is built.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,15 +53,26 @@ __all__ = [
 
 # Most digits of an integer the program takes as text: Python converts at
 # most 4300 digits of an int to text or back, and every energy and integer
-# flag is written into a report.  A string energy's decimal exponent is
-# bounded by it before the power of ten is formed.  DIGIT_LIMIT is the
-# least integer with more digits.
+# flag is written into a report.  DIGIT_LIMIT is the least integer with more
+# digits.
 MAX_DIGITS = 4300
 DIGIT_LIMIT = 10**MAX_DIGITS
 
 
 class SpectrumError(ValueError):
     """Malformed or inconsistent spectrum input."""
+
+
+def long_decimal_exponent(text: str) -> bool:
+    """Whether ``text`` reads ``<mantissa>e<exponent>`` with an exponent
+    beyond MAX_DIGITS plus the mantissa's length n.  A nonzero mantissa lies
+    within a factor 10^n of 1, so the value, or its denominator, then has
+    more than MAX_DIGITS digits (a zero mantissa is refused there too)."""
+    mantissa, marker, exponent = text.strip().lower().partition("e")
+    try:
+        return bool(marker) and abs(int(exponent)) > MAX_DIGITS + len(mantissa)
+    except ValueError:  # not a decimal exponent: the caller's parser judges it
+        return False
 
 
 def json_int(text: str) -> int:
@@ -71,9 +88,17 @@ def json_int(text: str) -> int:
 class Spectrum:
     """Distinct energy levels in ascending order with their degeneracies.
 
-    ``levels`` is a tuple of ``(energy, degeneracy)`` pairs; energies are
-    exact :class:`~fractions.Fraction` values (dimensionless, hbar = 1).
+    ``levels`` holds ``(energy, degeneracy)`` pairs, given in any order and
+    kept sorted as ``(Fraction, int)`` (dimensionless, hbar = 1).
     ``approximate`` marks spectra whose energies were snapped from floats.
+
+    Each level is checked in the given order, and a refusal names ``level
+    i``: an exact rational energy (an int, a Fraction or a numpy integer,
+    not a bool or a float) and a positive integer degeneracy (not a bool).
+    The digit rule keeps every number of a report within MAX_DIGITS digits:
+    D, L and 2 |E| L stay below DIGIT_LIMIT, with L the least common
+    denominator of the energies, as every gap and sum is a multiple of 1/L
+    of magnitude at most 2 max|E|.  Then the energies must be distinct.
     """
 
     levels: tuple[tuple[Fraction, int], ...]
@@ -82,19 +107,33 @@ class Spectrum:
     def __post_init__(self):
         if not self.levels:
             raise SpectrumError("spectrum must contain at least one level")
-        canonical = tuple(
-            sorted((Fraction(e), int(d)) for e, d in self.levels)
-        )
-        object.__setattr__(self, "levels", canonical)
-        seen: set[Fraction] = set()
-        for energy, deg in canonical:
-            if deg < 1:
-                raise SpectrumError(
-                    f"non-positive degeneracy {deg} for energy {energy}"
-                )
-            if energy in seen:
+        levels, scale, dim = [], 1, 0
+        for i, (energy, deg) in enumerate(self.levels):
+            if isinstance(energy, bool) or not isinstance(energy, numbers.Rational):
+                raise SpectrumError(f"level {i}: energy must be an exact rational, got {energy!r}")
+            if isinstance(deg, bool) or not isinstance(deg, numbers.Integral) or deg < 1:
+                raise SpectrumError(f"level {i}: degeneracy must be a positive integer, "
+                                    f"got {deg!r}")
+            deg = operator.index(deg)  # a Python int, so that D cannot wrap around
+            dim += deg
+            if dim >= DIGIT_LIMIT:
+                raise SpectrumError(f"level {i}: the sum of the degeneracies "
+                                    f"up to this level reaches 10^{MAX_DIGITS}")
+            scale = math.lcm(scale, energy.denominator)
+            if scale >= DIGIT_LIMIT:
+                raise SpectrumError(f"level {i}: the common denominator of the energies "
+                                    f"up to this level reaches 10^{MAX_DIGITS}")
+            levels.append((Fraction(energy), deg))
+        for i, (energy, _) in enumerate(levels):
+            if 2 * abs(energy.numerator) * (scale // energy.denominator) >= DIGIT_LIMIT:
+                raise SpectrumError(f"level {i}: twice the energy's magnitude times the "
+                                    f"common denominator of the energies reaches 10^{MAX_DIGITS}")
+        levels.sort()
+        for (energy, _), (after, _) in zip(levels, levels[1:]):
+            if energy == after:
                 raise SpectrumError(f"duplicate energy value {energy}")
-            seen.add(energy)
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "_scale", scale)  # L, the pair index's multiplier
 
     @property
     def energies(self) -> tuple[Fraction, ...]:
@@ -117,7 +156,7 @@ class Spectrum:
     @cached_property
     def pair_index(self) -> PairIndex:
         """Integer gap and sum classes of the level pairs, built on first use."""
-        return PairIndex(self.energies)
+        return PairIndex(self.energies, self._scale)
 
 
 # Rescaled energies at or beyond this magnitude could overflow int64 in a
@@ -134,18 +173,18 @@ class PairIndex:
     """Ordered level pairs ``(a, b)`` classed by exact gap and exact sum.
 
     Energies are multiplied by ``scale``, the least common multiple of their
-    denominators, which maps equal gaps (sums) to equal integers and keeps
-    their order; ``integer_levels`` lists the rescaled energies, ascending,
-    as Python integers of any size.  Pair ``(a, b)`` sits at flat position
-    ``a * D_E + b``; ``gap_ids[p]`` is the rank of its gap ``E_b - E_a``
-    among the sorted distinct scaled gaps ``gap_values``, each carried by
-    ``gap_counts`` pairs.  ``sum_ids``/``sum_values``/``sum_counts`` do the same for the
-    sum ``E_a + E_b``.
+    denominators that :class:`Spectrum` computed, which maps equal gaps
+    (sums) to equal integers and keeps their order; ``integer_levels`` lists
+    the rescaled energies, ascending, as Python integers of any size.  Pair
+    ``(a, b)`` sits at flat position ``a * D_E + b``; ``gap_ids[p]`` is the
+    rank of its gap ``E_b - E_a`` among the sorted distinct scaled gaps
+    ``gap_values``, each carried by ``gap_counts`` pairs.  ``sum_ids``/
+    ``sum_values``/``sum_counts`` do the same for the sum ``E_a + E_b``.
     """
 
-    def __init__(self, energies):
+    def __init__(self, energies, scale: int):
         self.num_levels = len(energies)
-        self.scale = math.lcm(*(e.denominator for e in energies))
+        self.scale = scale
         self.integer_levels = [e.numerator * (self.scale // e.denominator) for e in energies]
         dtype = np.int64 if max(map(abs, self.integer_levels)) < _INT64_SAFE else object
         k = np.array(self.integer_levels, dtype=dtype)
@@ -259,19 +298,10 @@ def _as_fraction(value: Any, snap_denominator: int | None) -> tuple[Fraction, bo
     denominator is supplied, since exact gap/sum collisions are meaningless
     on raw floating-point input.
     """
-    if isinstance(value, bool):
-        raise SpectrumError(f"malformed energy value {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value), False
     if isinstance(value, str):
-        # A nonzero mantissa of n characters lies within a factor 10^n of 1,
-        # so beyond this exponent the value has too many digits.
-        mantissa, marker, exponent = value.strip().lower().partition("e")
-        try:
-            too_long = bool(marker) and abs(int(exponent)) > MAX_DIGITS + len(mantissa)
-        except ValueError:  # not a decimal exponent: Fraction judges the text
-            too_long = False
-        if too_long:
+        if long_decimal_exponent(value):
             raise SpectrumError(
                 f"energy {value!r} has a decimal exponent beyond {MAX_DIGITS} digits")
         try:
@@ -280,9 +310,7 @@ def _as_fraction(value: Any, snap_denominator: int | None) -> tuple[Fraction, bo
             raise SpectrumError(f"malformed energy value {value!r}") from exc
     if isinstance(value, float):
         if snap_denominator is None:
-            raise SpectrumError(
-                f"float energy {value!r} requires an explicit snap denominator"
-            )
+            raise SpectrumError(f"float energy {value!r} requires an explicit snap denominator")
         try:
             numerator = round(value * snap_denominator)
         except (OverflowError, ValueError):  # the product is infinite or NaN
@@ -298,20 +326,22 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
 
     ``document`` is a decoded JSON document (the program decodes its files
     with :func:`json_int` as ``parse_int``), a mapping of the form
-    ``{"levels": [{"energy": <int or "p/q">, "degeneracy": n}]}``.
+    ``{"levels": [{"energy": <int or "p/q">, "degeneracy": n}]}``, whose
+    shape is read here; :class:`Spectrum` checks the levels' values.
     Exact rationals are preserved without rounding.  Float energies are
-    rejected unless ``snap_denominator`` is given, in which case they are
-    snapped to the nearest multiple of ``1/snap_denominator`` and the
-    resulting spectrum is flagged ``approximate``.
+    rejected unless ``snap_denominator`` (an integer, not truncated) is
+    given, in which case they are snapped to the nearest multiple of
+    ``1/snap_denominator`` and the resulting spectrum is flagged
+    ``approximate``.
     """
     if snap_denominator is not None:
-        snap_denominator = int(snap_denominator)
+        snap_denominator = operator.index(snap_denominator)
         if snap_denominator < 1:
             raise SpectrumError(f"snap denominator must be positive, got {snap_denominator}")
     if not isinstance(document, dict) or "levels" not in document:
         raise SpectrumError('spectrum document must contain a "levels" list')
     raw_levels = document["levels"]
-    if not isinstance(raw_levels, list) or not raw_levels:
+    if not isinstance(raw_levels, list):
         raise SpectrumError('"levels" must be a non-empty list')
 
     levels = []
@@ -323,32 +353,8 @@ def parse_spectrum(document, snap_denominator: int | None = None) -> Spectrum:
             )
         energy, snapped = _as_fraction(entry["energy"], snap_denominator)
         snapped_any = snapped_any or snapped
-        deg = entry["degeneracy"]
-        if isinstance(deg, bool) or not isinstance(deg, int) or deg < 1:
-            raise SpectrumError(
-                f"level {i}: degeneracy must be a positive integer, got {deg!r}"
-            )
-        levels.append((energy, deg))
-    _check_digits(levels)
+        levels.append((energy, entry["degeneracy"]))
     return Spectrum(tuple(levels), approximate=snapped_any)
-
-
-def _check_digits(levels) -> None:
-    """Refuse energies whose gaps, sums or integer rescaling could print
-    with more than MAX_DIGITS digits.  With L the least common denominator,
-    every gap and sum is a multiple of 1/L of magnitude at most 2 max|E|,
-    so L and 2 max|E| L below DIGIT_LIMIT bound every numerator, every
-    denominator, the rescaling multiplier and the rescaled spread."""
-    scale = 1
-    for i, (energy, _) in enumerate(levels):
-        scale = math.lcm(scale, energy.denominator)
-        if scale >= DIGIT_LIMIT:
-            raise SpectrumError(f"level {i}: the common denominator of the energies "
-                                f"up to this level reaches 10^{MAX_DIGITS}")
-    for i, (energy, _) in enumerate(levels):
-        if 2 * abs(energy.numerator) * (scale // energy.denominator) >= DIGIT_LIMIT:
-            raise SpectrumError(f"level {i}: twice the energy's magnitude times the "
-                                f"common denominator of the energies reaches 10^{MAX_DIGITS}")
 
 
 def gap_structure(spec: Spectrum) -> GapStructure:

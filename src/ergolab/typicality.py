@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -143,12 +144,12 @@ class TheoremParams:
     constant: float = DEFAULT_PARAMS["constant"]
 
     def __post_init__(self):
+        self.num_cells = operator.index(self.num_cells)  # a float is refused, not truncated
         # A refusal starts with the field's name, a run config key, and ends
         # with the refused value.
         for name, (holds, rule) in PARAM_RULES.items():
             if not holds(getattr(self, name)):
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
-        self.num_cells = int(self.num_cells)
 
 
 def deviation_breakdowns(buckets: tuple[np.ndarray, np.ndarray], frac: float) -> dict:

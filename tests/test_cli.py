@@ -1055,6 +1055,37 @@ class TestAnalyzeFuzz:
             assert snap is None or int(snap) >= 1
 
 
+# Wild energy and degeneracy values of every JSON type, as JSON text:
+# bools, floats, nulls, lists, strings that are no number or whose power of
+# ten is too long, integers of 4301 digits, beyond the decoder's limit, and
+# of 4300, whose sums or products are beyond the digit rule.
+_WILD_LEVEL_VALUE = st.one_of(
+    st.one_of(st.booleans(), st.floats(), st.none(), st.lists(st.integers(0, 2), max_size=2),
+              st.sampled_from(["1/0", "9e9999", "-1e-9999", "x", "", "1/2", "3"])
+              ).map(json.dumps),
+    st.sampled_from(["1" + "0" * 4300, "-1" + "0" * 4300, "9" * 4300, "5" + "0" * 4299]),
+)
+
+
+class TestSpectrumDocumentFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(levels=st.lists(st.tuples(
+        _mostly(st.integers(-10, 10).map(str), _WILD_LEVEL_VALUE, required=True, odds=3),
+        _mostly(st.integers(1, 3).map(str), _WILD_LEVEL_VALUE, required=True, odds=3)),
+        max_size=4))
+    @example(levels=[("0", "9" * 4300), ("1", "9" * 4300)])  # D of 4301 digits
+    def test_levels_end_in_a_report_or_one_error_line_naming_the_file(
+            self, tmp_path_factory, levels):
+        path = tmp_path_factory.getbasetemp() / "fuzz-levels.json"
+        path.write_text('{"levels": [%s]}' % ", ".join(
+            '{"energy": %s, "degeneracy": %s}' % level for level in levels))
+        code, out, err = run_fuzz_case(["analyze", str(path)])
+        if out:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and err.startswith(f"error: {path}: "), err
+
+
 _FUZZ_SPECTRUM = {"levels": [{"energy": k, "degeneracy": 1} for k in range(4)]}
 
 

@@ -414,6 +414,17 @@ class TestPowerSums:
         assert first.sums == pytest.approx(whole.sums, rel=1e-12, abs=0)
         assert np.count_nonzero(whole.sums) == (15 if paired else 5)
 
+    @pytest.mark.parametrize("sigmas", [-5.1, -4.9, 4.9, 5.1])
+    def test_mean_gate_is_five_standard_errors_wide(self, sigmas):
+        samples = substream(10, 0).uniform(1.0, 2.0, size=100)
+        estimate, stderr = mean_stderr(samples)
+        sums = _PowerSums(1.5)
+        sums.add(samples)
+        record = sums.mean(estimate - sigmas * stderr)
+        assert record["estimate"] == pytest.approx(estimate, rel=1e-12)
+        assert record["stderr"] == pytest.approx(stderr, rel=1e-9)
+        assert record["pass"] == (abs(sigmas) <= 5)
+
 
 class TestHaarFrame:
     def test_first_columns_of_the_phase_fixed_qr(self):
@@ -469,6 +480,13 @@ class TestUnitaryBlockStatistics:
     def test_rank_equal_dim_rejected(self):
         with pytest.raises(ValueError):
             unitary_block_statistics(4, 4, 10, substream(8, 2))
+
+    def test_fractional_ensemble_refused(self):
+        # not truncated to an ensemble of 2
+        with pytest.raises(TypeError):
+            unitary_block_statistics(4, 1, 2.7, substream(8, 2))
+        with pytest.raises(TypeError):
+            randomness.lemma_statistics(4, 1, 10, 2.7, 8)
 
     def test_thin_frames_agree_with_the_full_unitary_route(self):
         dim, rank, ensemble = 8, 3, 3000

@@ -1,6 +1,7 @@
 """Spectrum parsing and gap/sum combinatorics."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -89,6 +90,39 @@ class TestParse:
             parse_spectrum({})
         with pytest.raises(SpectrumError):
             parse_spectrum({"levels": []})
+
+    def test_fractional_snap_denominator_refused(self):
+        # not truncated to 2, which would snap 0.75 to 1/2
+        with pytest.raises(TypeError):
+            parse_spectrum(doc([(0.75, 1), (0, 1)]), snap_denominator=2.5)
+
+
+class TestSpectrumChecks:
+    """The library constructor checks every level as a document's are."""
+
+    @pytest.mark.parametrize("levels, fragment", [
+        (((0, 2.5), (1, 1)), "level 0: degeneracy must be a positive integer, got 2.5"),
+        (((0, 1), (1, True)), "level 1: degeneracy must be a positive integer, got True"),
+        (((0, 1), (1, 0)), "level 1: degeneracy must be a positive integer, got 0"),
+        (((0.1, 1), (1, 1)), "level 0: energy must be an exact rational, got 0.1"),
+        (((0, 1), (True, 1)), "level 1: energy must be an exact rational, got True"),
+        (((0, 1), ("1/2", 1)), "level 1: energy must be an exact rational, got '1/2'"),
+        (((0, 1), (10**5000, 1)), "level 1: twice the energy's magnitude"),
+        (((0, 9 * 10**4299), (1, 10**4299)), "level 1: the sum of the degeneracies"),
+        (((0, 1), (F(1, 2**7000), 1), (F(1, 3**5000), 1)),
+         "level 2: the common denominator of the energies up to this level"),
+    ])
+    def test_bad_level_refused_by_name(self, levels, fragment):
+        with pytest.raises(SpectrumError, match=re.escape(fragment)):
+            Spectrum(levels)
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        big = np.int32(2**31 - 1)
+        spec = Spectrum(((np.int64(3), big), (F(1, 2), np.uint8(1)), (-1, big)))
+        assert spec.levels == ((F(-1), big), (F(1, 2), 1), (F(3), big))
+        assert all(type(d) is int for d in spec.degeneracies)
+        assert spec.dim_total == 2**32 - 1  # no int32 sum wraps around
+        assert spec.pair_index.scale == 2
 
 
 class TestStructures:

@@ -389,6 +389,11 @@ class TestTheoremCondition:
         with pytest.raises(ValueError):
             TheoremParams(1.0, 0.5, 0.5, 2, constant=1.0)
 
+    def test_fractional_cell_count_refused(self):
+        # not truncated to 2 cells
+        with pytest.raises(TypeError):
+            TheoremParams(epsilon=1, delta=.1, delta_prime=.1, num_cells=2.5)
+
 
 class TestResonanceImpact:
     def test_minimal_sum_degeneracy_passes_when_budget_large(self):
