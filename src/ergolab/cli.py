@@ -7,10 +7,16 @@ check-theorem call no BLAS, while run, compute-l and verify-lemmas draw
 Haar unitaries through QR and matrix products whose last bits may change
 with the BLAS build, the CPU and its thread count (see the README).
 
-Exit status is 0 when every gate the command evaluated passed.  A flag's
-refused value exits 2 naming the flag (:func:`_flag`); file content, rules
-of two inputs and failed gates exit 1.  Human-readable tables are absent:
-the JSON is the source of truth and columnar dumps serve external plotters.
+Output and exit status have one path.  A command's ``cmd_*`` writes
+nothing: it returns its report and its dumps, ``(chunks, path)`` pairs of
+lazy text.  :func:`main` prints the report's ``warnings`` to stderr as
+``warning:`` lines, writes the report, then each dump, and exits 0 exactly
+when the report's ``pass`` is true or absent (analyze and check-theorem
+gate nothing), else 1; a failed gate adds no message.  A flag's refused
+value exits 2 naming the flag (:func:`_flag`); file content and rules of
+two inputs exit 1 with one ``error:`` line.  Human-readable tables are
+absent: the JSON is the source of truth and columnar dumps serve external
+plotters.
 """
 
 from __future__ import annotations
@@ -325,13 +331,12 @@ def _state_amplitudes(doc, name: str) -> np.ndarray:
     return _amplitudes(_object(doc, name, STATE_KEYS).get("amplitudes"))
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, list]:
     spec = _read_spectrum_file(args.spectrum, args.snap_denominator)
-    _write_output(spectrum.structure_report(spec), args.out)
-    return 0
+    return spectrum.structure_report(spec), []
 
 
-def cmd_verify_lemmas(args) -> int:
+def cmd_verify_lemmas(args) -> tuple[dict, list]:
     dim, rank, samples = args.dim, args.rank, args.samples
     _rank_within_dim(args)
     if samples * min(dim, max(rank, 2)) > MAX_LEMMA_DRAWS:
@@ -353,10 +358,10 @@ def cmd_verify_lemmas(args) -> int:
 
     block_gate = None
     if block_stats is not None:
-        applicable = (
-            args.ensemble >= 100
-            and typicality.admissible_constant_crossover(dim, rank) > 1
-        )
+        # The admissible-constant crossover min(d/ln D, D/d) exceeds 1 at d < D
+        # exactly when d > ln D, in floats too: MAX_LEMMA_GRAM keeps D at most
+        # 10^5, and below 10^6 no ln D lies within 8.9e-7 of an integer.
+        applicable = args.ensemble >= 100 and rank > math.log(dim)
         block_gate = {"applicable": applicable, "pass": None}
         if applicable and gated:
             block_gate["pass"] = all(
@@ -394,13 +399,10 @@ def cmd_verify_lemmas(args) -> int:
         "gates_evaluated": bool(gates),
         "pass": all(gates),
     }
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    _write_output(doc, args.out)
-    return 0 if all(gates) else 1
+    return doc, []
 
 
-def cmd_compute_l(args) -> int:
+def cmd_compute_l(args) -> tuple[dict, list]:
     for flag, value in (("--grid-points", args.grid_points), ("--periods", args.periods)):
         if value is not None and args.dump_trajectory is None:
             raise ValueError(f"{flag} shapes the trajectory dump and needs --dump-trajectory")
@@ -479,8 +481,6 @@ def cmd_compute_l(args) -> int:
                 "match": residual <= 1e-9,
             }
         cell_records.append(record)
-    all_ok = all(c["chain_ok"] and c.get("oracle", {"match": True})["match"]
-                 for c in cell_records)
 
     doc = {
         "D": spec.dim_total,
@@ -493,19 +493,17 @@ def cmd_compute_l(args) -> int:
         "rescaled_to_integer": None if mult == 1 else {"multiplier": mult},
         "oracle_note": oracle_note,
         "cells": cell_records,
-        "pass": all_ok,
+        "pass": all(c["chain_ok"] and c.get("oracle", {"match": True})["match"]
+                    for c in cell_records),
     }
-    _write_output(doc, args.out)
-
-    if args.dump_trajectory is not None:
-        _write(_trajectory_chunks(dynamics.grid_phases(spec, grid_points, periods), coords,
-                                  dims, span),
-               args.dump_trajectory)
-    return 0 if all_ok else 1
+    if args.dump_trajectory is None:
+        return doc, []
+    phases = dynamics.grid_phases(spec, grid_points, periods)
+    return doc, [(_trajectory_chunks(phases, coords, dims, span), args.dump_trajectory)]
 
 
-def cmd_check_theorem(args) -> int:
-    from mpmath import mp  # only the admissibility commands load mpmath
+def cmd_check_theorem(args) -> tuple[dict, list]:
+    from mpmath import mp  # only check-theorem loads mpmath
 
     _rank_within_dim(args)
     params = typicality.TheoremParams(
@@ -543,8 +541,7 @@ def cmd_check_theorem(args) -> int:
         "precision_bits": args.precision_bits,
         "log_base": args.log_base,
     }
-    _write_output(doc, args.out)
-    return 0
+    return doc, []
 
 
 # Every key a run config may carry (ExperimentConfig's fields); no other.
@@ -617,7 +614,7 @@ def _config_from_document(doc, args) -> montecarlo.ExperimentConfig:
     return montecarlo.ExperimentConfig(**config)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[dict, list]:
     report = montecarlo.run_experiment(
         _read_json(args.config, lambda doc: _config_from_document(doc, args)))
     experiment, normality = report["experiment"], report["normality"]
@@ -626,10 +623,9 @@ def cmd_run(args) -> int:
         gates["normality_implication"] = normality["implication_violations"] == 0
     report["gates"] = gates
     report["pass"] = all(gates.values())
-    _write_output(report, args.out)
-    if args.dump_trials is not None:
-        _write(_trial_chunks(experiment), args.dump_trials)
-    return 0 if report["pass"] else 1
+    if args.dump_trials is None:
+        return report, []
+    return report, [(_trial_chunks(experiment), args.dump_trials)]
 
 
 @functools.cache
@@ -649,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spectrum", help="path to a spectrum JSON document")
     p.add_argument("--snap-denominator", type=_flag(int, least=1), default=None,
                    help="admit float energies by snapping to multiples of 1/q")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-lemmas", help="moment statistics of Haar sampling")
@@ -661,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", type=_flag(int, least=1, most=MAX_LEMMA_ENSEMBLE),
                    default=200, help="unitary ensemble size for block statistics")
     p.add_argument("--seed", type=_flag(int, least=0), default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("compute-l", help="deviation breakdown with oracle cross-check")
@@ -676,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how many whole periods the trajectory dump spans (default 1)")
     p.add_argument("--dump-trajectory", default=None,
                    help="write columnar (tau, weight per cell) to this path")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compute_l)
 
     p = sub.add_parser("check-theorem", help="evaluate the admissibility ordering")
@@ -695,7 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-base", choices=list(typicality.LOG_BASES), default="e",
                    help="base of log D in the condition's lhs only; every other "
                         "reported logarithm is natural")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_theorem)
 
     p = sub.add_parser("run", help="seeded ensemble experiment from a config file")
@@ -706,16 +698,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the trial count")
     p.add_argument("--dump-trials", default=None,
                    help="write columnar per-trial values to this path")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 
+    for p in sub.choices.values():  # last, as every usage line ends with it
+        p.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, dumps = args.func(args)
+        for warning in doc.get("warnings", ()):
+            print(f"warning: {warning}", file=sys.stderr)
+        _write_output(doc, args.out)
+        for chunks, path in dumps:
+            _write(chunks, path)
+        return 0 if doc.get("pass", True) else 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -93,8 +93,9 @@ class Spectrum:
     ``approximate`` marks spectra whose energies were snapped from floats.
 
     Each level is checked in the given order, and a refusal names ``level
-    i``: an exact rational energy (an int, a Fraction or a numpy integer,
-    not a bool or a float) and a positive integer degeneracy (not a bool).
+    i``: an (energy, degeneracy) pair, an exact rational energy (an int, a
+    Fraction or a numpy integer, not a bool or a float) and a positive
+    integer degeneracy (not a bool).
     The digit rule keeps every number of a report within MAX_DIGITS digits:
     D, L and 2 |E| L stay below DIGIT_LIMIT, with L the least common
     denominator of the energies, as every gap and sum is a multiple of 1/L
@@ -108,7 +109,12 @@ class Spectrum:
         if not self.levels:
             raise SpectrumError("spectrum must contain at least one level")
         levels, scale, dim = [], 1, 0
-        for i, (energy, deg) in enumerate(self.levels):
+        for i, level in enumerate(self.levels):
+            try:
+                energy, deg = level
+            except (TypeError, ValueError):  # not iterable, or not of two items
+                raise SpectrumError(f"level {i}: must be an (energy, degeneracy) pair, "
+                                    f"got {level!r}") from None
             if isinstance(energy, bool) or not isinstance(energy, numbers.Rational):
                 raise SpectrumError(f"level {i}: energy must be an exact rational, got {energy!r}")
             if isinstance(deg, bool) or not isinstance(deg, numbers.Integral) or deg < 1:

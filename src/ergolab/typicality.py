@@ -69,10 +69,11 @@ condition checks, which run in arbitrary precision because they must
 survive dimensions like 2**100.  Only they import mpmath, on their first
 call (:func:`theorem_condition`, :func:`resonance_impact`,
 :func:`admissible_constant_crossover`, :func:`find_admissible_constant` and
-:func:`dim_and_log`, the D and ln D they share): ``check-theorem`` and the
-unitary-block gate of ``verify-lemmas`` load it, while importing ergolab,
-``run``, ``analyze`` and ``compute-l`` never do.  A ``check-theorem``
-command takes the logarithm of D once.
+:func:`dim_and_log`, the D and ln D they share): ``check-theorem`` loads
+it, while importing ergolab, ``analyze``, ``verify-lemmas``, ``compute-l``
+and ``run`` never do (the unitary-block gate of ``verify-lemmas`` tests
+its crossover in floats).  A ``check-theorem`` command takes the logarithm
+of D once.
 """
 
 from __future__ import annotations

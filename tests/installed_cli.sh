@@ -25,10 +25,11 @@
 # null.  The report writer must be a fixed point of the stdlib encoder:
 # the analyze, run and compute-l reports must each equal
 # json.dumps(json.load(f), indent=2, sort_keys=True) plus a newline.  Only
-# the admissibility commands load mpmath: in one interpreter, importing
-# ergolab and ergolab.cli and then running analyze, compute-l and run
-# through ergolab.cli.main must leave mpmath out of sys.modules, and
-# check-theorem must then exit 0 having loaded it.  A refusal names its
+# check-theorem loads mpmath: in one interpreter, importing ergolab and
+# ergolab.cli and then running analyze, compute-l, run and verify-lemmas,
+# with its unitary-block gate applying, through ergolab.cli.main must
+# leave mpmath out of sys.modules, and check-theorem must then exit 0
+# having loaded it.  A refusal names its
 # source: run on a config whose state has norm 2 exits 1
 # with one error line naming the config file, and run --trials 0 exits 2
 # with argparse's error naming the flag and not the file.  Any other nonzero
@@ -62,7 +63,8 @@ ergolab compute-l rational.json --dims 3,3,3 --seed 4 --out rational-l.json
 ergolab compute-l rational-x12.json --dims 3,3,3 --seed 4 --out rational-x12-l.json
 python -c 'import json; rat, whole = (json.load(open(f)) for f in ("rational-l.json", "rational-x12-l.json")); assert rat["cells"] == whole["cells"] and all(c["oracle"]["match"] is True for c in rat["cells"]) and rat["rescaled_to_integer"] == {"multiplier": 12} and whole["rescaled_to_integer"] is None, (rat, whole)'
 python -c 'import sys, ergolab, ergolab.cli
-for argv in (["analyze", "rational.json"], ["compute-l", "rational.json", "--dims", "3,3,3"], ["run", "run.json", "--trials", "2"]):
+for argv in (["analyze", "rational.json"], ["compute-l", "rational.json", "--dims", "3,3,3"], ["run", "run.json", "--trials", "2"],
+             ["verify-lemmas", "--dim", "16", "--rank", "4", "--samples", "20000", "--ensemble", "100"]):
     assert "mpmath" not in sys.modules, argv
     assert ergolab.cli.main(argv + ["--out", "lazy.json"]) == 0, argv
 assert "mpmath" not in sys.modules

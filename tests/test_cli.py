@@ -324,6 +324,32 @@ class TestVerifyLemmas:
         assert code == 0 and report["pass"] is True
         assert report["unitary_block_gate"]["applicable"] is True
 
+    def test_block_gate_applies_exactly_past_the_admissible_crossover(
+            self, monkeypatch, capsys):
+        # D = floor(e^k) and ceil(e^k), where rank = k - 1, k, k + 1 straddle
+        # ln D, and every rank below min(D, 14): the gate applies exactly when
+        # the mpmath crossover min(d/ln D, D/d) exceeds 1.  Nothing is drawn,
+        # and the Gram limit is lifted so that D reaches e^12.
+        def no_draw(dim, rank, samples, ensemble, seed):
+            record = {"estimate": 0.0, "stderr": 0.0, "threshold": 0.0, "pass": True}
+            moments = {"mean": dict(record), "variance": dict(record)}
+            return (moments, dict(moments),
+                    {"max_offdiag": dict(record), "max_diag_dev": dict(record)})
+
+        monkeypatch.setattr(randomness, "lemma_statistics", no_draw)
+        monkeypatch.setattr(cli, "MAX_LEMMA_GRAM", math.inf)
+        applied = Counter()
+        for k in range(1, 13):
+            for dim in sorted({math.floor(math.e**k), math.ceil(math.e**k)}):
+                for rank in range(1, min(dim, 14)):
+                    assert main(["verify-lemmas", "--dim", str(dim), "--rank", str(rank),
+                                 "--samples", "10", "--ensemble", "100"]) == 0
+                    gate = json.loads(capsys.readouterr().out)["unitary_block_gate"]
+                    crossover = typicality.admissible_constant_crossover(dim, rank)
+                    assert gate["applicable"] == (crossover > 1), (dim, rank)
+                    applied[gate["applicable"]] += 1
+        assert applied[True] > 0 and applied[False] > 0
+
 
 class TestComputeL:
     def test_nonresonant_resonant_field_zero(self, tmp_path):
@@ -1539,3 +1565,68 @@ class TestRun:
         assert report["experiment"]["trials"] == 3
         assert report["experiment"]["seed"] == 23
         assert len(dump.read_text().strip().splitlines()) == 1 + 3 * 2
+
+
+def break_every_chain(monkeypatch):
+    """An ergodicity gap 1e-6 above the total in every cell: each breaks
+    the inequality chain of run and compute-l, which allows CHAIN_SLACK."""
+    kernel = montecarlo.deviation_breakdowns
+
+    def broken(buckets, frac):
+        b = kernel(buckets, frac)
+        b["diag_dev_sq"] = b["total"] + 1e-6
+        return b
+
+    monkeypatch.setattr(montecarlo, "deviation_breakdowns", broken)
+
+
+def fail_the_state_mean(monkeypatch):
+    """verify-lemmas' state-weight mean gate fails, whatever was drawn."""
+    lemma_statistics = randomness.lemma_statistics
+
+    def failed(*args):
+        state, sphere, blocks = lemma_statistics(*args)
+        state["mean"]["pass"] = False
+        return state, sphere, blocks
+
+    monkeypatch.setattr(randomness, "lemma_statistics", failed)
+
+
+class TestExitRule:
+    """main's one rule: exit 0 exactly when the report's "pass" is true or
+    absent, else 1; a failed gate still writes its report, its dumps and
+    its warnings."""
+
+    @pytest.mark.parametrize("argv, inject, dump, warning", [
+        (["analyze", "SPEC"], None, None, None),
+        (["check-theorem", "--dim", "2^100", "--rank", "2^60", "--cells", "4"], None, None, None),
+        (["verify-lemmas", "--dim", "8", "--rank", "2", "--samples", "10", "--ensemble", "5"],
+         None, None, "insufficient samples (10 < 10000): gates skipped"),
+        (["verify-lemmas", "--dim", "4", "--rank", "4", "--samples", "10000"],
+         fail_the_state_mean, None, "rank equals dim: unitary block statistics skipped"),
+        (["compute-l", "SPEC", "--dims", "1,1,1"], None, "--dump-trajectory", None),
+        (["compute-l", "SPEC", "--dims", "1,1,1"], break_every_chain, "--dump-trajectory", None),
+        (["run", "CONFIG"], None, "--dump-trials", None),
+        (["run", "CONFIG"], break_every_chain, "--dump-trials", None),
+    ], ids=["analyze", "check-theorem", "verify-lemmas", "verify-lemmas-failed",
+            "compute-l", "compute-l-failed", "run", "run-failed"])
+    def test_exit_status_is_the_report_pass(self, tmp_path, monkeypatch, capsys,
+                                            argv, inject, dump, warning):
+        paths = {"SPEC": write_spectrum(tmp_path, [(0, 1), (1, 1), (3, 1)]),
+                 "CONFIG": TestRun.write_config(tmp_path)}
+        argv = [paths.get(a, a) for a in argv]
+        if inject is not None:
+            inject(monkeypatch)
+        dump_path = tmp_path / "dump.tsv"
+        if dump is not None:
+            argv += [dump, str(dump_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == (0 if report.get("pass", True) else 1)
+        assert code == (inject is not None)  # each injection fails a gate
+        if argv[0] in ("analyze", "check-theorem"):
+            assert "pass" not in report
+        if dump is not None:
+            assert dump_path.read_text().count("\n") > 1  # a header and rows
+        assert captured.err == ("" if warning is None else f"warning: {warning}\n")

@@ -1,10 +1,11 @@
-"""Only the admissibility commands load mpmath.
+"""Only check-theorem loads mpmath.
 
-check-theorem and the unitary-block gate of verify-lemmas evaluate the
-admissibility ordering in arbitrary precision, and only they import mpmath.
-Importing ergolab and running analyze, run or compute-l must not pay for
-it.  The check starts a fresh interpreter, since other test modules import
-mpmath themselves.
+check-theorem evaluates the admissibility ordering in arbitrary precision,
+and only it imports mpmath.  Importing ergolab and running analyze, run,
+compute-l or verify-lemmas, whose unitary-block gate tests the
+admissible-constant crossover in floats, must not pay for it.  The check
+starts a fresh interpreter, since other test modules import mpmath
+themselves.
 """
 
 import json
@@ -22,7 +23,9 @@ from ergolab.cli import main
 
 spectrum, config, out = sys.argv[1:]
 loaded = {"import": "mpmath" in sys.modules}
-for argv in (["analyze", spectrum], ["run", config], ["compute-l", spectrum, "--dims", "2,2"]):
+for argv in (["analyze", spectrum], ["run", config], ["compute-l", spectrum, "--dims", "2,2"],
+             ["verify-lemmas", "--dim", "16", "--rank", "4", "--samples", "20000",
+              "--ensemble", "100"]):
     code = main(argv + ["--out", out])
     loaded[argv[0]] = (code, "mpmath" in sys.modules)
 code = main(["check-theorem", "--dim", "2^100", "--rank", "2^60", "--cells", "4", "--out", out])
@@ -49,5 +52,6 @@ def test_only_check_theorem_loads_mpmath(tmp_path):
         "analyze": [0, False],
         "run": [0, False],
         "compute-l": [0, False],
+        "verify-lemmas": [0, False],
         "check-theorem": [0, True],
     }

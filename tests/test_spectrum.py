@@ -116,6 +116,15 @@ class TestSpectrumChecks:
         with pytest.raises(SpectrumError, match=re.escape(fragment)):
             Spectrum(levels)
 
+    def test_level_that_is_not_a_pair_refused_by_name(self):
+        # three items, a bare number and one item: no unpacking error escapes
+        for levels, got in [(((0, 1, 2),), "(0, 1, 2)"), ((5,), "5"), (((0,),), "(0,)"),
+                            (((0, 1), (1, 1, 1)), "(1, 1, 1)")]:
+            i = len(levels) - 1
+            with pytest.raises(SpectrumError, match=re.escape(
+                    f"level {i}: must be an (energy, degeneracy) pair, got {got}")):
+                Spectrum(levels)
+
     def test_numpy_integers_accepted_as_python_ints(self):
         big = np.int32(2**31 - 1)
         spec = Spectrum(((np.int64(3), big), (F(1, 2), np.uint8(1)), (-1, big)))
