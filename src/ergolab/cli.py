@@ -13,8 +13,9 @@ lazy text.  :func:`main` prints the report's ``warnings`` to stderr as
 ``warning:`` lines, writes the report, then each dump, and exits 0 exactly
 when the report's ``pass`` is true or absent (analyze and check-theorem
 gate nothing), else 1; a failed gate adds no message.  A flag's refused
-value exits 2 naming the flag (:func:`_flag`); file content and rules of
-two inputs exit 1 with one ``error:`` line.  Human-readable tables are
+value exits 2 naming the flag (:func:`_flag`, and :func:`_output_path`
+for a file the command would write); file content and rules of two
+inputs exit 1 with one ``error:`` line.  Human-readable tables are
 absent: the JSON is the source of truth and columnar dumps serve external
 plotters.
 """
@@ -26,6 +27,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -55,16 +57,18 @@ DUMP_PERIODS_RULE = (lambda periods: periods <= sys.float_info.max / (2 * math.p
                      "must keep the dump's time span 2π·m·periods within the float range")
 
 # verify-lemmas size limits, refused before anything is drawn; timed on a
-# 2-core x86-64 VM, BLAS at one thread.  A state draws r = min(--dim,
-# max(--rank, 2)) coordinates, 300 ns a state at r <= 2 and 30-50 ns a
-# coordinate from r = 10 up: MAX_LEMMA_DRAWS bounds --samples × r (about a
-# minute), MAX_LEMMA_RANK a one-state chunk (64 MiB).  A unitary block costs
-# 37 µs at --dim 2 plus 0.24-1.1 ns a unit of D² × max(--rank, 10) for its
-# Gram (0.24 s at --dim 10 000 --rank 2, 12 s at --dim 3000 --rank 2999):
-# MAX_LEMMA_GRAM bounds the ensemble's units (a minute or two).
+# 2-core x86-64 VM, BLAS at one thread.  A state draws the same few numbers
+# whatever --dim and --rank are, about 0.17 µs a state on each of the two
+# threads that share the states: MAX_LEMMA_SAMPLES bounds them (8.5 s).
+# MAX_LEMMA_RANK keeps --rank, and --dim with it at full rank, within the
+# integers that are exact floats, so the gamma shapes d - 2 and
+# D - max(d, 2) are exact.  A unitary block costs 37 µs at --dim 2 plus
+# 0.24-1.1 ns a unit of D² × max(--rank, 10) for its Gram (0.24 s at --dim
+# 10 000 --rank 2, 12 s at --dim 3000 --rank 2999): MAX_LEMMA_GRAM bounds
+# the ensemble's units (a minute or two), and with them --dim below full
+# rank.
 MAX_LEMMA_SAMPLES = 100_000_000
-MAX_LEMMA_DRAWS = 2 * 10**9
-MAX_LEMMA_RANK = 2**22
+MAX_LEMMA_RANK = 2**53
 MAX_LEMMA_ENSEMBLE = 1_000_000
 MAX_LEMMA_GRAM = 10**11
 
@@ -279,6 +283,17 @@ def _flag(parse, least=None, most=None, rule=None):
     return value
 
 
+def _output_path(text: str) -> str:
+    """An argparse type: a file a command writes (``--out``, the dump
+    flags).  A path that names a directory, or whose directory does not
+    exist, is refused here (exit 2, naming the flag), before the command
+    does its work, not when the report or dump is written after it."""
+    if not text or os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(
+            f"must name a file in an existing directory, got {text!r}")
+    return text
+
+
 def _ranks(text: str) -> tuple[int, ...]:
     """compute-l's --dims: comma-separated cell ranks, each at least 1."""
     try:
@@ -339,9 +354,6 @@ def cmd_analyze(args) -> tuple[dict, list]:
 def cmd_verify_lemmas(args) -> tuple[dict, list]:
     dim, rank, samples = args.dim, args.rank, args.samples
     _rank_within_dim(args)
-    if samples * min(dim, max(rank, 2)) > MAX_LEMMA_DRAWS:
-        raise ValueError(f"--samples × min(--dim, max(--rank, 2)) must be at most "
-                         f"{MAX_LEMMA_DRAWS}, got {samples} × {min(dim, max(rank, 2))}")
     if rank < dim and args.ensemble * dim**2 * max(rank, 10) > MAX_LEMMA_GRAM:
         raise ValueError(f"--ensemble × --dim² × max(--rank, 10) must be at most "
                          f"{MAX_LEMMA_GRAM}, got {args.ensemble} × {dim}² × {max(rank, 10)}")
@@ -668,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="grid size for the trajectory dump (default 1000)")
     p.add_argument("--periods", type=_flag(int, least=1, rule=DUMP_PERIODS_RULE), default=None,
                    help="how many whole periods the trajectory dump spans (default 1)")
-    p.add_argument("--dump-trajectory", default=None,
+    p.add_argument("--dump-trajectory", type=_output_path, default=None,
                    help="write columnar (tau, weight per cell) to this path")
     p.set_defaults(func=cmd_compute_l)
 
@@ -696,12 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config seed")
     p.add_argument("--trials", type=_flag(int, least=1), default=None,
                    help="override the trial count")
-    p.add_argument("--dump-trials", default=None,
+    p.add_argument("--dump-trials", type=_output_path, default=None,
                    help="write columnar per-trial values to this path")
     p.set_defaults(func=cmd_run)
 
     for p in sub.choices.values():  # last, as every usage line ends with it
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", type=_output_path, default=None)
     return parser
 
 

@@ -29,31 +29,35 @@ Statistical reports follow one record shape per estimated quantity:
 ``{"estimate", "stderr", "target", "pass"}`` with 5-standard-error gates,
 which keeps the false-alarm rate of a seeded check below ~1e-6.
 
-Moment estimates draw only the coordinates they read.  Each random state
-is the normalized complex Gaussian vector z / |z|, and both moment checks
-read at most its first r = min(D, max(d, 2)) complex coordinates: the
-first d for the rank-d weight and the first two for the sphere records.
-Those 2r real coordinates are drawn; the other 2D - 2r enter only through
-the squared norm, as a sum of squares of independent standard normals,
-whose law is chi-square with 2(D - r) degrees of freedom, 2 Gamma(D - r).
-One ``standard_gamma`` draw per state replaces them, so each state has
-exactly the law of the full draw: its weight is Beta(d, D - d), and its
-squared moduli are the Dirichlet(1, ..., 1) shares of a uniform point on
-the sphere (Życzkowski & Sommers, J. Phys. A 34, 7111, 2001).  At r = D
-nothing is unread and no gamma is drawn.  The read coordinates are drawn a
-chunk of rows at a time from the stream's generator, each entry's real and
-imaginary parts consecutive in one fill, and the tails from a child
-generator spawned from it (``Generator.spawn``), so both are the same for
-any chunk size.  Each random state is drawn once and read by both moment
-checks.  Each chunk adds to power sums taken about the exact target mean
-(the shifted-data algorithm of Chan, Golub & LeVeque, Am. Stat. 37, 1983;
-Pébay, SAND2008-6212, 2008), from which the records' central moments
-follow by the binomial expansion, so memory is flat in the sample count.
-The chunk never changes the draws, but it fixes the order of the sums, and
-with it the last bits of a record.  Sums about the same shifts merge by
-addition, so :func:`lemma_statistics` draws its states in two halves on
-two threads, each half on its own substream, and the unitary blocks on a
-third.
+Moment estimates draw a fixed handful of numbers a state, whatever D and
+d are.  Each random state is the normalized complex Gaussian vector
+z / |z|, and the moment checks read only its first two coefficients one
+by one, as the sphere records' coordinates; the weight of the first d
+coordinates reads the other d - 2 only through their sum of squares, and
+the squared norm the last D - max(d, 2) only through theirs.  A sum of
+squares of 2k independent standard normals is chi-square with 2k degrees
+of freedom, 2 Gamma(k).  So a state draws the 2 min(D, 2) normals of
+coefficients 0 and 1 and one ``standard_gamma`` variate per nonempty
+block: 2 Gamma(d - 2) for the cell's middle (d > 2) and 2 Gamma(D -
+max(d, 2)) for the unread tail (Marsaglia & Tsang, ACM TOMS 26, 2000,
+numpy's gamma sampler).  Its weight is (|z_0|^2 + |z_1|^2 + middle) /
+|z|^2, |z_0|^2 alone at d = 1, and has the Beta(d, D - d) law of a full
+draw, and its squared moduli are the Dirichlet(1, ..., 1) shares of a
+uniform point on the sphere (Życzkowski & Sommers, J. Phys. A 34, 7111,
+2001).  The normals are drawn a chunk of states at a time from the
+stream's generator, each coefficient's real and imaginary parts
+consecutive in one fill, and the gammas from a child generator spawned
+from it (``Generator.spawn``), each state's middle then tail in one
+consecutive run, so both are the same for any chunk size.  Each random
+state is drawn once and read by both moment checks.  Each chunk adds to
+power sums taken about the exact target mean (the shifted-data algorithm
+of Chan, Golub & LeVeque, Am. Stat. 37, 1983; Pébay, SAND2008-6212,
+2008), from which the records' central moments follow by the binomial
+expansion, so memory is flat in the sample count.  The chunk never
+changes the draws, but it fixes the order of the sums, and with it the
+last bits of a record.  Sums about the same shifts merge by addition, so
+:func:`lemma_statistics` draws its states in two halves on two threads,
+each half on its own substream, and the unitary blocks on a third.
 
 A substream is ``np.random.default_rng`` of the seed list (seed, index,
 ...): numpy's ``SeedSequence`` hashes the list's 32-bit words into a
@@ -100,11 +104,11 @@ DEFAULT_SEED = 12345
 # fails (see the module docstring).
 GATE_SIGMA = 5
 
-# Complex entries per chunk of the moment estimates' read coordinates and
-# of the unitary blocks' Gram rows.  The chunk bounds their working memory
-# whatever the dimension and changes no draw.  A moment stream's traced
-# peak is about 1.1 MiB, and 2.4 MiB at two read coordinates a state, whose
-# chunks hold the most states.
+# Complex entries per chunk of the unitary blocks' Gram rows, and four
+# times the states per chunk of the moment estimates (a state draws at most
+# four normals).  The chunk bounds their working memory whatever the
+# dimension and changes no draw.  A moment stream's traced peak is about
+# 1.3 MiB whatever D and d.
 _CHUNK_ENTRIES = 2**15
 
 # numpy's SeedSequence: its pool words, hash and mix constants and shift.
@@ -319,6 +323,18 @@ def _record(estimate: float, stderr: float, target: float) -> dict:
     }
 
 
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """Rows x^0, ..., x^top, each the row above times x (as a cumulative
+    product over a stacked axis 0 would give them, bit for bit, but
+    without its strided loop)."""
+    powers = np.empty((top + 1, x.size))
+    powers[0] = 1.0
+    powers[1] = x
+    for i in range(2, top + 1):
+        np.multiply(powers[i - 1], x, out=powers[i])
+    return powers
+
+
 class _PowerSums:
     """Sums of ``u^i v^j`` (i <= 4, j <= 2) over a stream of samples, with
     ``u`` and ``v`` taken about fixed shifts near their means (module
@@ -332,15 +348,12 @@ class _PowerSums:
         self.sums = np.zeros((5, 3))
 
     def add(self, u: np.ndarray, v: np.ndarray | None = None) -> None:
-        u = u - self.shifts[0]
-        powers = np.cumprod(np.stack([np.ones_like(u), u, u, u, u]), axis=0)
+        powers = _powers(u - self.shifts[0], 4)
         # einsum's own loops, not BLAS: the sums do not depend on the BLAS build
         if v is None:
             self.sums[:, 0] += np.einsum("ik->i", powers)
         else:
-            v = v - self.shifts[1]
-            self.sums += np.einsum("ik,jk->ij", powers,
-                                   np.cumprod(np.stack([np.ones_like(v), v, v]), axis=0))
+            self.sums += np.einsum("ik,jk->ij", powers, _powers(v - self.shifts[1], 2))
         self.n += u.size
 
     def __iadd__(self, other: "_PowerSums") -> "_PowerSums":
@@ -389,22 +402,24 @@ def _check_ensemble(ensemble: int) -> None:
 
 
 def _state_chunks(dim: int, rank: int, samples: int, rng: np.random.Generator):
-    """The draws of ``samples`` random states, about _CHUNK_ENTRIES read
-    entries at a time, as pairs ``(z, tail)``: rows of the 2r real Gaussian
-    coordinates the moment checks read, r = min(D, max(d, 2)), each
-    entry's real part then its imaginary part, and the chi-square sums
-    2 Gamma(D - r) of the unread squares, zeros at r = D (module
-    docstring).  The rows are consecutive draws of one fill of ``rng`` and
-    the tails of one fill of its first spawned child, so both are the same
-    for any chunk size."""
-    read = min(dim, max(rank, 2))  # the weight's rank, the sphere's two
-    unread = rng.spawn(1)[0] if read < dim else None
-    chunk = max(1, _CHUNK_ENTRIES // read)
+    """The draws of ``samples`` random states, _CHUNK_ENTRIES // 4 states
+    at a time, as triples ``(z, middle, tail)``: rows of the
+    2 min(D, 2) real Gaussian coordinates of coefficients 0 and 1, each
+    coefficient's real part then its imaginary part, and the chi-square
+    sums 2 Gamma(d - 2) of the cell's other squares and 2 Gamma(D -
+    max(d, 2)) of the unread ones, 0.0 where the block is empty (module
+    docstring).  The rows are consecutive draws of one fill of ``rng``,
+    and the gammas of one fill of its first spawned child, each state's
+    middle then tail, so both are the same for any chunk size."""
+    middle, tail = rank - 2, dim - max(rank, 2)  # gamma shapes, empty below 1
+    shapes = [shape for shape in (middle, tail) if shape > 0]
+    gammas = rng.spawn(1)[0] if shapes else None
+    chunk = _CHUNK_ENTRIES // 4
     for done in range(0, samples, chunk):
         rows = min(chunk, samples - done)
-        z = rng.standard_normal((rows, 2 * read))
-        yield z, (np.zeros(rows) if unread is None
-                  else 2 * unread.standard_gamma(dim - read, rows))
+        z = rng.standard_normal((rows, 2 * min(dim, 2)))
+        chi2 = 2 * gammas.standard_gamma(shapes, (rows, len(shapes))) if shapes else None
+        yield z, chi2[:, 0] if middle > 0 else 0.0, chi2[:, -1] if tail > 0 else 0.0
 
 
 def _moment_sums(dim: int, rank: int, samples: int, rng: np.random.Generator):
@@ -412,18 +427,20 @@ def _moment_sums(dim: int, rank: int, samples: int, rng: np.random.Generator):
     both moment checks: the weight of the first ``rank`` coordinates, the
     squared real part x^2 of coefficient 0 and the squared moduli of
     coefficients 0 and 1 (0 twice at D = 1), each over the state's squared
-    norm, the read squares plus the chi-square tail.  Returns
+    norm, the drawn squares plus the chi-square sums.  Returns
     ``(weight, x2, moduli)``."""
     weight = _PowerSums(rank / dim)
     x2, moduli = _PowerSums(1 / (2 * dim)), _PowerSums(1 / dim, 1 / dim)
     j = 2 * min(1, dim - 1)
-    for z, tail in _state_chunks(dim, rank, samples, rng):
+    for z, middle, tail in _state_chunks(dim, rank, samples, rng):
         z *= z
-        norm2 = z.sum(axis=1)
-        norm2 += tail
-        weight.add(z[:, :2 * rank].sum(axis=1) / norm2)
+        m0, m1 = z[:, 0] + z[:, 1], z[:, j] + z[:, j + 1]
+        cell = (m0 if rank == 1 else m0 + m1) + middle
+        # coefficient 1 lies outside a rank-1 cell
+        norm2 = (cell + m1 if rank == 1 < dim else cell) + tail
+        weight.add(cell / norm2)
         x2.add(z[:, 0] / norm2)
-        moduli.add((z[:, 0] + z[:, 1]) / norm2, (z[:, j] + z[:, j + 1]) / norm2)
+        moduli.add(m0 / norm2, m1 / norm2)
     return weight, x2, moduli
 
 
@@ -457,9 +474,11 @@ def state_weight_statistics(
 
     The projection is taken on the first ``rank`` coordinates; by unitary
     invariance of the state distribution this loses no generality.  Each
-    state draws its first max(d, 2) coordinates (at most D) and the
-    chi-square sum of its other squares (module docstring), so the weight
-    has the Beta(d, D - d) law of a full draw at O(d) draws a state.
+    state draws its first two coefficients (one at D = 1) and one
+    chi-square sum for each nonempty block of its other squares, the
+    cell's other d - 2 and the D - max(d, 2) outside (module docstring),
+    so the weight has the Beta(d, D - d) law of a full draw at a few
+    draws a state, whatever D and d are.
     Targets are d/D and (1/d)(d/D)^2 (D-d)/(D+1).  Needs at least two
     samples.
     """
@@ -478,10 +497,10 @@ def hypersphere_moments(dim: int, samples: int, rng: np.random.Generator) -> dic
     these are the variables whose D-term decomposition reproduces the
     variance of a rank-d cell weight, with targets (D-1)/(D^2 (D+1)) and,
     between two distinct coefficients, -1/(D^2 (D+1)).  Each point draws
-    the four coordinates of coefficients 0 and 1 (two at D = 1) and the
-    chi-square sum of the other 2D - 4 squares (module docstring), which
-    gives the uniform law on the sphere exactly.  Needs at least two
-    samples.
+    the four coordinates of coefficients 0 and 1 (two at D = 1) and, at
+    D > 2, one chi-square sum 2 Gamma(D - 2) of the other 2D - 4 squares
+    (module docstring), which gives the uniform law on the sphere
+    exactly.  Needs at least two samples.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")

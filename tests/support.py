@@ -390,24 +390,47 @@ def trajectory_dump_reference(phases, coords, dims, span) -> str:
 
 def gaussian_rows_reference(dim: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Whole complex Gaussian D-vectors, all in one fill: each entry's real
-    part, then its imaginary part.  Read with no tail, they are the full
-    route to the moment estimates' random states, which agrees with the
-    package's read-coordinates draw in law, not in bits."""
+    part, then its imaginary part.  Read with no chi-square sums, they are
+    the full route to the moment estimates' random states, which agrees
+    with the package's draw of two coefficients and chi-square blocks in
+    law, not in bits."""
     pairs = rng.standard_normal((samples, dim, 2))
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
-def read_rows_reference(dim: int, rank: int, samples: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of the moment estimates, each kind in one fill: the complex
-    Gaussian rows of the first min(D, max(d, 2)) coordinates, and the
-    chi-square tails 2 Gamma(D - r) of the unread squares from the
-    generator's first spawned child (zeros when nothing is unread)."""
-    read = min(dim, max(rank, 2))
-    z = gaussian_rows_reference(read, samples, rng)
-    if read == dim:
-        return z, np.zeros(samples)
-    return z, 2 * rng.spawn(1)[0].standard_gamma(dim - read, samples)
+def read_rows_reference(dim: int, rank: int, samples: int, rng: np.random.Generator
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of the moment estimates, restated from their documented
+    layout as ``(z, middle, tail)``: the complex Gaussian rows of
+    coefficients 0 and 1 (0 alone at D = 1) in one fill of ``rng``, then,
+    from its first spawned child, one gamma sequence whose shapes run state
+    by state, d - 2 for the cell's other squares (d > 2) then D - max(d, 2)
+    for the unread ones (when any), each doubled into a chi-square sum;
+    zeros for an empty block."""
+    z = gaussian_rows_reference(min(dim, 2), samples, rng)
+    shapes = [rank - 2, dim - max(rank, 2)]
+    blocks = np.zeros((2, samples))
+    drawn = [k for k, shape in enumerate(shapes) if shape > 0]
+    if drawn:
+        sequence = np.tile([shapes[k] for k in drawn], samples)
+        gammas = rng.spawn(1)[0].standard_gamma(sequence)  # no size: one per shape
+        blocks[drawn] = 2 * gammas.reshape(samples, len(drawn)).T
+    return z, blocks[0], blocks[1]
+
+
+# The two-sample Kolmogorov-Smirnov critical value c at a false-alarm rate
+# of 1e-6: sqrt(n m / (n + m)) times the statistic exceeds c with
+# probability 2 exp(-2 c^2) for large samples (Smirnov's limit law).
+KS_CRITICAL_1E6 = math.sqrt(math.log(2 / 1e-6) / 2)
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic: the largest distance
+    between the empirical distribution functions of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, at, side="right") / a.size
+                        - np.searchsorted(b, at, side="right") / b.size).max())
 
 
 def _record(estimate: float, stderr: float, target: float) -> dict:
@@ -436,10 +459,10 @@ def _covariance_record(a: np.ndarray, b: np.ndarray, shift: float, target: float
     return _record(c, math.sqrt(max(m22 - c * c, 0.0) / n), target)
 
 
-def lemma_rows_reference(dim: int, rank: int, samples: int,
-                         seed: int) -> tuple[np.ndarray, np.ndarray]:
+def lemma_rows_reference(dim: int, rank: int, samples: int, seed: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The random states ``randomness.lemma_statistics`` reads, as the
-    :func:`read_rows_reference` rows and tails of the first
+    :func:`read_rows_reference` draws of the first
     ``samples - samples // 2`` states of substream (seed, 0), then of the
     first ``samples // 2`` of (seed, 1)."""
     half = samples // 2
@@ -448,20 +471,23 @@ def lemma_rows_reference(dim: int, rank: int, samples: int,
     return tuple(np.concatenate(kind) for kind in zip(*parts))
 
 
-def state_weights_reference(dim: int, rank: int, z: np.ndarray, tail=0.0) -> dict:
+def state_weights_reference(dim: int, rank: int, z: np.ndarray, middle=0.0, tail=0.0) -> dict:
     """``randomness.state_weight_statistics`` by two passes over the weight
-    of every row of the complex Gaussian rows ``z``, whose squared norm is
-    that of the row plus ``tail``, the sum of the squares not drawn."""
+    of every row of the complex Gaussian rows ``z``: the squares of its
+    first ``rank`` entries plus ``middle``, the sum of the cell's squares
+    not drawn, over the row's squared norm plus ``middle`` and ``tail``,
+    the sum of the other squares not drawn."""
     samples = len(z)
     z2 = np.abs(z) ** 2
-    w = z2[:, :rank].sum(axis=1) / (z2.sum(axis=1) + tail)
+    cell = z2[:, :rank].sum(axis=1) + middle
+    w = cell / (z2.sum(axis=1) + middle + tail)
     frac = rank / dim
     return {"dim": dim, "rank": rank, "samples": samples,
             "mean": _record(*mean_stderr(w), frac),
             "variance": _variance_record(w, frac, frac**2 * (dim - rank) / (rank * (dim + 1)))}
 
 
-def hypersphere_reference(dim: int, z: np.ndarray, tail=0.0) -> dict:
+def hypersphere_reference(dim: int, z: np.ndarray, middle=0.0, tail=0.0) -> dict:
     """``randomness.hypersphere_moments`` by two passes over every row of
     the complex Gaussian rows ``z``, squared norms as in
     :func:`state_weights_reference`: the squares of coefficients 0 and 1,
@@ -469,7 +495,7 @@ def hypersphere_reference(dim: int, z: np.ndarray, tail=0.0) -> dict:
     in the package)."""
     samples = len(z)
     z2 = np.abs(z) ** 2
-    norm2 = z2.sum(axis=1) + tail
+    norm2 = z2.sum(axis=1) + middle + tail
     m0, m1 = z2[:, 0] / norm2, z2[:, min(1, dim - 1)] / norm2
     out = {"dim": dim, "samples": samples,
            "mean": _record(*mean_stderr(z[:, 0].real ** 2 / norm2), 1 / (2 * dim)),

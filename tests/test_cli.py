@@ -174,10 +174,10 @@ class TestVerifyLemmas:
                               "--samples", "1", "--out", str(out)], "--samples")
         assert not out.exists()
 
-    # The flag limits (exit 2) and the limits on products of flags, checked
+    # The flag limits (exit 2) and the limit on a product of flags, checked
     # in the command (exit 1); without them a Haar frame of 2^50 rows would
-    # not fit any machine's memory, and at full rank a state would draw all
-    # 2^50 coordinates.
+    # not fit any machine's memory, and past 2^53 the gamma shapes of a
+    # state's chi-square blocks would not be exact floats.
     @pytest.mark.parametrize("flags, fragments", [
         (["--samples", "1000000000000000"], ["argument --samples: must be at most"]),
         (["--samples", "100000001"], ["argument --samples: must be at most 100000000"]),
@@ -185,8 +185,8 @@ class TestVerifyLemmas:
          ["argument --ensemble: must be at most 1000000"]),
         (["--samples", "10", "--dim", "2^50"],
          ["--ensemble × --dim² × max(--rank, 10) must be at most", "200 × 1125899906842624²"]),
-        (["--samples", "10", "--dim", "2^50", "--rank", "2^50"],
-         ["argument --rank: must be at most 4194304"]),
+        (["--samples", "10", "--dim", "2^60", "--rank", "2^60"],
+         ["argument --rank: must be at most 9007199254740992"]),
     ])
     def test_sizes_beyond_memory_rejected(self, tmp_path, capsys, flags, fragments):
         out = tmp_path / "v.json"
@@ -200,10 +200,12 @@ class TestVerifyLemmas:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, fragment", [
-        # 477 states of 2^22 coordinates, and 20 000 001 states of 100
-        (["--dim", "2^22", "--rank", "2^22", "--samples", "477"],
-         "--samples × min(--dim, max(--rank, 2)) must be at most 2000000000, got 477 × 4194304"),
-        (["--dim", "1000", "--rank", "100", "--samples", "20000001"], "got 20000001 × 100"),
+        # one Gram past the limit at the smallest ensemble, and 1001 Grams
+        # of 1000 rows at rank 100
+        (["--dim", "100001", "--ensemble", "1"],
+         "--ensemble × --dim² × max(--rank, 10) must be at most 100000000000, "
+         "got 1 × 100001² × 10"),
+        (["--dim", "1000", "--rank", "100", "--ensemble", "1001"], "got 1001 × 1000² × 100"),
         # 200 Grams of 100 001 rows (a row at a time past 32 768 rows)
         (["--dim", "100001"],
          "--ensemble × --dim² × max(--rank, 10) must be at most 100000000000, "
@@ -224,8 +226,10 @@ class TestVerifyLemmas:
         assert_one_line_error(capsys, fragment)
 
     @pytest.mark.parametrize("flags", [
-        ["--dim", "2^22", "--rank", "2^22", "--samples", "476"],
-        ["--dim", "1000", "--rank", "100", "--samples", "20000000"],
+        # a state's draws do not grow with --dim or --rank: the most states
+        # are accepted at the largest rank and at any shape
+        ["--dim", "2^53", "--rank", "2^53", "--samples", "100000000"],
+        ["--dim", "1000", "--rank", "100", "--samples", "100000000", "--ensemble", "1000"],
         ["--dim", "100000", "--ensemble", "1"],
         ["--dim", "10000", "--rank", "11", "--ensemble", "90"],
     ])
@@ -237,6 +241,47 @@ class TestVerifyLemmas:
         argv = ["verify-lemmas", "--dim", "10", "--rank", "2", "--samples", "10"] + flags
         assert main(argv) == 1
         assert_one_line_error(capsys, "error: reached the draws")
+
+    def test_full_rank_at_millions_of_coordinates_runs(self, tmp_path):
+        # refused while a state drew every coordinate of the cell (477 ×
+        # 2^22 coordinates); a state now draws four normals and one gamma
+        out = tmp_path / "v.json"
+        assert main(["verify-lemmas", "--dim", "2^22", "--rank", "2^22", "--samples", "477",
+                     "--out", str(out)]) == 0
+        report = load(out)
+        assert report["state_weights"]["mean"]["estimate"] == 1.0
+        assert report["hypersphere"]["samples"] == 477
+        assert math.isfinite(report["hypersphere"]["covariance"]["estimate"])
+
+    def test_tail_one_square_short_fails_the_state_mean_gate(self, tmp_path, monkeypatch):
+        # the gate can fail: with the tail's gamma shape D - d + 1 for
+        # D - d, a weight has the Beta(d, D - d + 1) law, whose mean
+        # d/(D + 1) sits about 10 standard errors from d/D at the default
+        # 100 000 samples (--dim 100 --rank 10)
+        argv = ["verify-lemmas", "--dim", "100", "--rank", "10", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "control.json")]) == 0
+        substream = randomness.substream
+
+        class TailOffByOne:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def spawn(self, n):
+                return [TailOffByOne(child) for child in self.rng.spawn(n)]
+
+            def standard_gamma(self, shapes, size):
+                return self.rng.standard_gamma([*shapes[:-1], shapes[-1] + 1], size)
+
+        monkeypatch.setattr(randomness, "substream",
+                            lambda *path: TailOffByOne(substream(*path)))
+        out = tmp_path / "v.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        mean = load(out)["state_weights"]["mean"]
+        assert mean["pass"] is False
+        assert abs(mean["estimate"] - mean["target"]) > 8 * mean["stderr"]
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     @pytest.mark.parametrize("dim, rank, samples, ensemble", [
@@ -1590,6 +1635,46 @@ def fail_the_state_mean(monkeypatch):
         return state, sphere, blocks
 
     monkeypatch.setattr(randomness, "lemma_statistics", failed)
+
+
+class TestOutputPaths:
+    """A file a command writes is refused at parse time (exit 2, naming its
+    flag) when it names a directory or lies in one that does not exist,
+    before the command does its work."""
+
+    @pytest.mark.parametrize("flag", ["--dump-trajectory", "--out"])
+    def test_missing_directory_refused_before_the_oracle(self, tmp_path, monkeypatch,
+                                                         capsys, flag):
+        def oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(dynamics, "discrete_time_average", oracle)
+        argv = ["compute-l", write_spectrum(tmp_path, [(0, 1), (1, 1), (3, 1)]),
+                "--dims", "1,1,1", flag]
+        with pytest.raises(AssertionError, match="the oracle ran"):  # it runs on a good path
+            main(argv + [str(tmp_path / "t.tsv")])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["no/such/dir/t.tsv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert (f"error: argument {flag}: must name a file in an existing directory, "
+                "got 'no/such/dir/t.tsv'") in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", "SPEC"], "--out"),
+        (["verify-lemmas", "--dim", "4", "--rank", "2"], "--out"),
+        (["check-theorem", "--dim", "2^100", "--rank", "2^60", "--cells", "4"], "--out"),
+        (["run", "CONFIG"], "--out"),
+        (["run", "CONFIG"], "--dump-trials"),
+    ])
+    @pytest.mark.parametrize("path", ["DIR", "DIR/missing/report.json", ""])
+    def test_every_written_file_checked_by_its_flag(self, tmp_path, capsys, argv, flag, path):
+        paths = {"SPEC": write_spectrum(tmp_path, [(0, 1), (1, 1), (3, 1)]),
+                 "CONFIG": TestRun.write_config(tmp_path)}
+        path = path.replace("DIR", str(tmp_path))
+        argv = [paths.get(a, a) for a in argv] + [flag, path]
+        assert f"must name a file in an existing directory, got {path!r}" in flag_refusal(
+            capsys, argv, flag)
 
 
 class TestExitRule:

@@ -36,9 +36,11 @@ from ergolab.randomness import (
 )
 
 from support import (
+    KS_CRITICAL_1E6,
     gaussian_rows_reference,
     gram_maxima,
     hypersphere_reference,
+    ks_statistic,
     lemma_rows_reference,
     read_rows_reference,
     state_weights_reference,
@@ -46,9 +48,9 @@ from support import (
 )
 
 # (dim, rank, samples) of the streamed-moment checks: D = 1, rank = dim,
-# D = 2, D = 257 with 3 of its coordinates read, sample counts that are not
+# D = 2, D = 257 with a middle and a tail block, sample counts that are not
 # multiples of the chunk, and 200 000 samples at D = 8 and 100 000 at
-# D = 100 (13 and 31 chunks).
+# D = 100 (25 and 13 chunks).
 LEMMA_CASES = [(1, 1, 10001), (1, 1, 5000), (6, 6, 4099), (2, 1, 4097), (257, 3, 5003),
                (8, 2, 20000), (8, 2, 200_000), (100, 10, 9000), (100, 10, 100_000)]
 
@@ -315,8 +317,9 @@ class TestHypersphereMoments:
 
 class TestChunkedDraws:
     """The moment estimates draw and sum a chunk of rows at a time: the
-    read coordinates and the chi-square tails must each be one whole fill's
-    to the bit, and the records those of two passes over every sample."""
+    normals of coefficients 0 and 1 and the chi-square blocks must each be
+    one whole fill's to the bit, and the records those of two passes over
+    every sample."""
 
     @pytest.mark.parametrize("chunk_entries", [_CHUNK_ENTRIES, 1000])
     @pytest.mark.parametrize("dim, rank, samples", [
@@ -324,22 +327,28 @@ class TestChunkedDraws:
     def test_chunks_are_one_whole_fill(self, monkeypatch, chunk_entries, dim, rank, samples):
         monkeypatch.setattr(randomness, "_CHUNK_ENTRIES", chunk_entries)
         chunks = list(_state_chunks(dim, rank, samples, substream(9, dim)))
-        rows = max(1, chunk_entries // min(dim, max(rank, 2)))
-        assert [len(z) for z, _ in chunks] == [min(rows, samples - k)
-                                               for k in range(0, samples, rows)]
-        whole, tail = read_rows_reference(dim, rank, samples, substream(9, dim))
-        assert np.concatenate([z for z, _ in chunks]).tobytes() == whole.tobytes()
-        assert np.concatenate([t for _, t in chunks]).tobytes() == tail.tobytes()
+        rows = chunk_entries // 4
+        assert [len(z) for z, _, _ in chunks] == [min(rows, samples - k)
+                                                  for k in range(0, samples, rows)]
+        whole = read_rows_reference(dim, rank, samples, substream(9, dim))
+        assert np.concatenate([z for z, _, _ in chunks]).tobytes() == whole[0].tobytes()
+        for k in (1, 2):  # an empty block is 0.0 in every chunk, zeros in the reference
+            drawn = [np.broadcast_to(chunk[k], len(chunk[0])) for chunk in chunks]
+            assert np.concatenate(drawn).tobytes() == whole[k].tobytes()
 
-    @pytest.mark.parametrize("dim, rank, samples", [(257, 3, 5003), (100, 10, 9000),
-                                                    (12, 12, 4099), (2, 1, 4097)])
+    @pytest.mark.parametrize("dim, rank, samples", [
+        (257, 3, 5003), (100, 10, 9000), (12, 12, 4099), (2, 1, 4097),
+        (1, 1, 4097), (8, 2, 4097), (3, 1, 4097), (1000, 1000, 4097)])
     def test_draws_only_the_read_coordinates(self, dim, rank, samples):
-        # a return to whole D-vectors fails here: 2D normals a state
+        # a state draws the normals of coefficients 0 and 1 and one gamma
+        # per nonempty block, the cell's middle (d > 2) and the tail
+        # (D > max(d, 2)), whatever D and d are: a return to drawing every
+        # read coordinate, or a whole D-vector, fails here
+        gammas = {(257, 3): 2, (100, 10): 2, (12, 12): 1, (2, 1): 0,
+                  (1, 1): 0, (8, 2): 1, (3, 1): 1, (1000, 1000): 1}[dim, rank]
         rng = CountingGenerator(substream(9, 1))
         _moment_sums(dim, rank, samples, rng)
-        read = min(dim, max(rank, 2))
-        assert rng.counts == {"normal": samples * 2 * read,
-                              "gamma": samples if read < dim else 0}
+        assert rng.counts == {"normal": samples * 2 * min(dim, 2), "gamma": samples * gammas}
 
     @staticmethod
     def assert_records_match(streamed, reference):
@@ -375,13 +384,15 @@ class TestChunkedDraws:
         self.assert_records_match(state, state_weights_reference(dim, rank, *rows))
         self.assert_records_match(sphere, hypersphere_reference(dim, *rows))
 
-    @pytest.mark.parametrize("dim, rank, samples", [(12, 3, 20000), (3, 1, 20000),
-                                                    (100, 10, 10000), (8, 2, 20000)])
+    @pytest.mark.parametrize("dim, rank, samples", [
+        (12, 3, 20000), (3, 1, 20000), (100, 10, 10000), (8, 2, 20000),
+        (6, 6, 20000), (2, 1, 20000), (2, 2, 20000), (1, 1, 20000)])
     def test_read_coordinates_agree_with_the_full_vector_route(self, dim, rank, samples):
-        # the chi-square tail stands for the unread squares in law: every
-        # record of the package's draw sits within 5 pooled standard errors
-        # of the same record over whole Gaussian D-vectors, on another
-        # substream
+        # the chi-square blocks stand for the squares not drawn in law:
+        # every record of the package's draw sits within 5 pooled standard
+        # errors of the same record over whole Gaussian D-vectors, on
+        # another substream (d = 1, d = 2, 2 < d < D, and d = D with and
+        # without a middle block)
         full = gaussian_rows_reference(dim, samples, substream(11, 1))
         pairs = [(state_weight_statistics(dim, rank, samples, substream(11, 0)),
                   state_weights_reference(dim, rank, full)),
@@ -395,6 +406,48 @@ class TestChunkedDraws:
                 assert a["target"] == pytest.approx(b["target"], rel=1e-15)
                 pooled = math.hypot(a["stderr"], b["stderr"])
                 assert abs(a["estimate"] - b["estimate"]) <= GATE_SIGMA * pooled, key
+
+    @staticmethod
+    def drawn_weights(monkeypatch, dim, rank, samples, rng):
+        """The weights and the squared moduli of coefficient 0 that
+        ``_moment_sums`` adds to its power sums, state by state."""
+        seen = {}
+
+        class Recorded(_PowerSums):
+            def add(self, u, v=None):
+                seen.setdefault(id(self), []).append(u.copy())
+                super().add(u, v)
+
+        monkeypatch.setattr(randomness, "_PowerSums", Recorded)
+        weight, _, moduli = _moment_sums(dim, rank, samples, rng)
+        return [np.concatenate(seen[id(sums)]) for sums in (weight, moduli)]
+
+    @staticmethod
+    def full_route(dim, rank, samples, rng):
+        """The same two values of whole Gaussian D-vectors."""
+        z2 = np.abs(gaussian_rows_reference(dim, samples, rng)) ** 2
+        norm2 = z2.sum(axis=1)
+        return [z2[:, :rank].sum(axis=1) / norm2, z2[:, 0] / norm2]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("dim, rank", [(100, 10), (12, 3), (8, 2), (3, 1), (30, 6)])
+    def test_weights_have_the_law_of_the_full_vector_route(self, monkeypatch, dim, rank, seed):
+        # two-sample Kolmogorov-Smirnov tests of the whole law, where the
+        # records check moments: the package's weights and squared moduli
+        # against those of whole Gaussian D-vectors, each at a false-alarm
+        # rate of 1e-6
+        samples = 20000
+        drawn = self.drawn_weights(monkeypatch, dim, rank, samples, substream(seed, 40))
+        for a, b in zip(drawn, self.full_route(dim, rank, samples, substream(seed, 41))):
+            assert ks_statistic(a, b) <= KS_CRITICAL_1E6 * math.sqrt(2 / samples)
+
+    def test_kolmogorov_smirnov_tells_a_tail_one_square_short(self, monkeypatch):
+        # the same test refuses the full route at D + 1, the law the
+        # package's weights would have with a tail shape off by one
+        samples = 20000
+        drawn = self.drawn_weights(monkeypatch, 12, 3, samples, substream(1, 40))
+        wider = self.full_route(13, 3, samples, substream(1, 41))
+        assert ks_statistic(drawn[0], wider[0]) > KS_CRITICAL_1E6 * math.sqrt(2 / samples)
 
 
 class TestPowerSums:
